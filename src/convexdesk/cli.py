@@ -49,6 +49,20 @@ SUBCOMMANDS = (
     "fitzpatrick", "resolvent", "renorm", "coupon", "volume", "gamma", "duality",
 )
 
+# options a job cannot run without, by destination name; a tuple lists
+# alternatives, any one of which will do.  --selftest needs none of them.
+REQUIRED = {
+    "infconv": (("atom2", "infile2"),),
+    "prox": ("x",),
+    "project": ("box", "x"),
+    "fitzpatrick": ("graph", "x", "xstar"),
+    "resolvent": ("z",),
+    "coupon": ("x",),
+    "volume": ("dim", "p"),
+    "gamma": ("x", "n"),
+    "duality": ("f_atom", "g_atom", "grid"),
+}
+
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -80,20 +94,21 @@ def _parse_vec(s: str) -> np.ndarray:
     return np.asarray([float(v) for v in s.split(",")], dtype=float)
 
 
-def _load_fn(opts: dict, atom_key: str = "atom", params_key: str = "params",
-             in_key: str = "infile", grid_key: str = "grid") -> GridFn:
-    if opts.get(in_key):
-        return fileio.read_gridfn_json(opts[in_key])
-    if not opts.get(atom_key):
-        raise ValueError(f"need --{atom_key} or --{in_key.replace('file','')}")
-    if not opts.get(grid_key):
+def _load_fn(opts: dict) -> GridFn:
+    if opts.get("infile"):
+        return fileio.read_gridfn_json(opts["infile"])
+    if not opts.get("atom"):
+        raise ValueError("need --atom or --in")
+    if not opts.get("grid"):
         raise ValueError("need --grid with --atom")
-    atom = make_atom(opts[atom_key], opts.get(params_key))
-    return sample(atom, parse_grid_spec(opts[grid_key]))
+    return sample(make_atom(opts["atom"], opts.get("params")), parse_grid_spec(opts["grid"]))
 
 
-def _write_fn(f: GridFn, path: str) -> None:
-    if path.endswith(".csv"):
+def _write_fn(f: GridFn, path: Optional[str]) -> None:
+    """Grid function to a .csv or .json file, or its values to stdout."""
+    if not path:
+        _emit({"values": f.values}, None)
+    elif path.endswith(".csv"):
         fileio.write_gridfn_csv(f, path)
     else:
         fileio.write_gridfn_json(f, path)
@@ -105,106 +120,55 @@ def _build_parser() -> argparse.ArgumentParser:
     # let grid specs and vectors like "-10:3:2001" or "-3,0.5" pass as values
     value_like = re.compile(r"^-\d[\d.:,x;eE+-]*$")
 
-    def add(name: str) -> argparse.ArgumentParser:
+    def add(name: str, *flags: str, fn: bool = False, lam: bool = False) -> argparse.ArgumentParser:
+        """Subparser with --selftest, --out and the string options `flags`;
+        `fn` adds the options naming the input function, `lam` --lambda."""
         p = sub.add_parser(name)
         p._negative_number_matcher = value_like
         p.add_argument("--selftest", action="store_true")
+        p.add_argument("--out")
+        if fn:
+            flags = ("--atom", "--params", "--grid") + flags
+            p.add_argument("--in", dest="infile")
+        if lam:
+            p.add_argument("--lambda", dest="lam", type=float, default=1.0)
+        for flag in flags:
+            p.add_argument(flag)
         return p
 
-    for name in ("conjugate", "biconjugate"):
-        p = add(name)
-        p.add_argument("--atom")
-        p.add_argument("--params")
-        p.add_argument("--in", dest="infile")
-        p.add_argument("--grid")
-        p.add_argument("--dual")
-        p.add_argument("--out")
+    add("conjugate", "--dual", fn=True)
+    add("biconjugate", "--dual", fn=True)
+    add("infconv", "--atom2", "--params2", fn=True).add_argument("--in2", dest="infile2")
+    add("envelope", fn=True, lam=True)
+    add("prox", "--x", fn=True, lam=True)
+    add("project", "--x").add_argument("--box", help="a:b per axis, axes joined by ','")
+    add("fitzpatrick", "--x", "--xstar").add_argument("--graph", help="operator graph JSON file")
+    add("resolvent", "--z", fn=True, lam=True)
 
-    p = add("infconv")
-    p.add_argument("--atom")
-    p.add_argument("--params")
-    p.add_argument("--atom2")
-    p.add_argument("--params2")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--in2", dest="infile2")
-    p.add_argument("--grid")
-    p.add_argument("--out")
-
-    p = add("envelope")
-    p.add_argument("--atom")
-    p.add_argument("--params")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--grid")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--out")
-
-    p = add("prox")
-    p.add_argument("--atom")
-    p.add_argument("--params")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--grid")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--x", required=False)
-    p.add_argument("--out")
-
-    p = add("project")
-    p.add_argument("--box", help="a:b per axis, axes joined by ','")
-    p.add_argument("--x")
-    p.add_argument("--out")
-
-    p = add("fitzpatrick")
-    p.add_argument("--graph", help="operator graph JSON file")
-    p.add_argument("--x")
-    p.add_argument("--xstar")
-    p.add_argument("--out")
-
-    p = add("resolvent")
-    p.add_argument("--atom")
-    p.add_argument("--params")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--grid")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--z")
-    p.add_argument("--out")
-
-    p = add("renorm")
+    p = add("renorm", "--out-prefix")
     p.add_argument("--norm1", default="l1norm")
     p.add_argument("--norm2", default="l2norm")
     p.add_argument("--grid", default="-4:4:321x-4:4:321")
     p.add_argument("--steps", type=int, default=6)
-    p.add_argument("--out-prefix", dest="out_prefix")
-    p.add_argument("--out")
 
-    p = add("coupon")
+    p = add("coupon", "--x")
     p.add_argument("--n", type=int)
-    p.add_argument("--x")
     p.add_argument("--forms", default="all", choices=("perm", "ie", "integral", "all"))
     p.add_argument("--probe-trials", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
 
-    p = add("volume")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--p")
-    p.add_argument("--out")
-
+    add("volume", "--p").add_argument("--dim", type=int)
     p = add("gamma")
     p.add_argument("--x", type=float)
     p.add_argument("--n", type=int)
-    p.add_argument("--out")
 
-    p = add("duality")
-    p.add_argument("--f-atom", dest="f_atom")
-    p.add_argument("--f-params", dest="f_params")
-    p.add_argument("--g-atom", dest="g_atom")
-    p.add_argument("--g-params", dest="g_params")
-    p.add_argument("--T", dest="T", default="1")
-    p.add_argument("--grid")
-    p.add_argument("--g-grid", dest="g_grid")
-    p.add_argument("--dual")
-    p.add_argument("--g-dual", dest="g_dual")
-    p.add_argument("--out")
+    add("duality", "--f-atom", "--f-params", "--g-atom", "--g-params", "--grid", "--g-grid",
+        "--dual", "--g-dual").add_argument("--T", default="1")
     return ap
+
+
+def _flag(dest: str) -> str:
+    return "--" + {"infile": "in", "infile2": "in2"}.get(dest, dest).replace("_", "-")
 
 
 def parse_args(argv: list[str]) -> JobSpec:
@@ -212,6 +176,11 @@ def parse_args(argv: list[str]) -> JobSpec:
     ns = _build_parser().parse_args(argv)
     opts = vars(ns)
     sub = opts.pop("subcommand")
+    if not opts.get("selftest"):
+        for need in REQUIRED.get(sub, ()):
+            alts = need if isinstance(need, tuple) else (need,)
+            if all(opts.get(d) is None for d in alts):
+                raise ValueError(f"{sub} needs {' or '.join(map(_flag, alts))}")
     for key in ("infile", "infile2", "graph"):
         path = opts.get(key)
         if path and not os.path.exists(path):
@@ -259,11 +228,7 @@ def _run_conjugate(opts: dict, once: bool) -> None:
         else:
             _emit({"values": res.dual.values, "argmax": res.argmax}, None)
     else:
-        g = biconjugate(f, dual)
-        if opts.get("out"):
-            _write_fn(g, opts["out"])
-        else:
-            _emit({"values": g.values}, None)
+        _write_fn(biconjugate(f, dual), opts.get("out"))
 
 
 def _run_infconv(opts: dict) -> None:
@@ -272,11 +237,7 @@ def _run_infconv(opts: dict) -> None:
         g = fileio.read_gridfn_json(opts["infile2"])
     else:
         g = sample(make_atom(opts["atom2"], opts.get("params2")), f.grid)
-    res = inf_convolution(f, g)
-    if opts.get("out"):
-        _write_fn(res.out, opts["out"])
-    else:
-        _emit({"values": res.out.values}, None)
+    _write_fn(inf_convolution(f, g).out, opts.get("out"))
 
 
 def _convexity_tol() -> float:
@@ -285,11 +246,7 @@ def _convexity_tol() -> float:
 
 def _run_envelope(opts: dict) -> None:
     f = _load_fn(opts)
-    env = moreau_envelope(f, opts["lam"], convexity_tol=_convexity_tol())
-    if opts.get("out"):
-        _write_fn(env, opts["out"])
-    else:
-        _emit({"values": env.values}, None)
+    _write_fn(moreau_envelope(f, opts["lam"], convexity_tol=_convexity_tol()), opts.get("out"))
 
 
 def _run_prox(opts: dict) -> None:

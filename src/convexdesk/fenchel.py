@@ -1,12 +1,14 @@
 """Discrete Legendre-Fenchel transforms, infimal convolution,
 subdifferentials, coercivity, and duality gaps.
 
-The fast conjugate builds the lower convex hull of the sampled points per
-line (monotone chain, collinear vertices kept) and merges hull slopes
-with the sorted dual nodes in one pass: O(n + m) per line.  Ties in the
-sup break toward the smallest primal index in both the fast and oracle
-paths, so the two agree bit-for-bit.  2-D transforms are iterated 1-D
-transforms applied axis by axis.
+The fast conjugate transforms stacks of lines at once: lines that are
+their own lower convex hull skip the monotone chain, and counting hull
+slopes below each sorted dual node places it on the hull, O(n + m) per
+line.  Where a hull slope lies within rounding of a dual node, the
+exhaustive max is taken over the nodes rounding could make the argmax,
+so 1-D values and argmax agree bit-for-bit with the oracle, ties to the
+smallest primal index.  A 2-D transform is two batched passes, rows then
+columns: its values agree bit-for-bit, its argmax breaks ties row first.
 """
 
 from __future__ import annotations
@@ -75,59 +77,123 @@ def _lower_hull(xs: np.ndarray, fv: np.ndarray) -> np.ndarray:
     return np.asarray(hull, dtype=np.int64)
 
 
-def _conjugate_line(xs: np.ndarray, fv: np.ndarray, ys: np.ndarray):
-    """One-dimensional transform: values and argmax of max_j (y x_j - f_j).
+# elements per block of lines, which bounds the kernel's temporaries
+_BLOCK_ELEMS = 1 << 13
 
-    Returns (-inf, -1) entries when the line holds no finite value.
-    """
+
+def _line_blocks(nlines: int, width: int):
+    """Slices over a stack of lines, `width` temporaries per line each."""
+    step = max(1, _BLOCK_ELEMS // width)
+    return (slice(a, a + step) for a in range(0, nlines, step))
+
+
+def _conjugate_block(xs: np.ndarray, F: np.ndarray, ys: np.ndarray):
+    L, n = F.shape
     m = ys.size
-    if not np.isfinite(fv).any():
-        return np.full(m, -np.inf), np.full(m, -1, dtype=np.int64)
-    hull = _lower_hull(xs, fv)
-    hx, hf = xs[hull], fv[hull]
-    slopes = np.diff(hf) / np.diff(hx)
-    pos = np.searchsorted(slopes, ys, side="left")
-    best = np.full(m, -np.inf)
-    arg = np.full(m, hull[0], dtype=np.int64)
-    # re-compare a small hull neighbourhood by the oracle's value expression
-    for d in range(-2, 3):
-        q = np.clip(pos + d, 0, hull.size - 1)
-        j = hull[q]
-        v = ys * xs[j] - fv[j]
-        take = v > best
-        best[take] = v[take]
-        arg[take] = j[take]
-    return best, arg
+    fin = np.isfinite(F)
+    fmax = np.max(np.abs(np.where(fin, F, 0.0)), axis=1)
+    rows, cols = np.nonzero(fin)
+    if not rows.size:
+        return np.full((L, m), -np.inf), np.full((L, m), -1, dtype=np.int64)
+    fv = F[rows, cols]
+    # _lower_hull's pop test on consecutive finite triples of each line: a
+    # line where it never fires is its own hull, since the chain never pops
+    x1, x2, x3 = xs[cols[:-2]], xs[cols[1:-1]], xs[cols[2:]]
+    pops = (rows[2:] == rows[:-2]) & (
+        (fv[1:-1] - fv[:-2]) * (x3 - x1) > (fv[2:] - fv[:-2]) * (x2 - x1)
+    )
+    hull = fin
+    for r in np.unique(rows[:-2][pops]):
+        hull[r] = False
+        hull[r, _lower_hull(xs, F[r])] = True
+    hr, hc = np.nonzero(hull)
+    hf, hx = F[hr, hc], xs[hc]
+    seg = np.flatnonzero(hr[1:] == hr[:-1])
+    slopes = (hf[seg + 1] - hf[seg]) / (hx[seg + 1] - hx[seg])
+    srow = hr[seg]
+
+    # A hull segment whose slope is within tol of y drops by at most `bound`
+    # per index step, so rounding can make any node on or above it the
+    # oracle's argmax.  The window spans the run of such segments around y;
+    # every node outside it is below the window's best by more than `bound`.
+    yx = max(abs(ys[0]), abs(ys[-1])) * max(abs(xs[0]), abs(xs[-1]))
+    bound = 64.0 * np.finfo(float).eps * (yx + fmax + 1.0)
+    tol = (bound * (n - 1) / (xs[-1] - xs[0]))[srow]
+    # per line and dual node y: hull segments with slope + tol < y (lo) and
+    # with slope - tol < y (hi), counted in one bincount over 2 L groups
+    k0 = np.searchsorted(ys, np.concatenate([slopes + tol, slopes - tol]), side="right")
+    group = np.concatenate([srow, srow + L]) * (m + 1) + k0
+    counts = np.bincount(group, minlength=2 * L * (m + 1)).reshape(2 * L, m + 1)
+    lo, hi = np.cumsum(counts, axis=1)[:, :m].reshape(2, L, m)
+
+    # a line without finite values lands on another line's vertex: -inf
+    nh = np.bincount(hr, minlength=L)
+    start = (np.cumsum(nh) - nh)[:, None]
+    jlo = hc[np.minimum(start + lo, hc.size - 1)]
+    jhi = hc[np.minimum(start + hi, hc.size - 1)]
+    vals = ys * xs[jlo] - F[np.arange(L)[:, None], jlo]
+    arg = jlo
+
+    wl, wk = np.nonzero(jhi > jlo)
+    a = jlo[wl, wk]
+    size = jhi[wl, wk] - a + 1
+    ends = np.cumsum(size)
+    c0 = 0
+    while c0 < wl.size:
+        # exhaustive smallest-index max of the oracle's expression per
+        # window, about _BLOCK_ELEMS window nodes at a time
+        c = slice(c0, max(c0 + 1, int(np.searchsorted(ends, ends[c0] - size[c0] + _BLOCK_ELEMS))))
+        first = np.cumsum(size[c]) - size[c]
+        w = np.repeat(np.arange(first.size), size[c])
+        j = a[c][w] + np.arange(w.size) - first[w]
+        v = ys[wk[c][w]] * xs[j] - F[wl[c][w], j]
+        best = np.maximum.reduceat(v, first)
+        hit = np.flatnonzero(v == best[w])
+        vals[wl[c], wk[c]] = best
+        arg[wl[c], wk[c]] = j[hit[np.searchsorted(w[hit], np.arange(first.size))]]
+        c0 = c.stop
+    arg[nh == 0] = -1
+    return vals, arg
+
+
+def _conjugate_lines(xs: np.ndarray, F: np.ndarray, ys: np.ndarray):
+    """Values and argmax of max_j (y x_j - F[l, j]) for every line l of F
+    (shape (L, n)) at every dual node y of the sorted ys (shape (m,)).
+
+    Both equal the exhaustive max over j, ties to the smallest j; lines
+    without a finite value give (-inf, -1).  O(n + m) per line, plus the
+    windows of dual nodes that hit a hull slope within rounding.
+    """
+    L, m = F.shape[0], ys.size
+    vals = np.empty((L, m))
+    arg = np.empty((L, m), dtype=np.int64)
+    for b in _line_blocks(L, F.shape[1] + m):
+        vals[b], arg[b] = _conjugate_block(xs, F[b], ys)
+    return vals, arg
 
 
 def conjugate(f: GridFn, dual_grid: Grid) -> ConjugateResult:
     """Fenchel conjugate of a proper GridFn on a dual grid.
 
-    Agrees exactly with conjugate_oracle, including tie-breaking.
+    In 1-D, values and argmax agree exactly with conjugate_oracle,
+    including smallest-index tie-breaking.  In 2-D the values agree
+    exactly too; the argmax attains the value but breaks ties row first,
+    so on rounding ties it can name another node than the oracle's.
     """
     require_proper(f, "conjugate input")
     if dual_grid.dim != f.grid.dim:
         raise GridMismatchError("dual grid dimension must match the function's")
     if f.grid.dim == 1:
-        vals, arg = _conjugate_line(f.grid.coords(0), f.values, dual_grid.coords(0))
-        return ConjugateResult(GridFn(dual_grid, vals), arg)
-
-    x1s, x2s = f.grid.coords(0), f.grid.coords(1)
-    y1s, y2s = dual_grid.coords(0), dual_grid.coords(1)
-    n1, n2 = f.grid.shape
-    m1, m2 = dual_grid.shape
-    inner = np.empty((n1, m2))
-    inner_arg = np.empty((n1, m2), dtype=np.int64)
-    fv = f.values
-    for i in range(n1):
-        inner[i], inner_arg[i] = _conjugate_line(x2s, fv[i], y2s)
-    out = np.empty((m1, m2))
-    argmax = np.empty((m1, m2), dtype=np.int64)
-    for j in range(m2):
-        vals, a1 = _conjugate_line(x1s, -inner[:, j], y1s)
-        out[:, j] = vals
-        argmax[:, j] = a1 * n2 + inner_arg[a1, j]
-    return ConjugateResult(GridFn(dual_grid, out), argmax.ravel().reshape(dual_grid.shape))
+        vals, arg = _conjugate_lines(f.grid.coords(0), f.values[None, :], dual_grid.coords(0))
+        return ConjugateResult(GridFn(dual_grid, vals[0]), arg[0])
+    inner, inner_arg = _conjugate_lines(f.grid.coords(1), f.values, dual_grid.coords(1))
+    vals, a1 = _conjugate_lines(f.grid.coords(0), np.negative(inner, out=inner).T, dual_grid.coords(0))
+    del inner  # in place and freed early: the (n1, m2) arrays set the peak memory
+    argmax = np.take_along_axis(inner_arg, a1.T, axis=0)
+    del inner_arg
+    a1 *= f.grid.shape[1]
+    argmax += a1.T
+    return ConjugateResult(GridFn(dual_grid, vals.T), argmax)
 
 
 def conjugate_oracle(f: GridFn, dual_grid: Grid) -> ConjugateResult:

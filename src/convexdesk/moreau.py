@@ -1,6 +1,8 @@
 """Proximal mappings, Moreau envelopes, Moreau decomposition, projections.
 
-Prox points come from a discrete argmin plus one guarded quadratic
+Envelope node minima come from the conjugate kernel, as
+env(x) = x^2 / (2 lam) - (f + |.|^2 / (2 lam))*(x / lam), once per axis.
+Prox points and the 1-D envelope then take one guarded quadratic
 refinement: the parabola through the three bracketing samples proposes a
 vertex, the objective is re-evaluated there through interpolation, and
 the better of node and vertex wins.  Interpolation over-estimates convex
@@ -16,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import GridMismatchError, NonconvexError, ParameterError, WidenGridError
-from .fenchel import conjugate, default_dual_grid, inf_convolution
+from .fenchel import _conjugate_lines, _line_blocks, conjugate, default_dual_grid, inf_convolution
 from .grids import Grid, GridFn, discrete_convexity_check, interp_gridfn, require_proper
 
 __all__ = [
@@ -36,71 +38,45 @@ class ProxResult:
     lam: float
 
 
-def _quad_penalty(grid: Grid, x: np.ndarray, lam: float) -> np.ndarray:
-    nodes = grid.nodes()
-    return ((nodes - x[None, :]) ** 2).sum(axis=1).reshape(grid.shape) / (2.0 * lam)
-
-
-def _check_prox_inputs(
-    f: GridFn, lam: float, x, check_convexity: bool, convexity_tol: float
-) -> np.ndarray:
-    require_proper(f, "prox input")
+def _check_inputs(
+    f: GridFn, lam: float, check_convexity: bool, convexity_tol: float, name: str, x=None
+) -> Optional[np.ndarray]:
+    """Input checks of prox (with its query x) and moreau_envelope."""
+    require_proper(f, f"{name} input")
     if lam <= 0:
         raise ParameterError(f"lambda must be > 0, got {lam}")
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if xv.size != f.grid.dim:
+    xv = None if x is None else np.atleast_1d(np.asarray(x, dtype=float))
+    if xv is not None and xv.size != f.grid.dim:
         raise GridMismatchError("query dimension does not match the grid")
-    if not f.grid.contains(xv):
+    if xv is not None and not f.grid.contains(xv):
         raise GridMismatchError(f"query {tuple(xv)} is outside the grid box")
     if check_convexity:
         rep = discrete_convexity_check(f, tol=convexity_tol)
         if not rep:
-            raise NonconvexError(
-                f"prox requires convex f; violation at {rep.violation_index}"
-            )
+            raise NonconvexError(f"{name} requires convex f; violation at {rep.violation_index}")
     return xv
 
 
-def _refine_1d(
-    coords: np.ndarray, obj: np.ndarray, f: GridFn, fixed: Optional[tuple], axis: int,
-    i: int, x: np.ndarray, lam: float, best_val: float,
+def _parabola_step(
+    f: GridFn, node: np.ndarray, axis: int, i: np.ndarray, samples, x: np.ndarray, lam: float,
 ):
-    """Guarded quadratic refinement along one axis around node i.
-
-    `obj` holds the sampled objective (same shape as f); `fixed` is the
-    full argmin index in 2-D, None in 1-D.  Returns (point, value) only
-    when the re-evaluated vertex beats best_val.
-    """
-    n = coords.size
-    if not 0 < i < n - 1:
-        return None
-    if fixed is None:
-        pm, p0, pp = obj[i - 1], obj[i], obj[i + 1]
-    elif axis == 0:
-        pm, p0, pp = obj[i - 1, fixed[1]], obj[i, fixed[1]], obj[i + 1, fixed[1]]
-    else:
-        pm, p0, pp = obj[fixed[0], i - 1], obj[fixed[0], i], obj[fixed[0], i + 1]
-    if not (np.isfinite(pm) and np.isfinite(p0) and np.isfinite(pp)):
-        return None
-    denom = pm - 2.0 * p0 + pp
-    if denom <= 0:
-        return None
+    """Guarded quadratic refinement along `axis` for K queries `x` (K, dim)
+    at argmin nodes `node` (K, dim) of index `i` (K,) along the axis, from
+    the objective `samples` at i - 1, i, i + 1.  Returns the vertices and
+    their objective values, +inf where the step does not apply."""
+    pm, p0, pp = samples
+    coords = f.grid.coords(axis)
     h = coords[1] - coords[0]
-    delta = float(np.clip(0.5 * (pm - pp) / denom * h, -h, h))
-    if fixed is None:
-        cand = np.array([coords[i] + delta])
-    else:
-        cand = np.asarray(
-            [coords[i] + delta if ax == axis else f.grid.coords(ax)[fixed[ax]]
-             for ax in range(2)]
-        )
-    fc = float(interp_gridfn(f, cand[None, :])[0])
-    if not np.isfinite(fc):
-        return None
-    val = fc + float(((x - cand) ** 2).sum()) / (2.0 * lam)
-    if val < best_val:
-        return cand, val
-    return None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = pm - 2.0 * p0 + pp
+        ok = (i > 0) & (i < coords.size - 1) & (denom > 0)
+        ok &= np.isfinite(pm) & np.isfinite(p0) & np.isfinite(pp)
+        delta = np.clip(0.5 * (pm - pp) / denom * h, -h, h)
+    cand = np.array(node, dtype=float)
+    cand[:, axis] = coords[i] + np.where(ok, delta, 0.0)
+    fc = interp_gridfn(f, cand)
+    val = fc + ((x - cand) ** 2).sum(axis=1) / (2.0 * lam)
+    return cand, np.where(ok & np.isfinite(fc), val, np.inf)
 
 
 def prox(
@@ -111,25 +87,40 @@ def prox(
     Ties in the discrete argmin break to the smallest index; convexity
     makes them adjacent.
     """
-    xv = _check_prox_inputs(f, lam, x, check_convexity, convexity_tol)
-    obj = f.values + _quad_penalty(f.grid, xv, lam)
-    flat = int(np.argmin(obj))
-    idx = np.unravel_index(flat, obj.shape)
+    xv = _check_inputs(f, lam, check_convexity, convexity_tol, "prox", x)
+    obj = f.values + ((f.grid.nodes() - xv) ** 2).sum(axis=1).reshape(f.grid.shape) / (2.0 * lam)
+    idx = np.unravel_index(int(np.argmin(obj)), obj.shape)
     best_val = float(obj[idx])
-    best_pt = np.asarray([f.grid.coords(ax)[i] for ax, i in enumerate(idx)])
-
-    if f.grid.dim == 1:
-        hit = _refine_1d(f.grid.coords(0), obj, f, None, 0, idx[0], xv, lam, best_val)
-        if hit is not None:
-            best_pt, best_val = hit
-    else:
-        for ax in range(2):
-            hit = _refine_1d(
-                f.grid.coords(ax), obj, f, idx, ax, idx[ax], xv, lam, best_val
-            )
-            if hit is not None:
-                best_pt, best_val = hit
+    node = np.asarray([f.grid.coords(ax)[i] for ax, i in enumerate(idx)])
+    best_pt = node
+    for ax in range(f.grid.dim):
+        line = obj[idx[:ax] + (slice(None),) + idx[ax + 1 :]]
+        samples = line[np.clip(idx[ax] + np.arange(-1, 2), 0, line.size - 1), None]
+        cand, val = _parabola_step(f, node[None, :], ax, np.array([idx[ax]]), samples, xv[None, :], lam)
+        if val[0] < best_val:
+            best_pt, best_val = cand[0], float(val[0])
     return ProxResult(tuple(float(v) for v in best_pt), best_val, float(lam))
+
+
+def _envelope_lines(xs: np.ndarray, F: np.ndarray, lam: float):
+    """For every line l of F (shape (L, n)) and node x_k: the smallest index
+    j minimizing F[l, j] + (x_k - x_j)^2 / (2 lam), and that minimum.
+
+    The minimizer is the argmax of the conjugate of g = F + x^2 / (2 lam)
+    at y = x_k / lam.  Rounding in that route can shift a near-tie to the
+    next node, so the envelope's own expression picks among j - 1, j, j + 1.
+    """
+    best_j = np.zeros(F.shape, dtype=np.int64)
+    best = np.full(F.shape, np.inf)
+    for b in _line_blocks(F.shape[0], 2 * xs.size):
+        _, arg = _conjugate_lines(xs, F[b] + xs ** 2 / (2.0 * lam), xs / lam)
+        line = np.arange(arg.shape[0])[:, None]
+        for d in (-1, 0, 1):  # in index order: ties keep the smallest index
+            j = np.clip(arg + d, 0, xs.size - 1)
+            v = F[b][line, j] + (xs - xs[j]) ** 2 / (2.0 * lam)
+            take = v < best[b]
+            best_j[b][take], best[b][take] = j[take], v[take]
+    return best_j, best
 
 
 def moreau_envelope(
@@ -137,40 +128,22 @@ def moreau_envelope(
 ) -> GridFn:
     """Envelope values at every node; finite everywhere and <= f.
 
-    1-D refines each node's argmin like prox; 2-D uses the exact two-pass
-    separable minimization of the quadratic kernel.
+    Each node's value is the node minimum of f(y) + (x - y)^2 / (2 lam)
+    found through the conjugate kernel; 1-D then refines it like prox, and
+    2-D applies the node minimum once per axis, which is exact because the
+    quadratic kernel separates.
     """
-    require_proper(f, "envelope input")
-    if lam <= 0:
-        raise ParameterError(f"lambda must be > 0, got {lam}")
-    if check_convexity:
-        rep = discrete_convexity_check(f, tol=convexity_tol)
-        if not rep:
-            raise NonconvexError(
-                f"moreau_envelope requires convex f; violation at {rep.violation_index}"
-            )
-    if f.grid.dim == 1:
-        xs = f.grid.coords(0)
-        n = xs.size
-        obj = f.values[None, :] + (xs[:, None] - xs[None, :]) ** 2 / (2.0 * lam)
-        args = np.argmin(obj, axis=1)
-        vals = obj[np.arange(n), args]
-        for k in range(n):
-            hit = _refine_1d(xs, obj[k], f, None, 0, int(args[k]), xs[k : k + 1], lam, vals[k])
-            if hit is not None:
-                vals[k] = hit[1]
-        return GridFn(f.grid, vals)
-    # two passes: the quadratic kernel separates over the axes
-    xs0, xs1 = f.grid.coords(0), f.grid.coords(1)
-    pen1 = (xs1[:, None] - xs1[None, :]) ** 2 / (2.0 * lam)
-    inner = np.empty_like(f.values)
-    for i in range(xs0.size):
-        inner[i] = np.min(f.values[i][None, :] + pen1, axis=1)
-    pen0 = (xs0[:, None] - xs0[None, :]) ** 2 / (2.0 * lam)
-    out = np.empty_like(inner)
-    for j in range(xs1.size):
-        out[:, j] = np.min(inner[:, j][None, :] + pen0, axis=1)
-    return GridFn(f.grid, out)
+    _check_inputs(f, lam, check_convexity, convexity_tol, "moreau_envelope")
+    if f.grid.dim == 2:
+        inner = _envelope_lines(f.grid.coords(1), f.values, lam)[1]
+        return GridFn(f.grid, _envelope_lines(f.grid.coords(0), inner.T, lam)[1].T)
+    xs = f.grid.coords(0)
+    j, vals = _envelope_lines(xs, f.values[None, :], lam)
+    j, vals = j[0], vals[0]
+    jd = np.clip(j + np.arange(-1, 2)[:, None], 0, xs.size - 1)
+    samples = f.values[jd] + (xs - xs[jd]) ** 2 / (2.0 * lam)
+    _, refined = _parabola_step(f, xs[j][:, None], 0, j, samples, xs[:, None], lam)
+    return GridFn(f.grid, np.minimum(vals, refined))
 
 
 def moreau_decomposition_residual(

@@ -45,6 +45,34 @@ def test_malformed_number_is_usage_error():
     assert main(["gamma", "--x", "abc", "--n", "10"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["prox", "--atom", "abs", "--grid", "-1:1:11"], "--x"),
+        (["project", "--x", "1"], "--box"),
+        (["project", "--box", "-1:1"], "--x"),
+        (["coupon", "--n", "2"], "--x"),
+        (["volume", "--dim", "2"], "--p"),
+        (["volume", "--p", "2"], "--dim"),
+        (["gamma", "--n", "3"], "--x"),
+        (["gamma", "--x", "1"], "--n"),
+        (["duality", "--f-atom", "abs", "--g-atom", "abs"], "--grid"),
+        (["duality", "--grid", "-1:1:11", "--g-atom", "abs"], "--f-atom"),
+        (["duality", "--grid", "-1:1:11", "--f-atom", "abs"], "--g-atom"),
+        (["fitzpatrick", "--x", "1", "--xstar", "1"], "--graph"),
+        (["fitzpatrick", "--graph", "GRAPH", "--x", "1"], "--xstar"),
+        (["resolvent", "--atom", "abs", "--grid", "-1:1:11"], "--z"),
+        (["infconv", "--atom", "abs", "--grid", "-1:1:11"], "--atom2 or --in2"),
+    ],
+)
+def test_missing_required_option_is_usage_error(argv, missing, tmp_path, capsys):
+    graph = str(tmp_path / "g.json")
+    xs = np.linspace(-1, 1, 5)[:, None]
+    write_graph_json(OperatorGraph(xs, xs), graph)
+    assert main([graph if a == "GRAPH" else a for a in argv]) == 2
+    assert capsys.readouterr().err.strip() == f"usage error: {argv[0]} needs {missing}"
+
+
 def test_conjugate_job_csv(tmp_path):
     out = str(tmp_path / "f.csv")
     rc = main(["conjugate", "--atom", "exp", "--grid", "-10:3:2001",

@@ -111,6 +111,75 @@ def test_fast_equals_oracle_2d():
         assert np.array_equal(a.argmax, b.argmax)
 
 
+def _collinear_family(kind, tenths, cuts, xs):
+    """Linear, kinked or max-of-lines data with one-decimal slopes."""
+    s = np.asarray(tenths, dtype=float) / 10
+    if kind == 0:
+        return s[0] * xs
+    if kind == 1:
+        c = cuts[0] / 10
+        return np.where(xs < c, s[0] * (xs - c), s[1] * (xs - c))
+    b = np.asarray(cuts, dtype=float) / 10
+    return np.max(s[:, None] * xs[None, :] + b[:, None], axis=0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.integers(0, 2), n=st.integers(2, 1001),
+       tenths=st.lists(st.integers(-20, 20), min_size=4, max_size=4),
+       cuts=st.lists(st.integers(-9, 9), min_size=4, max_size=4),
+       pad=st.tuples(st.integers(0, 10), st.integers(1, 10)))
+def test_fast_equals_oracle_on_collinear_runs(kind, n, tenths, cuts, pad):
+    g = Grid.line(-1, 1, n)
+    f = GridFn(g, _collinear_family(kind, tenths, cuts, g.coords(0)))
+    used = tenths[: (1, 2, 4)[kind]]
+    lo, hi = min(used) - pad[0], max(used) + pad[1]
+    dg = Grid.line(lo / 10, hi / 10, hi - lo + 1)  # holds every slope
+    a = conjugate(f, dg)
+    b = conjugate_oracle(f, dg)
+    assert np.array_equal(a.dual.values, b.dual.values)
+    assert np.array_equal(a.argmax, b.argmax)
+
+
+@pytest.mark.parametrize("a, n, expect_arg, expect_val", [
+    (0.7, 7, 0, 0.0),  # a collinear run: every node attains the sup at y = a
+    (0.3, 13, 12, 5.551115123125783e-17),  # rounding makes the last node the max
+])
+def test_collinear_line_matches_oracle(a, n, expect_arg, expect_val):
+    g = Grid.line(-1, 1, n)
+    f = GridFn(g, a * g.coords(0))
+    dg = Grid.line(a - 1, a + 1, 3)
+    res = conjugate(f, dg)
+    ref = conjugate_oracle(f, dg)
+    assert (res.argmax[1], res.dual.values[1]) == (expect_arg, expect_val)
+    assert np.array_equal(res.dual.values, ref.dual.values)
+    assert np.array_equal(res.argmax, ref.argmax)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kinked=st.booleans(), n1=st.integers(2, 40), n2=st.integers(2, 40),
+       tenths=st.lists(st.integers(-20, 20), min_size=4, max_size=4),
+       cut=st.integers(-9, 9))
+def test_fast_equals_oracle_values_2d_collinear(kinked, n1, n2, tenths, cut):
+    # 2-D values are exact; the argmax breaks rounding ties row first, so
+    # only the values are compared with the oracle
+    g = Grid.box((-1, 1, n1), (-1, 1, n2))
+    x1, x2 = np.meshgrid(g.coords(0), g.coords(1), indexing="ij")
+    s = np.asarray(tenths) / 10
+    vals = s[0] * x1 + s[1] * x2
+    if kinked:
+        vals = np.maximum(vals, s[2] * x1 + s[3] * x2 + cut / 10)
+    f = GridFn(g, vals)
+    dg = Grid.box((-2, 2, 41), (-2, 2, 41))  # holds every one-decimal slope
+    a = conjugate(f, dg)
+    b = conjugate_oracle(f, dg)
+    assert np.array_equal(a.dual.values, b.dual.values)
+    # the argmax attains the value, by the oracle's expression
+    i, j = np.divmod(a.argmax, n2)
+    y1, y2 = np.meshgrid(dg.coords(0), dg.coords(1), indexing="ij")
+    at = y1 * g.coords(0)[i] + (y2 * g.coords(1)[j] - f.values[i, j])
+    assert np.array_equal(at, a.dual.values)
+
+
 def test_oracle_matches_independent_loop(rng):
     g = Grid.line(-2, 2, 33)
     f = GridFn(g, rng.normal(size=33))

@@ -139,6 +139,38 @@ def test_envelope_2d_two_pass_matches_direct():
         assert env.values.ravel()[k] == pytest.approx(ref, abs=1e-12)
 
 
+def test_envelope_2d_box_indicator_matches_direct():
+    # rows and columns outside the box are +inf, so both passes see
+    # lines that are partly or wholly infinite
+    g = Grid.box((-2, 2, 41), (-3, 3, 31))
+    x1, x2 = np.meshgrid(g.coords(0), g.coords(1), indexing="ij")
+    inside = (np.abs(x1 - 0.3) <= 0.8) & (np.abs(x2 + 0.5) <= 1.1)
+    f = GridFn(g, np.where(inside, 0.5 * x1 - x2, np.inf))
+    env = moreau_envelope(f, 0.7)
+    nodes = g.nodes()
+    fv = f.values.ravel()
+    for k in range(0, nodes.shape[0], 7):
+        ref = np.min(fv + ((nodes - nodes[k]) ** 2).sum(axis=1) / 1.4)
+        assert abs(env.values.ravel()[k] - ref) <= 1e-12
+
+
+def test_envelope_1d_memory_is_linear(rng):
+    import tracemalloc
+
+    n = 200_001
+    f = sample(FnAtom("abs"), Grid.line(-3, 3, n))
+    tracemalloc.start()
+    try:
+        env = moreau_envelope(f, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * n  # a dense n x n objective would need 8 n^2 bytes
+    xs = f.grid.coords(0)
+    for k in rng.choice(n, 64, replace=False):
+        assert env.values[k] <= np.min(f.values + (xs[k] - xs) ** 2 / 2.0) + 1e-15
+
+
 def test_prox_firmly_nonexpansive(rng):
     g = Grid.line(-6, 6, 1201)
     f = random_convex_gridfn(rng, g, slope_scale=2.0)
