@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GridMismatchError, ImproperFunctionError, TruncationWarning
+from .errors import GridMismatchError, ImproperFunctionError, ParameterError, TruncationWarning
 from .extreal import ExtReal
 from .grids import Grid, GridFn, interp_gridfn, require_proper
 
@@ -199,8 +199,10 @@ def conjugate(f: GridFn, dual_grid: Grid) -> ConjugateResult:
 def conjugate_oracle(f: GridFn, dual_grid: Grid) -> ConjugateResult:
     """Exhaustive O(n*m) conjugate; ground truth for the fast transform.
 
-    In 2-D it evaluates x1 y1 + (x2 y2 - f) with the same expression tree
-    as the iterated transform so 'bit-identical' is well defined.
+    In 1-D it runs over blocks of dual nodes, so its memory is bounded
+    for any n and m.  In 2-D it evaluates x1 y1 + (x2 y2 - f) with the
+    same expression tree as the iterated transform so 'bit-identical' is
+    well defined.
     """
     require_proper(f, "conjugate input")
     if dual_grid.dim != f.grid.dim:
@@ -208,10 +210,13 @@ def conjugate_oracle(f: GridFn, dual_grid: Grid) -> ConjugateResult:
     if f.grid.dim == 1:
         xs = f.grid.coords(0)
         ys = dual_grid.coords(0)
-        vals = ys[:, None] * xs[None, :] - f.values[None, :]
-        arg = np.argmax(vals, axis=1)
-        best = vals[np.arange(ys.size), arg]
-        return ConjugateResult(GridFn(dual_grid, best), arg.astype(np.int64))
+        best = np.empty(ys.size)
+        arg = np.empty(ys.size, dtype=np.int64)
+        for b in _line_blocks(ys.size, xs.size):  # bounded blocks of dual nodes
+            vals = ys[b, None] * xs[None, :] - f.values[None, :]
+            arg[b] = np.argmax(vals, axis=1)
+            best[b] = vals[np.arange(vals.shape[0]), arg[b]]
+        return ConjugateResult(GridFn(dual_grid, best), arg)
     x1s, x2s = f.grid.coords(0), f.grid.coords(1)
     y1s, y2s = dual_grid.coords(0), dual_grid.coords(1)
     m1, m2 = dual_grid.shape
@@ -276,11 +281,25 @@ def _check_same_geometry(f: GridFn, g: GridFn) -> None:
         raise GridMismatchError("inf-convolution requires the same grid geometry")
 
 
+# cap on the (x, y) pairs of a direct 2-D inf-convolution: a 241² grid
+# centred on 0 has 1.9e9 and takes a few seconds on a 2-vCPU host
+MAX_INFCONV_PAIRS = 2_000_000_000
+
+
+def _axis_pairs(n: int, i0: int) -> int:
+    """Node pairs (x, y) on an axis of n nodes, 0 at node i0, with x - y a node."""
+    a, b = n - 1 - i0, i0
+    return n * n - (a * (a + 1) + b * (b + 1)) // 2
+
+
 def inf_convolution(f: GridFn, g: GridFn) -> InfConvResult:
     """(f box g)(x) = min over grid nodes y of f(y) + g(x - y).
 
     Direct computation over grid displacements; out-of-grid arguments are
-    +inf.  Requires 0 to be a node so displacements land on nodes.
+    +inf.  Requires 0 to be a node so displacements land on nodes.  In 2-D
+    the work is the product of the (x, y) pairs per axis; above
+    MAX_INFCONV_PAIRS (2e9, a 241² grid centred on 0) it raises
+    ParameterError before any work.
     """
     _check_same_geometry(f, g)
     require_proper(f, "inf-convolution input f")
@@ -304,6 +323,11 @@ def inf_convolution(f: GridFn, g: GridFn) -> InfConvResult:
 
     i0, i1 = grid.zero_index(0), grid.zero_index(1)
     n0, n1 = grid.shape
+    pairs = _axis_pairs(n0, i0) * _axis_pairs(n1, i1)
+    if pairs > MAX_INFCONV_PAIRS:
+        raise ParameterError(
+            f"direct 2-D inf-convolution needs {pairs} (x, y) pairs, cap is {MAX_INFCONV_PAIRS}"
+        )
     fv, gv = f.values, g.values
     out = np.empty((n0, n1))
     arg = np.empty((n0, n1), dtype=np.int64)

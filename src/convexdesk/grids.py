@@ -152,97 +152,132 @@ class ConvexityReport:
         return self.is_convex
 
 
-def _line_violation(vals: np.ndarray, tol: float, step: int = 1):
-    """First convexity violation on one grid line, or None.
+def _concave_midpoints(
+    v: np.ndarray, fin: Optional[np.ndarray], d: tuple[int, int], t: float, knight: bool = False
+) -> np.ndarray:
+    """Nodes m of v (2-D) whose second difference along d is below -t.
 
-    Checks that finite entries form a contiguous block and that second
-    differences v[i-s] - 2 v[i] + v[i+s] are >= -tol.
+    With a, b, c = v[m - d], v[m], v[m + d], all finite, the second
+    difference is a - 2 b + c on lines and a + c - 2 b on the knight
+    pairs; fin is v's finite mask, or None when all of v is finite.
     """
-    finite = np.isfinite(vals)
-    if finite.any():
-        idx = np.flatnonzero(finite)
-        lo, hi = idx[0], idx[-1]
-        if hi - lo + 1 != idx.size:
-            gap = lo + int(np.flatnonzero(~finite[lo : hi + 1])[0])
-            return gap, "domain-gap"
-    n = vals.size
-    if n < 2 * step + 1:
-        return None
-    a, b, c = vals[: n - 2 * step], vals[step : n - step], vals[2 * step :]
-    trip = np.isfinite(a) & np.isfinite(b) & np.isfinite(c)
+    out = np.zeros(v.shape, dtype=bool)
+    mid = tuple(slice(abs(k), n - abs(k)) for k, n in zip(d, v.shape))
+    if any(s.stop <= s.start for s in mid):
+        return out
+    lo = tuple(slice(s.start - k, s.stop - k) for s, k in zip(mid, d))
+    hi = tuple(slice(s.start + k, s.stop + k) for s, k in zip(mid, d))
+    a, b, c = v[lo], v[mid], v[hi]
     with np.errstate(invalid="ignore", over="ignore"):
-        second = np.where(trip, a - 2.0 * b + c, 0.0)
-    bad = np.flatnonzero(trip & (second < -tol))
-    if bad.size:
-        return int(bad[0]) + step, "second-difference"
-    # A finite midpoint with an infinite endpoint on each side can only
-    # happen at the block edges and is fine; but an infinite midpoint with
-    # finite endpoints is a domain gap already caught above.
-    return None
+        out[mid] = (a + c - 2.0 * b if knight else a - 2.0 * b + c) < -t
+    if fin is not None:
+        out[mid] &= fin[lo] & fin[mid] & fin[hi]
+    return out
+
+
+def _first_violation(bad: np.ndarray, fin: Optional[np.ndarray]):
+    """First violation over a stack of lines (L, n), scanned line by line.
+
+    bad marks second-difference violations at their midpoints; fin marks
+    finite nodes, or is None when all are.  Returns (line, index, kind) or
+    None.  On a line a domain gap (a non-finite node between finite ones)
+    wins over a second difference.
+    """
+    hit = bad.any(axis=1)
+    gappy = None
+    if fin is not None:
+        # a line has a gap iff its finite nodes form two or more runs
+        gappy = np.count_nonzero(fin[:, 1:] > fin[:, :-1], axis=1) + fin[:, 0] > 1
+        hit |= gappy
+    if not hit.any():
+        return None
+    line = int(np.argmax(hit))
+    if gappy is not None and gappy[line]:
+        lo = int(np.argmax(fin[line]))
+        return line, lo + int(np.argmin(fin[line, lo:])), "domain-gap"
+    return line, int(np.argmax(bad[line])), "second-difference"
+
+
+def _diagonals(m: np.ndarray, mf: np.ndarray) -> np.ndarray:
+    """The diagonals of m and of mf, both (n0, n1), interleaved as a stack
+    of 2 (n0 + n1 - 1) lines of n0: for each offset j - i in increasing
+    order, m's diagonal then mf's.  Entry i of a line is at row i; rows
+    that the diagonal misses are zero.
+    """
+    n0, n1 = m.shape
+    w = n0 + n1 - 1
+    buf = np.zeros((n0, w, 2), dtype=m.dtype)
+    # rows of buf.reshape(-1, 2) from n0 - 1 on, viewed with row length w - 1:
+    # node (i, j) lands at buf[i, j - i + n0 - 1], a shear by one per row
+    sheared = buf.reshape(-1, 2)[n0 - 1 : n0 - 1 + n0 * (w - 1)].reshape(n0, w - 1, 2)
+    sheared[:, :n1, 0] = m
+    sheared[:, :n1, 1] = mf
+    return buf.transpose(1, 2, 0).reshape(2 * w, n0)
+
+
+_KNIGHTS = ((1, 2), (2, 1), (1, -2), (2, -1))
 
 
 def discrete_convexity_check(f: GridFn, tol: float = 1e-9) -> ConvexityReport:
     """Second-difference convexity test on the grid.
 
-    In 2-D, lines in the axis and diagonal directions are checked, plus
-    midpoint checks along the (1,2)-type directions.  The tolerance is
-    relative to max(1, |finite values|).
+    Finite values must fill a contiguous block of every line checked (a
+    non-finite node between finite ones is a domain gap), and second
+    differences along it must be >= -tol.  In 2-D, lines in the axis and
+    diagonal directions are checked, plus midpoint checks along the
+    (1,2)-type directions.  The tolerance is relative to
+    max(1, |finite values|).
+
+    Cost: O(N) time and memory for N nodes, a fixed number of whole-array
+    passes (one per direction, plus the domain-gap masks when some value
+    is non-finite).  The violation reported is the first in this scan
+    order: rows, then columns, then for each diagonal offset j - i in
+    increasing order the diagonal before the anti-diagonal, then the
+    directions (1,2), (2,1), (1,-2), (2,-1).  Lines go in index order and
+    nodes along each line; on a line a domain gap comes before any second
+    difference.
     """
-    v = f.values
+    v = np.atleast_2d(f.values)  # a 1-D function is one row
     finite = np.isfinite(v)
     if not finite.any():
         raise EmptyDomainError("all values are infinite")
-    scale = max(1.0, float(np.max(np.abs(v[finite]))))
+    scale = max(1.0, float(np.max(np.abs(v), where=finite, initial=0.0)))
     t = tol * scale
+    fin = None if finite.all() else finite
 
+    hit = _first_violation(_concave_midpoints(v, fin, (0, 1), t), fin)
     if f.grid.dim == 1:
-        hit = _line_violation(v, t)
         if hit is not None:
-            return ConvexityReport(False, (hit[0],), hit[1], (1,))
+            return ConvexityReport(False, (hit[1],), hit[2], (1,))
         return ConvexityReport(True)
+    if hit is not None:
+        return ConvexityReport(False, hit[:2], hit[2], (0, 1))
 
+    bad = _concave_midpoints(v, fin, (1, 0), t).T
+    hit = _first_violation(bad, None if fin is None else fin.T)
+    if hit is not None:
+        return ConvexityReport(False, (hit[1], hit[0]), hit[2], (1, 0))
+
+    # the anti-diagonals are the diagonals of v with its columns reversed
     n0, n1 = v.shape
-    # axis directions
-    for i in range(n0):
-        hit = _line_violation(v[i], t)
-        if hit is not None:
-            return ConvexityReport(False, (i, hit[0]), hit[1], (0, 1))
-    for j in range(n1):
-        hit = _line_violation(v[:, j], t)
-        if hit is not None:
-            return ConvexityReport(False, (hit[0], j), hit[1], (1, 0))
-    # diagonal directions
-    for off in range(-(n0 - 1), n1):
-        d = np.diagonal(v, offset=off)
-        hit = _line_violation(np.ascontiguousarray(d), t)
-        if hit is not None:
-            k = hit[0]
-            ij = (k - min(off, 0), k + max(off, 0))
-            return ConvexityReport(False, ij, hit[1], (1, 1))
-        a = np.ascontiguousarray(np.fliplr(v).diagonal(offset=off))
-        hit = _line_violation(a, t)
-        if hit is not None:
-            k = hit[0]
-            ij = (k - min(off, 0), n1 - 1 - (k + max(off, 0)))
-            return ConvexityReport(False, ij, hit[1], (1, -1))
-    # midpoint checks along knight-like directions (pairs 2*d apart)
-    for d0, d1 in ((1, 2), (2, 1), (1, -2), (2, -1)):
-        for i in range(n0 - 2 * d0):
-            j_lo = max(0, -2 * d1)
-            j_hi = n1 - max(0, 2 * d1)
-            if j_hi <= j_lo:
-                continue
-            js = np.arange(j_lo, j_hi)
-            va = v[i, js]
-            vb = v[i + 2 * d0, js + 2 * d1]
-            vm = v[i + d0, js + d1]
-            trip = np.isfinite(va) & np.isfinite(vb) & np.isfinite(vm)
-            with np.errstate(invalid="ignore", over="ignore"):
-                gap = np.where(trip, va + vb - 2.0 * vm, 0.0)
-            bad = np.flatnonzero(trip & (gap < -t))
-            if bad.size:
-                j = int(js[bad[0]])
-                return ConvexityReport(False, (i + d0, j + d1), "second-difference", (d0, d1))
+    vf = v[:, ::-1]
+    finf = None if fin is None else fin[:, ::-1]
+    bad = _diagonals(
+        _concave_midpoints(v, fin, (1, 1), t), _concave_midpoints(vf, finf, (1, 1), t)
+    )
+    hit = _first_violation(bad, None if fin is None else _diagonals(fin, finf))
+    if hit is not None:
+        (c, anti), i = divmod(hit[0], 2), hit[1]
+        j = i + c - (n0 - 1)
+        if anti:
+            return ConvexityReport(False, (i, n1 - 1 - j), hit[2], (1, -1))
+        return ConvexityReport(False, (i, j), hit[2], (1, 1))
+
+    for d in _KNIGHTS:
+        bad = _concave_midpoints(v, fin, d, t, knight=True)
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), n1)
+            return ConvexityReport(False, (i, j), "second-difference", d)
     return ConvexityReport(True)
 
 

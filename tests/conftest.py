@@ -7,7 +7,7 @@ code paths they check.
 import numpy as np
 import pytest
 
-from convexdesk.grids import Grid, GridFn
+from convexdesk.grids import ConvexityReport, Grid, GridFn
 
 
 def brute_conjugate_1d(f: GridFn, ys: np.ndarray) -> np.ndarray:
@@ -48,6 +48,76 @@ def brute_envelope_1d(f: GridFn, lam: float) -> np.ndarray:
     for k in range(xs.size):
         out[k] = np.min(f.values + (xs[k] - xs) ** 2 / (2.0 * lam))
     return out
+
+
+def _brute_line_violation(vals: np.ndarray, tol: float):
+    """First convexity violation on one grid line, or None: a non-finite
+    entry between finite ones, else the first second difference below -tol."""
+    finite = np.isfinite(vals)
+    if finite.any():
+        idx = np.flatnonzero(finite)
+        lo, hi = idx[0], idx[-1]
+        if hi - lo + 1 != idx.size:
+            gap = lo + int(np.flatnonzero(~finite[lo : hi + 1])[0])
+            return gap, "domain-gap"
+    n = vals.size
+    if n < 3:
+        return None
+    a, b, c = vals[: n - 2], vals[1 : n - 1], vals[2:]
+    trip = np.isfinite(a) & np.isfinite(b) & np.isfinite(c)
+    with np.errstate(invalid="ignore", over="ignore"):
+        second = np.where(trip, a - 2.0 * b + c, 0.0)
+    bad = np.flatnonzero(trip & (second < -tol))
+    if bad.size:
+        return int(bad[0]) + 1, "second-difference"
+    return None
+
+
+def brute_convexity_check_2d(f: GridFn, tol: float = 1e-9) -> ConvexityReport:
+    """The 2-D convexity check line by line: rows, columns, each diagonal
+    offset (diagonal, then anti-diagonal), then knight-move midpoints."""
+    v = f.values
+    finite = np.isfinite(v)
+    t = tol * max(1.0, float(np.max(np.abs(v[finite]))))
+    n0, n1 = v.shape
+    for i in range(n0):
+        hit = _brute_line_violation(v[i], t)
+        if hit is not None:
+            return ConvexityReport(False, (i, hit[0]), hit[1], (0, 1))
+    for j in range(n1):
+        hit = _brute_line_violation(v[:, j], t)
+        if hit is not None:
+            return ConvexityReport(False, (hit[0], j), hit[1], (1, 0))
+    for off in range(-(n0 - 1), n1):
+        d = np.diagonal(v, offset=off)
+        hit = _brute_line_violation(np.ascontiguousarray(d), t)
+        if hit is not None:
+            k = hit[0]
+            return ConvexityReport(False, (k - min(off, 0), k + max(off, 0)), hit[1], (1, 1))
+        a = np.ascontiguousarray(np.fliplr(v).diagonal(offset=off))
+        hit = _brute_line_violation(a, t)
+        if hit is not None:
+            k = hit[0]
+            ij = (k - min(off, 0), n1 - 1 - (k + max(off, 0)))
+            return ConvexityReport(False, ij, hit[1], (1, -1))
+    for d0, d1 in ((1, 2), (2, 1), (1, -2), (2, -1)):
+        for i in range(n0 - 2 * d0):
+            j_lo = max(0, -2 * d1)
+            j_hi = n1 - max(0, 2 * d1)
+            if j_hi <= j_lo:
+                continue
+            js = np.arange(j_lo, j_hi)
+            va = v[i, js]
+            vb = v[i + 2 * d0, js + 2 * d1]
+            vm = v[i + d0, js + d1]
+            trip = np.isfinite(va) & np.isfinite(vb) & np.isfinite(vm)
+            with np.errstate(invalid="ignore", over="ignore"):
+                gap = np.where(trip, va + vb - 2.0 * vm, 0.0)
+            bad = np.flatnonzero(trip & (gap < -t))
+            if bad.size:
+                j = int(js[bad[0]])
+                return ConvexityReport(False, (i + d0, j + d1), "second-difference", (d0, d1))
+    return ConvexityReport(True)
 
 
 def random_convex_values(rng: np.random.Generator, n: int, slope_scale: float = 1.0) -> np.ndarray:

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import brute_conjugate_1d, brute_infconv_1d, random_convex_gridfn
 from convexdesk.atoms import FnAtom, sample
-from convexdesk.errors import GridMismatchError, ImproperFunctionError
+from convexdesk.errors import GridMismatchError, ImproperFunctionError, ParameterError
 from convexdesk.fenchel import (
+    MAX_INFCONV_PAIRS,
     biconjugate,
     coercivity_check,
     conjugate,
@@ -189,6 +190,24 @@ def test_oracle_matches_independent_loop(rng):
     assert np.array_equal(res.dual.values, ref)
 
 
+def test_oracle_memory_is_bounded_in_1d(rng):
+    import tracemalloc
+
+    n = 6000  # the dense m x n matrix would take 288 MB
+    g = random_convex_gridfn(rng, Grid.line(-2, 2, n))
+    dg = Grid.line(-3, 3, n)
+    fast = conjugate(g, dg)
+    tracemalloc.start()
+    try:
+        res = conjugate_oracle(g, dg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(res.dual.values, fast.dual.values)
+    assert np.array_equal(res.argmax, fast.argmax)
+    assert peak < 16 * 2**20
+
+
 def test_conjugate_order_reversing(rng):
     g = Grid.line(-2, 2, 65)
     f = random_convex_gridfn(rng, g)
@@ -334,6 +353,15 @@ def test_infconv_2d_matches_direct(rng):
             if np.max(np.abs(di - d)) < 1e-9:
                 best = min(best, fv[j] + h.values[i])
         assert res.out.values.ravel()[k] == pytest.approx(best, abs=1e-12)
+
+
+def test_infconv_2d_refuses_grids_over_the_pair_cap():
+    g = Grid.box((-1, 1, 501), (-1, 1, 501))  # 188251 (x, y) pairs per axis
+    f = GridFn(g, np.zeros(g.shape))
+    with pytest.raises(ParameterError, match="35438439001"):
+        inf_convolution(f, f)
+    # the benchmark's 85² grid centred on 0 has 5419 pairs per axis
+    assert 5419**2 <= MAX_INFCONV_PAIRS < 188251**2
 
 
 def test_minkowski_fast_path_matches_brute(rng):

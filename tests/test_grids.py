@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import brute_convexity_check_2d
 from convexdesk.atoms import FnAtom, sample
 from convexdesk.errors import EmptyDomainError, ParameterError
 from convexdesk.fileio import read_gridfn_json, write_gridfn_csv, write_gridfn_json
-from convexdesk.grids import Grid, GridFn, discrete_convexity_check, interp_gridfn
+from convexdesk.grids import (
+    ConvexityReport,
+    Grid,
+    GridFn,
+    discrete_convexity_check,
+    interp_gridfn,
+)
 
 
 def test_grid_basics():
@@ -89,6 +98,168 @@ def test_convexity_2d_saddle_rejected():
     x0, x1 = np.meshgrid(g.coords(0), g.coords(1), indexing="ij")
     rep = discrete_convexity_check(GridFn(g, x0 * x1))  # saddle: convex on axes only
     assert not rep and rep.direction in ((1, 1), (1, -1))
+
+
+# quadratic forms (a11, a22, a12), convex along the axes and diagonals,
+# concave along one knight direction each: (1,2), (2,1), (1,-2), (2,-1)
+KNIGHT_FORMS = ((3.0, 1.0, -1.9), (1.0, 3.0, -1.9), (3.0, 1.0, 1.9), (1.0, 3.0, 1.9))
+
+
+@st.composite
+def convexity_inputs(draw):
+    n0, n1 = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    family = draw(st.sampled_from(["mask", "saddle", "knight", "dent", "noise"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = Grid.box((-1.0, 1.0, n0), (-1.5, 1.0, n1))
+    x0, x1 = np.meshgrid(g.coords(0), g.coords(1), indexing="ij")
+    if family == "saddle":
+        v = draw(st.sampled_from([-1.0, 1.0])) * x0 * x1
+    elif family == "knight":
+        a11, a22, a12 = draw(st.sampled_from(KNIGHT_FORMS))
+        v = a11 * x0**2 + 2 * a12 * x0 * x1 + a22 * x1**2
+    elif family == "noise":
+        v = rng.normal(size=(n0, n1))
+    else:
+        v = x0**2 + 2 * x1**2 + 0.5 * x0 * x1
+        if family == "dent":
+            v[rng.integers(n0), rng.integers(n1)] += draw(st.sampled_from([-1e-9, 1e-9]))
+    v = v * 10.0 ** draw(st.integers(0, 300))
+    if family == "mask" or draw(st.booleans()):
+        v = np.where(rng.random((n0, n1)) < draw(st.floats(0.0, 0.7)), np.inf, v)
+    if draw(st.booleans()):
+        v[rng.integers(n0), rng.integers(n1)] = -np.inf
+    if not np.isfinite(v).any():
+        v[0, 0] = 0.0
+    return GridFn(g, v), draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(convexity_inputs())
+def test_convexity_2d_matches_line_by_line_oracle(case):
+    f, tol = case
+    assert discrete_convexity_check(f, tol) == brute_convexity_check_2d(f, tol)
+
+
+def _quadratic(a11, a22, a12, n0=5, n1=5):
+    g = Grid.box((0, n0 - 1, n0), (0, n1 - 1, n1))
+    x0, x1 = np.meshgrid(g.coords(0), g.coords(1), indexing="ij")
+    return GridFn(g, a11 * x0**2 + 2 * a12 * x0 * x1 + a22 * x1**2)
+
+
+def _finite_at(shape, nodes):
+    v = np.full(shape, np.inf)
+    for ij in nodes:
+        v[ij] = 0.0
+    return GridFn(Grid.box((-1, 1, shape[0]), (-1, 1, shape[1])), v)
+
+
+_I = np.arange(3.0)
+SD, GAP = "second-difference", "domain-gap"
+CONVEXITY_CASES = {
+    "1d-second-difference": (GridFn(Grid.line(-1, 1, 3), [0.0, 1.0, 0.0]), ((1,), SD, (1,))),
+    "1d-gap": (GridFn(Grid.line(-1, 1, 3), [0.0, np.inf, 0.0]), ((1,), GAP, (1,))),
+    "row-second-difference": (
+        GridFn(Grid.box((-1, 1, 3), (-1, 1, 3)), -np.tile((_I - 1) ** 2, (3, 1))),
+        ((0, 1), SD, (0, 1)),
+    ),
+    "row-gap": (
+        GridFn(Grid.box((-1, 1, 3), (-1, 1, 3)), [[0, 0, 0], [0, np.inf, 0], [0, 0, 0]]),
+        ((1, 1), GAP, (0, 1)),
+    ),
+    "column-second-difference": (
+        GridFn(Grid.box((-1, 1, 3), (-1, 1, 3)), -np.tile((_I - 1) ** 2, (3, 1)).T),
+        ((1, 0), SD, (1, 0)),
+    ),
+    "column-gap": (
+        GridFn(Grid.box((-1, 1, 3), (-1, 1, 2)), [[0, 0], [np.inf, 0], [0, 0]]),
+        ((1, 0), GAP, (1, 0)),
+    ),
+    "diagonal-second-difference": (
+        GridFn(Grid.box((-1, 1, 3), (-1, 1, 3)), -np.outer(_I - 1, _I - 1)),
+        ((1, 1), SD, (1, 1)),
+    ),
+    "diagonal-gap": (_finite_at((3, 3), [(0, 0), (2, 2)]), ((1, 1), GAP, (1, 1))),
+    "anti-diagonal-second-difference": (
+        GridFn(Grid.box((-1, 1, 3), (-1, 1, 3)), np.outer(_I - 1, _I - 1)),
+        ((1, 1), SD, (1, -1)),
+    ),
+    "anti-diagonal-gap": (_finite_at((3, 3), [(0, 2), (2, 0)]), ((1, 1), GAP, (1, -1))),
+    "knight-1-2": (_quadratic(*KNIGHT_FORMS[0]), ((1, 2), SD, (1, 2))),
+    "knight-2-1": (_quadratic(*KNIGHT_FORMS[1]), ((2, 1), SD, (2, 1))),
+    "knight-1-m2": (_quadratic(*KNIGHT_FORMS[2]), ((1, 2), SD, (1, -2))),
+    "knight-2-m1": (_quadratic(*KNIGHT_FORMS[3]), ((2, 1), SD, (2, -1))),
+}
+
+
+@pytest.mark.parametrize("name", list(CONVEXITY_CASES))
+def test_convexity_report_for_each_kind_and_direction(name):
+    f, (index, kind, direction) = CONVEXITY_CASES[name]
+    rep = discrete_convexity_check(f)
+    assert rep == ConvexityReport(False, index, kind, direction)
+    if f.grid.dim == 2:
+        assert rep == brute_convexity_check_2d(f)
+
+
+# concave knight-move triples (start, direction) on pairwise distinct rows,
+# columns, diagonals and anti-diagonals of a 16 x 20 grid, +inf elsewhere,
+# so only the knight checks see them
+KNIGHT_TRIPLES = (((13, 5), (1, 2)), ((5, 2), (2, 1)), ((10, 18), (1, -2)), ((2, 12), (2, -1)))
+
+
+@pytest.mark.parametrize("first", range(4))
+def test_convexity_knight_directions_in_scan_order(first):
+    v = np.full((16, 20), np.inf)
+    for (i, j), (d0, d1) in KNIGHT_TRIPLES[first:]:
+        v[i, j] = v[i + 2 * d0, j + 2 * d1] = 0.0
+        v[i + d0, j + d1] = 1.0
+    f = GridFn(Grid.box((0, 15, 16), (0, 19, 20)), v)
+    (i, j), (d0, d1) = KNIGHT_TRIPLES[first]
+    expected = ConvexityReport(False, (i + d0, j + d1), SD, (d0, d1))
+    assert discrete_convexity_check(f) == expected == brute_convexity_check_2d(f)
+
+
+# a, b, c where a - 2b + c and a + c - 2b round to opposite sides of 0
+ROW_ONLY = (5.344499083419163e19, 2.6722495417141436e19, 91239936.0)  # -2560 vs 0
+KNIGHT_ONLY = (172228870144.0, 1.7530081406415707e21, 3.506016281110912e21)  # 0 vs -524288
+
+
+@pytest.mark.parametrize(
+    "nodes, abc, report",
+    [
+        (((0, 0), (0, 1), (0, 2)), ROW_ONLY, ((0, 1), SD, (0, 1))),
+        (((0, 0), (0, 1), (0, 2)), KNIGHT_ONLY, None),
+        (((0, 0), (1, 2), (2, 4)), KNIGHT_ONLY, ((1, 2), SD, (1, 2))),
+        (((0, 0), (1, 2), (2, 4)), ROW_ONLY, None),
+    ],
+)
+def test_convexity_keeps_each_direction_expression(nodes, abc, report):
+    v = np.full((3, 5), np.inf)
+    for ij, x in zip(nodes, abc):
+        v[ij] = x
+    f = GridFn(Grid.box((0, 2, 3), (0, 4, 5)), v)
+    expected = ConvexityReport(True) if report is None else ConvexityReport(False, *report)
+    assert discrete_convexity_check(f, tol=0.0) == expected == brute_convexity_check_2d(f, 0.0)
+
+
+@pytest.mark.parametrize("disk", [False, True])
+def test_convexity_2d_memory_is_linear(disk):
+    import tracemalloc
+
+    n = 301
+    g = Grid.box((-1, 1, n), (-1, 1, n))
+    x0, x1 = np.meshgrid(g.coords(0), g.coords(1), indexing="ij")
+    v = x0**2 + 2 * x1**2 + 0.3 * x0 * x1
+    if disk:
+        v = np.where(x0**2 + x1**2 > 0.8, np.inf, v)
+    f = GridFn(g, v)
+    tracemalloc.start()
+    try:
+        rep = discrete_convexity_check(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep
+    assert peak < 96 * n * n
 
 
 def test_sample_roundtrip_bit_for_bit():
