@@ -1,18 +1,23 @@
 """Discrete Legendre-Fenchel transforms, infimal convolution,
 subdifferentials, coercivity, and duality gaps.
 
-The fast conjugate transforms stacks of lines at once: lines that are
-their own lower convex hull skip the monotone chain, and counting hull
-slopes below each sorted dual node places it on the hull, O(n + m) per
-line.  Where a hull slope lies within rounding of a dual node, the
-exhaustive max is taken over the nodes rounding could make the argmax,
-so 1-D values and argmax agree bit-for-bit with the oracle, ties to the
-smallest primal index.  A 2-D transform is two batched passes, rows then
-columns: its values agree bit-for-bit, its argmax breaks ties row first.
+The fast conjugate transforms stacks of lines at once.  The lower convex
+hull of every line comes from the monotone chain's pop test, batched:
+each round drops the middle of every consecutive kept triple that pops,
+until no triple pops; lines that still pop after a work budget of a
+constant times the block's points finish in the per-point chain, so the
+hull costs O(n) per line.  Counting hull slopes below each sorted dual
+node places it on the hull, O(n + m) per line.  Where a hull slope lies
+within rounding of a dual node, the exhaustive max is taken over the
+nodes rounding could make the argmax, so 1-D values and argmax agree
+bit-for-bit with the oracle, ties to the smallest primal index.  A 2-D
+transform is two batched passes, rows then columns: its values agree
+bit-for-bit, its argmax breaks ties row first.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -56,25 +61,70 @@ class ConjugateResult:
         object.__setattr__(self, "argmax", a)
 
 
-def _lower_hull(xs: np.ndarray, fv: np.ndarray) -> np.ndarray:
-    """Indices of the lower convex hull of finite (x, f(x)) points.
+def _lower_hull(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Indices of the lower convex hull of the finite points (x, f), x
+    increasing: the per-point monotone chain.
 
     Collinear vertices are kept so that exact sup ties resolve to the
     smallest index exactly as in the exhaustive oracle.
     """
-    fin = np.flatnonzero(np.isfinite(fv))
+    xl, fl = x.tolist(), f.tolist()
     hull: list[int] = []
-    for i in fin:
-        xi, fi = xs[i], fv[i]
+    for i, (xi, fi) in enumerate(zip(xl, fl)):
         while len(hull) >= 2:
             i1, i2 = hull[-2], hull[-1]
             # pop i2 when it lies strictly above the chord i1 -> i
-            if (fv[i2] - fv[i1]) * (xi - xs[i1]) > (fi - fv[i1]) * (xs[i2] - xs[i1]):
+            if (fl[i2] - fl[i1]) * (xi - xl[i1]) > (fi - fl[i1]) * (xl[i2] - xl[i1]):
                 hull.pop()
             else:
                 break
         hull.append(i)
     return np.asarray(hull, dtype=np.int64)
+
+
+def _pops(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """_lower_hull's pop test, batched over consecutive triples of (x, f)."""
+    return (f[1:-1] - f[:-2]) * (x[2:] - x[:-2]) > (f[2:] - f[:-2]) * (x[1:-1] - x[:-2])
+
+
+# Hull elimination budget of a block, in points tested: a round costs its
+# points plus _ROUND_WORK, the points its fixed cost (about 20 us, at some
+# 8 ns a point) would test; past _HULL_WORK times the block's finite
+# points, the lines still popping finish in _lower_hull.
+_HULL_WORK = 16
+_ROUND_WORK = 2048
+
+
+def _hull_mask(rows: np.ndarray, x: np.ndarray, f: np.ndarray, pops: np.ndarray, L: int) -> np.ndarray:
+    """Which of a block's finite points (rows, x, f), sorted by line then
+    x, lie on their line's lower hull; pops is _pops on their consecutive
+    triples, false where a triple spans two lines.
+
+    Each round drops the middle of every kept triple that pops and tests
+    again the kept points of the lines that popped.  A point that pops
+    lies above a chord, so it is off the hull, and a line where no triple
+    pops is its own hull.  A zipper line (one low end point) loses one
+    point a round, so past the work budget the lines still popping finish
+    in _lower_hull on their kept points: O(n) per line either way.
+    """
+    keep = np.ones(rows.size, dtype=bool)
+    idx = np.arange(rows.size)
+    work, budget = rows.size, _HULL_WORK * rows.size
+    while pops.any():
+        mid = idx[1:-1][pops]
+        keep[mid] = False
+        live = np.zeros(L, dtype=bool)
+        live[rows[mid]] = True
+        idx = idx[keep[idx] & live[rows[idx]]]
+        r = rows[idx]
+        work += idx.size + _ROUND_WORK
+        if work > budget:
+            for p in np.split(idx, np.flatnonzero(r[1:] != r[:-1]) + 1):
+                keep[p] = False
+                keep[p[_lower_hull(x[p], f[p])]] = True
+            break
+        pops = (r[2:] == r[:-2]) & _pops(x[idx], f[idx])
+    return keep
 
 
 # elements per block of lines, which bounds the kernel's temporaries
@@ -92,22 +142,15 @@ def _conjugate_block(xs: np.ndarray, F: np.ndarray, ys: np.ndarray):
     m = ys.size
     fin = np.isfinite(F)
     fmax = np.max(np.abs(np.where(fin, F, 0.0)), axis=1)
-    rows, cols = np.nonzero(fin)
-    if not rows.size:
+    hr, hc = np.nonzero(fin)
+    if not hr.size:
         return np.full((L, m), -np.inf), np.full((L, m), -1, dtype=np.int64)
-    fv = F[rows, cols]
-    # _lower_hull's pop test on consecutive finite triples of each line: a
-    # line where it never fires is its own hull, since the chain never pops
-    x1, x2, x3 = xs[cols[:-2]], xs[cols[1:-1]], xs[cols[2:]]
-    pops = (rows[2:] == rows[:-2]) & (
-        (fv[1:-1] - fv[:-2]) * (x3 - x1) > (fv[2:] - fv[:-2]) * (x2 - x1)
-    )
-    hull = fin
-    for r in np.unique(rows[:-2][pops]):
-        hull[r] = False
-        hull[r, _lower_hull(xs, F[r])] = True
-    hr, hc = np.nonzero(hull)
     hf, hx = F[hr, hc], xs[hc]
+    # a line where the pop test never fires is its own hull
+    pops = (hr[2:] == hr[:-2]) & _pops(hx, hf)
+    if pops.any():
+        keep = _hull_mask(hr, hx, hf, pops, L)
+        hr, hc, hf, hx = hr[keep], hc[keep], hf[keep], hx[keep]
     seg = np.flatnonzero(hr[1:] == hr[:-1])
     slopes = (hf[seg + 1] - hf[seg]) / (hx[seg + 1] - hx[seg])
     srow = hr[seg]
@@ -161,8 +204,11 @@ def _conjugate_lines(xs: np.ndarray, F: np.ndarray, ys: np.ndarray):
     (shape (L, n)) at every dual node y of the sorted ys (shape (m,)).
 
     Both equal the exhaustive max over j, ties to the smallest j; lines
-    without a finite value give (-inf, -1).  O(n + m) per line, plus the
-    windows of dual nodes that hit a hull slope within rounding.
+    without a finite value give (-inf, -1).  The hulls come from batched
+    rounds of the chain's pop test over a block of lines, at most
+    _HULL_WORK tested points per finite point, and the lines still popping
+    then from the per-point chain.  O(n + m) per line, plus the windows of
+    dual nodes that hit a hull slope within rounding.
     """
     L, m = F.shape[0], ys.size
     vals = np.empty((L, m))
@@ -202,7 +248,8 @@ def conjugate_oracle(f: GridFn, dual_grid: Grid) -> ConjugateResult:
     In 1-D it runs over blocks of dual nodes, so its memory is bounded
     for any n and m.  In 2-D it evaluates x1 y1 + (x2 y2 - f) with the
     same expression tree as the iterated transform so 'bit-identical' is
-    well defined.
+    well defined; above MAX_DIRECT_PAIRS primal-dual node pairs it
+    raises ParameterError before any work.
     """
     require_proper(f, "conjugate input")
     if dual_grid.dim != f.grid.dim:
@@ -217,6 +264,11 @@ def conjugate_oracle(f: GridFn, dual_grid: Grid) -> ConjugateResult:
             arg[b] = np.argmax(vals, axis=1)
             best[b] = vals[np.arange(vals.shape[0]), arg[b]]
         return ConjugateResult(GridFn(dual_grid, best), arg)
+    pairs = f.grid.node_count * dual_grid.node_count
+    if pairs > MAX_DIRECT_PAIRS:
+        raise ParameterError(
+            f"2-D conjugate_oracle needs {pairs} node pairs, cap is {MAX_DIRECT_PAIRS}"
+        )
     x1s, x2s = f.grid.coords(0), f.grid.coords(1)
     y1s, y2s = dual_grid.coords(0), dual_grid.coords(1)
     m1, m2 = dual_grid.shape
@@ -281,9 +333,12 @@ def _check_same_geometry(f: GridFn, g: GridFn) -> None:
         raise GridMismatchError("inf-convolution requires the same grid geometry")
 
 
-# cap on the (x, y) pairs of a direct 2-D inf-convolution: a 241² grid
-# centred on 0 has 1.9e9 and takes a few seconds on a 2-vCPU host
-MAX_INFCONV_PAIRS = 2_000_000_000
+# cap on the node pairs of the direct paths, the (x, y) pairs of
+# inf_convolution and the primal-dual pairs of the 2-D conjugate_oracle.
+# On a 2-vCPU Xeon host a 241² inf-convolution centred on 0 (1.9e9 pairs)
+# takes a few seconds, and the oracle at about 4 ns a pair takes some 8 s
+# at the cap.
+MAX_DIRECT_PAIRS = 2_000_000_000
 
 
 def _axis_pairs(n: int, i0: int) -> int:
@@ -296,18 +351,23 @@ def inf_convolution(f: GridFn, g: GridFn) -> InfConvResult:
     """(f box g)(x) = min over grid nodes y of f(y) + g(x - y).
 
     Direct computation over grid displacements; out-of-grid arguments are
-    +inf.  Requires 0 to be a node so displacements land on nodes.  In 2-D
-    the work is the product of the (x, y) pairs per axis; above
-    MAX_INFCONV_PAIRS (2e9, a 241² grid centred on 0) it raises
-    ParameterError before any work.
+    +inf.  Requires 0 to be a node so displacements land on nodes.  The
+    work is the product of the (x, y) pairs per axis; above
+    MAX_DIRECT_PAIRS (2e9: about 51,600 nodes in 1-D, a 241² grid in
+    2-D, centred on 0) it raises ParameterError before any work.
     """
     _check_same_geometry(f, g)
     require_proper(f, "inf-convolution input f")
     require_proper(g, "inf-convolution input g")
     grid = f.grid
+    zero = [grid.zero_index(ax) for ax in range(grid.dim)]
+    pairs = math.prod(_axis_pairs(n, i0) for n, i0 in zip(grid.shape, zero))
+    if pairs > MAX_DIRECT_PAIRS:
+        raise ParameterError(
+            f"direct inf-convolution needs {pairs} (x, y) pairs, cap is {MAX_DIRECT_PAIRS}"
+        )
     if grid.dim == 1:
-        i0 = grid.zero_index(0)
-        n = grid.shape[0]
+        i0, n = zero[0], grid.shape[0]
         fv, gv = f.values, g.values
         out = np.empty(n)
         arg = np.empty(n, dtype=np.int64)
@@ -321,13 +381,8 @@ def inf_convolution(f: GridFn, g: GridFn) -> InfConvResult:
             arg[k] = ja + j if np.isfinite(vals[j]) else -1
         return InfConvResult(GridFn(grid, out), arg)
 
-    i0, i1 = grid.zero_index(0), grid.zero_index(1)
+    i0, i1 = zero
     n0, n1 = grid.shape
-    pairs = _axis_pairs(n0, i0) * _axis_pairs(n1, i1)
-    if pairs > MAX_INFCONV_PAIRS:
-        raise ParameterError(
-            f"direct 2-D inf-convolution needs {pairs} (x, y) pairs, cap is {MAX_INFCONV_PAIRS}"
-        )
     fv, gv = f.values, g.values
     out = np.empty((n0, n1))
     arg = np.empty((n0, n1), dtype=np.int64)

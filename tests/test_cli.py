@@ -216,6 +216,14 @@ def test_computation_error_exit_code(tmp_path):
     assert rc == 1
 
 
+def test_infconv_over_the_pair_cap_is_computation_error(capsys):
+    # 0 must be a node, so an odd count: 3999999 nodes is the largest grid
+    rc = main(["infconv", "--atom", "abs", "--grid", "-1:1:3999999", "--atom2", "abs"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: direct inf-convolution needs 11999994000001 (x, y) pairs, cap is 2000000000\n"
+
+
 def test_tolerance_env_override(monkeypatch):
     from convexdesk.cli import default_tol
 

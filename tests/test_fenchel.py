@@ -9,7 +9,8 @@ from conftest import brute_conjugate_1d, brute_infconv_1d, random_convex_gridfn
 from convexdesk.atoms import FnAtom, sample
 from convexdesk.errors import GridMismatchError, ImproperFunctionError, ParameterError
 from convexdesk.fenchel import (
-    MAX_INFCONV_PAIRS,
+    MAX_DIRECT_PAIRS,
+    _axis_pairs,
     biconjugate,
     coercivity_check,
     conjugate,
@@ -179,6 +180,95 @@ def test_fast_equals_oracle_values_2d_collinear(kinked, n1, n2, tenths, cut):
     y1, y2 = np.meshgrid(dg.coords(0), dg.coords(1), indexing="ij")
     at = y1 * g.coords(0)[i] + (y2 * g.coords(1)[j] - f.values[i, j])
     assert np.array_equal(at, a.dual.values)
+
+
+def _popping_line(kind, n, exp, seed, patches):
+    """A line on which _lower_hull's pop test fires, on a dual grid that
+    brings the conjugate's argmax near the popped nodes: the f* line of a
+    random convex line, a collinear or a kinked run, or a zipper (one low
+    end node that pops its neighbour in every batched round); +inf patches
+    cut gaps into it."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** exp
+    g = Grid.line(-scale, scale, n)
+    xs = g.coords(0)
+    s = rng.integers(-20, 21, size=3) / 10
+    if kind == 0:
+        f = random_convex_gridfn(rng, g, scale)
+        line = conjugate(f, default_dual_grid(f)).dual
+        g, vals, dg = line.grid, line.values.copy(), g
+    else:
+        if kind == 1:
+            vals = s[0] * scale * xs
+        elif kind == 2:
+            vals = np.maximum(s[0] * scale * xs, s[1] * scale * xs + s[2] * scale**2)
+        else:
+            vals = xs**2
+            vals[-1 if seed % 2 else 0] = -1e3 * scale**2
+        dg = Grid.line(-2 * scale, 2 * scale, 41)  # holds every one-decimal slope
+    for a, w in patches:
+        vals[a * n // 100 : (a + w) * n // 100] = np.inf
+    if not np.isfinite(vals).any():
+        vals[n // 2] = 0.0
+    return GridFn(g, vals), dg
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.integers(0, 3), n=st.integers(3, 3000), exp=st.integers(0, 8),
+       seed=st.integers(0, 2**32 - 1),
+       patches=st.lists(st.tuples(st.integers(0, 99), st.integers(1, 20)), max_size=3))
+def test_hull_elimination_matches_oracle_on_popping_lines(kind, n, exp, seed, patches):
+    f, dg = _popping_line(kind, n, exp, seed, patches)
+    a = conjugate(f, dg)
+    b = conjugate_oracle(f, dg)
+    assert np.array_equal(a.dual.values, b.dual.values)
+    assert np.array_equal(a.argmax, b.argmax)
+
+
+@settings(max_examples=30, deadline=None)
+@given(atom=st.sampled_from(["l1norm", "l2norm"]), n1=st.integers(2, 41),
+       n2=st.integers(2, 41), m1=st.integers(2, 41), m2=st.integers(2, 41),
+       exp=st.integers(0, 8))
+def test_hull_elimination_matches_oracle_values_2d(atom, n1, n2, m1, m2, exp):
+    # norms sampled on grids pop by rounding along their linear runs, and
+    # so do their conjugates, the second transform of the biconjugate
+    scale = 10.0 ** exp
+    g = Grid.box((-scale, scale, n1), (-0.5 * scale, 1.5 * scale, n2))
+    f = sample(FnAtom(atom), g)
+    dg = Grid.box((-1.5, 1.5, m1), (-1.5, 1.5, m2))
+    fstar = conjugate(f, dg).dual
+    assert np.array_equal(fstar.values, conjugate_oracle(f, dg).dual.values)
+    assert np.array_equal(biconjugate(f, dg).values, conjugate_oracle(fstar, g).dual.values)
+
+
+def test_zipper_line_elimination_work_is_linear(monkeypatch):
+    import convexdesk.fenchel as fenchel
+
+    n = 100_000
+    g = Grid.line(0, 1, n)
+    vals = g.coords(0) ** 2
+    vals[-1] = -1e6  # each batched round pops only the node next to it
+    f = GridFn(g, vals)
+    tested, chained = [], []
+    pops, hull = fenchel._pops, fenchel._lower_hull
+    monkeypatch.setattr(fenchel, "_pops", lambda x, v: tested.append(x.size) or pops(x, v))
+    monkeypatch.setattr(fenchel, "_lower_hull", lambda x, v: chained.append(x.size) or hull(x, v))
+    dg = Grid.line(-2e6, 3, 101)
+    res = conjugate(f, dg)
+    # the batched rounds stop at a constant times the finite points, and
+    # one chain call finishes the line
+    assert sum(tested) <= fenchel._HULL_WORK * n
+    assert len(chained) == 1 and chained[0] < n
+    ref = conjugate_oracle(f, dg)
+    assert np.array_equal(res.dual.values, ref.dual.values)
+    assert np.array_equal(res.argmax, ref.argmax)
+
+
+def test_oracle_2d_refuses_grids_over_the_pair_cap():
+    g = Grid.box((-1, 1, 2000), (-1, 1, 2000))
+    f = GridFn(g, np.zeros(g.shape))
+    with pytest.raises(ParameterError, match="16000000000000"):
+        conjugate_oracle(f, g)
 
 
 def test_oracle_matches_independent_loop(rng):
@@ -361,7 +451,16 @@ def test_infconv_2d_refuses_grids_over_the_pair_cap():
     with pytest.raises(ParameterError, match="35438439001"):
         inf_convolution(f, f)
     # the benchmark's 85² grid centred on 0 has 5419 pairs per axis
-    assert 5419**2 <= MAX_INFCONV_PAIRS < 188251**2
+    assert 5419**2 <= MAX_DIRECT_PAIRS < 188251**2
+
+
+def test_infconv_1d_refuses_grids_over_the_pair_cap():
+    g = Grid.line(-1, 1, 51641)  # 2000094661 (x, y) pairs, about 3 n² / 4
+    f = GridFn(g, np.zeros(51641))
+    with pytest.raises(ParameterError, match="2000094661"):
+        inf_convolution(f, f)
+    # 51639 nodes have 1999939741 pairs; the benchmark's 4001 have 12006001
+    assert _axis_pairs(51639, 25819) <= MAX_DIRECT_PAIRS
 
 
 def test_minkowski_fast_path_matches_brute(rng):
