@@ -313,6 +313,8 @@ def _run_renorm(opts: dict) -> None:
 
 
 def _run_coupon(opts: dict) -> None:
+    if opts["probe_trials"] < 0:
+        raise ValueError(f"--probe-trials must be >= 0 (0: no probe), got {opts['probe_trials']}")
     x = tuple(_parse_vec(opts["x"]))
     if opts.get("n") and opts["n"] != len(x):
         raise ValueError(f"--n {opts['n']} does not match len(x) = {len(x)}")

@@ -245,15 +245,20 @@ def conjugate(f: GridFn, dual_grid: Grid) -> ConjugateResult:
 def conjugate_oracle(f: GridFn, dual_grid: Grid) -> ConjugateResult:
     """Exhaustive O(n*m) conjugate; ground truth for the fast transform.
 
-    In 1-D it runs over blocks of dual nodes, so its memory is bounded
-    for any n and m.  In 2-D it evaluates x1 y1 + (x2 y2 - f) with the
-    same expression tree as the iterated transform so 'bit-identical' is
-    well defined; above MAX_DIRECT_PAIRS primal-dual node pairs it
-    raises ParameterError before any work.
+    Above MAX_DIRECT_PAIRS primal-dual node pairs (n*m) it raises
+    ParameterError before any work.  In 1-D it runs over blocks of dual
+    nodes, so its memory is bounded.  In 2-D it evaluates
+    x1 y1 + (x2 y2 - f) with the same expression tree as the iterated
+    transform so 'bit-identical' is well defined.
     """
     require_proper(f, "conjugate input")
     if dual_grid.dim != f.grid.dim:
         raise GridMismatchError("dual grid dimension must match the function's")
+    pairs = f.grid.node_count * dual_grid.node_count
+    if pairs > MAX_DIRECT_PAIRS:
+        raise ParameterError(
+            f"conjugate_oracle needs {pairs} node pairs, cap is {MAX_DIRECT_PAIRS}"
+        )
     if f.grid.dim == 1:
         xs = f.grid.coords(0)
         ys = dual_grid.coords(0)
@@ -264,11 +269,6 @@ def conjugate_oracle(f: GridFn, dual_grid: Grid) -> ConjugateResult:
             arg[b] = np.argmax(vals, axis=1)
             best[b] = vals[np.arange(vals.shape[0]), arg[b]]
         return ConjugateResult(GridFn(dual_grid, best), arg)
-    pairs = f.grid.node_count * dual_grid.node_count
-    if pairs > MAX_DIRECT_PAIRS:
-        raise ParameterError(
-            f"2-D conjugate_oracle needs {pairs} node pairs, cap is {MAX_DIRECT_PAIRS}"
-        )
     x1s, x2s = f.grid.coords(0), f.grid.coords(1)
     y1s, y2s = dual_grid.coords(0), dual_grid.coords(1)
     m1, m2 = dual_grid.shape
@@ -334,10 +334,10 @@ def _check_same_geometry(f: GridFn, g: GridFn) -> None:
 
 
 # cap on the node pairs of the direct paths, the (x, y) pairs of
-# inf_convolution and the primal-dual pairs of the 2-D conjugate_oracle.
-# On a 2-vCPU Xeon host a 241² inf-convolution centred on 0 (1.9e9 pairs)
-# takes a few seconds, and the oracle at about 4 ns a pair takes some 8 s
-# at the cap.
+# inf_convolution and the primal-dual pairs of conjugate_oracle.  On a
+# 2-vCPU Xeon host a 241² inf-convolution centred on 0 (1.9e9 pairs)
+# takes a few seconds; at the cap the 2-D oracle (about 4 ns a pair)
+# takes some 8 s and the 1-D oracle (about 1.8 ns a pair) some 4 s.
 MAX_DIRECT_PAIRS = 2_000_000_000
 
 

@@ -6,12 +6,19 @@ permutation and inclusion-exclusion forms so the identity between them
 can be tested exactly; the integral form uses adaptive quadrature after
 the substitution t = exp(-s), which removes the t -> 0 endpoint from the
 picture (the integrand extends continuously by 0 there).
+
+The float inclusion-exclusion form and the convexity probe share one
+table of subsets S of {0..N-1} in bitmask order: subset sums s = M x and
+signs sigma = (-1)^(|S|+1).  From it p_N = sum sigma/s, its gradient
+-M^T (sigma/s^2) and its Hessian M^T diag(2 sigma/s^3) M are closed forms,
+so the probe's Hessians carry rounding error only, no step-size error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Sequence
@@ -138,8 +145,8 @@ def _check_coupon_input(x: Sequence, max_n: int) -> tuple:
     if not 1 <= len(xs) <= max_n:
         raise ParameterError(f"need 1 <= N <= {max_n}, got N={len(xs)}")
     for v in xs:
-        if v <= 0:
-            raise ParameterError("all components must be strictly positive")
+        if not 0 < v < math.inf:
+            raise ParameterError("all components must be finite and strictly positive")
     return xs
 
 
@@ -171,16 +178,124 @@ def coupon_pn_perm(x: Sequence):
 
 def coupon_pn_ie(x: Sequence):
     """Inclusion-exclusion form: sum over nonempty subsets S of
-    (-1)^(|S|+1) / sum(x_i, i in S).  Exact for Fractions; N <= 24."""
+    (-1)^(|S|+1) / sum(x_i, i in S); N <= 24.
+
+    Exact when every input is a Fraction.  Otherwise the float value is
+    within about one rounding of the exact value of the inputs, see
+    _pn_float."""
     xs = _check_coupon_input(x, MAX_IE_N)
-    n = len(xs)
-    total = xs[0] - xs[0]
-    for k in range(1, n + 1):
+    if not all(isinstance(v, Fraction) for v in xs):
+        return _pn_float(np.array(xs, dtype=float))
+    total = Fraction(0)
+    for k in range(1, len(xs) + 1):
         sign = 1 if k % 2 == 1 else -1
         for subset in combinations(xs, k):
-            s = sum(subset)
-            total = total + (sign / s if isinstance(s, Fraction) else sign / float(s))
+            total += sign / sum(subset)
     return total
+
+
+_BLOCK_BITS = 14  # the float form runs over blocks of 2^14 subsets
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitting constant
+
+
+@lru_cache(maxsize=None)  # n <= _BLOCK_BITS: at most 15 tables, 4 MB in all
+def _subset_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Membership masks M (2^n, n) and signs (-1)^(|S|+1) of the subsets S
+    of {0..n-1} in bitmask order: row c is the subset with bitmask c, row
+    0 the empty set.  Read-only, since every caller shares them."""
+    masks = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+    sign = 1.0 - 2.0 * (masks.sum(axis=1) % 2 == 0)
+    masks.flags.writeable = sign.flags.writeable = False
+    return masks, sign
+
+
+def _extract(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """v = a + r exactly, with the a_i on a grid so coarse that any sum of
+    them is exact, and |r_i| <= 2^-51 (n + 1) max |v| for n = v.size
+    (Rump, Ogita and Oishi's ExtractVector)."""
+    sigma = math.ldexp(1.0, math.frexp((v.size + 1) * float(np.abs(v).max()))[1])
+    a = (sigma + v) - sigma
+    return a, v - a
+
+
+def _exact_parts(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """v = a + b + r exactly: any sum of the a_i, or of the b_i, is exact,
+    and |r_i| is below 2^-100 (n + 1)^2 max |v| for n = v.size."""
+    a, r = _extract(v)
+    b, r = _extract(r)
+    return a, b, r
+
+
+def _two_sum(a, b):
+    """fl(a + b) and its rounding error, exactly (Knuth's TwoSum)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _split(a):
+    """a = hi + lo with hi and lo of at most 26 significant bits (Veltkamp)."""
+    t = _SPLIT * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _two_prod(a, b):
+    """fl(a * b) and its rounding error, exactly (Dekker's product) below
+    about 2^996 in magnitude."""
+    p = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _subset_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Subset sums M x as pairs hi + lo equal to the exact sums to about
+    eps^2, and the signs, in the order of _subset_table."""
+    masks, sign = _subset_table(x.size)
+    if x.size == 0:
+        return np.zeros(1), np.zeros(1), sign
+    a, b, r = (masks @ v for v in _exact_parts(x))
+    hi, lo = _two_sum(a, b)
+    hi, lo = _two_sum(hi, lo + r)  # hi is 0 where only r holds the sum
+    return hi, lo, sign
+
+
+def _pn_float(x: np.ndarray) -> float:
+    """p_N within about one rounding of the exact value of the float
+    inputs x while max(x)/min(x) <= 1e25, 2^14 subsets at a time in
+    memory.
+
+    The subsets S = H | T run in one block per subset H of the
+    coordinates past the first 14, T over the subsets of those 14.  Each
+    term q = sigma/s gets its correction (sigma - q s)/s, from s = hi + lo
+    and q s split exactly; each block's terms are split into parts whose
+    sums are exact, and math.fsum adds those sums exactly.  Terms past the
+    float range give inf or nan, as plain float arithmetic would."""
+    # p is homogeneous of degree -1; scaling by a power of two, exactly, to
+    # centre the exponents of x on 0 keeps sums, terms and splits in range
+    shift = (math.frexp(float(x.max()))[1] + math.frexp(float(x.min()))[1]) // 2
+    parts = []
+    with np.errstate(all="ignore"):
+        x = np.ldexp(x, -shift)
+        k = min(x.size, _BLOCK_BITS)
+        low_hi, low_lo, low_sign = _subset_sums(x[:k])
+        top_hi, top_lo, top_sign = _subset_sums(x[k:])
+        for h in range(top_hi.size):
+            a = 1 if h == 0 else 0  # leave out the empty set
+            s, err = _two_sum(top_hi[h], low_hi[a:])
+            lo = err + (top_lo[h] + low_lo[a:])
+            sign = -top_sign[h] * low_sign[a:]
+            q = sign / s
+            p, e = _two_prod(q, s)
+            c = (((sign - p) - e) - q * lo) / s
+            parts.extend(float(v.sum()) for v in _exact_parts(q))
+            parts.append(float(np.sum(c[np.isfinite(c)])))  # uncorrected past 2^996
+    try:
+        return math.ldexp(math.fsum(parts), -shift)
+    except OverflowError:  # p past the float range
+        return math.inf
+    except ValueError:  # inf - inf
+        return math.nan
 
 
 def coupon_pn_integral(x: Sequence[float]) -> float:
@@ -199,23 +314,19 @@ def coupon_pn_integral(x: Sequence[float]) -> float:
     return float(val)
 
 
-def _fd_hessian(fn, x: np.ndarray) -> np.ndarray:
-    """Central-difference Hessian with per-coordinate step 1e-4 (1 + |x_i|)."""
-    n = x.size
-    h = 1e-4 * (1.0 + np.abs(x))
-    H = np.empty((n, n))
-    f0 = fn(x)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h[i]
-        H[i, i] = (fn(x + ei) - 2.0 * f0 + fn(x - ei)) / h[i] ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h[j]
-            H[i, j] = H[j, i] = (
-                fn(x + ei + ej) - fn(x + ei - ej) - fn(x - ei + ej) + fn(x - ei - ej)
-            ) / (4.0 * h[i] * h[j])
-    return H
+def _coupon_derivatives(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p_N and its gradient at each row of X (T, N), and the Hessians of
+    p_N, 1/p_N and log p_N stacked as (3, T, N, N), in closed form:
+    with H the Hessian of p and g its gradient, 1/p has -H/p^2 + 2gg^T/p^3
+    and log p has H/p - gg^T/p^2."""
+    masks, sign = _subset_table(X.shape[1])
+    masks, sign = masks[1:], sign[1:]  # the nonempty subsets
+    r = 1.0 / (X @ masks.T)
+    p = r @ sign
+    g = -(sign * r * r) @ masks
+    H = (masks.T * (2.0 * sign * r ** 3)[:, None, :]) @ masks
+    P, gg = p[:, None, None], g[:, :, None] * g[:, None, :]
+    return p, g, np.stack((H, -H / P ** 2 + 2.0 * gg / P ** 3, H / P - gg / P ** 2))
 
 
 @dataclass(frozen=True)
@@ -231,38 +342,35 @@ class ConvexityProbeReport:
     min_log_hessian_eig: float = field(default=float("nan"))
 
 
+_PROBE_ELEMS = 2 ** 20  # the probe's trials run in chunks of T N 2^N <= this
+
+
 def coupon_convexity_probe(n: int, trials: int, seed: int) -> ConvexityProbeReport:
-    """Sample finite-difference Hessians of p_N (convexity), 1/p_N
-    (concavity) and log p_N (log-convexity, informational) at log-uniform
-    random points of [0.1, 10]^N."""
+    """Sample the exact Hessians of p_N (convexity), 1/p_N (concavity) and
+    log p_N (log-convexity, informational) at log-uniform random points of
+    [0.1, 10]^N, 2 <= N <= 10, trials >= 1.
+
+    The points are 10 ** rng.uniform(-1, 1, size=N) per trial, drawn in
+    chunks of trials (the same stream as one draw per trial); each chunk
+    is one stacked eigvalsh.  The eigenvalues carry rounding error only."""
     if not 2 <= n <= 10:
         raise ParameterError("probe supports 2 <= N <= 10")
+    if trials < 1:
+        raise ParameterError(f"probe needs trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-
-    def pn(v: np.ndarray) -> float:
-        return coupon_pn_ie(tuple(v))
-
-    def inv_pn(v: np.ndarray) -> float:
-        return 1.0 / pn(v)
-
-    def log_pn(v: np.ndarray) -> float:
-        return math.log(pn(v))
-
-    min_eig = math.inf
-    min_pt = None
-    max_inv = -math.inf
-    max_pt = None
-    min_log = math.inf
-    for _ in range(trials):
-        x = 10.0 ** rng.uniform(-1.0, 1.0, size=n)
-        eig = float(np.linalg.eigvalsh(_fd_hessian(pn, x)).min())
-        if eig < min_eig:
-            min_eig, min_pt = eig, tuple(x)
-        inv_eig = float(np.linalg.eigvalsh(_fd_hessian(inv_pn, x)).max())
-        if inv_eig > max_inv:
-            max_inv, max_pt = inv_eig, tuple(x)
-        log_eig = float(np.linalg.eigvalsh(_fd_hessian(log_pn, x)).min())
-        min_log = min(min_log, log_eig)
+    chunk = max(1, _PROBE_ELEMS // (n << n))
+    min_eig, max_inv, min_log = math.inf, -math.inf, math.inf
+    min_pt = max_pt = None
+    for a in range(0, trials, chunk):
+        X = 10.0 ** rng.uniform(-1.0, 1.0, size=(min(chunk, trials - a), n))
+        eig = np.linalg.eigvalsh(_coupon_derivatives(X)[2])
+        lo, hi = eig[0, :, 0], eig[1, :, -1]
+        i, j = int(np.argmin(lo)), int(np.argmax(hi))
+        if lo[i] < min_eig:
+            min_eig, min_pt = float(lo[i]), tuple(X[i].tolist())
+        if hi[j] > max_inv:
+            max_inv, max_pt = float(hi[j]), tuple(X[j].tolist())
+        min_log = min(min_log, float(eig[2, :, 0].min()))
     return ConvexityProbeReport(
         n=n,
         trials=trials,

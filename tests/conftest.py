@@ -120,6 +120,25 @@ def brute_convexity_check_2d(f: GridFn, tol: float = 1e-9) -> ConvexityReport:
     return ConvexityReport(True)
 
 
+def fd_hessian(fn, x: np.ndarray) -> np.ndarray:
+    """Central-difference Hessian with per-coordinate step 1e-4 (1 + |x_i|)."""
+    n = x.size
+    h = 1e-4 * (1.0 + np.abs(x))
+    H = np.empty((n, n))
+    f0 = fn(x)
+    for i in range(n):
+        ei = np.zeros(n)
+        ei[i] = h[i]
+        H[i, i] = (fn(x + ei) - 2.0 * f0 + fn(x - ei)) / h[i] ** 2
+        for j in range(i + 1, n):
+            ej = np.zeros(n)
+            ej[j] = h[j]
+            H[i, j] = H[j, i] = (
+                fn(x + ei + ej) - fn(x + ei - ej) - fn(x - ei + ej) + fn(x - ei - ej)
+            ) / (4.0 * h[i] * h[j])
+    return H
+
+
 def random_convex_values(rng: np.random.Generator, n: int, slope_scale: float = 1.0) -> np.ndarray:
     """A random convex sequence: cumulative sums of sorted increments."""
     slopes = np.sort(rng.normal(scale=slope_scale, size=n - 1))

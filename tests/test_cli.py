@@ -101,6 +101,15 @@ def test_coupon_all_forms_agree(tmp_path):
     assert doc["max_discrepancy"] <= 1e-8
 
 
+def test_coupon_negative_probe_trials_is_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "c.json")
+    assert main(["coupon", "--x", "1,2", "--probe-trials", "-3", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == "usage error: --probe-trials must be >= 0 (0: no probe), got -3\n"
+    assert main(["coupon", "--x", "1,2", "--probe-trials", "0", "--out", out]) == 0
+    assert "probe" not in json.load(open(out))
+
+
 def test_envelope_job_matches_huber(tmp_path):
     out = str(tmp_path / "e.csv")
     rc = main(["envelope", "--atom", "abs", "--grid", "-3:3:601", "--lambda", "1",

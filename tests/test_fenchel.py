@@ -271,6 +271,15 @@ def test_oracle_2d_refuses_grids_over_the_pair_cap():
         conjugate_oracle(f, g)
 
 
+def test_oracle_1d_refuses_grids_over_the_pair_cap():
+    g = Grid.line(-1, 1, 50000)  # 2.5e9 primal-dual pairs
+    f = GridFn(g, np.zeros(50000))
+    with pytest.raises(ParameterError, match="2500000000"):
+        conjugate_oracle(f, g)
+    # 44721 nodes on each side are 1999967841 pairs, under the cap
+    assert 44721**2 <= MAX_DIRECT_PAIRS < 44722**2
+
+
 def test_oracle_matches_independent_loop(rng):
     g = Grid.line(-2, 2, 33)
     f = GridFn(g, rng.normal(size=33))

@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from conftest import fd_hessian
 from convexdesk.errors import ParameterError
 from convexdesk.special import (
+    _coupon_derivatives,
     ball_volume,
     beta_direct,
     coupon_convexity_probe,
@@ -137,6 +141,9 @@ def test_coupon_validation():
         coupon_pn_perm(tuple(range(1, 11)))  # N > 8
     with pytest.raises(ParameterError):
         coupon_pn_ie((1.0, -2.0))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ParameterError, match="finite"):
+            coupon_pn_ie((1.0, bad))
 
 
 def test_coupon_convexity_probe_small():
@@ -152,3 +159,139 @@ def test_coupon_probe_closed_form_point():
     assert float(coupon_pn_ie((1.0, 1.0))) == pytest.approx(1.5, abs=1e-12)
     assert 1.0 / float(coupon_pn_ie((1.0, 1.0))) == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert rep.n == 2 and rep.trials == 5
+
+
+def test_coupon_probe_refuses_trials_below_one():
+    for trials in (0, -3):
+        with pytest.raises(ParameterError, match="trials >= 1"):
+            coupon_convexity_probe(2, trials=trials, seed=1)
+
+
+def test_coupon_probe_points_are_the_per_trial_draws():
+    # N = 10 runs its 250 trials in three chunks
+    for n, trials in ((3, 50), (10, 250)):
+        rep = coupon_convexity_probe(n, trials=trials, seed=7)
+        rng = np.random.default_rng(7)
+        X = np.array([10.0 ** rng.uniform(-1.0, 1.0, size=n) for _ in range(trials)])
+        eig = np.array([np.linalg.eigvalsh(_coupon_derivatives(x[None])[2][:, 0]) for x in X])
+        i = int(np.argmin(eig[:, 0, 0]))
+        assert rep.min_eig_point == tuple(X[i])
+        assert rep.min_hessian_eig == pytest.approx(eig[i, 0, 0], rel=1e-12)
+        # 1/p is homogeneous of degree 1: its top eigenvalue is 0 up to rounding,
+        # so which draw attains the maximum is down to rounding
+        assert rep.max_inv_eig_point in {tuple(x) for x in X}
+        assert abs(rep.max_inv_hessian_eig - eig[:, 1, -1].max()) <= 1e-13
+        assert rep.min_log_hessian_eig == pytest.approx(eig[:, 2, 0].min(), rel=1e-12)
+
+
+def _shifted(x, h, *steps):
+    """x with h * d added to x[i] for each (i, d) in steps."""
+    y = list(x)
+    for i, d in steps:
+        y[i] += d * h
+    return y
+
+
+def _fraction_derivatives(fn, x, h):
+    """Central-difference gradient and Hessian of an exact rational
+    function, step h."""
+    n = len(x)
+    g = np.array([float((fn(_shifted(x, h, (i, 1))) - fn(_shifted(x, h, (i, -1)))) / (2 * h))
+                  for i in range(n)])
+    H = np.empty((n, n))
+    for i in range(n):
+        H[i, i] = float(
+            (fn(_shifted(x, h, (i, 1))) - 2 * fn(x) + fn(_shifted(x, h, (i, -1)))) / h**2
+        )
+        for j in range(i + 1, n):
+            quad = [fn(_shifted(x, h, (i, a), (j, b))) for a in (1, -1) for b in (1, -1)]
+            H[i, j] = H[j, i] = float((quad[0] - quad[1] - quad[2] + quad[3]) / (4 * h * h))
+    return g, H
+
+
+def test_coupon_derivatives_match_exact_central_differences(rng):
+    # Fraction arithmetic has no rounding, so the only error is the step's h^2
+    h = Fraction(1, 10**6)
+
+    def pn(v):
+        return coupon_pn_ie(tuple(v))
+
+    for n in (2, 3, 4, 5):
+        for _ in range(3):
+            x = [Fraction(int(k), 8) for k in rng.integers(1, 81, size=n)]
+            p, g, hess = _coupon_derivatives(np.array([[float(v) for v in x]]))
+            assert p[0] == pytest.approx(float(pn(x)), rel=1e-14)
+            fd_g, fd_h = _fraction_derivatives(pn, x, h)
+            assert np.abs(g[0] - fd_g).max() <= 1e-9 * np.abs(fd_g).max()
+            assert np.abs(hess[0, 0] - fd_h).max() <= 1e-9 * np.abs(fd_h).max()
+            fd_h = _fraction_derivatives(lambda v: 1 / pn(v), x, h)[1]
+            assert np.abs(hess[1, 0] - fd_h).max() <= 1e-9 * np.abs(fd_h).max()
+
+
+def test_coupon_hessians_match_finite_difference_oracle(rng):
+    fns = (
+        lambda v: coupon_pn_ie(tuple(v)),
+        lambda v: 1.0 / coupon_pn_ie(tuple(v)),
+        lambda v: math.log(coupon_pn_ie(tuple(v))),
+    )
+    for n in (2, 3, 4, 5):
+        for _ in range(10):
+            x = 10.0 ** rng.uniform(-1.0, 1.0, size=n)
+            hess = _coupon_derivatives(x[None])[2][:, 0]
+            for k, fn in enumerate(fns):
+                # the step 1e-4 (1 + |x_i|) leaves about 1e-6 of noise
+                assert np.abs(fd_hessian(fn, x) - hess[k]).max() <= 1e-5 * max(
+                    1.0, np.abs(hess[k]).max()
+                )
+
+
+def test_coupon_hessians_are_homogeneous(rng):
+    # p is homogeneous of degree -1 and 1/p of degree 1 (Euler's identity)
+    for n in range(2, 11):
+        X = 10.0 ** rng.uniform(-1.0, 1.0, size=(20, n))
+        p, g, hess = _coupon_derivatives(X)
+        scale = np.abs(hess).max(axis=(2, 3)) * np.abs(X).max(axis=1)
+        assert np.all(np.abs((g * X).sum(axis=1) + p) <= 1e-13 * p)
+        Hx = np.einsum("ktij,tj->kti", hess, X)
+        assert np.all(np.abs(Hx[0] + 2.0 * g).max(axis=1) <= 1e-13 * scale[0])
+        assert np.all(np.abs(Hx[1]).max(axis=1) <= 1e-13 * scale[1])
+
+
+def test_coupon_ie_float_is_within_rounding_of_exact(rng):
+    for n in range(1, 15):
+        points = [tuple(rng.integers(1, 81, size=n) / 8.0) for _ in range(2)]  # exact sums
+        points.append((0.1,) * n)  # rounded sums, all rounded alike
+        if n <= 10:  # random floats make the exact value slow beyond N = 10
+            points.append(tuple(10.0 ** rng.uniform(-1.0, 1.0, size=n)))
+        for x in points:
+            exact = coupon_pn_ie(tuple(Fraction(v) for v in x))
+            assert abs(Fraction(coupon_pn_ie(x)) - exact) <= Fraction(1e-15) * exact
+
+
+@pytest.mark.parametrize(
+    "x",
+    [(1e300, 1e300), (1e308, 1e308, 1e308), (1e-300, 1.0), (1e-300, 1e30),
+     (1e-10, 1.1e-10, 1e10), (1e-12, 2e-12, 3e-12, 1e12, 2e12), (0.1,) * 12 + (1e19,)],
+)
+def test_coupon_ie_float_at_extreme_scales(x):
+    # sums past the float range, and sums of small inputs next to large ones
+    exact = coupon_pn_ie(tuple(Fraction(v) for v in x))
+    val = coupon_pn_ie(x)
+    assert abs(Fraction(val) - exact) <= Fraction(1e-15) * exact
+
+
+def test_coupon_ie_float_past_the_float_range_is_inf():
+    assert coupon_pn_ie((1e-310, 1e-310)) == math.inf
+
+
+def test_coupon_ie_float_memory_at_max_n():
+    # all x_i = c gives p_N = H_N / c; the sums k * 0.1 round
+    exact = sum(Fraction(1, k) for k in range(1, 25)) / Fraction(0.1)
+    tracemalloc.start()
+    try:
+        val = coupon_pn_ie((0.1,) * 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert abs(Fraction(val) - exact) <= Fraction(1e-15) * exact
