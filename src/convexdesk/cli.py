@@ -11,6 +11,7 @@ CONVEXDESK_TOL overrides the default tolerance of the checks a job runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -114,7 +115,10 @@ def _write_fn(f: GridFn, path: Optional[str]) -> None:
         fileio.write_gridfn_json(f, path)
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: `parse_args` returns a fresh
+    namespace on every call, and every default is immutable."""
     ap = argparse.ArgumentParser(prog="convexdesk", description=__doc__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
     # let grid specs and vectors like "-10:3:2001" or "-3,0.5" pass as values
@@ -218,8 +222,8 @@ def _run_conjugate(opts: dict, once: bool) -> None:
                 {
                     "dim": dual.dim,
                     "axes": [{"lo": lo, "hi": hi, "n": n} for lo, hi, n in dual.axes],
-                    "values": [fileio._encode_value(v) for v in res.dual.values.ravel()],
-                    "argmax": [int(a) for a in res.argmax.ravel()],
+                    "values": res.dual.values.ravel(),
+                    "argmax": res.argmax.ravel(),
                 },
                 out,
             )
@@ -404,7 +408,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     try:
         return run(job)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except ConvexDeskError as exc:

@@ -1,7 +1,15 @@
 """Serialization: grid functions as JSON (bit-exact for finite values,
 "+inf"/"-inf" sentinels) and CSV (9 significant digits, plot-oriented);
 operator graphs and result reports as JSON.  Files are written atomically
-(temp file + rename)."""
+(temp file + rename).
+
+Encoding and decoding work on whole columns: an array becomes Python
+numbers through one `tolist()`, after which only its ±inf entries are
+replaced by the sentinels, and a column is read back with one
+`np.asarray(..., dtype=float)`, which parses the sentinels too.  The bytes
+written are pinned to the plain per-element encoders kept as oracles in
+tests/conftest.py.  A file that does not hold the expected numbers is
+refused with a `ValueError` naming it."""
 
 from __future__ import annotations
 
@@ -28,6 +36,9 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+# what a malformed document raises while it is turned into arrays
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+
 
 def _atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
@@ -42,20 +53,37 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _encode_value(v: float):
-    if v == math.inf:
-        return "+inf"
-    if v == -math.inf:
-        return "-inf"
-    return float(v)
+def _encode_array(a: np.ndarray) -> list:
+    """An array as (nested) lists of Python numbers: one `tolist()` per row,
+    then only the ±inf entries become "+inf"/"-inf"; bools become 0/1."""
+    if a.ndim > 1:
+        return [_encode_array(row) for row in a]
+    if a.dtype == bool:
+        a = a.astype(np.int64)
+    out = a.tolist()
+    if a.dtype.kind == "f":
+        for k in np.flatnonzero(np.isinf(a)).tolist():
+            out[k] = "+inf" if out[k] > 0 else "-inf"
+    return out
 
 
-def _decode_value(v) -> float:
-    if v == "+inf":
-        return math.inf
-    if v == "-inf":
-        return -math.inf
-    return float(v)
+def _read_doc(path: str) -> dict:
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != SCHEMA_VERSION:
+        raise ParameterError(f"unsupported schema {schema!r}")
+    return doc
+
+
+def _refuse_nan(path: str, a: np.ndarray, what: str) -> None:
+    """null (and NaN) parse to NaN, which no grid value or graph point may be."""
+    bad = np.argwhere(np.isnan(a))
+    if bad.size:
+        raise ValueError(f"{path}: {what} at index {bad[0].tolist()} is null or NaN")
 
 
 def write_gridfn_json(f: GridFn, path: str) -> None:
@@ -63,41 +91,37 @@ def write_gridfn_json(f: GridFn, path: str) -> None:
         "schema": SCHEMA_VERSION,
         "dim": f.grid.dim,
         "axes": [{"lo": lo, "hi": hi, "n": n} for lo, hi, n in f.grid.axes],
-        "values": [_encode_value(v) for v in f.values.ravel()],
+        "values": _encode_array(f.values.ravel()),
     }
     _atomic_write(path, json.dumps(doc, sort_keys=True))
 
 
 def read_gridfn_json(path: str) -> GridFn:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise ParameterError(f"unsupported schema {doc.get('schema')!r}")
-    grid = Grid(tuple((ax["lo"], ax["hi"], ax["n"]) for ax in doc["axes"]))
-    vals = np.asarray([_decode_value(v) for v in doc["values"]]).reshape(grid.shape)
-    return GridFn(grid, vals)
-
-
-def _fmt9(v: float) -> str:
-    if v == math.inf:
-        return "inf"
-    if v == -math.inf:
-        return "-inf"
-    return format(v, ".9g")
+    doc = _read_doc(path)
+    try:
+        grid = Grid(tuple((ax["lo"], ax["hi"], ax["n"]) for ax in doc["axes"]))
+        vals = np.asarray(doc["values"], dtype=float)
+    except _MALFORMED as exc:
+        raise ValueError(f"{path}: malformed grid function ({type(exc).__name__}: {exc})") from None
+    if vals.shape != (grid.node_count,):
+        raise ValueError(
+            f"{path}: values must be a flat list of {grid.node_count} numbers, "
+            f"got shape {vals.shape}"
+        )
+    _refuse_nan(path, vals, "value")
+    return GridFn(grid, vals.reshape(grid.shape))
 
 
 def write_gridfn_csv(f: GridFn, path: str) -> None:
-    lines = []
     if f.grid.dim == 1:
-        lines.append("x,value")
-        for x, v in zip(f.grid.coords(0), f.values):
-            lines.append(f"{_fmt9(x)},{_fmt9(v)}")
+        head, cols = "x,value", [f.grid.coords(0)]
     else:
-        lines.append("x,y,value")
-        xs, ys = f.grid.coords(0), f.grid.coords(1)
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                lines.append(f"{_fmt9(x)},{_fmt9(y)},{_fmt9(f.values[i, j])}")
+        n0, n1 = f.grid.shape
+        head = "x,y,value"
+        cols = [np.repeat(f.grid.coords(0), n1), np.tile(f.grid.coords(1), n0)]
+    cols.append(f.values.ravel())
+    row = ",".join(["{:.9g}"] * len(cols)).format  # prints inf, -inf and nan as such
+    lines = [head, *map(row, *(c.tolist() for c in cols))]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -105,19 +129,24 @@ def write_graph_json(G: OperatorGraph, path: str) -> None:
     doc = {
         "schema": SCHEMA_VERSION,
         "dim": G.dim,
-        "pairs": [[list(map(float, x)), list(map(float, s))] for x, s in zip(G.xs, G.xstars)],
+        "pairs": np.stack([G.xs, G.xstars], axis=1).tolist(),
     }
     _atomic_write(path, json.dumps(doc, sort_keys=True))
 
 
 def read_graph_json(path: str) -> OperatorGraph:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise ParameterError(f"unsupported schema {doc.get('schema')!r}")
-    xs = np.asarray([p[0] for p in doc["pairs"]], dtype=float)
-    xst = np.asarray([p[1] for p in doc["pairs"]], dtype=float)
-    return OperatorGraph(xs, xst)
+    doc = _read_doc(path)
+    try:
+        pairs = np.asarray(doc["pairs"], dtype=float)
+    except _MALFORMED as exc:
+        raise ValueError(f"{path}: malformed operator graph ({type(exc).__name__}: {exc})") from None
+    if pairs.ndim != 3 or pairs.shape[1] != 2:
+        raise ValueError(
+            f"{path}: pairs must be a nonempty list of [x, x*] coordinate-list pairs, "
+            f"got shape {pairs.shape}"
+        )
+    _refuse_nan(path, pairs, "coordinate")
+    return OperatorGraph(pairs[:, 0], pairs[:, 1])
 
 
 def _jsonable(obj: Any) -> Any:
@@ -125,12 +154,13 @@ def _jsonable(obj: Any) -> Any:
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _encode_array(obj)
     if isinstance(obj, (np.floating, float)):
-        return _encode_value(float(obj))
+        v = float(obj)
+        return ("+inf" if v > 0 else "-inf") if math.isinf(v) else v
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     return obj
 
 

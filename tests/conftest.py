@@ -4,6 +4,9 @@ The oracles here are deliberately plain loops, independent of the library
 code paths they check.
 """
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -137,6 +140,92 @@ def fd_hessian(fn, x: np.ndarray) -> np.ndarray:
                 fn(x + ei + ej) - fn(x + ei - ej) - fn(x - ei + ej) + fn(x - ei - ej)
             ) / (4.0 * h[i] * h[j])
     return H
+
+
+# ---- per-element file encoders: the byte oracle for convexdesk.fileio ----
+
+
+def encode_value(v: float):
+    if v == math.inf:
+        return "+inf"
+    if v == -math.inf:
+        return "-inf"
+    return float(v)
+
+
+def decode_value(v) -> float:
+    if v == "+inf":
+        return math.inf
+    if v == "-inf":
+        return -math.inf
+    return float(v)
+
+
+def fmt9(v: float) -> str:
+    if v == math.inf:
+        return "inf"
+    if v == -math.inf:
+        return "-inf"
+    return format(v, ".9g")
+
+
+def jsonable(obj):
+    """A report document as JSON-ready Python objects, element by element."""
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, (np.floating, float)):
+        return encode_value(float(obj))
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [jsonable(v) for v in obj.tolist()]
+    return obj
+
+
+def report_text(doc: dict) -> str:
+    out = {"schema": 1}
+    out.update(jsonable(doc))
+    return json.dumps(out, sort_keys=True)
+
+
+def gridfn_json_text(f: GridFn) -> str:
+    doc = {
+        "schema": 1,
+        "dim": f.grid.dim,
+        "axes": [{"lo": lo, "hi": hi, "n": n} for lo, hi, n in f.grid.axes],
+        "values": [encode_value(v) for v in f.values.ravel()],
+    }
+    return json.dumps(doc, sort_keys=True)
+
+
+def gridfn_json_values(doc: dict) -> np.ndarray:
+    return np.asarray([decode_value(v) for v in doc["values"]])
+
+
+def gridfn_csv_text(f: GridFn) -> str:
+    lines = []
+    if f.grid.dim == 1:
+        lines.append("x,value")
+        for x, v in zip(f.grid.coords(0), f.values):
+            lines.append(f"{fmt9(x)},{fmt9(v)}")
+    else:
+        lines.append("x,y,value")
+        xs, ys = f.grid.coords(0), f.grid.coords(1)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                lines.append(f"{fmt9(x)},{fmt9(y)},{fmt9(f.values[i, j])}")
+    return "\n".join(lines) + "\n"
+
+
+def graph_json_text(G) -> str:
+    doc = {
+        "schema": 1,
+        "dim": G.dim,
+        "pairs": [[list(map(float, x)), list(map(float, s))] for x, s in zip(G.xs, G.xstars)],
+    }
+    return json.dumps(doc, sort_keys=True)
 
 
 def random_convex_values(rng: np.random.Generator, n: int, slope_scale: float = 1.0) -> np.ndarray:

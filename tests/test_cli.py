@@ -5,7 +5,7 @@ import pytest
 
 from convexdesk.cli import SUBCOMMANDS, main, parse_args, parse_grid_spec
 from convexdesk.fileio import read_gridfn_json, write_graph_json, write_gridfn_json
-from convexdesk.grids import Grid
+from convexdesk.grids import Grid, GridFn
 from convexdesk.monotone import OperatorGraph
 
 
@@ -240,3 +240,113 @@ def test_tolerance_env_override(monkeypatch):
     assert default_tol() == 1e-5
     monkeypatch.delenv("CONVEXDESK_TOL")
     assert default_tol() is None
+
+
+GRID3 = {"schema": 1, "dim": 1, "axes": [{"lo": -1.0, "hi": 1.0, "n": 3}]}
+GRID4 = {"schema": 1, "dim": 1, "axes": [{"lo": -1.0, "hi": 1.0, "n": 4}]}
+
+
+@pytest.mark.parametrize(
+    "doc, rc, message",
+    [
+        ({**GRID3, "values": [0.0, None, 1.0]}, 2, "value at index [1] is null or NaN"),
+        ({**GRID3, "values": [0.0, "NaN", 1.0]}, 2, "value at index [1] is null or NaN"),
+        ({**GRID4, "values": [[0.0, 1.0], [2.0, 3.0]]}, 2, "flat list of 4 numbers, got shape (2, 2)"),
+        ({**GRID3, "values": [0.0, [1.0], 2.0]}, 2, "malformed grid function"),
+        ({**GRID3, "values": [0.0, "abc", 1.0]}, 2, "could not convert string to float: 'abc'"),
+        ({**GRID3, "values": [0.0, {}, 1.0]}, 2, "malformed grid function (TypeError"),
+        ({**GRID3, "values": [0.0, 1.0]}, 2, "flat list of 3 numbers, got shape (2,)"),
+        ({**GRID3, "values": 7}, 2, "flat list of 3 numbers, got shape ()"),
+        ({**GRID3}, 2, "malformed grid function (KeyError: 'values')"),
+        ({**GRID3, "axes": [{"lo": None, "hi": 1.0, "n": 3}], "values": [0.0] * 3}, 2,
+         "malformed grid function (TypeError"),
+        ({**GRID3, "axes": [{"lo": -1.0, "hi": 1.0, "n": 1e400}], "values": [0.0] * 3}, 2,
+         "malformed grid function (OverflowError"),
+        ([0.0, 1.0], 1, "unsupported schema None"),
+    ],
+)
+@pytest.mark.parametrize("opt", ["--in", "--in2"])
+def test_malformed_grid_function_file_is_refused(doc, rc, message, opt, tmp_path, capsys):
+    bad, good = str(tmp_path / "bad.json"), str(tmp_path / "good.json")
+    with open(bad, "w") as fh:
+        fh.write(json.dumps(doc).replace("Infinity", "1e400"))
+    write_gridfn_json(GridFn(Grid.line(-1, 1, 3), [1.0, 0.0, 1.0]), good)
+    if opt == "--in":
+        argv = ["conjugate", "--in", bad, "--dual", "-1:1:5"]
+    else:
+        argv = ["infconv", "--in", good, "--in2", bad]
+    assert main(argv) == rc
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: " if rc == 2 else "error: ")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([[[0.0], [0.0]], [[1.0], [None]]], "coordinate at index [1, 1, 0] is null or NaN"),
+        ([[[0.0], [0.0]], [[1.0], ["abc"]]], "could not convert string to float: 'abc'"),
+        ([[[[0.0]], [[0.0]]]], "pairs must be a nonempty list of [x, x*] coordinate-list pairs"),
+        ([[[0.0], [0.0]], [[1.0, 2.0], [1.0]]], "malformed operator graph (ValueError"),
+        ([[[0.0], [0.0], [1.0]]], "got shape (1, 3, 1)"),
+        ([], "got shape (0,)"),
+        ("abc", "could not convert string to float"),
+    ],
+)
+def test_malformed_graph_file_is_refused(pairs, message, tmp_path, capsys):
+    bad = str(tmp_path / "g.json")
+    with open(bad, "w") as fh:
+        json.dump({"schema": 1, "dim": 1, "pairs": pairs}, fh)
+    assert main(["fitzpatrick", "--graph", bad, "--x", "1", "--xstar", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and message in err
+
+
+def test_unreadable_input_files_are_usage_errors(tmp_path, capsys):
+    deep = str(tmp_path / "deep.json")
+    with open(deep, "w") as fh:
+        fh.write("[" * 100000 + "]" * 100000)
+    assert main(["conjugate", "--in", deep]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+    assert main(["conjugate", "--in", str(tmp_path)]) == 2  # a directory
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def test_cached_parser_gives_each_call_fresh_options_and_defaults(tmp_path, capsys):
+    from convexdesk import cli
+
+    def fresh(argv):
+        opts = vars(cli._build_parser.__wrapped__().parse_args(argv))
+        opts.pop("subcommand")
+        return opts
+
+    fn = ["--atom", "abs", "--grid", "-4:4:801", "--x", "3.0"]
+    out = str(tmp_path / "r.json")
+    runs = [
+        (["prox", *fn, "--lambda", "2"], "lambda", 2.0),
+        (["prox", *fn], "lambda", 1.0),
+        (["coupon", "--x", "1,2", "--probe-trials", "2", "--seed", "5"], "probe", 5),
+        (["coupon", "--x", "1,2", "--probe-trials", "2"], "probe", 0),
+        (["renorm", "--grid", "-2:2:21x-2:2:21", "--steps", "1", "--norm1", "l2norm",
+          "--norm2", "l1norm"], "C", None),
+        (["renorm", "--grid", "-2:2:21x-2:2:21", "--steps", "1"], "C", None),
+    ]
+    for argv, key, want in runs:
+        assert parse_args(argv).options == fresh(argv)
+        assert main(argv + ["--out", out]) == 0
+        got = json.load(open(out))[key]
+        if key == "probe":
+            got = got["seed"]
+        assert want is None or got == want
+    assert parse_args(["renorm"]).options == fresh(["renorm"])
+    assert parse_args(["renorm"]).options["steps"] == 6
+    assert cli._build_parser() is cli._build_parser()
+    capsys.readouterr()
+    assert main([]) == 2
+    assert main(["--help"]) == 0
+    assert "usage: convexdesk" in capsys.readouterr().out
+    assert main(["nosuch"]) == 2
+    assert "invalid choice: 'nosuch'" in capsys.readouterr().err
+    assert main(["prox", "--help"]) == 0
+    assert main(["prox", *fn, "--lambda", "2", "--out", out]) == 0
+    assert json.load(open(out))["lambda"] == 2.0
