@@ -39,6 +39,8 @@ SCHEMA_VERSION = 1
 # what a malformed document raises while it is turned into arrays
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
+_SENTINELS = frozenset(("+inf", "-inf"))  # the only strings a number may be
+
 
 def _atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
@@ -79,11 +81,19 @@ def _read_doc(path: str) -> dict:
     return doc
 
 
-def _refuse_nan(path: str, a: np.ndarray, what: str) -> None:
-    """null (and NaN) parse to NaN, which no grid value or graph point may be."""
+def _refuse_non_numbers(path: str, col: list, a: np.ndarray, what: str) -> None:
+    """Refuse null and NaN in the column `col` read as `a`, and booleans and
+    non-sentinel strings, which `np.asarray` reads as numbers (true as 1.0,
+    "1e3" as 1000.0); strings are looked at only if `col` holds some."""
     bad = np.argwhere(np.isnan(a))
     if bad.size:
         raise ValueError(f"{path}: {what} at index {bad[0].tolist()} is null or NaN")
+    kinds = set(map(type, col))
+    if bool in kinds or (str in kinds and not {v for v in col if type(v) is str} <= _SENTINELS):
+        k = next(k for k, v in enumerate(col)
+                 if type(v) is bool or (type(v) is str and v not in _SENTINELS))
+        index = np.array(np.unravel_index(k, a.shape)).tolist()
+        raise ValueError(f"{path}: {what} at index {index} is {json.dumps(col[k])}, not a number")
 
 
 def write_gridfn_json(f: GridFn, path: str) -> None:
@@ -108,7 +118,11 @@ def read_gridfn_json(path: str) -> GridFn:
             f"{path}: values must be a flat list of {grid.node_count} numbers, "
             f"got shape {vals.shape}"
         )
-    _refuse_nan(path, vals, "value")
+    _refuse_non_numbers(path, doc["values"], vals, "value")
+    bounds = [v for ax in doc["axes"] for v in (ax["lo"], ax["hi"])]
+    _refuse_non_numbers(path, bounds, np.asarray(bounds, dtype=float).reshape(-1, 2), "axis lo/hi")
+    if any(type(ax["n"]) is not int for ax in doc["axes"]):
+        raise ValueError(f"{path}: axis node counts n must be integers: {json.dumps(doc['axes'])}")
     return GridFn(grid, vals.reshape(grid.shape))
 
 
@@ -145,7 +159,8 @@ def read_graph_json(path: str) -> OperatorGraph:
             f"{path}: pairs must be a nonempty list of [x, x*] coordinate-list pairs, "
             f"got shape {pairs.shape}"
         )
-    _refuse_nan(path, pairs, "coordinate")
+    coords = np.asarray(doc["pairs"], dtype=object).ravel().tolist()
+    _refuse_non_numbers(path, coords, pairs, "coordinate")
     return OperatorGraph(pairs[:, 0], pairs[:, 1])
 
 

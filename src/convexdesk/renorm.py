@@ -136,22 +136,14 @@ def asplund_step(pair: NormPair, sandwich_slack: Optional[float] = None) -> Norm
     qb = _finite_box(pair.q.values)
     F = pair.p.values[pb[0] : pb[1] + 1, pb[2] : pb[3] + 1]
     G = pair.q.values[qb[0] : qb[1] + 1, qb[2] : qb[3] + 1]
-    off0 = pb[0] + qb[0]
-    off1 = pb[2] + qb[2]
-    n0, n1 = grid.shape
-    rows_needed = sorted(
-        {2 * i - off0 for i in range(n0) if 0 <= 2 * i - off0 < F.shape[0] + G.shape[0] - 1}
-    )
-    H = minkowski_infconv_convex(F, G, rows=rows_needed)
-    q1_vals = np.full((n0, n1), np.inf)
-    for i in range(n0):
-        K0 = 2 * i - off0
-        if not 0 <= K0 < H.shape[0]:
-            continue
-        js = np.arange(n1)
-        K1 = 2 * js - off1
-        ok = (K1 >= 0) & (K1 < H.shape[1])
-        q1_vals[i, ok] = H[K0, K1[ok]] / 2.0
+    # output node i reads the lattice index 2i minus the two boxes' offsets
+    K0 = 2 * np.arange(grid.shape[0]) - pb[0] - qb[0]
+    K1 = 2 * np.arange(grid.shape[1]) - pb[2] - qb[2]
+    ok0 = (K0 >= 0) & (K0 < F.shape[0] + G.shape[0] - 1)
+    ok1 = (K1 >= 0) & (K1 < F.shape[1] + G.shape[1] - 1)
+    H = minkowski_infconv_convex(F, G, rows=K0[ok0])
+    q1_vals = np.full(grid.shape, np.inf)
+    q1_vals[np.ix_(ok0, ok1)] = H[np.ix_(K0[ok0], K1[ok1])] / 2.0
 
     n_next = pair.n + 1
     new = NormPair(GridFn(grid, p1_vals), GridFn(grid, q1_vals), n_next, pair.C, pair.swapped)

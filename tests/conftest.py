@@ -44,6 +44,28 @@ def brute_infconv_1d(f: GridFn, g: GridFn) -> np.ndarray:
     return out
 
 
+def brute_infconv(f: GridFn, g: GridFn) -> tuple[np.ndarray, np.ndarray]:
+    """min_y f(y) + g(x - y) over displacement nodes in 1-D or 2-D, python
+    loop; also the smallest flat index y attaining it, -1 where +inf."""
+    shape = f.grid.shape
+    zero = [f.grid.zero_index(ax) for ax in range(f.grid.dim)]
+    fv = f.values.ravel().tolist()
+    nodes = list(np.ndindex(*shape))
+    out = np.empty(len(nodes))
+    arg = np.empty(len(nodes), dtype=np.int64)
+    for kx, k in enumerate(nodes):
+        best, where = math.inf, -1
+        for jy, j in enumerate(nodes):
+            i = [kk - jj + i0 for kk, jj, i0 in zip(k, j, zero)]
+            if all(0 <= ii < n for ii, n in zip(i, shape)):
+                v = fv[jy] + float(g.values[tuple(i)])
+                if v < best:
+                    best, where = v, jy
+        out[kx] = best
+        arg[kx] = where if math.isfinite(best) else -1
+    return out.reshape(shape), arg.reshape(shape)
+
+
 def brute_envelope_1d(f: GridFn, lam: float) -> np.ndarray:
     """Per-node brute-force inf of f(y) + (x-y)^2/(2 lam) over nodes."""
     xs = f.grid.coords(0)

@@ -22,6 +22,7 @@ from convexdesk.monotone import OperatorGraph, fitzpatrick, surjectivity_probe, 
 from convexdesk.moreau import moreau_decomposition_residual, moreau_envelope, prox
 from convexdesk.renorm import asplund_step, init_pair, measured_ratio
 from convexdesk.special import (
+    _coupon_derivatives,
     ball_volume,
     beta_direct,
     coupon_convexity_probe,
@@ -394,6 +395,22 @@ def test_criterion_16_coupon_forms_and_probe():
         f"perm=ie exact (300 pts); integral dev {worst_int:.1e}; "
         f"min eig {min_eig:.1e}, max 1/p eig {max_inv:.1e}",
     )
+
+
+def test_criterion_16_inverse_coupon_is_strictly_concave_across_rays():
+    """1/p_N is homogeneous of degree 1, so x is a null vector of its
+    Hessian and the top eigenvalue is 0 up to rounding.  Across rays, on
+    x-perp, the top eigenvalue must be negative by more than rounding."""
+    eps = np.finfo(float).eps
+    for n in (2, 3, 4, 5):
+        X = 10.0 ** np.random.default_rng(42).uniform(-1, 1, size=(1000, n))
+        H = _coupon_derivatives(X)[2][1]
+        # Q of [x, e_1, ..., e_(n-1)]: its columns 1.. are a basis of x-perp
+        E = np.broadcast_to(np.eye(n)[:, : n - 1], (len(X), n, n - 1))
+        B = np.linalg.qr(np.concatenate([X[:, :, None], E], axis=2))[0][:, :, 1:]
+        top = np.linalg.eigvalsh(np.swapaxes(B, 1, 2) @ H @ B)[:, -1]
+        norm = np.abs(np.linalg.eigvalsh(H)).max(axis=1)
+        assert np.all(top < -1e3 * eps * norm), n
 
 
 def test_criterion_17_weak_duality():

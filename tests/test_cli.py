@@ -263,6 +263,17 @@ GRID4 = {"schema": 1, "dim": 1, "axes": [{"lo": -1.0, "hi": 1.0, "n": 4}]}
         ({**GRID3, "axes": [{"lo": -1.0, "hi": 1.0, "n": 1e400}], "values": [0.0] * 3}, 2,
          "malformed grid function (OverflowError"),
         ([0.0, 1.0], 1, "unsupported schema None"),
+        ({**GRID3, "values": [0.0, True, 1.0]}, 2, "value at index [1] is true, not a number"),
+        ({**GRID3, "values": ["+inf", "1e3", 1.0]}, 2, 'value at index [1] is "1e3", not a number'),
+        ({**GRID3, "values": ["+inf", "-inf", "inf"]}, 2, 'value at index [2] is "inf", not a number'),
+        ({**GRID3, "axes": [{"lo": "-1", "hi": 1.0, "n": 3}], "values": [0.0] * 3}, 2,
+         'axis lo/hi at index [0, 0] is "-1", not a number'),
+        ({**GRID3, "axes": [{"lo": -1.0, "hi": True, "n": 3}], "values": [0.0] * 3}, 2,
+         "axis lo/hi at index [0, 1] is true, not a number"),
+        ({**GRID3, "axes": [{"lo": -1.0, "hi": 1.0, "n": "3"}], "values": [0.0] * 3}, 2,
+         'node counts n must be integers: [{"lo": -1.0, "hi": 1.0, "n": "3"}]'),
+        ({**GRID3, "axes": [{"lo": -1.0, "hi": 1.0, "n": 3.0}], "values": [0.0] * 3}, 2,
+         'node counts n must be integers: [{"lo": -1.0, "hi": 1.0, "n": 3.0}]'),
     ],
 )
 @pytest.mark.parametrize("opt", ["--in", "--in2"])
@@ -291,6 +302,8 @@ def test_malformed_grid_function_file_is_refused(doc, rc, message, opt, tmp_path
         ([[[0.0], [0.0], [1.0]]], "got shape (1, 3, 1)"),
         ([], "got shape (0,)"),
         ("abc", "could not convert string to float"),
+        ([[[0.0], [0.0]], [[1.0], [False]]], "coordinate at index [1, 1, 0] is false, not a number"),
+        ([[[0.0], ["2"]], [[1.0], [1.0]]], 'coordinate at index [0, 1, 0] is "2", not a number'),
     ],
 )
 def test_malformed_graph_file_is_refused(pairs, message, tmp_path, capsys):

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_conjugate_1d, brute_infconv_1d, random_convex_gridfn
+from conftest import brute_conjugate_1d, brute_infconv, brute_infconv_1d, random_convex_gridfn
+from convexdesk import fenchel
 from convexdesk.atoms import FnAtom, sample
 from convexdesk.errors import GridMismatchError, ImproperFunctionError, ParameterError
 from convexdesk.fenchel import (
@@ -417,6 +419,60 @@ def test_infconv_matches_brute_force(rng):
     h = GridFn(g, rng.normal(size=41))
     res = inf_convolution(f, h)
     assert np.array_equal(res.out.values, brute_infconv_1d(f, h))
+
+
+@st.composite
+def _infconv_inputs(draw):
+    """f and g on a 1-D or 2-D grid whose zero node may sit anywhere, with
+    one-decimal values (so sums tie exactly), -0.0 and +inf patches."""
+    dim = draw(st.integers(1, 2))
+    axes = []
+    for _ in range(dim):
+        n = draw(st.integers(2, 24 if dim == 1 else 7))
+        i0 = draw(st.integers(0, n - 1))
+        axes.append((-0.5 * i0, 0.5 * (n - 1 - i0), n))
+    grid = Grid(tuple(axes))
+    value = st.one_of(st.integers(-9, 9).map(lambda k: k / 10), st.sampled_from([-0.0, math.inf]))
+    fns = []
+    for _ in range(2):
+        v = np.array(draw(st.lists(value, min_size=grid.node_count, max_size=grid.node_count)))
+        v = v.reshape(grid.shape)
+        lo = [draw(st.integers(0, n)) for n in grid.shape]
+        hi = [draw(st.integers(a, n)) for a, n in zip(lo, grid.shape)]
+        v[tuple(map(slice, lo, hi))] = math.inf
+        if not np.isfinite(v).any():
+            v.flat[draw(st.integers(0, grid.node_count - 1))] = -0.0
+        fns.append(GridFn(grid, v))
+    return fns
+
+
+@settings(max_examples=200, deadline=None)
+@given(_infconv_inputs(), st.sampled_from([1, 7, 50, fenchel._TILE_ELEMS]))
+def test_infconv_values_signs_and_argmin_match_the_oracle(fg, tile_elems):
+    f, g = fg
+    with pytest.MonkeyPatch.context() as mp:  # small tiles: many per grid
+        mp.setattr(fenchel, "_TILE_ELEMS", tile_elems)
+        res = inf_convolution(f, g)
+    vals, arg = brute_infconv(f, g)
+    assert np.array_equal(res.out.values, vals)
+    assert np.array_equal(np.signbit(res.out.values), np.signbit(vals))
+    assert res.argmin.dtype == np.int64
+    assert np.array_equal(res.argmin, arg)
+
+
+@pytest.mark.parametrize("shape", [(20001,), (121, 121)])
+def test_infconv_memory_is_bounded_by_tile_and_nodes(shape):
+    g = Grid(tuple((-1.0, 1.0, n) for n in shape))
+    rng = np.random.default_rng(5)
+    f, h = GridFn(g, rng.normal(size=shape)), GridFn(g, rng.normal(size=shape))
+    tracemalloc.start()
+    try:
+        inf_convolution(f, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # all (x, y) sums at once would be 2.4 GB in 1-D and 1.0 GB at 121²
+    assert peak < 8e6
 
 
 def test_infconv_of_convex_is_convex(rng):
