@@ -45,26 +45,6 @@ from .special import (
     gamma_limit,
 )
 
-SUBCOMMANDS = (
-    "conjugate", "biconjugate", "infconv", "envelope", "prox", "project",
-    "fitzpatrick", "resolvent", "renorm", "coupon", "volume", "gamma", "duality",
-)
-
-# options a job cannot run without, by destination name; a tuple lists
-# alternatives, any one of which will do.  --selftest needs none of them.
-REQUIRED = {
-    "infconv": (("atom2", "infile2"),),
-    "prox": ("x",),
-    "project": ("box", "x"),
-    "fitzpatrick": ("graph", "x", "xstar"),
-    "resolvent": ("z",),
-    "coupon": ("x",),
-    "volume": ("dim", "p"),
-    "gamma": ("x", "n"),
-    "duality": ("f_atom", "g_atom", "grid"),
-}
-
-
 @dataclass(frozen=True)
 class JobSpec:
     subcommand: str
@@ -181,7 +161,7 @@ def parse_args(argv: list[str]) -> JobSpec:
     opts = vars(ns)
     sub = opts.pop("subcommand")
     if not opts.get("selftest"):
-        for need in REQUIRED.get(sub, ()):
+        for need in JOBS[sub][1]:
             alts = need if isinstance(need, tuple) else (need,)
             if all(opts.get(d) is None for d in alts):
                 raise ValueError(f"{sub} needs {' or '.join(map(_flag, alts))}")
@@ -211,28 +191,33 @@ def _emit(doc: dict, out: Optional[str]) -> None:
         print(json.dumps(fileio._jsonable(doc), sort_keys=True))
 
 
-def _run_conjugate(opts: dict, once: bool) -> None:
+def _fn_and_dual(opts: dict) -> tuple[GridFn, Grid]:
     f = _load_fn(opts)
-    dual = parse_grid_spec(opts["dual"]) if opts.get("dual") else default_dual_grid(f)
-    if once:
-        res = conjugate(f, dual)
-        out = opts.get("out")
-        if out and out.endswith(".json"):
-            fileio.write_json_report(
-                {
-                    "dim": dual.dim,
-                    "axes": [{"lo": lo, "hi": hi, "n": n} for lo, hi, n in dual.axes],
-                    "values": res.dual.values.ravel(),
-                    "argmax": res.argmax.ravel(),
-                },
-                out,
-            )
-        elif out:
-            fileio.write_gridfn_csv(res.dual, out)
-        else:
-            _emit({"values": res.dual.values, "argmax": res.argmax}, None)
+    return f, parse_grid_spec(opts["dual"]) if opts.get("dual") else default_dual_grid(f)
+
+
+def _run_conjugate(opts: dict) -> None:
+    f, dual = _fn_and_dual(opts)
+    res = conjugate(f, dual)
+    out = opts.get("out")
+    if out and out.endswith(".json"):
+        fileio.write_json_report(
+            {
+                "dim": dual.dim,
+                "axes": [{"lo": lo, "hi": hi, "n": n} for lo, hi, n in dual.axes],
+                "values": res.dual.values.ravel(),
+                "argmax": res.argmax.ravel(),
+            },
+            out,
+        )
+    elif out:
+        fileio.write_gridfn_csv(res.dual, out)
     else:
-        _write_fn(biconjugate(f, dual), opts.get("out"))
+        _emit({"values": res.dual.values, "argmax": res.argmax}, None)
+
+
+def _run_biconjugate(opts: dict) -> None:
+    _write_fn(biconjugate(*_fn_and_dual(opts)), opts.get("out"))
 
 
 def _run_infconv(opts: dict) -> None:
@@ -370,6 +355,27 @@ def _run_duality(opts: dict) -> None:
     )
 
 
+# subcommand -> (its runner, the options a job cannot run without, by
+# destination name; a tuple lists alternatives, any one of which will do).
+# --selftest needs none of them.
+JOBS: dict[str, tuple[Callable[[dict], None], tuple]] = {
+    "conjugate": (_run_conjugate, ()),
+    "biconjugate": (_run_biconjugate, ()),
+    "infconv": (_run_infconv, (("atom2", "infile2"),)),
+    "envelope": (_run_envelope, ()),
+    "prox": (_run_prox, ("x",)),
+    "project": (_run_project, ("box", "x")),
+    "fitzpatrick": (_run_fitzpatrick, ("graph", "x", "xstar")),
+    "resolvent": (_run_resolvent, ("z",)),
+    "renorm": (_run_renorm, ()),
+    "coupon": (_run_coupon, ("x",)),
+    "volume": (_run_volume, ("dim", "p")),
+    "gamma": (_run_gamma, ("x", "n")),
+    "duality": (_run_duality, ("f_atom", "g_atom", "grid")),
+}
+SUBCOMMANDS = tuple(JOBS)
+
+
 def run(job: JobSpec) -> int:
     """Execute a job; returns the exit code (0 ok, 1 computation error)."""
     opts = job.options
@@ -377,22 +383,7 @@ def run(job: JobSpec) -> int:
         npass, nfail = _selftest(job.subcommand)
         print(f"{job.subcommand} selftest: {npass} passed, {nfail} failed")
         return 0 if nfail == 0 else 1
-    dispatch: dict[str, Callable[[], None]] = {
-        "conjugate": lambda: _run_conjugate(opts, True),
-        "biconjugate": lambda: _run_conjugate(opts, False),
-        "infconv": lambda: _run_infconv(opts),
-        "envelope": lambda: _run_envelope(opts),
-        "prox": lambda: _run_prox(opts),
-        "project": lambda: _run_project(opts),
-        "fitzpatrick": lambda: _run_fitzpatrick(opts),
-        "resolvent": lambda: _run_resolvent(opts),
-        "renorm": lambda: _run_renorm(opts),
-        "coupon": lambda: _run_coupon(opts),
-        "volume": lambda: _run_volume(opts),
-        "gamma": lambda: _run_gamma(opts),
-        "duality": lambda: _run_duality(opts),
-    }
-    dispatch[job.subcommand]()
+    JOBS[job.subcommand][0](opts)
     return 0
 
 

@@ -192,10 +192,11 @@ def _conjugate_block(xs: np.ndarray, F: np.ndarray, ys: np.ndarray):
         w = np.repeat(np.arange(first.size), size[c])
         j = a[c][w] + np.arange(w.size) - first[w]
         v = ys[wk[c][w]] * xs[j] - F[wl[c][w], j]
-        best = np.maximum.reduceat(v, first)
-        hit = np.flatnonzero(v == best[w])
-        vals[wl[c], wk[c]] = best
-        arg[wl[c], wk[c]] = j[hit[np.searchsorted(w[hit], np.arange(first.size))]]
+        hit = np.flatnonzero(v == np.maximum.reduceat(v, first)[w])
+        # the first maximum, with its own sign of zero as in the oracle
+        k = hit[np.searchsorted(w[hit], np.arange(first.size))]
+        vals[wl[c], wk[c]] = v[k]
+        arg[wl[c], wk[c]] = j[k]
         c0 = c.stop
     arg[nh == 0] = -1
     return vals, arg
@@ -220,6 +221,18 @@ def _conjugate_lines(xs: np.ndarray, F: np.ndarray, ys: np.ndarray):
     return vals, arg
 
 
+def _kernel_overflows(f: GridFn, dual_grid: Grid) -> bool:
+    """Whether the bound in conjugate's docstring fails on some axis."""
+    v = f.values
+    m = float(np.max(np.abs(v), where=np.isfinite(v), initial=0.0))
+    for (lo, hi, _), (ylo, yhi, _) in zip(f.grid.axes, dual_grid.axes):
+        m += max(abs(lo), abs(hi)) * max(abs(ylo), abs(yhi))  # Python floats: inf, no warning
+    return any(
+        not 8.0 * max(m, 1.0) * max(hi - lo, 1.0 / h) <= np.finfo(float).max
+        for (lo, hi, _), h in zip(f.grid.axes, f.grid.spacing)
+    )
+
+
 def conjugate(f: GridFn, dual_grid: Grid) -> ConjugateResult:
     """Fenchel conjugate of a proper GridFn on a dual grid.
 
@@ -227,10 +240,20 @@ def conjugate(f: GridFn, dual_grid: Grid) -> ConjugateResult:
     including smallest-index tie-breaking.  In 2-D the values agree
     exactly too; the argmax attains the value but breaks ties row first,
     so on rounding ties it can name another node than the oracle's.
+
+    Near the float limit the kernel's cross products and slope quotients
+    could overflow.  With M the largest finite |f| plus the sum over axes
+    of max |x| max |y| (a bound on every value the kernel forms), it runs
+    only if 8 max(M, 1) max(S, 1/h) is at most the largest float on every
+    axis of f's grid (span S, spacing h).  Otherwise the result is
+    conjugate_oracle's, which refuses more than MAX_DIRECT_PAIRS node
+    pairs with ParameterError before any work.
     """
     require_proper(f, "conjugate input")
     if dual_grid.dim != f.grid.dim:
         raise GridMismatchError("dual grid dimension must match the function's")
+    if _kernel_overflows(f, dual_grid):
+        return conjugate_oracle(f, dual_grid)
     if f.grid.dim == 1:
         vals, arg = _conjugate_lines(f.grid.coords(0), f.values[None, :], dual_grid.coords(0))
         return ConjugateResult(GridFn(dual_grid, vals[0]), arg[0])
@@ -422,9 +445,10 @@ def minkowski_infconv_convex(fvals: np.ndarray, gvals: np.ndarray, rows=None) ->
     """Min-plus (Minkowski) convolution of finite convex arrays on the
     index-sum lattice: H[K] = min_{j+i=K} f[j] + g[i].
 
-    1-D: exact by the sorted-increments merge (classic exchange argument
-    for convex sequences).  2-D: per output row, slope-merge the row pairs
-    and take the min over row splits; when rows of the inputs are convex
+    Per output row, slope-merge the row pairs (the sorted-increments
+    merge, exact for convex sequences by the classic exchange argument) and
+    take the min over row splits.  A 1-D input is a stack of one row, so
+    the merge is exact; in 2-D, when rows of the inputs are convex
     sequences this equals the direct lattice minimum up to the rows' hull
     gap.  `rows` restricts which output rows are computed (others +inf).
     """
@@ -432,15 +456,10 @@ def minkowski_infconv_convex(fvals: np.ndarray, gvals: np.ndarray, rows=None) ->
     G = np.asarray(gvals, dtype=float)
     if not (np.isfinite(F).all() and np.isfinite(G).all()):
         raise ImproperFunctionError("minkowski fast path requires finite arrays")
-    if F.ndim == 1:
-        base = F[0] + G[0]
-        merged = np.sort(np.concatenate([np.diff(F), np.diff(G)]))
-        out = np.empty(F.size + G.size - 1)
-        out[0] = base
-        out[1:] = base + np.cumsum(merged)
-        return out
+    shape = tuple(a + b - 1 for a, b in zip(F.shape, G.shape))
+    F, G = F.reshape(-1, F.shape[-1]), G.reshape(-1, G.shape[-1])
     rows = range(F.shape[0] + G.shape[0] - 1) if rows is None else rows
-    return _row_minkowski(F, G, rows)
+    return _row_minkowski(F, G, rows).reshape(shape)
 
 
 def infconv_dual_check(f: GridFn, g: GridFn, dual_grid: Grid) -> float:
@@ -583,11 +602,8 @@ def coercivity_check(f: GridFn, levels: int = 9) -> CoercivityReport:
     xmin = np.asarray(_node_coords(f.grid, argmin_idx))
 
     mask = np.zeros(v.shape, dtype=bool)
-    if f.grid.dim == 1:
-        mask[[0, -1]] = True
-    else:
-        mask[0, :] = mask[-1, :] = True
-        mask[:, 0] = mask[:, -1] = True
+    for ax in range(v.ndim):  # the first and last node of every axis
+        mask[(slice(None),) * ax + ([0, -1],)] = True
     nodes = f.grid.nodes()
     bvals = v[mask]
     bpts = nodes.reshape(v.shape + (f.grid.dim,))[mask]

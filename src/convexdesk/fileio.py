@@ -127,13 +127,8 @@ def read_gridfn_json(path: str) -> GridFn:
 
 
 def write_gridfn_csv(f: GridFn, path: str) -> None:
-    if f.grid.dim == 1:
-        head, cols = "x,value", [f.grid.coords(0)]
-    else:
-        n0, n1 = f.grid.shape
-        head = "x,y,value"
-        cols = [np.repeat(f.grid.coords(0), n1), np.tile(f.grid.coords(1), n0)]
-    cols.append(f.values.ravel())
+    head = ",".join(("x", "y")[: f.grid.dim] + ("value",))
+    cols = [*f.grid.nodes().T, f.values.ravel()]
     row = ",".join(["{:.9g}"] * len(cols)).format  # prints inf, -inf and nan as such
     lines = [head, *map(row, *(c.tolist() for c in cols))]
     _atomic_write(path, "\n".join(lines) + "\n")

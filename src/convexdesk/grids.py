@@ -8,6 +8,10 @@ All types are immutable after construction; operations are pure.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -40,11 +44,18 @@ class Grid:
         if len(axes) not in (1, 2):
             raise ParameterError(f"grid dimension must be 1 or 2, got {len(axes)}")
         total = 1
-        for lo, hi, n in axes:
+        for k, (lo, hi, n) in enumerate(axes):
             if n < 2:
                 raise ParameterError(f"axis needs at least 2 points, got {n}")
+            for name, bound in (("lo", lo), ("hi", hi)):
+                if not math.isfinite(bound):
+                    raise ParameterError(f"axis {k} needs finite bounds, got {name} = {bound}")
             if not hi > lo:
                 raise ParameterError(f"axis needs hi > lo, got [{lo}, {hi}]")
+            if not math.isfinite(hi - lo):
+                raise ParameterError(
+                    f"axis {k} spacing overflows: hi - lo of [{lo}, {hi}] exceeds the largest float"
+                )
             total *= n
         if total > MAX_NODES:
             raise ParameterError(f"grid has {total} nodes, cap is {MAX_NODES}")
@@ -79,10 +90,10 @@ class Grid:
 
     def nodes(self) -> np.ndarray:
         """All node coordinates, shape (node_count, dim), row-major order."""
-        if self.dim == 1:
-            return self.coords(0)[:, None]
-        x0, x1 = np.meshgrid(self.coords(0), self.coords(1), indexing="ij")
-        return np.column_stack([x0.ravel(), x1.ravel()])
+        out = np.empty(self.shape + (self.dim,))
+        for ax in range(self.dim):  # axis ax's coordinates, broadcast along the later axes
+            out[..., ax] = self.coords(ax).reshape((-1,) + (1,) * (self.dim - 1 - ax))
+        return out.reshape(-1, self.dim)
 
     def contains(self, point: Sequence[float]) -> bool:
         p = np.atleast_1d(np.asarray(point, dtype=float))
@@ -92,16 +103,15 @@ class Grid:
 
     def nearest_index(self, point: Sequence[float]) -> tuple[int, ...]:
         p = np.atleast_1d(np.asarray(point, dtype=float))
-        idx = []
-        for v, (lo, hi, n) in zip(p, self.axes):
-            h = (hi - lo) / (n - 1)
-            idx.append(int(np.clip(round((v - lo) / h), 0, n - 1)))
-        return tuple(idx)
+        return tuple(
+            int(np.clip(round((v - lo) / h), 0, n - 1))
+            for v, (lo, _, n), h in zip(p, self.axes, self.spacing)
+        )
 
     def zero_index(self, axis: int = 0) -> int:
         """Index of the node at 0 on an axis; the grid must contain one."""
-        lo, hi, n = self.axes[axis]
-        h = (hi - lo) / (n - 1)
+        lo, _, n = self.axes[axis]
+        h = self.spacing[axis]
         i = int(round(-lo / h))
         if not (0 <= i < n) or abs(lo + i * h) > 1e-9 * max(1.0, abs(lo), h):
             raise GridMismatchError("grid axis does not contain 0 as a node")
@@ -290,44 +300,30 @@ def interp_gridfn(f: GridFn, points: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != f.grid.dim:
         raise GridMismatchError("points dimension does not match grid")
-    out = np.full(pts.shape[0], np.inf)
     v = f.values
-    idx = []
-    frac = []
     inside = np.ones(pts.shape[0], dtype=bool)
-    for ax, (lo, hi, n) in enumerate(f.grid.axes):
-        h = (hi - lo) / (n - 1)
-        x = pts[:, ax]
+    cell = []  # per axis: the two corner indices and their weights
+    for (lo, hi, n), h, x in zip(f.grid.axes, f.grid.spacing, pts.T):
         inside &= (x >= lo - 1e-12 * max(1.0, abs(lo))) & (x <= hi + 1e-12 * max(1.0, abs(hi)))
         t = np.clip((x - lo) / h, 0.0, n - 1)
         i = np.minimum(t.astype(int), n - 2)
-        idx.append(i)
-        frac.append(t - i)
+        w = t - i
+        cell.append(((i, i + 1), (1 - w, w)))
     with np.errstate(invalid="ignore", over="ignore"):
-        if f.grid.dim == 1:
-            i = idx[0]
-            w = frac[0]
-            vals = (1 - w) * v[i] + w * v[i + 1]
-            corner_inf = np.isinf(v[i]) | np.isinf(v[i + 1])
-            # exact node hits next to an infinite neighbour are still finite
-            on_node = w == 0.0
-            vals = np.where(corner_inf & on_node, v[i], vals)
-            vals = np.where(corner_inf & ~on_node, np.inf, vals)
-        else:
-            i0, i1 = idx
-            w0, w1 = frac
-            c00, c01 = v[i0, i1], v[i0, i1 + 1]
-            c10, c11 = v[i0 + 1, i1], v[i0 + 1, i1 + 1]
-            vals = (
-                (1 - w0) * (1 - w1) * c00
-                + (1 - w0) * w1 * c01
-                + w0 * (1 - w1) * c10
-                + w0 * w1 * c11
-            )
-            corner_inf = np.isinf(c00) | np.isinf(c01) | np.isinf(c10) | np.isinf(c11)
-            on_node = (w0 == 0.0) & (w1 == 0.0)
-            vals = np.where(corner_inf & on_node, v[i0, i1], vals)
-            vals = np.where(corner_inf & ~on_node, np.inf, vals)
+        # the 2^dim corners in row-major order; the terms are summed from the
+        # first one, since a start of 0.0 would turn a -0.0 sum into 0.0
+        corners, vals = [], None
+        for bits in itertools.product((0, 1), repeat=len(cell)):
+            c = v[tuple(ix[b] for (ix, _), b in zip(cell, bits))]
+            term = functools.reduce(operator.mul, (ws[b] for (_, ws), b in zip(cell, bits))) * c
+            vals = term if vals is None else vals + term
+            corners.append(c)
+        corner_inf = functools.reduce(operator.or_, map(np.isinf, corners))
+        # exact node hits next to an infinite neighbour are still finite
+        on_node = functools.reduce(operator.and_, (ws[1] == 0.0 for _, ws in cell))
+        vals = np.where(corner_inf & on_node, corners[0], vals)
+        vals = np.where(corner_inf & ~on_node, np.inf, vals)
         vals = np.where(np.isnan(vals), np.inf, vals)
+    out = np.full(pts.shape[0], np.inf)
     out[inside] = vals[inside]
     return out

@@ -196,12 +196,10 @@ def surjectivity_probe(
         res = resolvent(f, 1.0, z, check_convexity=False)
         residuals.append(res.certificate_eps)
         x = np.asarray(res.x)
-        on_edge = False
-        for ax, (lo, hi, n) in enumerate(f.grid.axes):
-            h = (hi - lo) / (n - 1)
-            if x[ax] <= lo + 0.5 * h or x[ax] >= hi - 0.5 * h:
-                on_edge = True
-        flags.append(on_edge)
+        flags.append(any(
+            xa <= lo + 0.5 * h or xa >= hi - 0.5 * h
+            for xa, (lo, hi, _), h in zip(x, f.grid.axes, f.grid.spacing)
+        ))
     ok = all(r <= eps_tol and not fl for r, fl in zip(residuals, flags))
     return SurjectivityReport(
         tuple(tuple(t) for t in tg),

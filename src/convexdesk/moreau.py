@@ -158,8 +158,7 @@ def moreau_decomposition_residual(
     a = np.asarray(prox(f, 1.0, xv, check_convexity=check_convexity).point)
     fstar = conjugate(f, dual_grid).dual
     b = np.asarray(prox(fstar, 1.0, xv, check_convexity=False).point)
-    for ax, (lo, hi, n) in enumerate(dual_grid.axes):
-        h = (hi - lo) / (n - 1)
+    for ax, ((lo, hi, _), h) in enumerate(zip(dual_grid.axes, dual_grid.spacing)):
         if b[ax] <= lo + 0.5 * h or b[ax] >= hi - 0.5 * h:
             raise WidenGridError(
                 f"prox of f* landed on the dual grid boundary at axis {ax}; widen the dual grid"

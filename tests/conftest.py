@@ -4,6 +4,7 @@ The oracles here are deliberately plain loops, independent of the library
 code paths they check.
 """
 
+import itertools
 import json
 import math
 
@@ -64,6 +65,66 @@ def brute_infconv(f: GridFn, g: GridFn) -> tuple[np.ndarray, np.ndarray]:
         out[kx] = best
         arg[kx] = where if math.isfinite(best) else -1
     return out.reshape(shape), arg.reshape(shape)
+
+
+def brute_interp(f: GridFn, points) -> np.ndarray:
+    """Multilinear interpolation point by point, python loop: +inf outside
+    the box (1e-12 relative slack at each end), the node value on an exact
+    node hit, +inf off-node next to an infinite corner (or where the sum
+    is NaN), else the 2^dim corner terms summed in row-major corner order,
+    each weight a product of per-axis factors taken in axis order."""
+    out = []
+    for p in np.atleast_2d(np.asarray(points, dtype=float)).tolist():
+        cell, inside = [], True
+        for x, (lo, hi, n) in zip(p, f.grid.axes):
+            inside = inside and lo - 1e-12 * max(1.0, abs(lo)) <= x <= hi + 1e-12 * max(1.0, abs(hi))
+            t = min(max((x - lo) / ((hi - lo) / (n - 1)), 0.0), n - 1)
+            i = min(int(t), n - 2)
+            cell.append((i, t - i))
+        if not inside:
+            out.append(math.inf)
+            continue
+        total, corner_inf = None, False
+        for bits in itertools.product((0, 1), repeat=len(cell)):
+            c = float(f.values[tuple(i + b for (i, _), b in zip(cell, bits))])
+            corner_inf = corner_inf or math.isinf(c)
+            weight = 1.0
+            for (_, w), b in zip(cell, bits):
+                weight *= w if b else 1 - w
+            total = weight * c if total is None else total + weight * c
+        if corner_inf:
+            on_node = all(w == 0.0 for _, w in cell)
+            total = float(f.values[tuple(i for i, _ in cell)]) if on_node else math.inf
+        out.append(math.inf if math.isnan(total) else total)
+    return np.asarray(out, dtype=float)
+
+
+def brute_coercivity(f: GridFn, levels: int = 9):
+    """coercivity_check by a scan over every node, python loop: a node is on
+    the boundary when some index is first or last on its axis.  Returns
+    (growth slope, level scan, coercive)."""
+    v = f.values
+    shape = v.shape
+    nodes = list(np.ndindex(*shape))
+    finite = [float(v[k]) for k in nodes if math.isfinite(v[k])]
+    fmin, fmax = min(finite), max(finite)
+    kmin = next(k for k in nodes if v[k] == fmin)
+    coords = [f.grid.coords(ax) for ax in range(len(shape))]
+    xmin = [float(c[i]) for c, i in zip(coords, kmin)]
+    slope, bmin = math.inf, math.inf
+    for k in nodes:
+        if not any(i in (0, n - 1) for i, n in zip(k, shape)):
+            continue
+        b = float(v[k])
+        bmin = min(bmin, b)
+        if not math.isfinite(b):
+            continue
+        d = [float(c[i]) - x for c, i, x in zip(coords, k, xmin)]
+        dist = math.sqrt(sum(e * e for e in d))
+        slope = min(slope, (b - fmin) / max(dist, 1e-300) if dist > 0 else 0.0)
+    cs = np.linspace(fmin + 1e-12 * max(1.0, abs(fmin)), fmax, levels)
+    scan = tuple((float(c), bool(c < bmin)) for c in cs)
+    return slope, scan, slope > 0 and bmin > fmin
 
 
 def brute_envelope_1d(f: GridFn, lam: float) -> np.ndarray:

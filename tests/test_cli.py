@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,56 @@ def test_computation_error_exit_code(tmp_path):
     write_gridfn_json(GridFn(g, [np.inf] * 5), p)
     rc = main(["conjugate", "--in", p, "--dual", "-1:1:5", "--out", str(tmp_path / "o.csv")])
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("1:-1:3", "axis needs hi > lo, got [1.0, -1.0]"),
+        ("-inf:1:3", "axis 0 needs finite bounds, got lo = -inf"),
+        ("-1:inf:3x-1:1:3", "axis 0 needs finite bounds, got hi = inf"),
+        ("-1e308:1e308:3", "axis 0 spacing overflows: hi - lo of [-1e+308, 1e+308]"),
+        ("-1:1:3x-1e308:1e308:3", "axis 1 spacing overflows"),
+    ],
+)
+def test_bad_grid_bounds_are_computation_errors(grid, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before numpy warns
+        assert main(["conjugate", "--atom", "abs", f"--grid={grid}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("opt", ["--in", "--in2"])
+def test_grid_function_file_with_an_infinite_bound_is_a_computation_error(opt, tmp_path, capsys):
+    bad, good = str(tmp_path / "bad.json"), str(tmp_path / "good.json")
+    with open(bad, "w") as fh:
+        json.dump({**GRID3, "axes": [{"lo": "-inf", "hi": 1.0, "n": 3}], "values": [0.0] * 3}, fh)
+    write_gridfn_json(GridFn(Grid.line(-1, 1, 3), [1.0, 0.0, 1.0]), good)
+    argv = ["conjugate", "--in", bad] if opt == "--in" else ["infconv", "--in", good, "--in2", bad]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    assert capsys.readouterr().err == "error: axis 0 needs finite bounds, got lo = -inf\n"
+
+
+def test_subcommand_table_matches_the_parser_and_runs_both_conjugates(tmp_path):
+    from convexdesk import cli
+    from convexdesk.atoms import FnAtom, sample
+    from convexdesk.fenchel import biconjugate, conjugate
+
+    choices = cli._build_parser()._subparsers._group_actions[0].choices
+    assert SUBCOMMANDS == tuple(cli.JOBS) and set(SUBCOMMANDS) == set(choices)
+    f = sample(FnAtom("abs"), Grid.line(-2, 2, 41))
+    dual = Grid.line(-1.5, 1.5, 31)
+    once, twice = str(tmp_path / "c.json"), str(tmp_path / "b.json")
+    fn = ["--atom", "abs", "--grid", "-2:2:41", "--dual", "-1.5:1.5:31"]
+    assert main(["conjugate", *fn, "--out", once]) == 0
+    assert main(["biconjugate", *fn, "--out", twice]) == 0
+    res = conjugate(f, dual)
+    doc = json.load(open(once))
+    assert doc["values"] == res.dual.values.tolist() and doc["argmax"] == res.argmax.tolist()
+    assert read_gridfn_json(twice).values.tobytes() == biconjugate(f, dual).values.tobytes()
 
 
 def test_infconv_over_the_pair_cap_is_computation_error(capsys):

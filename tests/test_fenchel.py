@@ -1,12 +1,19 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_conjugate_1d, brute_infconv, brute_infconv_1d, random_convex_gridfn
+from conftest import (
+    brute_coercivity,
+    brute_conjugate_1d,
+    brute_infconv,
+    brute_infconv_1d,
+    random_convex_gridfn,
+)
 from convexdesk import fenchel
 from convexdesk.atoms import FnAtom, sample
 from convexdesk.errors import GridMismatchError, ImproperFunctionError, ParameterError
@@ -307,6 +314,58 @@ def test_oracle_memory_is_bounded_in_1d(rng):
     assert np.array_equal(res.dual.values, fast.dual.values)
     assert np.array_equal(res.argmax, fast.argmax)
     assert peak < 16 * 2**20
+
+
+NEAR_LIMIT = [1e308, -1e308, 1.7e308, -1.7e308, 5e307, 0.0, 1.0, -3.0, np.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    vals=st.lists(st.sampled_from(NEAR_LIMIT), min_size=3, max_size=11),
+    m=st.integers(2, 11),
+)
+@example(vals=[0.0, 1.0, np.inf, 0.0], m=11)  # the oracle's -0.0 at y = 0 comes from a window
+@example(vals=[np.inf, 0.0, -3.0], m=4)
+def test_conjugate_near_the_float_limit_is_the_oracle_or_refused(vals, m):
+    kernel_calls = []
+    kernel = fenchel._conjugate_lines
+    f = GridFn(Grid.line(-1, 1, len(vals)), vals)
+    dual = Grid.line(-3, 2, m)
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(fenchel, "_conjugate_lines", lambda *a: kernel_calls.append(1) or kernel(*a))
+        warnings.simplefilter("error")  # no overflow anywhere
+        if not f.is_proper:
+            with pytest.raises(ImproperFunctionError):
+                conjugate(f, dual)
+            assert not kernel_calls  # refused before any work
+            return
+        got, want = conjugate(f, dual), conjugate_oracle(f, dual)
+    assert got.dual.values.tobytes() == want.dual.values.tobytes()
+    assert got.argmax.tobytes() == want.argmax.tobytes()
+    # 8 max(M, 1) max(S, 1/h) with S = 2 passes the largest float exactly
+    # when a value is at least 5e307: those take the oracle, the rest the kernel
+    huge = max(abs(v) for v in vals if math.isfinite(v)) >= 5e307
+    assert bool(kernel_calls) != huge
+
+
+def test_conjugate_slopes_beyond_the_largest_float_take_the_oracle():
+    # the cross products stay small; the slopes 1e295 / 5e-14 would overflow
+    f = GridFn(Grid.line(-1e-13, 1e-13, 5), [0.0, 1e295, 0.0, -1e295, 0.0])
+    dual = Grid.line(-3, 2, 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = conjugate(f, dual), conjugate_oracle(f, dual)
+    assert got.dual.values.tobytes() == want.dual.values.tobytes()
+    assert got.argmax.tobytes() == want.argmax.tobytes()
+
+
+def test_conjugate_near_the_float_limit_over_the_pair_cap_is_refused(monkeypatch):
+    monkeypatch.setattr(fenchel, "_conjugate_lines", None)  # any use of the kernel fails
+    vals = np.zeros(50001)
+    vals[7] = 1e308
+    f = GridFn(Grid.line(-1, 1, 50001), vals)
+    with pytest.raises(ParameterError, match="conjugate_oracle needs 2500100001 node pairs"):
+        conjugate(f, Grid.line(-3, 2, 50001))
 
 
 def test_conjugate_order_reversing(rng):
@@ -643,6 +702,26 @@ def test_coercivity_constant():
 def test_coercivity_exp_flat_left_tail():
     rep = coercivity_check(sample(FnAtom("exp"), Grid.line(-10, 10, 2001)))
     assert not rep.coercive  # exp(-t)/t -> 0: the left tail never climbs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.tuples(st.integers(2, 7), st.integers(2, 7)),
+    lo=st.tuples(st.sampled_from([-3.0, -1.0, 0.0, 0.5]), st.sampled_from([-2.0, -0.5, 1.0])),
+    data=st.data(),
+)
+def test_coercivity_2d_matches_a_brute_boundary_scan(shape, lo, data):
+    grid = Grid(tuple((a, a + 2.0, n) for a, n in zip(lo, shape)))
+    vals = data.draw(st.lists(
+        st.one_of(st.integers(-20, 20).map(lambda k: k / 4), st.just(np.inf)),
+        min_size=grid.node_count, max_size=grid.node_count,
+    ).filter(lambda v: any(map(math.isfinite, v))))
+    f = GridFn(grid, np.reshape(vals, shape))
+    rep = coercivity_check(f)
+    slope, scan, coercive = brute_coercivity(f)
+    assert np.float64(rep.growth_slope).tobytes() == np.float64(slope).tobytes()
+    assert rep.level_sets_bounded == scan
+    assert rep.coercive == coercive
 
 
 # ---- duality ----------------------------------------------------------------

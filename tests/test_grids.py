@@ -1,9 +1,12 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_convexity_check_2d
+from conftest import brute_convexity_check_2d, brute_interp
 from convexdesk.atoms import FnAtom, sample
 from convexdesk.errors import EmptyDomainError, ParameterError
 from convexdesk.fileio import read_gridfn_json, write_gridfn_csv, write_gridfn_json
@@ -309,3 +312,60 @@ def test_interp_exact_on_nodes_and_chord_between():
     assert out[0] == f.values[1]
     assert out[1] == pytest.approx((0.0625 + 0.25) / 2)
     assert out[2] == np.inf
+
+
+# ---- grid bounds and interpolation against the per-point oracle -------------
+
+
+@pytest.mark.parametrize(
+    "axes, message",
+    [
+        (((float("-inf"), 1.0, 3),), "axis 0 needs finite bounds, got lo = -inf"),
+        (((-1.0, float("inf"), 3),), "axis 0 needs finite bounds, got hi = inf"),
+        (((float("nan"), 1.0, 3),), "axis 0 needs finite bounds, got lo = nan"),
+        (((-1.0, 1.0, 3), (0.0, float("inf"), 3)), "axis 1 needs finite bounds, got hi = inf"),
+        (((-1e308, 1e308, 3),), "axis 0 spacing overflows: hi - lo of [-1e+308, 1e+308]"),
+        (((-1.0, 1.0, 3), (-1.7e308, 1e308, 5)), "axis 1 spacing overflows"),
+    ],
+)
+def test_grid_refuses_infinite_bounds_and_overflowing_spacing(axes, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before numpy warns
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            Grid(axes)
+    # the largest spans that still fit are grids
+    assert Grid.line(-8e307, 8e307, 3).spacing == (8e307,)
+
+
+@st.composite
+def interp_cases(draw):
+    axes = []
+    for _ in range(draw(st.integers(1, 2))):
+        lo = draw(st.sampled_from([-2.0, -1.0, 0.0, 0.3, 1e-3]))
+        axes.append((lo, lo + draw(st.sampled_from([0.5, 1.0, 3.0, 7.25])), draw(st.integers(2, 5))))
+    grid = Grid(tuple(axes))
+    vals = draw(st.lists(
+        st.one_of(st.integers(-30, 30).map(lambda k: k / 10), st.sampled_from([-0.0, np.inf, 1e308, -1e308])),
+        min_size=grid.node_count, max_size=grid.node_count,
+    ))
+    f = GridFn(grid, np.reshape(vals, grid.shape))
+    coord = []
+    for ax, (lo, hi, n) in enumerate(grid.axes):
+        slack = 1e-12 * max(1.0, abs(lo)), 1e-12 * max(1.0, abs(hi))
+        coord.append(st.one_of(
+            st.sampled_from(grid.coords(ax).tolist()),  # on-node hits, next to +inf corners too
+            st.floats(lo, hi),
+            st.sampled_from([lo - slack[0] / 2, hi + slack[1] / 2,  # inside the slack
+                             lo - 4 * slack[0], hi + 4 * slack[1], lo - 1.0, hi + 1.0,
+                             np.inf, -np.inf, -0.0]),
+        ))
+    points = draw(st.lists(st.tuples(*coord), min_size=1, max_size=12))
+    return f, np.asarray(points, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=interp_cases())
+def test_interp_matches_the_per_point_oracle_bit_for_bit(case):
+    f, pts = case
+    got = interp_gridfn(f, pts)
+    assert got.tobytes() == brute_interp(f, pts).tobytes()  # sign of zero included
