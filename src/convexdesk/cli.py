@@ -24,7 +24,7 @@ import numpy as np
 
 from . import fileio
 from .atoms import FnAtom, catalog_tags, sample
-from .errors import CatalogError, ConvexDeskError
+from .errors import CatalogError, ConvexDeskError, ParameterError
 from .fenchel import (
     biconjugate,
     conjugate,
@@ -35,7 +35,8 @@ from .fenchel import (
 from .grids import Grid, GridFn
 from .monotone import OperatorGraph, fitzpatrick, resolvent
 from .moreau import moreau_envelope, project, prox
-from .renorm import asplund_step, init_pair, measured_ratio, valid_region_halfwidth
+from .renorm import (asplund_step, init_pair, measured_ratio, valid_region_halfwidth,
+                     window_node_count)
 from .special import (
     ball_volume,
     coupon_convexity_probe,
@@ -281,20 +282,29 @@ def _run_resolvent(opts: dict) -> None:
     )
 
 
+def _step_record(pair) -> dict:
+    grid = pair.p.grid
+    return {"n": pair.n, "r_n": measured_ratio(pair),
+            "region": valid_region_halfwidth(grid, pair.n),
+            "window_nodes": window_node_count(grid, pair.n)}
+
+
 def _run_renorm(opts: dict) -> None:
     grid = parse_grid_spec(opts["grid"])
+    steps, h = opts["steps"], grid.spacing[0]
+    hw = valid_region_halfwidth(grid, steps)
+    if hw < h:
+        raise ParameterError(f"--steps {steps} leaves a valid window of half-width {hw:g}, "
+                             f"below the grid spacing {h:g}; use fewer steps or a finer grid")
     pair = init_pair(FnAtom(opts["norm1"]), FnAtom(opts["norm2"]), grid)
-    records = [{"n": 0, "r_n": measured_ratio(pair), "region": valid_region_halfwidth(grid, 0)}]
+    records = [_step_record(pair)]
     prefix = opts.get("out_prefix")
     if prefix:
         fileio.write_gridfn_json(pair.p, f"{prefix}_p0.json")
         fileio.write_gridfn_json(pair.q, f"{prefix}_q0.json")
-    for _ in range(opts["steps"]):
+    for _ in range(steps):
         pair = asplund_step(pair, sandwich_slack=default_tol())
-        records.append(
-            {"n": pair.n, "r_n": measured_ratio(pair),
-             "region": valid_region_halfwidth(grid, pair.n)}
-        )
+        records.append(_step_record(pair))
         if prefix:
             fileio.write_gridfn_json(pair.p, f"{prefix}_p{pair.n}.json")
             fileio.write_gridfn_json(pair.q, f"{prefix}_q{pair.n}.json")

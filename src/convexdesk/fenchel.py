@@ -221,15 +221,16 @@ def _conjugate_lines(xs: np.ndarray, F: np.ndarray, ys: np.ndarray):
     return vals, arg
 
 
-def _kernel_overflows(f: GridFn, dual_grid: Grid) -> bool:
-    """Whether the bound in conjugate's docstring fails on some axis."""
-    v = f.values
-    m = float(np.max(np.abs(v), where=np.isfinite(v), initial=0.0))
-    for (lo, hi, _), (ylo, yhi, _) in zip(f.grid.axes, dual_grid.axes):
-        m += max(abs(lo), abs(hi)) * max(abs(ylo), abs(yhi))  # Python floats: inf, no warning
+def _kernel_overflows(vmax: float, axes, dual_axes) -> bool:
+    """Whether the bound in conjugate's docstring fails on some axis, for
+    values of largest finite magnitude vmax on the primal axes (lo, hi, n)
+    and the dual axes (lo, hi, m), all Python floats (inf, no warning)."""
+    m = vmax
+    for (lo, hi, _), (ylo, yhi, _) in zip(axes, dual_axes):
+        m += max(abs(lo), abs(hi)) * max(abs(ylo), abs(yhi))
     return any(
-        not 8.0 * max(m, 1.0) * max(hi - lo, 1.0 / h) <= np.finfo(float).max
-        for (lo, hi, _), h in zip(f.grid.axes, f.grid.spacing)
+        not 8.0 * max(m, 1.0) * max(hi - lo, 1.0 / ((hi - lo) / (n - 1))) <= np.finfo(float).max
+        for lo, hi, n in axes
     )
 
 
@@ -252,7 +253,8 @@ def conjugate(f: GridFn, dual_grid: Grid) -> ConjugateResult:
     require_proper(f, "conjugate input")
     if dual_grid.dim != f.grid.dim:
         raise GridMismatchError("dual grid dimension must match the function's")
-    if _kernel_overflows(f, dual_grid):
+    vmax = float(np.max(np.abs(f.values), where=np.isfinite(f.values), initial=0.0))
+    if _kernel_overflows(vmax, f.grid.axes, dual_grid.axes):
         return conjugate_oracle(f, dual_grid)
     if f.grid.dim == 1:
         vals, arg = _conjugate_lines(f.grid.coords(0), f.values[None, :], dual_grid.coords(0))

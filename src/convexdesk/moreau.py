@@ -18,7 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import GridMismatchError, NonconvexError, ParameterError, WidenGridError
-from .fenchel import _conjugate_lines, _line_blocks, conjugate, default_dual_grid, inf_convolution
+from .fenchel import (MAX_DIRECT_PAIRS, _conjugate_lines, _kernel_overflows, _line_blocks,
+                      conjugate, default_dual_grid, inf_convolution)
 from .grids import Grid, GridFn, discrete_convexity_check, interp_gridfn, require_proper
 
 __all__ = [
@@ -69,7 +70,7 @@ def _parabola_step(
     h = coords[1] - coords[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         denom = pm - 2.0 * p0 + pp
-        ok = (i > 0) & (i < coords.size - 1) & (denom > 0)
+        ok = (i > 0) & (i < coords.size - 1) & (denom > 0) & np.isfinite(denom)
         ok &= np.isfinite(pm) & np.isfinite(p0) & np.isfinite(pp)
         delta = np.clip(0.5 * (pm - pp) / denom * h, -h, h)
     cand = np.array(node, dtype=float)
@@ -109,7 +110,16 @@ def _envelope_lines(xs: np.ndarray, F: np.ndarray, lam: float):
     The minimizer is the argmax of the conjugate of g = F + x^2 / (2 lam)
     at y = x_k / lam.  Rounding in that route can shift a near-tie to the
     next node, so the envelope's own expression picks among j - 1, j, j + 1.
+    Where conjugate's float-limit bound fails on g (its largest finite
+    |g| taken as max |f| + max x^2 / (2 lam)) and the dual nodes x / lam,
+    the minimum is the exhaustive one instead, which refuses more than
+    MAX_DIRECT_PAIRS (line node, node) pairs before its work.
     """
+    lo, hi, n, lam = float(xs[0]), float(xs[-1]), xs.size, float(lam)
+    fmax = max(-float(F.min()), float(np.max(F, where=np.isfinite(F), initial=0.0)))
+    gmax = fmax + max(lo * lo, hi * hi) / (2.0 * lam)  # Python floats: inf, no warning
+    if _kernel_overflows(gmax, [(lo, hi, n)], [(lo / lam, hi / lam, n)]):
+        return _envelope_exhaustive(xs, F, lam)
     best_j = np.zeros(F.shape, dtype=np.int64)
     best = np.full(F.shape, np.inf)
     for b in _line_blocks(F.shape[0], 2 * xs.size):
@@ -120,6 +130,25 @@ def _envelope_lines(xs: np.ndarray, F: np.ndarray, lam: float):
             v = F[b][line, j] + (xs - xs[j]) ** 2 / (2.0 * lam)
             take = v < best[b]
             best_j[b][take], best[b][take] = j[take], v[take]
+    return best_j, best
+
+
+def _envelope_exhaustive(xs: np.ndarray, F: np.ndarray, lam: float):
+    """_envelope_lines by the smallest-index minimum over every node pair,
+    a line and a block of nodes at a time."""
+    pairs = F.size * xs.size
+    if pairs > MAX_DIRECT_PAIRS:
+        raise ParameterError(
+            f"exhaustive envelope needs {pairs} node pairs, cap is {MAX_DIRECT_PAIRS}"
+        )
+    best_j = np.empty(F.shape, dtype=np.int64)
+    best = np.empty(F.shape)
+    with np.errstate(over="ignore"):
+        for l in range(F.shape[0]):
+            for b in _line_blocks(xs.size, xs.size):
+                v = F[l] + (xs[b, None] - xs) ** 2 / (2.0 * lam)
+                best_j[l, b] = np.argmin(v, axis=1)
+                best[l, b] = v[np.arange(v.shape[0]), best_j[l, b]]
     return best_j, best
 
 
@@ -141,8 +170,9 @@ def moreau_envelope(
     j, vals = _envelope_lines(xs, f.values[None, :], lam)
     j, vals = j[0], vals[0]
     jd = np.clip(j + np.arange(-1, 2)[:, None], 0, xs.size - 1)
-    samples = f.values[jd] + (xs - xs[jd]) ** 2 / (2.0 * lam)
-    _, refined = _parabola_step(f, xs[j][:, None], 0, j, samples, xs[:, None], lam)
+    with np.errstate(over="ignore"):  # near the float limit: inf samples skip the step
+        samples = f.values[jd] + (xs - xs[jd]) ** 2 / (2.0 * lam)
+        _, refined = _parabola_step(f, xs[j][:, None], 0, j, samples, xs[:, None], lam)
     return GridFn(f.grid, np.minimum(vals, refined))
 
 

@@ -30,7 +30,8 @@ from .fenchel import minkowski_infconv_convex
 from .grids import Grid, GridFn, interp_gridfn
 
 __all__ = ["NormPair", "init_pair", "pair_from_gridfns", "asplund_step", "measured_ratio",
-           "valid_region_halfwidth", "strict_convexity_probe", "StrictConvexityReport"]
+           "valid_region_halfwidth", "window_node_count", "strict_convexity_probe",
+           "StrictConvexityReport"]
 
 _NORM_TAGS = ("l1norm", "l2norm", "linfnorm")
 
@@ -59,6 +60,12 @@ def _grid_symmetric_odd(grid: Grid) -> None:
 def valid_region_halfwidth(grid: Grid, n: int) -> float:
     """Half-width of the window where iterate n is faithful: L / 2^n."""
     return grid.axes[0][1] / (2 ** n)
+
+
+def window_node_count(grid: Grid, n: int) -> int:
+    """Nodes in the valid window of iterate n, origin included: the nodes
+    measured_ratio reads."""
+    return int(_region_mask(grid, valid_region_halfwidth(grid, n)).sum())
 
 
 def _region_mask(grid: Grid, halfwidth: float) -> np.ndarray:

@@ -1,17 +1,26 @@
 """Special-function identities: Gamma limits, ball volumes, and the
 coupon-collector objective in its three equivalent forms.
 
-Exact rational arithmetic (fractions.Fraction) is supported by the
-permutation and inclusion-exclusion forms so the identity between them
-can be tested exactly; the integral form uses adaptive quadrature after
-the substitution t = exp(-s), which removes the t -> 0 endpoint from the
-picture (the integrand extends continuously by 0 there).
+The three forms of p_N and what each costs:
 
-The float inclusion-exclusion form and the convexity probe share one
-table of subsets S of {0..N-1} in bitmask order: subset sums s = M x and
-signs sigma = (-1)^(|S|+1).  From it p_N = sum sigma/s, its gradient
--M^T (sigma/s^2) and its Hessian M^T diag(2 sigma/s^3) M are closed forms,
-so the probe's Hessians carry rounding error only, no step-size error.
+- permutations, N <= 8: N! N steps.  Exact over Fractions by a loop over
+  the orderings; over floats all orderings run as arrays over one cached
+  table of the N! orderings (_perm_table), bit-identical to the loop.
+- inclusion-exclusion, N <= 24: 2^N terms.  Exact over Fractions by a loop
+  over the subsets; over floats, within about one rounding of the exact
+  value, over one cached table of subsets (_subset_table).
+- integral, N <= 24: adaptive quadrature after the substitution
+  t = exp(-s), which removes the t -> 0 endpoint from the picture (the
+  integrand extends continuously by 0 there); N math.expm1 calls per
+  integrand evaluation, floats only.
+
+A form takes the Fraction path only when every input is a Fraction.
+
+The subset table holds the subsets S of {0..N-1} in bitmask order: subset
+sums s = M x and signs sigma = (-1)^(|S|+1).  From it p_N = sum sigma/s,
+its gradient -M^T (sigma/s^2) and its Hessian M^T diag(2 sigma/s^3) M are
+closed forms, so the probe's Hessians carry rounding error only, no
+step-size error.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from typing import Sequence
 
 import numpy as np
@@ -154,26 +163,38 @@ def coupon_pn_perm(x: Sequence):
     """Permutation form of p_N: for each ordering, the product of tail
     ratios times the sum of tail reciprocals, summed over all N! orderings.
 
-    Exact when given Fractions; N <= 8.
-    """
+    Exact when every input is a Fraction (a loop over the orderings); N <= 8.
+    Otherwise all N! orderings run at once as columns over _perm_table,
+    each sum and product taken position by position in the loop's order,
+    and the orderings added up by a sequential cumsum: the float value is
+    the plain loop's bit for bit, inf and nan included."""
     xs = _check_coupon_input(x, MAX_PERM_N)
-    zero = xs[0] - xs[0]  # additive identity of the input type
-    total = zero
+    n = len(xs)
+    if not all(isinstance(v, Fraction) for v in xs):
+        with np.errstate(all="ignore"):  # silent inf and nan, as with Python floats
+            cols = np.array(xs, dtype=float)[_perm_table(n).T]  # cols[k]: entry k of every ordering
+            tails = cols.copy()
+            for k in range(n - 2, -1, -1):
+                tails[k] += tails[k + 1]
+            prod, recip = cols[0] / tails[0], 1.0 / tails[0]
+            for k in range(1, n):
+                prod = prod * (cols[k] / tails[k])
+                recip = recip + 1.0 / tails[k]
+            return float(np.cumsum(prod * recip)[-1])
+    total = Fraction(0)
     for sigma in permutations(xs):
-        tails = []
-        acc = zero
-        for v in reversed(sigma):
-            acc = acc + v
-            tails.append(acc)
-        tails.reverse()
-        prod = None
-        recip = zero
-        for v, t in zip(sigma, tails):
-            term = v / t
-            prod = term if prod is None else prod * term
-            recip = recip + 1 / t if isinstance(t, Fraction) else recip + 1.0 / t
-        total = total + prod * recip
+        tails = list(accumulate(reversed(sigma)))[::-1]
+        total += math.prod(v / t for v, t in zip(sigma, tails)) * sum(1 / t for t in tails)
     return total
+
+
+@lru_cache(maxsize=None)  # n <= MAX_PERM_N: at most 8 tables, 3 MB in all
+def _perm_table(n: int) -> np.ndarray:
+    """The n! orderings of range(n) as rows (n!, n), in
+    itertools.permutations order.  Read-only, since every caller shares it."""
+    table = np.array(list(permutations(range(n))), dtype=np.intp)
+    table.flags.writeable = False
+    return table
 
 
 def coupon_pn_ie(x: Sequence):
@@ -301,12 +322,11 @@ def _pn_float(x: np.ndarray) -> float:
 def coupon_pn_integral(x: Sequence[float]) -> float:
     """Integral form of p_N, evaluated after substituting t = exp(-s):
     integral over s in (0, inf) of 1 - prod(1 - exp(-s x_i))."""
-    xs = _check_coupon_input(x, MAX_IE_N)
-    arr = np.asarray(xs, dtype=float)
-    s_max = 50.0 / float(arr.min())
+    xs = [float(v) for v in _check_coupon_input(x, MAX_IE_N)]
+    s_max = 50.0 / min(xs)
 
     def integrand(s: float) -> float:
-        return 1.0 - np.prod(-np.expm1(-s * arr))
+        return 1.0 - math.prod([-math.expm1(-s * v) for v in xs])
 
     val, err = quad(integrand, 0.0, s_max, limit=400, epsabs=1e-12, epsrel=1e-12)
     if err > 1e-9 * max(1.0, abs(val)):

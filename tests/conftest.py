@@ -136,6 +136,29 @@ def brute_envelope_1d(f: GridFn, lam: float) -> np.ndarray:
     return out
 
 
+def brute_coupon_perm(xs) -> float:
+    """Permutation form of p_N over floats, python loop: for each ordering,
+    the tails summed from the back, the product of the tail ratios in
+    order, and the sum of the tail reciprocals in order, added up over the
+    orderings in itertools.permutations order."""
+    total = 0.0
+    for sigma in itertools.permutations([float(v) for v in xs]):
+        tails = []
+        acc = 0.0
+        for v in reversed(sigma):
+            acc = acc + v
+            tails.append(acc)
+        tails.reverse()
+        prod = None
+        recip = 0.0
+        for v, t in zip(sigma, tails):
+            term = v / t
+            prod = term if prod is None else prod * term
+            recip = recip + 1.0 / t
+        total = total + prod * recip
+    return total
+
+
 def _brute_line_violation(vals: np.ndarray, tol: float):
     """First convexity violation on one grid line, or None: a non-finite
     entry between finite ones, else the first second difference below -tol."""

@@ -336,6 +336,28 @@ def test_criterion_13_asplund_sandwich():
     _report(13, f"r_6 = {rs[-1]:.2e}, {elapsed:.1f} s")
 
 
+def test_criterion_13_each_step_is_the_inf_convolution_at_twice_x():
+    # q_{n+1}(x) = (p_n box q_n)(2x) / 2, checked against the direct
+    # inf-convolution wherever 2x is a node: a step that only contracts the
+    # sandwich, such as q' = (p + 3q) / 4, passes criterion 13 but not this
+    grid = Grid.box((-2, 2, 41), (-2, 2, 41))
+    i0 = grid.zero_index(0)
+    half = np.arange(i0 // 2, i0 + i0 // 2 + 1)  # the nodes x with 2x a node: |x| <= 1
+    twice = np.ix_(2 * half - i0, 2 * half - i0)
+    pair = init_pair(FnAtom("l1norm"), FnAtom("l2norm"), grid)
+    worst = 0.0
+    for _ in range(4):
+        conv = inf_convolution(pair.p, pair.q).out.values[twice] / 2.0
+        pair = asplund_step(pair)
+        got = pair.q.values[np.ix_(half, half)]
+        assert np.array_equal(np.isinf(got), np.isinf(conv))
+        fin = np.isfinite(conv)
+        dev = float(np.max(np.abs(got[fin] - conv[fin])))
+        assert dev <= 1e-12, f"step {pair.n}: {dev}"
+        worst = max(worst, dev)
+    _report(13, f"q_(n+1) = (p_n box q_n)(2x)/2 over 4 steps, worst {worst:.1e}")
+
+
 def test_criterion_14_gamma_limit():
     import mpmath
 

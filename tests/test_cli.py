@@ -179,6 +179,16 @@ def test_renorm_job(tmp_path):
     doc = json.load(open(out))
     assert doc["C"] == pytest.approx(1.0, abs=1e-9)
     assert [rec["n"] for rec in doc["iterations"]] == [0, 1, 2]
+    assert [rec["window_nodes"] for rec in doc["iterations"]] == [41 ** 2, 21 ** 2, 11 ** 2]
+
+
+def test_renorm_grid_too_coarse_for_its_steps_is_refused_before_any_work(monkeypatch, capsys):
+    monkeypatch.setattr("convexdesk.cli.init_pair", None)  # any work fails
+    assert main(["renorm", "--grid", "-4:4:81x-4:4:81", "--steps", "6"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --steps 6 leaves a valid window of half-width 0.0625, below the grid "
+        "spacing 0.1; use fewer steps or a finer grid\n"
+    )
 
 
 def test_duality_job(tmp_path):

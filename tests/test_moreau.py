@@ -1,7 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_envelope_1d, random_convex_gridfn
+from convexdesk import moreau
 from convexdesk.atoms import FnAtom, sample
 from convexdesk.errors import (
     GridMismatchError,
@@ -125,6 +130,66 @@ def test_envelope_monotone_in_lambda(rng):
     e1 = moreau_envelope(f, 0.5)
     e2 = moreau_envelope(f, 1.5)
     assert np.all(e2.values <= e1.values + 1e-12)
+
+
+# finite values whose hull slopes overflow in the conjugate kernel
+SLOPES_OVERFLOW = [1e308, 1e307, 0.0, 1e307, 1e308, 1.5e308, 1.7e308]
+NEAR_LIMIT = [1e308, -1e308, 1.7e308, -1.7e308, 5e307, 0.0, 1.0, -3.0, np.inf]
+
+
+def _envelope_node_minima(f: GridFn, lam: float, kernel_calls: list):
+    """_envelope_lines on a 1-D f, counting kernel calls, warnings as errors;
+    its argmin must be the smallest minimizing index."""
+    kernel = moreau._conjugate_lines
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(moreau, "_conjugate_lines", lambda *a: kernel_calls.append(1) or kernel(*a))
+        warnings.simplefilter("error")  # no overflow anywhere
+        j, vals = moreau._envelope_lines(f.grid.coords(0), f.values[None, :], lam)
+        env = moreau_envelope(f, lam, check_convexity=False)
+    with np.errstate(over="ignore"):
+        brute = brute_envelope_1d(f, lam)
+        xs = f.grid.coords(0)
+        assert j[0].tolist() == [
+            int(np.argmin(f.values + (x - xs) ** 2 / (2.0 * lam))) for x in xs
+        ]  # the smallest minimizing index
+    return vals[0], brute, env
+
+
+def test_envelope_near_the_float_limit_takes_the_exhaustive_minimum():
+    f = GridFn(Grid.line(-1, 1, 7), SLOPES_OVERFLOW)
+    calls = []
+    vals, brute, env = _envelope_node_minima(f, 1.0, calls)
+    assert not calls  # the bound fails on g, so the kernel never runs
+    assert vals.tobytes() == brute.tobytes()
+    assert np.all(env.values <= vals)
+    small = GridFn(f.grid, np.array(SLOPES_OVERFLOW) * 1e-308)
+    vals, brute, _ = _envelope_node_minima(small, 1.0, calls)
+    assert calls  # far from the limit, the kernel runs
+    assert vals.tobytes() == brute.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    vals=st.lists(st.sampled_from(NEAR_LIMIT), min_size=3, max_size=11),
+    lam=st.sampled_from([1.0, 0.01, 1e-300, 1e-308, 1e300]),
+)
+@example(vals=SLOPES_OVERFLOW, lam=1.0)
+def test_envelope_near_the_float_limit_is_the_brute_minimum(vals, lam):
+    f = GridFn(Grid.line(-1, 1, len(vals)), vals)
+    if not f.is_proper:
+        return
+    vals, brute, env = _envelope_node_minima(f, lam, [])
+    assert vals.tobytes() == brute.tobytes()
+    assert np.all(env.values <= vals)
+
+
+def test_envelope_near_the_float_limit_over_the_pair_cap_is_refused(monkeypatch):
+    monkeypatch.setattr(moreau, "_conjugate_lines", None)  # any use of the kernel fails
+    vals = np.zeros(50001)
+    vals[7] = 1.7e308
+    f = GridFn(Grid.line(-1, 1, 50001), vals)
+    with pytest.raises(ParameterError, match="exhaustive envelope needs 2500100001 node pairs"):
+        moreau_envelope(f, 1.0, check_convexity=False)
 
 
 def test_envelope_2d_two_pass_matches_direct():

@@ -1,14 +1,19 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import fd_hessian
+from conftest import brute_coupon_perm, fd_hessian
 from convexdesk.errors import ParameterError
 from convexdesk.special import (
     _coupon_derivatives,
+    _perm_table,
     ball_volume,
     beta_direct,
     coupon_convexity_probe,
@@ -111,8 +116,40 @@ def test_coupon_perm_equals_ie_exact(rng):
             assert coupon_pn_perm(x) == coupon_pn_ie(x)
 
 
+# magnitudes from 1e-300 to 1e300, values of one scale (whose products and
+# sums round at every step), and values whose tails, reciprocals or sums
+# over the orderings overflow to inf or nan
+COUPON_FLOATS = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.floats(min_value=0.1, max_value=10.0),
+    st.sampled_from([5e-324, 1e-310, 1.0, 1.7e308, 1.79e308]),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(x=st.integers(1, 8).flatmap(lambda n: st.lists(COUPON_FLOATS, min_size=n, max_size=n)))
+@example(x=[1.7e308] * 8)  # the tails overflow: inf / inf
+@example(x=[5e-324, 1e-310, 3.0])  # 1 / 5e-324 overflows
+@example(x=[1e-300] * 8)  # the sum over the orderings overflows
+def test_coupon_perm_float_is_the_loop_bit_for_bit(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = coupon_pn_perm(x)
+    want = brute_coupon_perm(x)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_perm_table_is_cached_and_read_only():
+    t = _perm_table(5)
+    assert t is _perm_table(5)
+    assert t.shape == (120, 5) and t.tolist() == [list(p) for p in permutations(range(5))]
+    with pytest.raises(ValueError):
+        t[0, 0] = 1
+
+
 def test_coupon_integral_agrees(rng):
-    for n in range(1, 7):
+    for n in range(1, 9):
         for _ in range(4):
             x = tuple(float(v) for v in 10.0 ** rng.uniform(-0.7, 0.7, n))
             assert abs(coupon_pn_integral(x) - float(coupon_pn_ie(x))) <= 1e-8
