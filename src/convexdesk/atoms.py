@@ -47,7 +47,6 @@ class _AtomSpec:
     evaluate: Callable[[tuple, np.ndarray], np.ndarray]
     validate_params: Optional[Callable[[tuple], None]] = None
     conjugate: Optional[Callable[[tuple], "FnAtom"]] = None
-    convex: bool = True
 
     def validate(self, params: tuple) -> None:
         if len(params) != self.n_params:

@@ -434,13 +434,11 @@ def _selftest(sub: str) -> tuple[int, int]:
     if sub in ("conjugate", "biconjugate"):
         f = sample(FnAtom("power", (2.0,)), Grid.line(-5, 5, 1001))
         res = conjugate(f, Grid.line(-3, 3, 601))
-        y = res.dual.grid.coords(0)
-        v1 = res.dual.values[np.argmin(np.abs(y - 1.0))]
+        v1 = res.dual.values[res.dual.grid.nearest_index(1.0)]
         _check("conjugate of x^2/2 at y=1 is ~0.5", abs(v1 - 0.5) <= 1e-4, c)
         fe = sample(FnAtom("exp"), Grid.line(-10, 3, 2001))
         re_ = conjugate(fe, Grid.line(-1, 5, 601))
-        ye = re_.dual.grid.coords(0)
-        ve = re_.dual.values[np.argmin(np.abs(ye - 1.0))]
+        ve = re_.dual.values[re_.dual.grid.nearest_index(1.0)]
         _check("conjugate of exp at y=1 is ~-1", abs(ve + 1.0) <= 1e-3, c)
         fa = sample(FnAtom("abs"), Grid.line(-2, 2, 401))
         bb = biconjugate(fa, Grid.line(-2, 2, 401))
@@ -448,16 +446,14 @@ def _selftest(sub: str) -> tuple[int, int]:
     elif sub == "infconv":
         g = Grid.line(-2, 2, 4001)
         res = inf_convolution(sample(FnAtom("negsqrt_circle"), g), sample(FnAtom("abs"), g))
-        xs = g.coords(0)
-        v = res.out.values[np.argmin(np.abs(xs - 1.0))]
+        v = res.out.values[g.nearest_index(1.0)]
         _check("circle box abs at x=1 is ~1-sqrt2", abs(v - (1 - math.sqrt(2))) <= 2e-3, c)
     elif sub == "envelope":
         f = sample(FnAtom("abs"), Grid.line(-3, 3, 601))
         env = moreau_envelope(f, 1.0)
-        xs = f.grid.coords(0)
-        v = env.values[np.argmin(np.abs(xs - 0.5))]
+        v = env.values[f.grid.nearest_index(0.5)]
         _check("Huber at 0.5 is 0.125", abs(v - 0.125) <= 1e-6, c)
-        v2 = env.values[np.argmin(np.abs(xs - 2.0))]
+        v2 = env.values[f.grid.nearest_index(2.0)]
         _check("Huber at 2 is 1.5", abs(v2 - 1.5) <= 1e-6, c)
     elif sub == "prox":
         f = sample(FnAtom("indicator", (-1.0, 1.0)), Grid.line(-4, 4, 801))

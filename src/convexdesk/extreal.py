@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ExtReal", "POS_INF", "NEG_INF", "ext_add", "ext_sub", "ext_neg"]
+__all__ = ["ExtReal", "POS_INF", "NEG_INF", "ext_add", "ext_sub"]
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,3 @@ def ext_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def ext_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise a - b, i.e. ext_add(a, -b)."""
     return ext_add(a, -np.asarray(b, dtype=float))
-
-
-def ext_neg(a: np.ndarray) -> np.ndarray:
-    return -np.asarray(a, dtype=float)

@@ -139,7 +139,9 @@ def _line_blocks(nlines: int, width: int):
     return (slice(a, a + step) for a in range(0, nlines, step))
 
 
-def _conjugate_block(xs: np.ndarray, F: np.ndarray, ys: np.ndarray):
+def _conjugate_block(xs: np.ndarray, F: np.ndarray, ys: np.ndarray, lam: Optional[float] = None):
+    if lam is not None:  # the envelope's transform, see _conjugate_lines
+        f, xq, F, ys = F, ys, F + xs ** 2 / (2.0 * lam), ys / lam
     L, n = F.shape
     m = ys.size
     fin = np.isfinite(F)
@@ -177,6 +179,8 @@ def _conjugate_block(xs: np.ndarray, F: np.ndarray, ys: np.ndarray):
     jlo = hc[np.minimum(start + lo, hc.size - 1)]
     jhi = hc[np.minimum(start + hi, hc.size - 1)]
     vals = ys * xs[jlo] - F[np.arange(L)[:, None], jlo]
+    if lam is not None:  # the envelope's own expression, negated
+        vals = -(f[np.arange(L)[:, None], jlo] + (xq - xs[jlo]) ** 2 / (2.0 * lam))
     arg = jlo
 
     wl, wk = np.nonzero(jhi > jlo)
@@ -192,6 +196,8 @@ def _conjugate_block(xs: np.ndarray, F: np.ndarray, ys: np.ndarray):
         w = np.repeat(np.arange(first.size), size[c])
         j = a[c][w] + np.arange(w.size) - first[w]
         v = ys[wk[c][w]] * xs[j] - F[wl[c][w], j]
+        if lam is not None:
+            v = -(f[wl[c][w], j] + (xq[wk[c][w]] - xs[j]) ** 2 / (2.0 * lam))
         hit = np.flatnonzero(v == np.maximum.reduceat(v, first)[w])
         # the first maximum, with its own sign of zero as in the oracle
         k = hit[np.searchsorted(w[hit], np.arange(first.size))]
@@ -202,7 +208,7 @@ def _conjugate_block(xs: np.ndarray, F: np.ndarray, ys: np.ndarray):
     return vals, arg
 
 
-def _conjugate_lines(xs: np.ndarray, F: np.ndarray, ys: np.ndarray):
+def _conjugate_lines(xs: np.ndarray, F: np.ndarray, ys: np.ndarray, lam: Optional[float] = None):
     """Values and argmax of max_j (y x_j - F[l, j]) for every line l of F
     (shape (L, n)) at every dual node y of the sorted ys (shape (m,)).
 
@@ -212,12 +218,17 @@ def _conjugate_lines(xs: np.ndarray, F: np.ndarray, ys: np.ndarray):
     _HULL_WORK tested points per finite point, and the lines still popping
     then from the per-point chain.  O(n + m) per line, plus the windows of
     dual nodes that hit a hull slope within rounding.
+
+    With lam, the Moreau envelope's: the transform of F + x^2 / (2 lam) at
+    ys / lam, with every value (windows included) taken in the envelope's
+    own expression, negated: vals = -min_j F[l, j] + (y - x_j)^2 / (2 lam)
+    and arg its smallest minimizing index, for y in ys.
     """
     L, m = F.shape[0], ys.size
     vals = np.empty((L, m))
     arg = np.empty((L, m), dtype=np.int64)
     for b in _line_blocks(L, F.shape[1] + m):
-        vals[b], arg[b] = _conjugate_block(xs, F[b], ys)
+        vals[b], arg[b] = _conjugate_block(xs, F[b], ys, lam)
     return vals, arg
 
 
@@ -273,10 +284,11 @@ def conjugate_oracle(f: GridFn, dual_grid: Grid) -> ConjugateResult:
     """Exhaustive O(n*m) conjugate; ground truth for the fast transform.
 
     Above MAX_DIRECT_PAIRS primal-dual node pairs (n*m) it raises
-    ParameterError before any work.  In 1-D it runs over blocks of dual
-    nodes, so its memory is bounded.  In 2-D it evaluates
-    x1 y1 + (x2 y2 - f) with the same expression tree as the iterated
-    transform so 'bit-identical' is well defined.
+    ParameterError before any work.  One scan for 1-D and 2-D over blocks
+    of dual nodes, about _TILE_ELEMS pairs each, so its memory is bounded.
+    A block forms y x - f in 1-D and x1 y1 + (x2 y2 - f) in 2-D, the
+    expression tree of the iterated transform, so 'bit-identical' is well
+    defined; ties go to the smallest flat primal index.
     """
     require_proper(f, "conjugate input")
     if dual_grid.dim != f.grid.dim:
@@ -286,30 +298,25 @@ def conjugate_oracle(f: GridFn, dual_grid: Grid) -> ConjugateResult:
         raise ParameterError(
             f"conjugate_oracle needs {pairs} node pairs, cap is {MAX_DIRECT_PAIRS}"
         )
-    if f.grid.dim == 1:
-        xs = f.grid.coords(0)
-        ys = dual_grid.coords(0)
-        best = np.empty(ys.size)
-        arg = np.empty(ys.size, dtype=np.int64)
-        for b in _line_blocks(ys.size, xs.size):  # bounded blocks of dual nodes
-            vals = ys[b, None] * xs[None, :] - f.values[None, :]
-            arg[b] = np.argmax(vals, axis=1)
-            best[b] = vals[np.arange(vals.shape[0]), arg[b]]
-        return ConjugateResult(GridFn(dual_grid, best), arg)
-    x1s, x2s = f.grid.coords(0), f.grid.coords(1)
-    y1s, y2s = dual_grid.coords(0), dual_grid.coords(1)
-    m1, m2 = dual_grid.shape
-    out = np.empty((m1, m2))
-    argmax = np.empty((m1, m2), dtype=np.int64)
-    fv = f.values
-    for k1, y1 in enumerate(y1s):
-        a1 = y1 * x1s
-        for k2, y2 in enumerate(y2s):
-            vals = a1[:, None] + (y2 * x2s[None, :] - fv)
-            arg = int(np.argmax(vals))
-            out[k1, k2] = vals.flat[arg]
-            argmax[k1, k2] = arg
-    return ConjugateResult(GridFn(dual_grid, out), argmax)
+    dim, n = f.grid.dim, f.grid.node_count
+    # axis ax's primal coordinates, broadcast along the other axes
+    xs = [f.grid.coords(ax).reshape([-1 if k == ax else 1 for k in range(dim)]) for ax in range(dim)]
+    ys = dual_grid.nodes()
+    best = np.empty(ys.shape[0])
+    arg = np.empty(ys.shape[0], dtype=np.int64)
+    step = max(1, _TILE_ELEMS // n)
+    buf = np.empty(min(step, ys.shape[0]) * n)
+    for a in range(0, ys.shape[0], step):
+        y = ys[a : a + step].T[(...,) + (None,) * dim]  # y[ax]: (block, 1, ...)
+        v = buf[: y.shape[1] * n].reshape((-1,) + f.grid.shape)
+        np.subtract(y[-1] * xs[-1], f.values, out=v)
+        for ax in range(dim - 2, -1, -1):
+            np.add(y[ax] * xs[ax], v, out=v)
+        v = v.reshape(-1, n)
+        j = arg[a : a + step] = np.argmax(v, axis=1)
+        best[a : a + step] = v[np.arange(j.size), j]
+    shape = dual_grid.shape
+    return ConjugateResult(GridFn(dual_grid, best.reshape(shape)), arg.reshape(shape))
 
 
 def conjugate_value_at(f: GridFn, y) -> tuple[float, int]:
@@ -358,8 +365,8 @@ class InfConvResult:
 # cap on the node pairs of the direct paths, the (x, y) pairs of
 # inf_convolution and the primal-dual pairs of conjugate_oracle.  On a
 # 2-vCPU Xeon host, at the cap, the inf-convolution takes about 4.5 s at
-# 241² and 3 s at 51,639 nodes (centred on 0), the 2-D oracle (about 4 ns
-# a pair) some 8 s and the 1-D oracle (about 1.8 ns a pair) some 4 s.
+# 241² and 3 s at 51,639 nodes (centred on 0), and the oracle (about 2 ns
+# a pair in 1-D, 2.5 ns in 2-D) some 4 to 5 s.
 MAX_DIRECT_PAIRS = 2_000_000_000
 
 # (x, y) sums per tile of the direct inf-convolution, 1 MB of float64

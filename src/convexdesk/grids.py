@@ -142,9 +142,6 @@ class GridFn:
         v = self.values
         return bool(np.any(np.isfinite(v)) and not np.any(v == -np.inf))
 
-    def finite_mask(self) -> np.ndarray:
-        return np.isfinite(self.values)
-
 
 def require_proper(f: GridFn, what: str = "input") -> None:
     if not f.is_proper:

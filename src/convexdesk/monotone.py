@@ -66,12 +66,6 @@ class OperatorGraph:
     def size(self) -> int:
         return self.xs.shape[0]
 
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[tuple]) -> "OperatorGraph":
-        xs = [np.atleast_1d(p[0]) for p in pairs]
-        xst = [np.atleast_1d(p[1]) for p in pairs]
-        return cls(np.asarray(xs, dtype=float), np.asarray(xst, dtype=float))
-
 
 def _default_tol(G: OperatorGraph) -> float:
     scale = float(np.abs(G.xs).max() * np.abs(G.xstars).max()) if G.size else 0.0

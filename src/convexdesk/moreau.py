@@ -68,15 +68,15 @@ def _parabola_step(
     pm, p0, pp = samples
     coords = f.grid.coords(axis)
     h = coords[1] - coords[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # inf and nan where the step does not apply
         denom = pm - 2.0 * p0 + pp
         ok = (i > 0) & (i < coords.size - 1) & (denom > 0) & np.isfinite(denom)
         ok &= np.isfinite(pm) & np.isfinite(p0) & np.isfinite(pp)
         delta = np.clip(0.5 * (pm - pp) / denom * h, -h, h)
-    cand = np.array(node, dtype=float)
-    cand[:, axis] = coords[i] + np.where(ok, delta, 0.0)
-    fc = interp_gridfn(f, cand)
-    val = fc + ((x - cand) ** 2).sum(axis=1) / (2.0 * lam)
+        cand = np.array(node, dtype=float)
+        cand[:, axis] = coords[i] + np.where(ok, delta, 0.0)
+        fc = interp_gridfn(f, cand)
+        val = fc + ((x - cand) ** 2).sum(axis=1) / (2.0 * lam)
     return cand, np.where(ok & np.isfinite(fc), val, np.inf)
 
 
@@ -89,7 +89,8 @@ def prox(
     makes them adjacent.
     """
     xv = _check_inputs(f, lam, check_convexity, convexity_tol, "prox", x)
-    obj = f.values + ((f.grid.nodes() - xv) ** 2).sum(axis=1).reshape(f.grid.shape) / (2.0 * lam)
+    with np.errstate(over="ignore"):  # near the float limit: inf samples skip the step
+        obj = f.values + ((f.grid.nodes() - xv) ** 2).sum(axis=1).reshape(f.grid.shape) / (2.0 * lam)
     idx = np.unravel_index(int(np.argmin(obj)), obj.shape)
     best_val = float(obj[idx])
     node = np.asarray([f.grid.coords(ax)[i] for ax, i in enumerate(idx)])
@@ -108,29 +109,20 @@ def _envelope_lines(xs: np.ndarray, F: np.ndarray, lam: float):
     j minimizing F[l, j] + (x_k - x_j)^2 / (2 lam), and that minimum.
 
     The minimizer is the argmax of the conjugate of g = F + x^2 / (2 lam)
-    at y = x_k / lam.  Rounding in that route can shift a near-tie to the
-    next node, so the envelope's own expression picks among j - 1, j, j + 1.
-    Where conjugate's float-limit bound fails on g (its largest finite
-    |g| taken as max |f| + max x^2 / (2 lam)) and the dual nodes x / lam,
-    the minimum is the exhaustive one instead, which refuses more than
-    MAX_DIRECT_PAIRS (line node, node) pairs before its work.
+    at y = x_k / lam, with rounding windows resolved by the envelope's own
+    expression (_conjugate_lines with lam: a line with no finite value gives
+    (-1, +inf)).  Where conjugate's float-limit bound fails on g (its
+    largest finite |g| taken as max |f| + max x^2 / (2 lam)) and the dual
+    nodes x / lam, the minimum is the exhaustive one instead, which refuses
+    more than MAX_DIRECT_PAIRS (line node, node) pairs before its work.
     """
     lo, hi, n, lam = float(xs[0]), float(xs[-1]), xs.size, float(lam)
     fmax = max(-float(F.min()), float(np.max(F, where=np.isfinite(F), initial=0.0)))
     gmax = fmax + max(lo * lo, hi * hi) / (2.0 * lam)  # Python floats: inf, no warning
     if _kernel_overflows(gmax, [(lo, hi, n)], [(lo / lam, hi / lam, n)]):
         return _envelope_exhaustive(xs, F, lam)
-    best_j = np.zeros(F.shape, dtype=np.int64)
-    best = np.full(F.shape, np.inf)
-    for b in _line_blocks(F.shape[0], 2 * xs.size):
-        _, arg = _conjugate_lines(xs, F[b] + xs ** 2 / (2.0 * lam), xs / lam)
-        line = np.arange(arg.shape[0])[:, None]
-        for d in (-1, 0, 1):  # in index order: ties keep the smallest index
-            j = np.clip(arg + d, 0, xs.size - 1)
-            v = F[b][line, j] + (xs - xs[j]) ** 2 / (2.0 * lam)
-            take = v < best[b]
-            best_j[b][take], best[b][take] = j[take], v[take]
-    return best_j, best
+    vals, j = _conjugate_lines(xs, F, xs, lam)
+    return j, -vals
 
 
 def _envelope_exhaustive(xs: np.ndarray, F: np.ndarray, lam: float):

@@ -3,9 +3,9 @@ coupon-collector objective in its three equivalent forms.
 
 The three forms of p_N and what each costs:
 
-- permutations, N <= 8: N! N steps.  Exact over Fractions by a loop over
-  the orderings; over floats all orderings run as arrays over one cached
-  table of the N! orderings (_perm_table), bit-identical to the loop.
+- permutations, N <= 8: N! N steps.  All orderings run as arrays over one
+  cached table of the N! orderings (_perm_table): object arrays, exact,
+  over Fractions, and over floats bit-identical to the plain loop.
 - inclusion-exclusion, N <= 24: 2^N terms.  Exact over Fractions by a loop
   over the subsets; over floats, within about one rounding of the exact
   value, over one cached table of subsets (_subset_table).
@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
-from itertools import accumulate, combinations, permutations
+from itertools import combinations, permutations
 from typing import Sequence
 
 import numpy as np
@@ -102,7 +102,7 @@ def ball_volume(n: int, p: float) -> float:
     p = float(p)
     if p < 1.0:
         raise ParameterError("ball_volume requires p >= 1 (or inf)")
-    return math.exp(n * math.log(2.0) + n * math.lgamma(1.0 + 1.0 / p) - math.lgamma(1.0 + n / p))
+    return _v_alpha(n, p)
 
 
 def _v_alpha(alpha: float, p: float) -> float:
@@ -163,29 +163,25 @@ def coupon_pn_perm(x: Sequence):
     """Permutation form of p_N: for each ordering, the product of tail
     ratios times the sum of tail reciprocals, summed over all N! orderings.
 
-    Exact when every input is a Fraction (a loop over the orderings); N <= 8.
-    Otherwise all N! orderings run at once as columns over _perm_table,
-    each sum and product taken position by position in the loop's order,
-    and the orderings added up by a sequential cumsum: the float value is
-    the plain loop's bit for bit, inf and nan included."""
+    All N! orderings (N <= 8) run at once as columns over _perm_table
+    (cols[k] is entry k of every ordering); each sum and product is taken
+    position by position in the plain loop's order, and the orderings are
+    added up by a sequential cumsum.  Exact over Fractions (object arrays);
+    over floats the plain loop's value bit for bit, inf and nan included."""
     xs = _check_coupon_input(x, MAX_PERM_N)
     n = len(xs)
-    if not all(isinstance(v, Fraction) for v in xs):
-        with np.errstate(all="ignore"):  # silent inf and nan, as with Python floats
-            cols = np.array(xs, dtype=float)[_perm_table(n).T]  # cols[k]: entry k of every ordering
-            tails = cols.copy()
-            for k in range(n - 2, -1, -1):
-                tails[k] += tails[k + 1]
-            prod, recip = cols[0] / tails[0], 1.0 / tails[0]
-            for k in range(1, n):
-                prod = prod * (cols[k] / tails[k])
-                recip = recip + 1.0 / tails[k]
-            return float(np.cumsum(prod * recip)[-1])
-    total = Fraction(0)
-    for sigma in permutations(xs):
-        tails = list(accumulate(reversed(sigma)))[::-1]
-        total += math.prod(v / t for v, t in zip(sigma, tails)) * sum(1 / t for t in tails)
-    return total
+    exact = all(isinstance(v, Fraction) for v in xs)
+    with np.errstate(all="ignore"):  # silent inf and nan, as with Python floats
+        cols = np.array(xs, dtype=object if exact else float)[_perm_table(n).T]
+        tails = cols.copy()
+        for k in range(n - 2, -1, -1):
+            tails[k] += tails[k + 1]
+        prod, recip = cols[0] / tails[0], 1 / tails[0]
+        for k in range(1, n):
+            prod = prod * (cols[k] / tails[k])
+            recip = recip + 1 / tails[k]
+        total = np.cumsum(prod * recip)[-1]
+    return total if exact else float(total)
 
 
 @lru_cache(maxsize=None)  # n <= MAX_PERM_N: at most 8 tables, 3 MB in all

@@ -28,6 +28,23 @@ def brute_conjugate_1d(f: GridFn, ys: np.ndarray) -> np.ndarray:
     return out
 
 
+def brute_conjugate_2d(f: GridFn, dual_grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """sup_x <y,x> - f(x) in 2-D, one dual node at a time, with the
+    expression tree x1 y1 + (x2 y2 - f); also the smallest flat primal
+    index attaining it."""
+    x1s, x2s = f.grid.coords(0), f.grid.coords(1)
+    out = np.empty(dual_grid.shape)
+    arg = np.empty(dual_grid.shape, dtype=np.int64)
+    for k1, y1 in enumerate(dual_grid.coords(0)):
+        a1 = y1 * x1s
+        for k2, y2 in enumerate(dual_grid.coords(1)):
+            vals = a1[:, None] + (y2 * x2s[None, :] - f.values)
+            j = int(np.argmax(vals))
+            out[k1, k2] = vals.flat[j]
+            arg[k1, k2] = j
+    return out, arg
+
+
 def brute_infconv_1d(f: GridFn, g: GridFn) -> np.ndarray:
     """min_y f(y) + g(x - y) over displacement nodes, python loop."""
     n = f.grid.shape[0]

@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from conftest import random_convex_gridfn
 from convexdesk.atoms import FnAtom, sample
@@ -356,6 +357,20 @@ def test_criterion_13_each_step_is_the_inf_convolution_at_twice_x():
         assert dev <= 1e-12, f"step {pair.n}: {dev}"
         worst = max(worst, dev)
     _report(13, f"q_(n+1) = (p_n box q_n)(2x)/2 over 4 steps, worst {worst:.1e}")
+
+
+@pytest.mark.parametrize("norms", [("l1norm", "l2norm"), ("l2norm", "l1norm"),
+                                   ("linfnorm", "l2norm"), ("l1norm", "linfnorm")])
+def test_criterion_13_ratio_is_within_the_contracted_bound_on_the_lattice(norms):
+    # r_n <= 4^-n C up to rounding: the 10 h slack of the sandwich check is
+    # 1 at this spacing, so it would pass a step that contracts too little,
+    # such as the inf-convolution halved by 2.2 instead of 2
+    grid = Grid.box((-4, 4, 81), (-4, 4, 81))
+    pair = init_pair(FnAtom(norms[0]), FnAtom(norms[1]), grid)
+    for _ in range(5):
+        pair = asplund_step(pair)
+        r = measured_ratio(pair)
+        assert r <= 4.0 ** (-pair.n) * pair.C + 1e-12, f"step {pair.n}: r = {r}"
 
 
 def test_criterion_14_gamma_limit():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     brute_coercivity,
     brute_conjugate_1d,
+    brute_conjugate_2d,
     brute_infconv,
     brute_infconv_1d,
     random_convex_gridfn,
@@ -296,6 +297,55 @@ def test_oracle_matches_independent_loop(rng):
     ref = brute_conjugate_1d(f, ys)
     res = conjugate_oracle(f, Grid.line(-3, 3, 17))
     assert np.array_equal(res.dual.values, ref)
+
+
+# one-decimal values tie exactly on one-decimal grids; the rest sit at the
+# float limit, at -0.0 and at +inf
+ORACLE_VALUES = st.one_of(
+    st.integers(-20, 20).map(lambda k: k / 10),
+    st.sampled_from([-0.0, math.inf, 1e308, -1e308, 1.7e308, -1.7e308]),
+)
+
+
+@st.composite
+def _oracle_inputs(draw):
+    dim = draw(st.integers(1, 2))
+    hi, ylo = st.sampled_from([0.2, 1.0, 3.0]), st.sampled_from([-2.0, -0.5, 0.0])
+    grid = Grid(tuple((-1.0, draw(hi), draw(st.integers(2, 9))) for _ in range(dim)))
+    dual = Grid(tuple((draw(ylo), 1.0, draw(st.integers(2, 9))) for _ in range(dim)))
+    n = grid.node_count
+    v = np.array(draw(st.lists(ORACLE_VALUES, min_size=n, max_size=n)))
+    if not np.isfinite(v).any():
+        v[draw(st.integers(0, v.size - 1))] = -0.0
+    return GridFn(grid, v.reshape(grid.shape)), dual
+
+
+# the maximum at y = 0 is -0.0: 0 * (-1) - 0.0 in 1-D, and
+# (0 * -1) + (0 * -1 - 0.0) in 2-D
+_NEG_ZERO_1D = (GridFn(Grid.line(-1, 1, 2), [0.0, math.inf]), Grid.line(-1, 1, 3))
+_NEG_ZERO_2D = (
+    GridFn(Grid.box((-1, 1, 2), (-1, 1, 2)), [[0.0, math.inf], [math.inf, math.inf]]),
+    Grid.box((-1, 1, 3), (-1, 1, 3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_oracle_inputs(), st.sampled_from([1, 7, 50, fenchel._TILE_ELEMS]))
+@example(_NEG_ZERO_1D, fenchel._TILE_ELEMS)
+@example(_NEG_ZERO_2D, fenchel._TILE_ELEMS)
+def test_oracle_is_the_plain_loop_bit_for_bit(case, tile_elems):
+    f, dual = case
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(fenchel, "_TILE_ELEMS", tile_elems)  # small blocks: many per grid
+        warnings.simplefilter("error")
+        res = conjugate_oracle(f, dual)
+    if f.grid.dim == 1:
+        assert res.dual.values.tobytes() == brute_conjugate_1d(f, dual.coords(0)).tobytes()
+    else:
+        vals, arg = brute_conjugate_2d(f, dual)
+        assert res.dual.values.tobytes() == vals.tobytes()
+        assert np.array_equal(res.argmax, arg)
+    assert res.argmax.dtype == np.int64 and res.argmax.shape == dual.shape
 
 
 def test_oracle_memory_is_bounded_in_1d(rng):

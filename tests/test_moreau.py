@@ -78,6 +78,21 @@ def test_prox_2d_projection():
 # ---- envelope ---------------------------------------------------------------
 
 
+@pytest.mark.parametrize("x", [0.9, 0.0, -0.55])
+def test_prox_near_the_float_limit_is_the_node_minimum_without_warnings(x):
+    f = GridFn(Grid.line(-1, 1, 7), [1e308, 1.7e308, 1.7e308, 1e307, 1e308, 1.5e308, 1.7e308])
+    lam = 1e-308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the objective overflows to +inf silently
+        res = prox(f, lam, x, check_convexity=False)
+    xs = f.grid.coords(0)
+    with np.errstate(over="ignore"):
+        obj = f.values + (xs - x) ** 2 / (2.0 * lam)
+    j = int(np.argmin(obj))  # the smallest index among ties
+    assert res.point == (xs[j],)
+    assert res.envelope == obj[j]
+
+
 def test_envelope_is_huber():
     f = sample(FnAtom("abs"), Grid.line(-3, 3, 601))
     env = moreau_envelope(f, 1.0)
@@ -181,6 +196,23 @@ def test_envelope_near_the_float_limit_is_the_brute_minimum(vals, lam):
     vals, brute, env = _envelope_node_minima(f, lam, [])
     assert vals.tobytes() == brute.tobytes()
     assert np.all(env.values <= vals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    vals=st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, np.inf]), min_size=3, max_size=12),
+    lam=st.sampled_from([1e300, 1e200, 1e100, 1.0, 0.1]),
+)
+@example(vals=[0.0, 1.0, 0.0, 0.0], lam=1e300)
+def test_envelope_ties_between_distant_nodes_take_the_smallest_index(vals, lam):
+    # for a large lam, f + (x - y)^2 / (2 lam) rounds to a tie between equal
+    # values of f at nodes that are not neighbours
+    f = GridFn(Grid.line(-1, 1, len(vals)), vals)
+    if not f.is_proper:
+        return
+    got, brute, env = _envelope_node_minima(f, lam, [])  # asserts the argmin
+    assert got.tobytes() == brute.tobytes()
+    assert np.all(env.values <= got)
 
 
 def test_envelope_near_the_float_limit_over_the_pair_cap_is_refused(monkeypatch):
