@@ -139,7 +139,7 @@ def _line_blocks(nlines: int, width: int):
     return (slice(a, a + step) for a in range(0, nlines, step))
 
 
-def _conjugate_block(xs: np.ndarray, F: np.ndarray, ys: np.ndarray, lam: Optional[float] = None):
+def _conjugate_block(xs: np.ndarray, F: np.ndarray, ys: np.ndarray, lam: Optional[float], windows: int):
     if lam is not None:  # the envelope's transform, see _conjugate_lines
         f, xq, F, ys = F, ys, F + xs ** 2 / (2.0 * lam), ys / lam
     L, n = F.shape
@@ -148,7 +148,7 @@ def _conjugate_block(xs: np.ndarray, F: np.ndarray, ys: np.ndarray, lam: Optiona
     fmax = np.max(np.abs(np.where(fin, F, 0.0)), axis=1)
     hr, hc = np.nonzero(fin)
     if not hr.size:
-        return np.full((L, m), -np.inf), np.full((L, m), -1, dtype=np.int64)
+        return np.full((L, m), -np.inf), np.full((L, m), -1, dtype=np.int64), windows
     hf, hx = F[hr, hc], xs[hc]
     # a line where the pop test never fires is its own hull
     pops = (hr[2:] == hr[:-2]) & _pops(hx, hf)
@@ -186,6 +186,11 @@ def _conjugate_block(xs: np.ndarray, F: np.ndarray, ys: np.ndarray, lam: Optiona
     wl, wk = np.nonzero(jhi > jlo)
     a = jlo[wl, wk]
     size = jhi[wl, wk] - a + 1
+    windows += int(size.sum())
+    if windows > MAX_DIRECT_PAIRS:
+        raise ParameterError(
+            f"conjugate's rounding windows need {windows} nodes, cap is {MAX_DIRECT_PAIRS}"
+        )
     ends = np.cumsum(size)
     c0 = 0
     while c0 < wl.size:
@@ -205,7 +210,7 @@ def _conjugate_block(xs: np.ndarray, F: np.ndarray, ys: np.ndarray, lam: Optiona
         arg[wl[c], wk[c]] = j[k]
         c0 = c.stop
     arg[nh == 0] = -1
-    return vals, arg
+    return vals, arg, windows
 
 
 def _conjugate_lines(xs: np.ndarray, F: np.ndarray, ys: np.ndarray, lam: Optional[float] = None):
@@ -217,7 +222,7 @@ def _conjugate_lines(xs: np.ndarray, F: np.ndarray, ys: np.ndarray, lam: Optiona
     rounds of the chain's pop test over a block of lines, at most
     _HULL_WORK tested points per finite point, and the lines still popping
     then from the per-point chain.  O(n + m) per line, plus the windows of
-    dual nodes that hit a hull slope within rounding.
+    dual nodes that hit a hull slope within rounding, capped as in conjugate.
 
     With lam, the Moreau envelope's: the transform of F + x^2 / (2 lam) at
     ys / lam, with every value (windows included) taken in the envelope's
@@ -227,8 +232,9 @@ def _conjugate_lines(xs: np.ndarray, F: np.ndarray, ys: np.ndarray, lam: Optiona
     L, m = F.shape[0], ys.size
     vals = np.empty((L, m))
     arg = np.empty((L, m), dtype=np.int64)
+    windows = 0
     for b in _line_blocks(L, F.shape[1] + m):
-        vals[b], arg[b] = _conjugate_block(xs, F[b], ys, lam)
+        vals[b], arg[b], windows = _conjugate_block(xs, F[b], ys, lam, windows)
     return vals, arg
 
 
@@ -260,6 +266,13 @@ def conjugate(f: GridFn, dual_grid: Grid) -> ConjugateResult:
     axis of f's grid (span S, spacing h).  Otherwise the result is
     conjugate_oracle's, which refuses more than MAX_DIRECT_PAIRS node
     pairs with ParameterError before any work.
+
+    The rounding windows take an exhaustive max over each window's nodes.
+    Past MAX_DIRECT_PAIRS window nodes in one pass over lines it raises
+    ParameterError before the block that crosses the cap.  A pass has at
+    most one window of one line's nodes per line and dual node, so only
+    inputs over the oracle's pair cap reach it; f = 0 on [-1, 1] with the
+    dual grid in [-1e-13, 1e-13] has n*m window nodes.
     """
     require_proper(f, "conjugate input")
     if dual_grid.dim != f.grid.dim:

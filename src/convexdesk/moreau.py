@@ -114,7 +114,8 @@ def _envelope_lines(xs: np.ndarray, F: np.ndarray, lam: float):
     (-1, +inf)).  Where conjugate's float-limit bound fails on g (its
     largest finite |g| taken as max |f| + max x^2 / (2 lam)) and the dual
     nodes x / lam, the minimum is the exhaustive one instead, which refuses
-    more than MAX_DIRECT_PAIRS (line node, node) pairs before its work.
+    more than MAX_DIRECT_PAIRS (line node, node) pairs before its work; the
+    kernel's windows are capped as in conjugate.
     """
     lo, hi, n, lam = float(xs[0]), float(xs[-1]), xs.size, float(lam)
     fmax = max(-float(F.min()), float(np.max(F, where=np.isfinite(F), initial=0.0)))

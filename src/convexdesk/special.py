@@ -33,7 +33,6 @@ from itertools import combinations, permutations
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import AccuracyError, ParameterError
 
@@ -112,9 +111,11 @@ def _v_alpha(alpha: float, p: float) -> float:
 
 
 def beta_direct(x: float, y: float) -> float:
-    """Beta function by direct quadrature of its defining integral."""
+    """Beta function by direct quadrature of its defining integral.
+    Imports scipy.integrate on first use."""
     if x <= 0 or y <= 0:
         raise ParameterError("beta requires x, y > 0")
+    from scipy.integrate import quad
     val, err = quad(lambda t: t ** (x - 1.0) * (1.0 - t) ** (y - 1.0), 0.0, 1.0, limit=200)
     if err > 1e-9 * max(1.0, abs(val)):
         raise AccuracyError(f"beta quadrature error {err} too large")
@@ -317,8 +318,10 @@ def _pn_float(x: np.ndarray) -> float:
 
 def coupon_pn_integral(x: Sequence[float]) -> float:
     """Integral form of p_N, evaluated after substituting t = exp(-s):
-    integral over s in (0, inf) of 1 - prod(1 - exp(-s x_i))."""
+    integral over s in (0, inf) of 1 - prod(1 - exp(-s x_i)).  Imports
+    scipy.integrate on first use."""
     xs = [float(v) for v in _check_coupon_input(x, MAX_IE_N)]
+    from scipy.integrate import quad
     s_max = 50.0 / min(xs)
 
     def integrand(s: float) -> float:

@@ -299,6 +299,49 @@ def test_oracle_matches_independent_loop(rng):
     assert np.array_equal(res.dual.values, ref)
 
 
+def test_rounding_windows_past_the_pair_cap_are_refused(monkeypatch):
+    # f = 0 with the whole dual grid within rounding of the hull's slope 0:
+    # every dual node's window spans all 50 nodes, 2500 window nodes
+    f = GridFn(Grid.line(-1, 1, 50), np.zeros(50))
+    dual = Grid.line(-1e-13, 1e-13, 50)
+    monkeypatch.setattr(fenchel, "MAX_DIRECT_PAIRS", 2499)
+    with pytest.raises(ParameterError, match="2500"):
+        conjugate(f, dual)
+    monkeypatch.setattr(fenchel, "MAX_DIRECT_PAIRS", 2500)
+    res, ref = conjugate(f, dual), conjugate_oracle(f, dual)
+    assert res.dual.values.tobytes() == ref.dual.values.tobytes()
+    assert res.argmax.tobytes() == ref.argmax.tobytes()
+
+
+def test_rounding_windows_cap_counts_across_blocks_in_2d(monkeypatch):
+    # each pass: 20 lines x 20 dual nodes x windows of all 20 nodes, in
+    # blocks of 2 lines; the cap holds per pass, over all its blocks
+    g = Grid.box((-1, 1, 20), (-1, 1, 20))
+    f = GridFn(g, np.zeros(g.shape))
+    dual = Grid.box((-1e-13, 1e-13, 20), (-1e-13, 1e-13, 20))
+    ref = conjugate_oracle(f, dual)  # 160000 pairs, over the patched caps
+    monkeypatch.setattr(fenchel, "_BLOCK_ELEMS", 100)
+    monkeypatch.setattr(fenchel, "MAX_DIRECT_PAIRS", 7999)
+    with pytest.raises(ParameterError, match="8000"):
+        conjugate(f, dual)
+    monkeypatch.setattr(fenchel, "MAX_DIRECT_PAIRS", 8000)
+    assert conjugate(f, dual).dual.values.tobytes() == ref.dual.values.tobytes()
+
+
+def test_2d_blocks_of_lines_with_no_finite_value_match_the_oracle(monkeypatch):
+    # blocks of 2 lines: the first rows lie outside the box, so whole
+    # blocks of the row pass are +inf
+    g = Grid.box((-2, 2, 21), (-3, 3, 17))
+    x1, x2 = np.meshgrid(g.coords(0), g.coords(1), indexing="ij")
+    inside = (x1 >= 0.1) & (np.abs(x2 + 0.5) <= 1.1)
+    f = GridFn(g, np.where(inside, 0.5 * x1 - x2, np.inf))
+    assert not np.isfinite(f.values[:10]).any()
+    dual = Grid.box((-3, 3, 19), (-2, 2, 17))
+    monkeypatch.setattr(fenchel, "_BLOCK_ELEMS", 70)
+    res, ref = conjugate(f, dual), conjugate_oracle(f, dual)
+    assert res.dual.values.tobytes() == ref.dual.values.tobytes()
+
+
 # one-decimal values tie exactly on one-decimal grids; the rest sit at the
 # float limit, at -0.0 and at +inf
 ORACLE_VALUES = st.one_of(

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_envelope_1d, random_convex_gridfn
-from convexdesk import moreau
+from convexdesk import fenchel, moreau
 from convexdesk.atoms import FnAtom, sample
 from convexdesk.errors import (
     GridMismatchError,
@@ -76,6 +76,21 @@ def test_prox_2d_projection():
 
 
 # ---- envelope ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(50,), (20, 20)])
+def test_envelope_windows_past_the_pair_cap_are_refused(monkeypatch, shape):
+    # f = 0 with lam = 1e20: the transform's slopes x / lam lie within
+    # rounding of every dual node, so each pass has L n^2 window nodes
+    g = Grid.line(-1, 1, 50) if len(shape) == 1 else Grid.box((-1, 1, 20), (-1, 1, 20))
+    f = GridFn(g, np.zeros(shape))
+    windows = 2500 if len(shape) == 1 else 8000
+    expected = moreau_envelope(f, 1e20).values
+    monkeypatch.setattr(fenchel, "MAX_DIRECT_PAIRS", windows - 1)
+    with pytest.raises(ParameterError, match=str(windows)):
+        moreau_envelope(f, 1e20)
+    monkeypatch.setattr(fenchel, "MAX_DIRECT_PAIRS", windows)
+    assert moreau_envelope(f, 1e20).values.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("x", [0.9, 0.0, -0.55])
@@ -248,6 +263,22 @@ def test_envelope_2d_box_indicator_matches_direct():
     fv = f.values.ravel()
     for k in range(0, nodes.shape[0], 7):
         ref = np.min(fv + ((nodes - nodes[k]) ** 2).sum(axis=1) / 1.4)
+        assert abs(env.values.ravel()[k] - ref) <= 1e-12
+
+
+def test_envelope_2d_leading_block_of_infinite_rows_matches_direct():
+    # 101^2: the row pass runs in blocks of 40 lines, and the first 40
+    # rows lie outside the box, so its first block has no finite value
+    g = Grid.box((-1, 1, 101), (-1, 1, 101))
+    x1, x2 = np.meshgrid(g.coords(0), g.coords(1), indexing="ij")
+    inside = (x1 >= -0.19) & (np.abs(x2) <= 0.5)
+    f = GridFn(g, np.where(inside, x1 + 0.5 * x2, np.inf))
+    assert not np.isfinite(f.values[:40]).any()
+    env = moreau_envelope(f, 0.3)
+    nodes = g.nodes()
+    fv = f.values.ravel()
+    for k in range(0, nodes.shape[0], 37):
+        ref = np.min(fv + ((nodes - nodes[k]) ** 2).sum(axis=1) / 0.6)
         assert abs(env.values.ravel()[k] - ref) <= 1e-12
 
 

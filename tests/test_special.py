@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,3 +336,22 @@ def test_coupon_ie_float_memory_at_max_n():
         tracemalloc.stop()
     assert peak < 32 * 2**20
     assert abs(Fraction(val) - exact) <= Fraction(1e-15) * exact
+
+
+def test_import_loads_no_scipy_until_the_integral_form_runs():
+    # a fresh process: other tests import scipy into this one
+    code = (
+        "import sys, math\n"
+        "import convexdesk, convexdesk.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "from convexdesk.special import coupon_pn_integral\n"
+        "v = coupon_pn_integral([1.0, 2.0])\n"
+        "print(math.isfinite(v), 'scipy.integrate' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["[]", "True True"]
