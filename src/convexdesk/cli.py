@@ -33,8 +33,8 @@ from .fenchel import (
     inf_convolution,
 )
 from .grids import Grid, GridFn
-from .monotone import OperatorGraph, fitzpatrick, resolvent
-from .moreau import moreau_envelope, project, prox
+from .monotone import OperatorGraph, _certificate, fitzpatrick, resolvent
+from .moreau import _check_inputs, moreau_envelope, project, prox
 from .renorm import (asplund_step, init_pair, measured_ratio, valid_region_halfwidth,
                      window_node_count)
 from .special import (
@@ -243,10 +243,7 @@ def _run_prox(opts: dict) -> None:
     f = _load_fn(opts)
     x = _parse_vec(opts["x"])
     res = prox(f, opts["lam"], x, convexity_tol=_convexity_tol())
-    from .monotone import _fy_residual
-
-    y = (x - np.asarray(res.point)) / opts["lam"]
-    eps = _fy_residual(f, np.asarray(res.point), y)
+    _, eps = _certificate(f, opts["lam"], x, np.asarray(res.point))
     _emit(
         {"x": list(x), "prox": list(res.point), "envelope": res.envelope,
          "lambda": res.lam, "certificate_eps": eps},
@@ -274,7 +271,9 @@ def _run_fitzpatrick(opts: dict) -> None:
 def _run_resolvent(opts: dict) -> None:
     f = _load_fn(opts)
     z = _parse_vec(opts["z"])
-    res = resolvent(f, opts["lam"], z)
+    # prox's input checks at the job's tolerance; resolvent then skips convexity
+    _check_inputs(f, opts["lam"], True, _convexity_tol(), "prox", z)
+    res = resolvent(f, opts["lam"], z, check_convexity=False)
     _emit(
         {"z": list(z), "x": list(res.x), "y": list(res.y),
          "lambda": opts["lam"], "certificate_eps": res.certificate_eps},

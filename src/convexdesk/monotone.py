@@ -18,7 +18,7 @@ from .errors import ParameterError
 from .extreal import ExtReal
 from .fenchel import conjugate_value_at
 from .grids import GridFn, interp_gridfn
-from .moreau import prox
+from .moreau import _boundary_axis, prox
 
 __all__ = [
     "OperatorGraph",
@@ -133,20 +133,19 @@ class ResolventResult:
     certificate_eps: float  # Fenchel-Young residual of y in d_eps f(x)
 
 
-def _fy_residual(f: GridFn, x: np.ndarray, y: np.ndarray) -> float:
-    """f(x) + f*(y) - <x, y> with f interpolated and f* evaluated exactly
-    over the nodes (the conjugate of the piecewise-linear extension)."""
+def _certificate(f: GridFn, lam: float, z: np.ndarray, x: np.ndarray, residual: bool = True):
+    """y = (z - x) / lam for x = prox(f, lam, z), and the Fenchel-Young residual
+    f(x) + f*(y) - <x, y> of y in d_eps f(x), None unless `residual`: f interpolated,
+    f* exact over the nodes (the conjugate of the piecewise-linear extension)."""
+    y = (z - x) / lam
+    if not residual:
+        return y, None
     fx = float(interp_gridfn(f, x[None, :])[0])
     fy, _ = conjugate_value_at(f, y)
-    return fx + fy - float(x @ y)
+    return y, fx + fy - float(x @ y)
 
 
-def resolvent(
-    f: GridFn,
-    lam: float,
-    z,
-    check_convexity: bool = True,
-) -> ResolventResult:
+def resolvent(f: GridFn, lam: float, z, check_convexity: bool = True) -> ResolventResult:
     """J_{lam A} for A = the subdifferential of f, realized via prox.
 
     Returns x = prox(f, lam, z) and y = (z - x) / lam, so z = x + lam y by
@@ -154,20 +153,16 @@ def resolvent(
     y in d_eps f(x).
     """
     zv = np.atleast_1d(np.asarray(z, dtype=float))
-    pr = prox(f, lam, zv, check_convexity=check_convexity)
-    x = np.asarray(pr.point)
-    y = (zv - x) / lam
-    eps = _fy_residual(f, x, y)
-    return ResolventResult(tuple(x), tuple(y), float(eps))
+    x = np.asarray(prox(f, lam, zv, check_convexity=check_convexity).point)
+    y, eps = _certificate(f, lam, zv, x)
+    return ResolventResult(tuple(x), tuple(y), eps)
 
 
-def yosida(
-    f: GridFn, lam: float, z, check_convexity: bool = True
-) -> np.ndarray:
+def yosida(f: GridFn, lam: float, z, check_convexity: bool = True) -> np.ndarray:
     """(z - prox(f, lam, z)) / lam; the gradient of the Moreau envelope."""
     zv = np.atleast_1d(np.asarray(z, dtype=float))
-    pr = prox(f, lam, zv, check_convexity=check_convexity)
-    return (zv - np.asarray(pr.point)) / lam
+    x = np.asarray(prox(f, lam, zv, check_convexity=check_convexity).point)
+    return _certificate(f, lam, zv, x, residual=False)[0]
 
 
 @dataclass(frozen=True)
@@ -182,22 +177,13 @@ def surjectivity_probe(
     f: GridFn, targets: Sequence, eps_tol: float = 1e-6
 ) -> SurjectivityReport:
     """Solve z in x + subdiff f(x) through the resolvent for each target z
-    and certify via Fenchel-Young; Minty's criterion probed on a target set."""
+    and certify via Fenchel-Young; Minty's criterion probed on a target set.
+    An empty target set certifies nothing and raises ParameterError."""
     tg = [np.atleast_1d(np.asarray(t, dtype=float)) for t in targets]
-    residuals = []
-    flags = []
-    for z in tg:
-        res = resolvent(f, 1.0, z, check_convexity=False)
-        residuals.append(res.certificate_eps)
-        x = np.asarray(res.x)
-        flags.append(any(
-            xa <= lo + 0.5 * h or xa >= hi - 0.5 * h
-            for xa, (lo, hi, _), h in zip(x, f.grid.axes, f.grid.spacing)
-        ))
+    if not tg:
+        raise ParameterError("surjectivity_probe needs at least one target")
+    res = [resolvent(f, 1.0, z, check_convexity=False) for z in tg]
+    residuals = tuple(r.certificate_eps for r in res)
+    flags = tuple(_boundary_axis(f.grid, r.x) is not None for r in res)
     ok = all(r <= eps_tol and not fl for r, fl in zip(residuals, flags))
-    return SurjectivityReport(
-        tuple(tuple(t) for t in tg),
-        tuple(float(r) for r in residuals),
-        tuple(flags),
-        ok,
-    )
+    return SurjectivityReport(tuple(tuple(t) for t in tg), residuals, flags, ok)

@@ -2,6 +2,8 @@
 
 Envelope node minima come from the conjugate kernel, as
 env(x) = x^2 / (2 lam) - (f + |.|^2 / (2 lam))*(x / lam), once per axis.
+A prox query takes the exhaustive node minimum instead, cheaper than a
+kernel pass at one query; the exhaustive envelope fallback shares it.
 Prox points and the 1-D envelope then take one guarded quadratic
 refinement: the parabola through the three bracketing samples proposes a
 vertex, the objective is re-evaluated there through interpolation, and
@@ -12,6 +14,8 @@ drops below the true envelope.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -58,23 +62,42 @@ def _check_inputs(
     return xv
 
 
-def _parabola_step(
-    f: GridFn, node: np.ndarray, axis: int, i: np.ndarray, samples, x: np.ndarray, lam: float,
-):
-    """Guarded quadratic refinement along `axis` for K queries `x` (K, dim)
-    at argmin nodes `node` (K, dim) of index `i` (K,) along the axis, from
-    the objective `samples` at i - 1, i, i + 1.  Returns the vertices and
-    their objective values, +inf where the step does not apply."""
-    pm, p0, pp = samples
-    coords = f.grid.coords(axis)
-    h = coords[1] - coords[0]
+def _node_minimum(coords, values: np.ndarray, lam: float, X: np.ndarray):
+    """Smallest flat index j minimizing values[j] + ||x - x_j||^2 / (2 lam)
+    over the row-major nodes x_j of the axis coordinates `coords`, and that
+    minimum, for each query row x of X (K, dim), a block at a time; the
+    squares are summed over the axes in order, as ((x_j - x) ** 2).sum(-1)."""
+    j = np.empty(X.shape[0], dtype=np.int64)
+    best = np.empty(X.shape[0])
+    with np.errstate(over="ignore"):  # near the float limit: inf samples skip the step
+        for b in _line_blocks(X.shape[0], values.size):
+            sq = functools.reduce(lambda q, d: (q[:, :, None] + d[:, None, :]).reshape(len(d), -1),
+                                  ((c - x[:, None]) ** 2 for c, x in zip(coords, X[b].T)))
+            v = values + sq / (2.0 * lam)
+            j[b] = np.argmin(v, axis=1)
+            best[b] = v[np.arange(v.shape[0]), j[b]]
+    return j, best
+
+
+def _parabola_step(f: GridFn, coords, idx, axis: int, x: np.ndarray, lam: float):
+    """Guarded quadratic refinement along `axis` for K queries x (K, dim) at
+    their argmin nodes, indices `idx` (a (K,) array per axis) into `coords`:
+    the parabola through the objective there and at the two neighbours on
+    the axis.  Returns its vertices and their values, +inf where not applied."""
+    c, i = coords[axis], idx[axis]
+    h = c[1] - c[0]
+    near = list(idx)
+    near[axis] = np.clip(i + np.arange(-1, 2)[:, None], 0, c.size - 1)
     with np.errstate(all="ignore"):  # inf and nan where the step does not apply
+        sq = functools.reduce(operator.add,
+                              ((cs[k] - xa) ** 2 for cs, k, xa in zip(coords, near, x.T)))
+        pm, p0, pp = f.values[tuple(near)] + sq / (2.0 * lam)
         denom = pm - 2.0 * p0 + pp
-        ok = (i > 0) & (i < coords.size - 1) & (denom > 0) & np.isfinite(denom)
+        ok = (i > 0) & (i < c.size - 1) & (denom > 0) & np.isfinite(denom)
         ok &= np.isfinite(pm) & np.isfinite(p0) & np.isfinite(pp)
         delta = np.clip(0.5 * (pm - pp) / denom * h, -h, h)
-        cand = np.array(node, dtype=float)
-        cand[:, axis] = coords[i] + np.where(ok, delta, 0.0)
+        cand = np.stack([cs[k] for cs, k in zip(coords, idx)], axis=1)
+        cand[:, axis] += np.where(ok, delta, 0.0)
         fc = interp_gridfn(f, cand)
         val = fc + ((x - cand) ** 2).sum(axis=1) / (2.0 * lam)
     return cand, np.where(ok & np.isfinite(fc), val, np.inf)
@@ -88,17 +111,13 @@ def prox(
     Ties in the discrete argmin break to the smallest index; convexity
     makes them adjacent.
     """
-    xv = _check_inputs(f, lam, check_convexity, convexity_tol, "prox", x)
-    with np.errstate(over="ignore"):  # near the float limit: inf samples skip the step
-        obj = f.values + ((f.grid.nodes() - xv) ** 2).sum(axis=1).reshape(f.grid.shape) / (2.0 * lam)
-    idx = np.unravel_index(int(np.argmin(obj)), obj.shape)
-    best_val = float(obj[idx])
-    node = np.asarray([f.grid.coords(ax)[i] for ax, i in enumerate(idx)])
-    best_pt = node
-    for ax in range(f.grid.dim):
-        line = obj[idx[:ax] + (slice(None),) + idx[ax + 1 :]]
-        samples = line[np.clip(idx[ax] + np.arange(-1, 2), 0, line.size - 1), None]
-        cand, val = _parabola_step(f, node[None, :], ax, np.array([idx[ax]]), samples, xv[None, :], lam)
+    xv = _check_inputs(f, lam, check_convexity, convexity_tol, "prox", x)[None, :]
+    coords = [f.grid.coords(ax) for ax in range(f.grid.dim)]
+    j, best = _node_minimum(coords, f.values.ravel(), lam, xv)
+    idx = np.unravel_index(j, f.grid.shape)
+    best_pt, best_val = [c[i[0]] for c, i in zip(coords, idx)], float(best[0])
+    for ax in range(f.grid.dim):  # per axis from the node; the first strictly better wins
+        cand, val = _parabola_step(f, coords, idx, ax, xv, lam)
         if val[0] < best_val:
             best_pt, best_val = cand[0], float(val[0])
     return ProxResult(tuple(float(v) for v in best_pt), best_val, float(lam))
@@ -127,22 +146,14 @@ def _envelope_lines(xs: np.ndarray, F: np.ndarray, lam: float):
 
 
 def _envelope_exhaustive(xs: np.ndarray, F: np.ndarray, lam: float):
-    """_envelope_lines by the smallest-index minimum over every node pair,
-    a line and a block of nodes at a time."""
+    """_envelope_lines by the node minimum over every node pair, a line at a time."""
     pairs = F.size * xs.size
     if pairs > MAX_DIRECT_PAIRS:
         raise ParameterError(
             f"exhaustive envelope needs {pairs} node pairs, cap is {MAX_DIRECT_PAIRS}"
         )
-    best_j = np.empty(F.shape, dtype=np.int64)
-    best = np.empty(F.shape)
-    with np.errstate(over="ignore"):
-        for l in range(F.shape[0]):
-            for b in _line_blocks(xs.size, xs.size):
-                v = F[l] + (xs[b, None] - xs) ** 2 / (2.0 * lam)
-                best_j[l, b] = np.argmin(v, axis=1)
-                best[l, b] = v[np.arange(v.shape[0]), best_j[l, b]]
-    return best_j, best
+    j, best = zip(*(_node_minimum([xs], line, lam, xs[:, None]) for line in F))
+    return np.array(j), np.array(best)
 
 
 def moreau_envelope(
@@ -161,12 +172,8 @@ def moreau_envelope(
         return GridFn(f.grid, _envelope_lines(f.grid.coords(0), inner.T, lam)[1].T)
     xs = f.grid.coords(0)
     j, vals = _envelope_lines(xs, f.values[None, :], lam)
-    j, vals = j[0], vals[0]
-    jd = np.clip(j + np.arange(-1, 2)[:, None], 0, xs.size - 1)
-    with np.errstate(over="ignore"):  # near the float limit: inf samples skip the step
-        samples = f.values[jd] + (xs - xs[jd]) ** 2 / (2.0 * lam)
-        _, refined = _parabola_step(f, xs[j][:, None], 0, j, samples, xs[:, None], lam)
-    return GridFn(f.grid, np.minimum(vals, refined))
+    _, refined = _parabola_step(f, [xs], (j[0],), 0, xs[:, None], lam)
+    return GridFn(f.grid, np.minimum(vals[0], refined))
 
 
 def moreau_decomposition_residual(
@@ -181,12 +188,18 @@ def moreau_decomposition_residual(
     a = np.asarray(prox(f, 1.0, xv, check_convexity=check_convexity).point)
     fstar = conjugate(f, dual_grid).dual
     b = np.asarray(prox(fstar, 1.0, xv, check_convexity=False).point)
-    for ax, ((lo, hi, _), h) in enumerate(zip(dual_grid.axes, dual_grid.spacing)):
-        if b[ax] <= lo + 0.5 * h or b[ax] >= hi - 0.5 * h:
-            raise WidenGridError(
-                f"prox of f* landed on the dual grid boundary at axis {ax}; widen the dual grid"
-            )
+    ax = _boundary_axis(dual_grid, b)
+    if ax is not None:
+        raise WidenGridError(
+            f"prox of f* landed on the dual grid boundary at axis {ax}; widen the dual grid"
+        )
     return float(np.linalg.norm(xv - a - b))
+
+
+def _boundary_axis(grid: Grid, x) -> Optional[int]:
+    """The first axis on which x lies within half a spacing of the box's boundary, or None."""
+    return next((ax for ax, (xa, (lo, hi, _), h) in enumerate(zip(x, grid.axes, grid.spacing))
+                 if xa <= lo + 0.5 * h or xa >= hi - 0.5 * h), None)
 
 
 def project(box, x) -> np.ndarray:

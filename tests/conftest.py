@@ -153,6 +153,46 @@ def brute_envelope_1d(f: GridFn, lam: float) -> np.ndarray:
     return out
 
 
+def brute_prox(f: GridFn, lam: float, x) -> tuple[tuple[float, ...], float]:
+    """prox by the dense objective f_j + ||x - x_j||^2 / (2 lam) over every
+    node and its smallest flat-index minimum; then, per axis from that
+    node, the parabola through the objective at the node and its two
+    neighbours on the axis, python loop: where the node is interior, the
+    three values finite and the curvature finite and positive, the vertex
+    (its step clipped to one spacing) is valued through brute_interp, and
+    the first strictly better value wins.  Returns (point, envelope)."""
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    with np.errstate(over="ignore"):
+        obj = f.values + ((f.grid.nodes() - xv) ** 2).sum(axis=1).reshape(f.grid.shape) / (2.0 * lam)
+    idx = np.unravel_index(int(np.argmin(obj)), obj.shape)
+    node = [float(f.grid.coords(ax)[i]) for ax, i in enumerate(idx)]
+    best_pt, best_val = node, float(obj[idx])
+    for ax, i in enumerate(idx):
+        coords = f.grid.coords(ax)
+        if not 0 < i < coords.size - 1:
+            continue
+        h = float(coords[1] - coords[0])
+        pm, p0, pp = (float(obj[idx[:ax] + (k,) + idx[ax + 1 :]]) for k in (i - 1, i, i + 1))
+        if not all(math.isfinite(p) for p in (pm, p0, pp)):
+            continue
+        denom = pm - 2.0 * p0 + pp
+        if not (math.isfinite(denom) and denom > 0):
+            continue
+        cand = list(node)
+        cand[ax] = node[ax] + min(max(0.5 * (pm - pp) / denom * h, -h), h)
+        fc = float(brute_interp(f, [cand])[0])
+        if not math.isfinite(fc):
+            continue
+        q = None
+        for xa, ca in zip(xv.tolist(), cand):
+            d = (xa - ca) * (xa - ca)
+            q = d if q is None else q + d
+        val = fc + q / (2.0 * lam)
+        if val < best_val:
+            best_pt, best_val = cand, val
+    return tuple(best_pt), best_val
+
+
 def brute_coupon_perm(xs) -> float:
     """Permutation form of p_N over floats, python loop: for each ordering,
     the tails summed from the back, the product of the tail ratios in

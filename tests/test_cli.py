@@ -303,6 +303,26 @@ def test_tolerance_env_override(monkeypatch):
     assert default_tol() is None
 
 
+def test_tolerance_env_override_covers_prox_envelope_and_resolvent(tmp_path, monkeypatch, capsys):
+    # one node 1e-6 above zero: a second difference of -2e-6
+    vals = np.zeros(41)
+    vals[20] = 1e-6
+    path = str(tmp_path / "f.json")
+    write_gridfn_json(GridFn(Grid.line(-1, 1, 41), vals), path)
+    jobs = [["prox", "--in", path, "--x", "0.3"], ["envelope", "--in", path],
+            ["resolvent", "--in", path, "--z", "0.3"]]
+    monkeypatch.delenv("CONVEXDESK_TOL", raising=False)
+    for argv in jobs:
+        assert main(argv) == 1
+        assert "requires convex f" in capsys.readouterr().err
+    monkeypatch.setenv("CONVEXDESK_TOL", "1e-5")
+    out = str(tmp_path / "r.json")
+    for argv in jobs:
+        assert main(argv + ["--out", out]) == 0, argv
+    doc = json.load(open(out))
+    assert doc["z"][0] == pytest.approx(doc["x"][0] + doc["lambda"] * doc["y"][0], abs=1e-12)
+
+
 GRID3 = {"schema": 1, "dim": 1, "axes": [{"lo": -1.0, "hi": 1.0, "n": 3}]}
 GRID4 = {"schema": 1, "dim": 1, "axes": [{"lo": -1.0, "hi": 1.0, "n": 4}]}
 

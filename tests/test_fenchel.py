@@ -409,6 +409,22 @@ def test_oracle_memory_is_bounded_in_1d(rng):
     assert peak < 16 * 2**20
 
 
+def test_1d_conjugate_memory_is_linear_in_the_line():
+    # one line is one block of the kernel: at n = m its temporaries take
+    # about 194 bytes per node, whatever the line's size
+    n = 200_000
+    f = sample(FnAtom("abs"), Grid.line(-1, 1, n))
+    dual = Grid.line(-2, 2, n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        conjugate(f, dual)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * n
+
+
 NEAR_LIMIT = [1e308, -1e308, 1.7e308, -1.7e308, 5e307, 0.0, 1.0, -3.0, np.inf]
 
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import random_convex_gridfn
+from convexdesk import monotone
 from convexdesk.atoms import FnAtom, sample
 from convexdesk.errors import ParameterError
-from convexdesk.grids import Grid
+from convexdesk.grids import Grid, GridFn
 from convexdesk.monotone import (
     OperatorGraph,
     fitzpatrick,
@@ -187,3 +188,20 @@ def test_surjectivity_probe_boundary_flag():
     g = sample(FnAtom("linear", (-5.0,)), Grid.line(-1, 1, 201))
     rep2 = surjectivity_probe(g, [-0.5])
     assert rep2.boundary_flags[0] and not rep2.all_certified
+
+
+def test_surjectivity_probe_refuses_an_empty_target_set(monkeypatch):
+    f = sample(FnAtom("abs"), Grid.line(-2, 2, 41))
+    monkeypatch.setattr(monotone, "resolvent", None)  # no work may start
+    with pytest.raises(ParameterError, match="at least one target"):
+        surjectivity_probe(f, [])
+    with pytest.raises(ParameterError, match="at least one target"):
+        surjectivity_probe(f, np.empty(0))
+
+
+def test_surjectivity_probe_flags_a_solution_half_a_step_from_the_boundary():
+    # spacing 0.25: the target 0.875 ties between the last two nodes, the
+    # smaller wins, and the refined solution is 0.875 = hi - h / 2 exactly
+    f = GridFn(Grid.line(-1, 1, 9), np.zeros(9))
+    rep = surjectivity_probe(f, [0.875, 0.86])
+    assert rep.boundary_flags == (True, False)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_envelope_1d, random_convex_gridfn
+from conftest import brute_envelope_1d, brute_prox, random_convex_gridfn
 from convexdesk import fenchel, moreau
 from convexdesk.atoms import FnAtom, sample
 from convexdesk.errors import (
@@ -73,6 +73,46 @@ def test_prox_2d_projection():
     f = sample(FnAtom("sqnorm2"), g)
     r = prox(f, 1.0, (1.0, 0.5))
     assert np.allclose(r.point, (0.5, 0.25), atol=1e-9)
+
+
+PROX_VALUES = [0.0, -0.0, 0.1, 0.2, 0.5, 1.0, -0.3, np.inf, 1e308, 1.7e308, -1e308, -1.7e308]
+
+
+@st.composite
+def prox_cases(draw):
+    """A 1-D or 2-D grid on [-half, half] per axis, values from PROX_VALUES
+    (ties between one-decimal values, +inf patches, values near the float
+    limit), and a query on or off the nodes."""
+    shape = draw(st.one_of(st.tuples(st.integers(3, 12)),
+                           st.tuples(st.integers(3, 7), st.integers(3, 7))))
+    half = draw(st.sampled_from([1.0, 2.5, 1e-3]))
+    g = Grid(tuple((-half, half, n) for n in shape))
+    size = int(np.prod(shape))
+    vals = draw(st.lists(st.sampled_from(PROX_VALUES), min_size=size, max_size=size))
+    x = [draw(st.one_of(st.sampled_from(g.coords(ax).tolist()), st.floats(-half, half)))
+         for ax in range(g.dim)]
+    return g, vals, x
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=prox_cases(), lam=st.sampled_from([1e-308, 1e-300, 1e-3, 0.5, 1.0, 1e6, 1e100, 1e300]))
+@example(case=(Grid.box((-1, 1, 3), (-1, 1, 3)), [0.0] * 9, [0.3, 0.3]), lam=1.0)  # axes tie
+@example(case=(Grid.line(-1, 1, 3), [0.0, 0.0, 0.5], [1.0]), lam=1.0)  # the envelope refines
+def test_prox_is_the_plain_dense_minimum_and_refinement_bit_for_bit(case, lam):
+    g, vals, x = case
+    f = GridFn(g, np.reshape(vals, g.shape))
+    if not f.is_proper:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = prox(f, lam, x, check_convexity=False)
+        env = moreau_envelope(f, lam, check_convexity=False).values
+    point, value = brute_prox(f, lam, x)
+    assert np.asarray(res.point).tobytes() == np.asarray(point).tobytes()
+    assert np.float64(res.envelope).tobytes() == np.float64(value).tobytes()
+    if g.dim == 1:  # the 1-D envelope takes the same refinement at every node
+        brute = [brute_prox(f, lam, xk)[1] for xk in g.coords(0)]
+        assert env.tobytes() == np.asarray(brute).tobytes()
 
 
 # ---- envelope ---------------------------------------------------------------
@@ -330,6 +370,17 @@ def test_moreau_decomposition_widen_grid_error():
     fq = sample(FnAtom("power", (2.0,)), g)
     with pytest.raises(WidenGridError):
         moreau_decomposition_residual(fq, 3.0, dual_grid=Grid.line(-1.4, 1.4, 101))
+
+
+def test_moreau_decomposition_names_the_boundary_axis():
+    # f is the indicator of the origin, so f* = 0 and prox_{f*}(x) = x
+    g = Grid.box((-2, 2, 41), (-2, 2, 41))
+    f = GridFn(g, np.where((g.nodes() == 0).all(axis=1).reshape(g.shape), 0.0, np.inf))
+    dual = Grid.box((-1.4, 1.4, 29), (-1.4, 1.4, 29))
+    for x, ax in (((0.1, 1.39), 1), ((1.39, 0.1), 0)):
+        with pytest.raises(WidenGridError, match=f"boundary at axis {ax};"):
+            moreau_decomposition_residual(f, x, dual_grid=dual)
+    assert moreau_decomposition_residual(f, (0.1, 0.2), dual_grid=dual) <= 1e-12
 
 
 def test_project_examples():
