@@ -34,9 +34,9 @@ def main() -> None:
     rng = np.random.default_rng(seed)
     x = tuple(float(v) for v in 10.0 ** rng.uniform(-0.5, 0.5, n))
     ie = float(coupon_pn_ie(x))
-    quad = coupon_pn_integral(x)
-    print(json.dumps({"x": list(x), "ie": ie, "integral": quad,
-                      "discrepancy": abs(ie - quad)}))
+    integral = coupon_pn_integral(x)
+    print(json.dumps({"x": list(x), "ie": ie, "integral": integral,
+                      "discrepancy": abs(ie - integral)}))
 
     rep = coupon_convexity_probe(n, trials, seed)
     print(json.dumps({

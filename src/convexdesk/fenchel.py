@@ -338,10 +338,19 @@ def conjugate_oracle(f: GridFn, dual_grid: Grid) -> ConjugateResult:
 
 def conjugate_value_at(f: GridFn, y) -> tuple[float, int]:
     """Exact discrete conjugate value max_j <y, x_j> - f_j at one dual
-    point (not necessarily a dual-grid node); returns (value, argmax)."""
+    point (not necessarily a dual-grid node); returns (value, argmax), the
+    smallest flat index.  Each term is ((0.0 + x_j0 y_0) + x_j1 y_1) - f_j,
+    formed from the per-axis coordinates; overflow gives inf or nan silently."""
     require_proper(f, "conjugate input")
     yv = np.atleast_1d(np.asarray(y, dtype=float))
-    vals = f.grid.nodes() @ yv - f.values.ravel()
+    dim = f.grid.dim
+    if yv.size != dim:
+        raise GridMismatchError(f"dual point has dim {yv.size}, grid has dim {dim}")
+    vals = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ax in range(dim):
+            vals = vals + f.grid.coords(ax).reshape((-1,) + (1,) * (dim - 1 - ax)) * yv[ax]
+        vals = (vals - f.values).ravel()
     j = int(np.argmax(vals))
     return float(vals[j]), j
 

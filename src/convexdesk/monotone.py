@@ -136,13 +136,15 @@ class ResolventResult:
 def _certificate(f: GridFn, lam: float, z: np.ndarray, x: np.ndarray, residual: bool = True):
     """y = (z - x) / lam for x = prox(f, lam, z), and the Fenchel-Young residual
     f(x) + f*(y) - <x, y> of y in d_eps f(x), None unless `residual`: f interpolated,
-    f* exact over the nodes (the conjugate of the piecewise-linear extension)."""
-    y = (z - x) / lam
-    if not residual:
-        return y, None
-    fx = float(interp_gridfn(f, x[None, :])[0])
-    fy, _ = conjugate_value_at(f, y)
-    return y, fx + fy - float(x @ y)
+    f* exact over the nodes (the conjugate of the piecewise-linear extension).
+    Near the float limit y, f*(y) and the residual overflow to inf or nan silently."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = (z - x) / lam
+        if not residual:
+            return y, None
+        fx = float(interp_gridfn(f, x[None, :])[0])
+        fy, _ = conjugate_value_at(f, y)
+        return y, fx + fy - float(x @ y)
 
 
 def resolvent(f: GridFn, lam: float, z, check_convexity: bool = True) -> ResolventResult:

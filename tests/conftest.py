@@ -45,6 +45,25 @@ def brute_conjugate_2d(f: GridFn, dual_grid: Grid) -> tuple[np.ndarray, np.ndarr
     return out, arg
 
 
+def brute_conjugate_value_at(f: GridFn, y) -> tuple[float, int]:
+    """max_j <y, x_j> - f_j at one dual point by a python loop over the
+    nodes in row-major order, each term ((0.0 + x_j0 y_0) + x_j1 y_1) - f_j
+    in plain floats; the smallest index of the maximum, or of the first
+    nan, as np.argmax gives it."""
+    coords = [f.grid.coords(ax).tolist() for ax in range(f.grid.dim)]
+    best, arg = None, 0
+    for j, node in enumerate(itertools.product(*coords)):
+        v = 0.0
+        for xa, ya in zip(node, y):
+            v = v + xa * ya
+        v = v - float(f.values.flat[j])
+        if math.isnan(v):
+            return v, j
+        if best is None or v > best:
+            best, arg = v, j
+    return best, arg
+
+
 def brute_infconv_1d(f: GridFn, g: GridFn) -> np.ndarray:
     """min_y f(y) + g(x - y) over displacement nodes, python loop."""
     n = f.grid.shape[0]

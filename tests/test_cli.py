@@ -102,6 +102,11 @@ def test_coupon_all_forms_agree(tmp_path):
     assert doc["max_discrepancy"] <= 1e-8
 
 
+def test_coupon_integral_at_a_subnormal_rate_is_inf_never_negative(capsys):
+    assert main(["coupon", "--n", "2", "--x", "5e-324,1", "--forms", "integral"]) == 0
+    assert json.loads(capsys.readouterr().out)["integral"] == "+inf"
+
+
 def test_coupon_negative_probe_trials_is_usage_error(tmp_path, capsys):
     out = str(tmp_path / "c.json")
     assert main(["coupon", "--x", "1,2", "--probe-trials", "-3", "--out", out]) == 2

@@ -11,6 +11,7 @@ from conftest import (
     brute_coercivity,
     brute_conjugate_1d,
     brute_conjugate_2d,
+    brute_conjugate_value_at,
     brute_infconv,
     brute_infconv_1d,
     random_convex_gridfn,
@@ -509,6 +510,47 @@ def test_conjugate_value_at_matches_node_transform():
     v, j = conjugate_value_at(f, 1.0)
     res = conjugate(f, Grid.line(1.0, 2.0, 2))
     assert v == res.dual.values[0] and j == res.argmax[0]
+
+
+CVA_VALUES = [0.0, -0.0, 0.1, -0.3, 1.0, np.inf, 1e308, 1.7e308, -1.7e308]
+
+
+@st.composite
+def conjugate_value_cases(draw):
+    """A 1-D or 2-D grid on [-half, half] per axis, values from CVA_VALUES
+    (signed zeros, +inf, values near the float limit) and a dual point whose
+    products with the nodes may overflow."""
+    shape = draw(st.one_of(st.tuples(st.integers(2, 8)),
+                           st.tuples(st.integers(2, 6), st.integers(2, 6))))
+    half = draw(st.sampled_from([1.0, 2.5, 1e-3, 1e300]))
+    size = int(np.prod(shape))
+    vals = draw(st.lists(st.sampled_from(CVA_VALUES), min_size=size, max_size=size)
+                .filter(lambda v: any(np.isfinite(v))))
+    y = draw(st.lists(st.one_of(st.floats(-10, 10),
+                                st.floats(allow_nan=False, allow_infinity=False),
+                                st.sampled_from([0.0, -0.0, 1e308, -7.7e307])),
+                      min_size=len(shape), max_size=len(shape)))
+    return Grid(tuple((-half, half, n) for n in shape)), vals, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=conjugate_value_cases())
+@example(case=(Grid.line(-2.5, 2.5, 6), [1.7e308, 0.1, 1.7e308, 0.1, 1e308, 1e308],
+               [-7.68973468e307]))  # the resolvent certificate's overflow
+def test_conjugate_value_at_is_the_plain_loop_bit_for_bit(case):
+    g, vals, y = case
+    f = GridFn(g, np.array(vals, dtype=float).reshape(g.shape))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v, j = conjugate_value_at(f, y)
+    want_v, want_j = brute_conjugate_value_at(f, y)
+    assert np.float64(v).tobytes() == np.float64(want_v).tobytes() and j == want_j
+
+
+def test_conjugate_value_at_refuses_a_point_of_the_wrong_dimension():
+    f = GridFn(Grid.line(-1, 1, 3), np.zeros(3))
+    with pytest.raises(GridMismatchError):
+        conjugate_value_at(f, (1.0, 2.0))
 
 
 def test_young_inequality_power_pairs():

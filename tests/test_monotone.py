@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from convexdesk.monotone import (
     surjectivity_probe,
     yosida,
 )
-from convexdesk.moreau import moreau_envelope
+from convexdesk.moreau import moreau_envelope, prox
 
 
 def identity_graph(lo=-1.0, hi=1.0, n=101):
@@ -188,6 +190,20 @@ def test_surjectivity_probe_boundary_flag():
     g = sample(FnAtom("linear", (-5.0,)), Grid.line(-1, 1, 201))
     rep2 = surjectivity_probe(g, [-0.5])
     assert rep2.boundary_flags[0] and not rep2.all_certified
+
+
+def test_resolvent_is_silent_near_the_float_limit_as_prox_is():
+    # at lam = 1e-308, y = (z - x) / lam is about -7.7e307 and <x_j, y>
+    # overflows on the nodes; at lam = 1e-320, y itself overflows
+    f = GridFn(Grid.line(-2.5, 2.5, 6), np.array([1.7e308, 0.1, 1.7e308, 0.1, 1e308, 1e308]))
+    z = -2.2689734684588077
+    for lam in (1e-308, 1e-320):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = prox(f, lam, z, check_convexity=False)
+            r = resolvent(f, lam, z, check_convexity=False)
+            y = yosida(f, lam, z, check_convexity=False)
+        assert r.x == p.point and r.y == tuple(y)
 
 
 def test_surjectivity_probe_refuses_an_empty_target_set(monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_coupon_perm, fd_hessian
-from convexdesk.errors import ParameterError
+from convexdesk.errors import AccuracyError, ParameterError
 from convexdesk.special import (
     _coupon_derivatives,
     _perm_table,
@@ -85,6 +85,43 @@ def test_beta_identity():
         lhs = beta_direct(x, y) * math.gamma(x + y)
         rhs = math.gamma(x) * math.gamma(y)
         assert abs(lhs - rhs) <= 1e-8
+
+
+# smooth integrands, singular endpoints and a narrow interior peak
+@pytest.mark.parametrize("x, y", [(1.0, 1.0), (1.5, 2.0), (2.0, 3.0), (2.5, 1.5), (3.0, 4.0),
+                                  (0.5, 0.5), (0.1, 3.0), (3.0, 0.1), (50.0, 60.0)])
+def test_beta_direct_matches_its_closed_form(x, y):
+    want = math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
+    assert abs(beta_direct(x, y) - want) <= 1e-12 * want
+
+
+def test_beta_direct_refuses_what_it_cannot_certify():
+    # mass past the last node at t = exp(-pi sinh 6), which at (0.03, 1) only
+    # the tail estimate sees (the value is 5e-9 off), and a value below the
+    # normal float range
+    for x, y in ((0.01, 0.02), (1e-3, 1e3), (0.03, 1.0), (800.0, 800.0)):
+        with pytest.raises(AccuracyError):
+            beta_direct(x, y)
+    for x, y in ((0.0, 1.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.inf)):
+        with pytest.raises(ParameterError):
+            beta_direct(x, y)
+
+
+LOG_UNIFORM = st.floats(-2.0, 3.5).map(lambda e: 10.0 ** e)  # 0.01 to about 3162
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=LOG_UNIFORM, y=LOG_UNIFORM)
+def test_beta_direct_is_certified_or_refused(x, y):
+    import mpmath
+
+    try:
+        got = beta_direct(x, y)
+    except AccuracyError:
+        return
+    with mpmath.workdps(40):
+        want = float(mpmath.beta(x, y))
+    assert abs(got - want) <= 1e-9 * want
 
 
 def test_log_concavity_strict_and_degenerate():
@@ -162,6 +199,37 @@ def test_coupon_integral_agrees(rng):
 def test_coupon_integral_single_is_reciprocal():
     assert abs(coupon_pn_integral((1.0,)) - 1.0) <= 1e-10
     assert abs(coupon_pn_integral((4.0,)) - 0.25) <= 1e-10
+
+
+# rates past the float range, values near 1e300 and 1e-300, twelve decades
+# of rates, and the largest N
+@pytest.mark.parametrize("x", [(5e-324, 1.0), (1e300, 1e300), (1e-300, 1e300),
+                               tuple(10.0 ** np.arange(-6, 7)), (0.1,) * 24],
+                         ids=["subnormal", "1e300", "1e-300,1e300", "decades", "N24"])
+def test_coupon_integral_matches_ie_at_the_float_edges(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = coupon_pn_integral(x)
+    want = float(coupon_pn_ie(x))
+    if math.isinf(want):
+        assert got == want == math.inf
+    else:
+        assert abs(got - want) <= 1e-12 * want
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=st.integers(1, 8).flatmap(lambda n: st.lists(COUPON_FLOATS, min_size=n, max_size=n)))
+@example(x=[1.79e308] * 3)  # p_N below the normal range
+@example(x=[1.0, 3.99168061906944e292, 5e-324])  # the float ie form gives nan here
+def test_coupon_integral_is_certified_on_every_input(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = coupon_pn_integral(x)
+    exact = coupon_pn_ie([Fraction(v) for v in x])
+    if got == math.inf:
+        assert exact > Fraction(sys.float_info.max)
+    else:
+        assert abs(Fraction(got) - exact) <= Fraction(1e-9) * exact
 
 
 def test_coupon_symmetric_and_decreasing(rng):
@@ -338,15 +406,14 @@ def test_coupon_ie_float_memory_at_max_n():
     assert abs(Fraction(val) - exact) <= Fraction(1e-15) * exact
 
 
-def test_import_loads_no_scipy_until_the_integral_form_runs():
+def test_no_scipy_module_loads_at_import_or_in_either_integral():
     # a fresh process: other tests import scipy into this one
     code = (
         "import sys, math\n"
         "import convexdesk, convexdesk.cli\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-        "from convexdesk.special import coupon_pn_integral\n"
-        "v = coupon_pn_integral([1.0, 2.0])\n"
-        "print(math.isfinite(v), 'scipy.integrate' in sys.modules)\n"
+        "from convexdesk.special import beta_direct, coupon_pn_integral\n"
+        "v = coupon_pn_integral([1.0, 2.0]) + beta_direct(0.5, 0.5)\n"
+        "print(math.isfinite(v), sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -354,4 +421,4 @@ def test_import_loads_no_scipy_until_the_integral_form_runs():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines() == ["[]", "True True"]
+    assert res.stdout.splitlines() == ["True []"]
