@@ -17,7 +17,6 @@ bit-for-bit, its argmax breaks ties row first.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -390,9 +389,9 @@ class InfConvResult:
 
 # cap on the node pairs of the direct paths, the (x, y) pairs of
 # inf_convolution and the primal-dual pairs of conjugate_oracle.  On a
-# 2-vCPU Xeon host, at the cap, the inf-convolution takes about 4.5 s at
-# 241² and 3 s at 51,639 nodes (centred on 0), and the oracle (about 2 ns
-# a pair in 1-D, 2.5 ns in 2-D) some 4 to 5 s.
+# shared 2-vCPU Xeon host, at the cap, the inf-convolution takes about 2
+# to 2.5 s at 241² and 2 to 2.4 s at 51,639 nodes (centred on 0), and the
+# oracle (about 2 ns a pair in 1-D, 2.5 ns in 2-D) some 4 to 5 s.
 MAX_DIRECT_PAIRS = 2_000_000_000
 
 # (x, y) sums per tile of the direct inf-convolution, 1 MB of float64
@@ -412,11 +411,16 @@ def inf_convolution(f: GridFn, g: GridFn) -> InfConvResult:
     +inf.  Requires 0 to be a node so displacements land on nodes.  Each
     value is the rounded sum f(y) + g(x - y) at its argmin, the smallest
     flat y index among ties; the argmin is -1 where the value is +inf.
-    The x nodes go in tiles of _TILE_ELEMS // node_count (at least one)
-    along axis 0, one per index on the other axis; a tile sums only the y
-    nodes it can reach, so memory is O(tile + nodes).  Above
-    MAX_DIRECT_PAIRS (x, y) pairs (2e9: about 51,600 nodes in 1-D, 241² in
-    2-D, centred on 0) it raises ParameterError before any work.
+    A line is the (n, 1) grid.  One x column at a time, the loop copies
+    the columns of g (reversed, with n0 - 1 rows of +inf above and below)
+    and of f that the column reaches, so that each x reads its y block as
+    one contiguous run of floats in flat y order.  The column's x nodes go
+    in tiles of _TILE_ELEMS // node_count (at least one), and a tile sums
+    only the y rows it can reach.  Memory is O(tile + nodes): the tile's
+    sums, the padded g ((3 n0 - 2) n1 floats) and the column's copies (at
+    most (4 n0 - 2) n1 floats).  Above MAX_DIRECT_PAIRS (x, y) pairs (2e9:
+    about 51,600 nodes in 1-D, 241² in 2-D, centred on 0) it raises
+    ParameterError before any work.
     """
     if f.grid != g.grid:
         raise GridMismatchError("inf-convolution requires the same grid geometry")
@@ -430,28 +434,37 @@ def inf_convolution(f: GridFn, g: GridFn) -> InfConvResult:
         raise ParameterError(
             f"direct inf-convolution needs {pairs} (x, y) pairs, cap is {MAX_DIRECT_PAIRS}"
         )
-    # g reversed and padded with n - 1 +inf on each side of each axis; then
-    # windows[k + i0][j] = g[k - j + i0] for x node k, +inf off the grid
-    flip = (slice(None, None, -1),) * grid.dim
-    r = np.pad(g.values[flip], [(n - 1, n - 1) for n in shape], constant_values=np.inf)
-    windows = sliding_window_view(r, shape)[flip]
+    # a line is the (n, 1) grid: shape (n0, n1), zero node (z0, z1)
+    (n0, n1), (z0, z1) = (shape + (1,))[:2], (zero + [0])[:2]
+    fv, gv = f.values.reshape(n0, n1), g.values.reshape(n0, n1)
+    # g reversed on both axes, with n0 - 1 rows of +inf above and below:
+    # r[2 n0 - 2 - x0 + y0 - z0, n1 - 1 - x1 + y1 - z1] = g[x - y + z]
+    r = np.pad(gv[::-1, ::-1], [(n0 - 1, n0 - 1), (0, 0)], constant_values=np.inf)
     t = max(1, _TILE_ELEMS // grid.node_count)
-    out = np.empty(shape)
-    arg = np.empty(shape, dtype=np.int64)
+    out = np.empty((n0, n1))
+    arg = np.empty((n0, n1), dtype=np.int64)
     buf = np.empty(t * grid.node_count)
-    flat = np.arange(grid.node_count).reshape(shape)
-    for k in itertools.product(range(0, shape[0], t), *map(range, shape[1:])):
-        xs = (slice(k[0], min(k[0] + t, shape[0])),) + tuple(slice(c, c + 1) for c in k[1:])
-        ws = tuple(slice(s.start + i0, s.stop + i0) for s, i0 in zip(xs, zero))
-        ys = tuple(slice(max(0, w.start - n + 1), min(n, w.stop)) for w, n in zip(ws, shape))
-        fy, win = f.values[ys], windows[ws + ys]
-        vals = np.add(fy, win, out=buf[: win.size].reshape(win.shape)).reshape(-1, fy.size)
-        j = vals.argmin(axis=1)
-        best = vals[np.arange(j.size), j]
-        out[xs] = best.reshape(out[xs].shape)
-        yj = flat[ys][np.unravel_index(j, fy.shape)]
-        arg[xs] = np.where(np.isfinite(best), yj, -1).reshape(out[xs].shape)
-    return InfConvResult(GridFn(grid, out), arg)
+    rc, fc = np.empty(r.size), np.empty(fv.size)  # a column's copies
+    runs = sliding_window_view(rc, fv.size)  # a start s <= (2 n0 - 2) w leaves n0 n1 after it
+    for c in range(n1):
+        # the y1 in [ya, yb) that x column c reaches, as rc's rows of w
+        # floats: the y block of x0 over rows [y0a, y0b) is one flat run
+        # of rc from (2 n0 - 2 - x0 - z0 + y0a) w, in flat y order
+        ya, yb = max(0, c + z1 - n1 + 1), min(n1, c + z1 + 1)
+        w, q = yb - ya, n1 - 1 - c - z1 + ya
+        rc[: r.shape[0] * w].reshape(-1, w)[...] = r[:, q : q + w]
+        fc[: n0 * w].reshape(-1, w)[...] = fv[:, ya:yb]
+        for k in range(0, n0, t):
+            kb = min(k + t, n0)
+            y0a, y0b = max(0, k + z0 - n0 + 1), min(n0, kb + z0)
+            s = (2 * n0 - 2 - k - z0 + y0a) * w  # x0 = k; x0 + 1 starts w earlier
+            win = runs[s - (kb - 1 - k) * w : s + 1 : w, : (y0b - y0a) * w][::-1]
+            vals = np.add(fc[y0a * w : y0b * w], win, out=buf[: win.size].reshape(win.shape))
+            j = vals.argmin(axis=1)
+            best = vals[np.arange(j.size), j]
+            out[k:kb, c] = best
+            arg[k:kb, c] = np.where(np.isfinite(best), (y0a + j // w) * n1 + ya + j % w, -1)
+    return InfConvResult(GridFn(grid, out.reshape(shape)), arg.reshape(shape))
 
 
 def _row_minkowski(F: np.ndarray, G: np.ndarray, rows):
@@ -461,18 +474,23 @@ def _row_minkowski(F: np.ndarray, G: np.ndarray, rows):
     dF = np.diff(F, axis=1)
     dG = np.diff(G, axis=1)
     H = np.full((a0 + b0 - 1, H1), np.inf)
+    # an output row K1 has the row pairs (j1, K1 - j1), j1 in [j1a, j1b]:
+    # at most min(a0, b0) of them
+    merged_buf = np.empty((min(a0, b0), H1 - 1))
+    vals_buf = np.empty((min(a0, b0), H1))
     for K1 in rows:
         j1a = max(0, K1 - b0 + 1)
         j1b = min(a0 - 1, K1)
-        j1s = np.arange(j1a, j1b + 1)
-        i1s = K1 - j1s
-        base = F[j1s, 0] + G[i1s, 0]
-        merged = np.sort(np.concatenate([dF[j1s], dG[i1s]], axis=1), axis=1)
-        vals = np.empty((j1s.size, H1))
+        ia, ib = K1 - j1b, K1 - j1a
+        merged, vals = merged_buf[: j1b - j1a + 1], vals_buf[: j1b - j1a + 1]
+        base = F[j1a : j1b + 1, 0] + G[ia : ib + 1, 0][::-1]
+        merged[:, : a1 - 1] = dF[j1a : j1b + 1]
+        merged[:, a1 - 1 :] = dG[ia : ib + 1][::-1]
+        merged.sort(axis=1)
         vals[:, 0] = base
         np.cumsum(merged, axis=1, out=vals[:, 1:])
         vals[:, 1:] += base[:, None]
-        H[K1] = vals.min(axis=0)
+        vals.min(axis=0, out=H[K1])
     return H
 
 

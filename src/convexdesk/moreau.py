@@ -109,11 +109,16 @@ def prox(
     """argmin of f(y) + ||x - y||^2 / (2 lam) over the grid, refined.
 
     Ties in the discrete argmin break to the smallest index; convexity
-    makes them adjacent.
+    makes them adjacent.  Where the objective overflows at every node (a
+    tiny lam), the node minimizes lam f(y) + ||x - y||^2 / 2 instead,
+    which has the same minimizer.
     """
     xv = _check_inputs(f, lam, check_convexity, convexity_tol, "prox", x)[None, :]
     coords = [f.grid.coords(ax) for ax in range(f.grid.dim)]
     j, best = _node_minimum(coords, f.values.ravel(), lam, xv)
+    if best[0] == np.inf:
+        with np.errstate(over="ignore"):
+            j, _ = _node_minimum(coords, lam * f.values.ravel(), 1.0, xv)
     idx = np.unravel_index(j, f.grid.shape)
     best_pt, best_val = [c[i[0]] for c, i in zip(coords, idx)], float(best[0])
     for ax in range(f.grid.dim):  # per axis from the node; the first strictly better wins

@@ -292,10 +292,17 @@ def _subset_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return hi, lo, sign
 
 
+# the float form's largest max(x)/min(x), as a power of two: centred on 0,
+# x stays within 2^1001 of 1, so sums of 25 and reciprocals stay finite
+_IE_SPREAD_BITS = 2000
+
+
 def _pn_float(x: np.ndarray) -> float:
     """p_N within about one rounding of the exact value of the float
     inputs x while max(x)/min(x) <= 1e25, 2^14 subsets at a time in
-    memory.
+    memory.  Past 1e25 the value is computed the same way, without that
+    bound; past 2^2000 (about 1.1e602) a scaled sum or term would leave
+    the float range, and it raises ParameterError before any work.
 
     The subsets S = H | T run in one block per subset H of the
     coordinates past the first 14, T over the subsets of those 14.  Each
@@ -303,9 +310,16 @@ def _pn_float(x: np.ndarray) -> float:
     and q s split exactly; each block's terms are split into parts whose
     sums are exact, and math.fsum adds those sums exactly.  Terms past the
     float range give inf or nan, as plain float arithmetic would."""
+    xmax, xmin = float(x.max()), float(x.min())
+    spread = math.log2(xmax) - math.log2(xmin)
+    if spread > _IE_SPREAD_BITS:
+        raise ParameterError(
+            f"max(x)/min(x) is about 1e{spread * math.log10(2):.0f}; the float "
+            f"inclusion-exclusion form takes at most 2^{_IE_SPREAD_BITS} (about 1.1e602)"
+        )
     # p is homogeneous of degree -1; scaling by a power of two, exactly, to
     # centre the exponents of x on 0 keeps sums, terms and splits in range
-    shift = (math.frexp(float(x.max()))[1] + math.frexp(float(x.min()))[1]) // 2
+    shift = (math.frexp(xmax)[1] + math.frexp(xmin)[1]) // 2
     parts = []
     with np.errstate(all="ignore"):
         x = np.ldexp(x, -shift)

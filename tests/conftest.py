@@ -103,6 +103,28 @@ def brute_infconv(f: GridFn, g: GridFn) -> tuple[np.ndarray, np.ndarray]:
     return out.reshape(shape), arg.reshape(shape)
 
 
+def brute_row_minkowski(F: np.ndarray, G: np.ndarray, rows) -> np.ndarray:
+    """The row slope merge of minkowski_infconv_convex, python loop: for
+    output row K1, each row pair (j1, K1 - j1) gives the base
+    F[j1, 0] + G[K1 - j1, 0] plus the running sums of its row increments,
+    merged in sorted order; H[K1] is the min over the pairs, +inf in the
+    rows not asked for."""
+    H = np.full((F.shape[0] + G.shape[0] - 1, F.shape[1] + G.shape[1] - 1), np.inf)
+    for K1 in rows:
+        for j1 in range(F.shape[0]):
+            i1 = K1 - j1
+            if not 0 <= i1 < G.shape[0]:
+                continue
+            base = F[j1, 0] + G[i1, 0]
+            merged = sorted(np.diff(F[j1]).tolist() + np.diff(G[i1]).tolist())
+            run, vals = 0.0, [base]
+            for d in merged:
+                run += d
+                vals.append(run + base)
+            H[K1] = np.minimum(H[K1], vals)
+    return H
+
+
 def brute_interp(f: GridFn, points) -> np.ndarray:
     """Multilinear interpolation point by point, python loop: +inf outside
     the box (1e-12 relative slack at each end), the node value on an exact
@@ -179,11 +201,15 @@ def brute_prox(f: GridFn, lam: float, x) -> tuple[tuple[float, ...], float]:
     neighbours on the axis, python loop: where the node is interior, the
     three values finite and the curvature finite and positive, the vertex
     (its step clipped to one spacing) is valued through brute_interp, and
-    the first strictly better value wins.  Returns (point, envelope)."""
+    the first strictly better value wins.  Where the objective is +inf at
+    every node, the node is the smallest flat-index minimum of
+    lam f_j + ||x - x_j||^2 / 2 instead.  Returns (point, envelope)."""
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     with np.errstate(over="ignore"):
-        obj = f.values + ((f.grid.nodes() - xv) ** 2).sum(axis=1).reshape(f.grid.shape) / (2.0 * lam)
-    idx = np.unravel_index(int(np.argmin(obj)), obj.shape)
+        sq = ((f.grid.nodes() - xv) ** 2).sum(axis=1).reshape(f.grid.shape)
+        obj = f.values + sq / (2.0 * lam)
+        scaled = obj if np.isfinite(obj).any() else lam * f.values + sq / 2.0
+    idx = np.unravel_index(int(np.argmin(scaled)), obj.shape)
     node = [float(f.grid.coords(ax)[i]) for ax, i in enumerate(idx)]
     best_pt, best_val = node, float(obj[idx])
     for ax, i in enumerate(idx):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from convexdesk import cli
 from convexdesk.cli import SUBCOMMANDS, main, parse_args, parse_grid_spec
 from convexdesk.fileio import read_gridfn_json, write_graph_json, write_gridfn_json
 from convexdesk.grids import Grid, GridFn
@@ -105,6 +106,37 @@ def test_coupon_all_forms_agree(tmp_path):
 def test_coupon_integral_at_a_subnormal_rate_is_inf_never_negative(capsys):
     assert main(["coupon", "--n", "2", "--x", "5e-324,1", "--forms", "integral"]) == 0
     assert json.loads(capsys.readouterr().out)["integral"] == "+inf"
+
+
+def _strict_json(text: str) -> dict:
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_coupon_discrepancy_is_zero_between_equal_infinities(capsys):
+    assert main(["coupon", "--n", "2", "--x", "5e-324,1", "--forms", "all"]) == 0
+    doc = _strict_json(capsys.readouterr().out)
+    assert doc["perm"] == doc["ie"] == doc["integral"] == "+inf"
+    assert doc["max_discrepancy"] == 0.0
+
+
+def test_coupon_discrepancy_of_a_finite_and_an_infinite_form_is_inf(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "coupon_pn_integral", lambda x: float("inf"))
+    assert main(["coupon", "--x", "1,2,3", "--forms", "all"]) == 0
+    doc = _strict_json(capsys.readouterr().out)
+    assert doc["ie"] == pytest.approx(1.2166666666666666) and doc["integral"] == "+inf"
+    assert doc["max_discrepancy"] == "+inf"
+
+
+@pytest.mark.parametrize("x", ["3.99168061906944e+292,5e-324", "1,3.99168061906944e+292,5e-324"])
+def test_coupon_ie_past_its_range_is_refused(x, capsys):
+    # once a traceback from math.ldexp, once "ie": NaN
+    assert main(["coupon", "--x", x, "--forms", "ie"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: max(x)/min(x) is about 1e616;") and "Traceback" not in err
 
 
 def test_coupon_negative_probe_trials_is_usage_error(tmp_path, capsys):

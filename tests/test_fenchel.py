@@ -14,7 +14,9 @@ from conftest import (
     brute_conjugate_value_at,
     brute_infconv,
     brute_infconv_1d,
+    brute_row_minkowski,
     random_convex_gridfn,
+    random_convex_values,
 )
 from convexdesk import fenchel
 from convexdesk.atoms import FnAtom, sample
@@ -670,6 +672,37 @@ def test_infconv_values_signs_and_argmin_match_the_oracle(fg, tile_elems):
     assert np.array_equal(res.argmin, arg)
 
 
+@pytest.mark.parametrize("axes", [((-0.7, 2.9, 37), (-1.5, 0.7, 23)), ((-2.4, 0.6, 31), (0.0, 3.6, 19))],
+                         ids=["37x23", "31x19"])
+def test_infconv_is_the_oracle_on_non_square_grids_in_every_tiling(axes):
+    # one-decimal values (sums tie), -0.0 and +inf, with whole +inf rows
+    # and columns in both inputs, and the last half of the rows +inf so
+    # that some x reach no finite pair; the zero node is off-centre on both
+    # axes (at the corner in the second grid)
+    grid = Grid(axes)
+    rng = np.random.default_rng(14)
+    fns = []
+    for _ in range(2):
+        v = rng.integers(-9, 10, size=grid.shape) / 10
+        v[rng.random(grid.shape) < 0.1] = -0.0
+        v[rng.random(grid.shape) < 0.1] = math.inf
+        v[rng.integers(grid.shape[0], size=3)] = math.inf
+        v[:, rng.integers(grid.shape[1], size=3)] = math.inf
+        v[grid.shape[0] // 2 :] = math.inf
+        fns.append(GridFn(grid, v))
+    vals, arg = brute_infconv(*fns)
+    assert (arg == -1).any() and (arg >= 0).any()
+    # one tile per x column, then x0 tiles of one and of four nodes
+    for tile_elems in (fenchel._TILE_ELEMS, 300, 4 * grid.node_count):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fenchel, "_TILE_ELEMS", tile_elems)
+            res = inf_convolution(*fns)
+        assert res.out.values.tobytes() == vals.tobytes()  # signs of zero included
+        assert np.array_equal(np.signbit(res.out.values), np.signbit(vals))
+        assert res.argmin.dtype == np.int64
+        assert np.array_equal(res.argmin, arg)
+
+
 @pytest.mark.parametrize("shape", [(20001,), (121, 121)])
 def test_infconv_memory_is_bounded_by_tile_and_nodes(shape):
     g = Grid(tuple((-1.0, 1.0, n) for n in shape))
@@ -751,6 +784,19 @@ def test_minkowski_fast_path_matches_brute(rng):
             for j in range(m):
                 ref[i + j] = min(ref[i + j], v[i] + w[j])
         assert np.max(np.abs(H - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("shapes", [((9, 13), (6, 4)), ((5, 7), (11, 1)), ((1, 30), (1, 17))])
+def test_minkowski_merge_is_the_plain_loop_bit_for_bit(rng, shapes):
+    # row k is a convex sequence at slope scale 10^k, so increments mix
+    # magnitudes; a one-column g has no increments at all
+    F, G = (np.stack([random_convex_values(rng, s[1], slope_scale=10.0 ** k) for k in range(s[0])])
+            for s in shapes)
+    H = minkowski_infconv_convex(F, G)
+    assert H.tobytes() == brute_row_minkowski(F, G, range(H.shape[0])).tobytes()
+    rows = [0, H.shape[0] - 1, H.shape[0] // 2]
+    H = minkowski_infconv_convex(F, G, rows=rows)
+    assert H.tobytes() == brute_row_minkowski(F, G, rows).tobytes()
 
 
 def test_infconv_dual_identity_examples():

@@ -115,6 +115,25 @@ def test_prox_is_the_plain_dense_minimum_and_refinement_bit_for_bit(case, lam):
         assert env.tobytes() == np.asarray(brute).tobytes()
 
 
+@pytest.mark.parametrize("z, expect", [(2.4, 2.5), (0.77, 0.5), (-2.2689734684588077, -2.5),
+                                       (-1.2e-12, 0.5)])
+def test_prox_takes_the_minimizer_where_every_node_overflows(z, expect):
+    # at lam = 1e-320, ||z - y||^2 / (2 lam) is +inf at every node; once
+    # node 0 (-2.5) was returned for every query.  At z = -1.2e-12, lam f
+    # at -0.5 (1.7e-12) outweighs its nearness to z (2.4e-12 in ||z - y||^2)
+    f = GridFn(Grid.line(-2.5, 2.5, 6), np.array([1.7e308, 0.1, 1.7e308, 0.1, 1e308, 1e308]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = prox(f, 1e-320, z, check_convexity=False)
+    assert res.point == (expect,)
+    assert res.envelope == np.inf
+    # 2-D: the same minimizer per axis, ties to the smallest flat index
+    g = GridFn(Grid.box((-2.5, 2.5, 6), (-1, 1, 3)), np.repeat(f.values[:, None], 3, axis=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert prox(g, 1e-320, (z, 0.5), check_convexity=False).point == (expect, 0.0)
+
+
 # ---- envelope ---------------------------------------------------------------
 
 

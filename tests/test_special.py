@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_coupon_perm, fd_hessian
+from convexdesk import special
 from convexdesk.errors import AccuracyError, ParameterError
 from convexdesk.special import (
     _coupon_derivatives,
@@ -387,6 +388,25 @@ def test_coupon_ie_float_at_extreme_scales(x):
     exact = coupon_pn_ie(tuple(Fraction(v) for v in x))
     val = coupon_pn_ie(x)
     assert abs(Fraction(val) - exact) <= Fraction(1e-15) * exact
+
+
+def test_coupon_ie_float_refuses_a_spread_past_its_range_before_any_work(monkeypatch):
+    monkeypatch.setattr(special, "_subset_sums", None)  # no work may start
+    for x in [(3.99168061906944e292, 5e-324), (1.0, 3.99168061906944e292, 5e-324)]:
+        with pytest.raises(ParameterError, match=r"about 1e616; .* at most 2\^2000"):
+            coupon_pn_ie(x)
+    with pytest.raises(ParameterError, match="about 1e602"):
+        coupon_pn_ie((math.ldexp(1.0, 1000), math.ldexp(1.0, -1001)))  # 2^2001
+    # the exact form has no such range
+    assert coupon_pn_ie((Fraction(5e-324), Fraction(1))) > 1 / Fraction(5e-324)
+
+
+def test_coupon_ie_float_is_finite_up_to_its_range():
+    # 2^2000 exactly: the scaled sums and terms stay in the float range
+    x = (math.ldexp(1.0, 1000), math.ldexp(1.0, -1000))
+    assert coupon_pn_ie(x) == pytest.approx(float(coupon_pn_ie(tuple(map(Fraction, x)))), rel=1e-15)
+    x = (math.ldexp(1.0, 976), math.ldexp(1.0, -1024))  # p past the float range
+    assert coupon_pn_ie(x) == coupon_pn_ie(x + (1.0,)) == math.inf
 
 
 def test_coupon_ie_float_past_the_float_range_is_inf():
