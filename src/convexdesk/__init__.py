@@ -7,7 +7,6 @@ checkable against analytic formulas or brute-force oracles.
 """
 
 from .atoms import FnAtom, analytic_conjugate, atom_eval, catalog_tags, sample
-from .extreal import NEG_INF, POS_INF, ExtReal, ext_add, ext_sub
 from .fenchel import (
     ConjugateResult,
     SubdifferentialSet,

@@ -14,11 +14,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CatalogError, GridMismatchError, ParameterError
-from .extreal import ExtReal
 from .grids import Grid, GridFn
 from .special import lambert_w
 
-__all__ = ["FnAtom", "atom_eval", "sample", "analytic_conjugate", "catalog_tags", "atom_is_convex"]
+__all__ = ["FnAtom", "atom_eval", "sample", "analytic_conjugate", "catalog_tags"]
 
 _REL_SLACK = 1e-12  # boundary classification slack for indicator-type atoms
 
@@ -247,9 +246,6 @@ _CATALOG: dict[str, _AtomSpec] = {
     "sqnorm2": _AtomSpec(2, 0, _eval_sqnorm2, None, lambda p: FnAtom("sqnorm2")),
 }
 
-_NONCONVEX_TAGS: frozenset = frozenset()  # every catalog entry is convex
-
-
 def _catalog_spec(tag: str) -> _AtomSpec:
     try:
         return _CATALOG[tag]
@@ -263,10 +259,6 @@ def catalog_tags() -> list[str]:
     return sorted(_CATALOG)
 
 
-def atom_is_convex(atom: FnAtom) -> bool:
-    return atom.tag not in _NONCONVEX_TAGS
-
-
 def _eval_array(atom: FnAtom, pts: np.ndarray) -> np.ndarray:
     spec = _catalog_spec(atom.tag)
     if spec.arity == 1:
@@ -276,12 +268,17 @@ def _eval_array(atom: FnAtom, pts: np.ndarray) -> np.ndarray:
     return np.asarray(spec.evaluate(atom.params, np.asarray(x, dtype=float)), dtype=float)
 
 
-def atom_eval(atom: FnAtom, x) -> ExtReal:
-    """Evaluate one atom at one point (scalar or length-`arity` vector)."""
+def atom_eval(atom: FnAtom, x) -> float:
+    """Evaluate one atom at one point (scalar or length-`arity` vector);
+    ParameterError where the value is NaN."""
     p = np.atleast_1d(np.asarray(x, dtype=float))
     if p.size != atom.arity:
         raise GridMismatchError(f"atom {atom.tag!r} has arity {atom.arity}, point has size {p.size}")
-    return ExtReal(float(_eval_array(atom, p[None, :] if atom.arity == 2 else p)[0]))
+    v = float(_eval_array(atom, p[None, :] if atom.arity == 2 else p)[0])
+    if math.isnan(v):
+        raise ParameterError(f"atom {atom.tag!r} with parameters {atom.params} "
+                             f"is NaN at {p.tolist()}")
+    return v
 
 
 def sample(atom: FnAtom, grid: Grid) -> GridFn:

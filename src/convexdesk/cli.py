@@ -24,7 +24,7 @@ import numpy as np
 
 from . import fileio
 from .atoms import FnAtom, catalog_tags, sample
-from .errors import CatalogError, ConvexDeskError, ParameterError
+from .errors import AccuracyError, CatalogError, ConvexDeskError, ParameterError
 from .fenchel import (
     biconjugate,
     conjugate,
@@ -54,6 +54,8 @@ class JobSpec:
 
 def default_tol() -> Optional[float]:
     v = os.environ.get("CONVEXDESK_TOL")
+    if v and math.isnan(float(v)):  # a NaN tolerance would pass every check
+        raise ValueError(f"CONVEXDESK_TOL must be a number, got {v!r}")
     return float(v) if v else None
 
 
@@ -67,13 +69,32 @@ def parse_grid_spec(spec: str) -> Grid:
     return Grid(tuple(axes))
 
 
-def make_atom(name: str, params: Optional[str]) -> FnAtom:
-    ps = tuple(float(p) for p in params.split(",")) if params else ()
-    return FnAtom(name, ps)
+def make_atom(name: str, params: Optional[tuple]) -> FnAtom:
+    return FnAtom(name, params or ())
 
 
-def _parse_vec(s: str) -> np.ndarray:
-    return np.asarray([float(v) for v in s.split(",")], dtype=float)
+def _number(text: str) -> float:
+    """The parser of every float option's numbers: ±inf pass, while NaN and
+    non-numbers are refused before any work (argparse names the option, exit 2)."""
+    try:
+        v = float(text)
+    except ValueError:
+        v = math.nan
+    if math.isnan(v):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    return v
+
+
+def _numbers(text: str, sep: str = ",") -> tuple[float, ...]:
+    return tuple(_number(t) for t in text.split(sep))
+
+
+# the options of `add` that hold numbers: comma-separated vectors, and --p
+_NUMBER_OPTIONS: dict[str, Callable[[str], object]] = {
+    **dict.fromkeys(("--x", "--xstar", "--z", "--params", "--params2", "--f-params",
+                     "--g-params"), _numbers),
+    "--p": lambda text: _number("inf" if text == "oo" else text),
+}
 
 
 def _load_fn(opts: dict) -> GridFn:
@@ -106,8 +127,9 @@ def _build_parser() -> argparse.ArgumentParser:
     value_like = re.compile(r"^-\d[\d.:,x;eE+-]*$")
 
     def add(name: str, *flags: str, fn: bool = False, lam: bool = False) -> argparse.ArgumentParser:
-        """Subparser with --selftest, --out and the string options `flags`;
-        `fn` adds the options naming the input function, `lam` --lambda."""
+        """Subparser with --selftest, --out and the options `flags`, parsed by
+        _NUMBER_OPTIONS where listed there; `fn` adds the options naming the
+        input function, `lam` --lambda."""
         p = sub.add_parser(name)
         p._negative_number_matcher = value_like
         p.add_argument("--selftest", action="store_true")
@@ -116,9 +138,9 @@ def _build_parser() -> argparse.ArgumentParser:
             flags = ("--atom", "--params", "--grid") + flags
             p.add_argument("--in", dest="infile")
         if lam:
-            p.add_argument("--lambda", dest="lam", type=float, default=1.0)
+            p.add_argument("--lambda", dest="lam", type=_number, default=1.0)
         for flag in flags:
-            p.add_argument(flag)
+            p.add_argument(flag, type=_NUMBER_OPTIONS.get(flag))
         return p
 
     add("conjugate", "--dual", fn=True)
@@ -126,7 +148,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add("infconv", "--atom2", "--params2", fn=True).add_argument("--in2", dest="infile2")
     add("envelope", fn=True, lam=True)
     add("prox", "--x", fn=True, lam=True)
-    add("project", "--x").add_argument("--box", help="a:b per axis, axes joined by ','")
+    add("project", "--x").add_argument(
+        "--box", type=lambda text: tuple(_numbers(part, ":") for part in text.split(",")),
+        help="a:b per axis, axes joined by ','")
     add("fitzpatrick", "--x", "--xstar").add_argument("--graph", help="operator graph JSON file")
     add("resolvent", "--z", fn=True, lam=True)
 
@@ -144,11 +168,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("volume", "--p").add_argument("--dim", type=int)
     p = add("gamma")
-    p.add_argument("--x", type=float)
+    p.add_argument("--x", type=_number)
     p.add_argument("--n", type=int)
 
     add("duality", "--f-atom", "--f-params", "--g-atom", "--g-params", "--grid", "--g-grid",
-        "--dual", "--g-dual").add_argument("--T", default="1")
+        "--dual", "--g-dual").add_argument(
+            "--T", type=lambda text: tuple(_numbers(row) for row in text.split(";")), default="1",
+            help="rows joined by ';'")
     return ap
 
 
@@ -241,7 +267,7 @@ def _run_envelope(opts: dict) -> None:
 
 def _run_prox(opts: dict) -> None:
     f = _load_fn(opts)
-    x = _parse_vec(opts["x"])
+    x = np.asarray(opts["x"])
     res = prox(f, opts["lam"], x, convexity_tol=_convexity_tol())
     _, eps = _certificate(f, opts["lam"], x, np.asarray(res.point))
     _emit(
@@ -252,25 +278,23 @@ def _run_prox(opts: dict) -> None:
 
 
 def _run_project(opts: dict) -> None:
-    box = [tuple(float(v) for v in part.split(":")) for part in opts["box"].split(",")]
-    x = _parse_vec(opts["x"])
-    p = project(box, x)
-    _emit({"x": list(x), "projection": list(p)}, opts.get("out"))
+    _emit({"x": list(opts["x"]), "projection": list(project(opts["box"], opts["x"]))},
+          opts.get("out"))
 
 
 def _run_fitzpatrick(opts: dict) -> None:
     G = fileio.read_graph_json(opts["graph"])
-    res = fitzpatrick(G, (_parse_vec(opts["x"]), _parse_vec(opts["xstar"])))
+    res = fitzpatrick(G, (opts["x"], opts["xstar"]))
     _emit(
         {"x": list(res.query[0]), "xstar": list(res.query[1]),
-         "value": float(res.value), "attaining_index": res.attaining_index},
+         "value": res.value, "attaining_index": res.attaining_index},
         opts.get("out"),
     )
 
 
 def _run_resolvent(opts: dict) -> None:
     f = _load_fn(opts)
-    z = _parse_vec(opts["z"])
+    z = np.asarray(opts["z"])
     # prox's input checks at the job's tolerance; resolvent then skips convexity
     _check_inputs(f, opts["lam"], True, _convexity_tol(), "prox", z)
     res = resolvent(f, opts["lam"], z, check_convexity=False)
@@ -313,7 +337,7 @@ def _run_renorm(opts: dict) -> None:
 def _run_coupon(opts: dict) -> None:
     if opts["probe_trials"] < 0:
         raise ValueError(f"--probe-trials must be >= 0 (0: no probe), got {opts['probe_trials']}")
-    x = tuple(_parse_vec(opts["x"]))
+    x = opts["x"]
     if opts.get("n") and opts["n"] != len(x):
         raise ValueError(f"--n {opts['n']} does not match len(x) = {len(x)}")
     doc: dict = {"x": list(x)}
@@ -324,6 +348,9 @@ def _run_coupon(opts: dict) -> None:
         doc["ie"] = float(coupon_pn_ie(x))
     if forms in ("integral", "all"):
         doc["integral"] = coupon_pn_integral(x)
+    nan = [form for form in ("perm", "ie", "integral") if math.isnan(doc.get(form, 0.0))]
+    if nan:  # a float form overflowed to inf / inf
+        raise AccuracyError(f"the {nan[0]} form is NaN in floats at this x")
     if forms == "all":
         vals = [doc["perm"], doc["ie"], doc["integral"]]
         hi, lo = max(vals), min(vals)
@@ -340,7 +367,7 @@ def _run_coupon(opts: dict) -> None:
 
 
 def _run_volume(opts: dict) -> None:
-    p = math.inf if opts["p"] in ("inf", "oo") else float(opts["p"])
+    p = opts["p"]
     _emit({"n": opts["dim"], "p": p, "volume": ball_volume(opts["dim"], p)}, opts.get("out"))
 
 
@@ -355,14 +382,10 @@ def _run_duality(opts: dict) -> None:
     f = sample(make_atom(opts["f_atom"], opts.get("f_params")), parse_grid_spec(opts["grid"]))
     g_grid = parse_grid_spec(opts["g_grid"]) if opts.get("g_grid") else f.grid
     g = sample(make_atom(opts["g_atom"], opts.get("g_params")), g_grid)
-    T = np.asarray([[float(v) for v in row.split(",")] for row in opts["T"].split(";")])
     fd = parse_grid_spec(opts["dual"]) if opts.get("dual") else default_dual_grid(f)
     gd = parse_grid_spec(opts["g_dual"]) if opts.get("g_dual") else default_dual_grid(g)
-    res = fenchel_duality_gap(f, g, T, fd, gd)
-    _emit(
-        {"primal": float(res.primal), "dual": float(res.dual), "gap": float(res.gap)},
-        opts.get("out"),
-    )
+    res = fenchel_duality_gap(f, g, opts["T"], fd, gd)
+    _emit({"primal": res.primal, "dual": res.dual, "gap": res.gap}, opts.get("out"))
 
 
 # subcommand -> (its runner, the options a job cannot run without, by
@@ -473,9 +496,9 @@ def _selftest(sub: str) -> tuple[int, int]:
         xs = np.linspace(-2, 2, 401)
         G = OperatorGraph(xs[:, None], xs[:, None])
         r = fitzpatrick(G, (1.0, 1.0))
-        _check("identity graph point value 1", abs(float(r.value) - 1.0) <= 1e-9, c)
+        _check("identity graph point value 1", abs(r.value - 1.0) <= 1e-9, c)
         r2 = fitzpatrick(G, (1.0, -1.0))
-        _check("off-graph value 0 >= -1", abs(float(r2.value)) <= 1e-9, c)
+        _check("off-graph value 0 >= -1", abs(r2.value) <= 1e-9, c)
     elif sub == "resolvent":
         f = sample(FnAtom("power", (2.0,)), Grid.line(-6, 6, 1201))
         r = resolvent(f, 1.0, 2.0)
@@ -504,8 +527,8 @@ def _selftest(sub: str) -> tuple[int, int]:
         f = sample(FnAtom("power", (2.0,)), Grid.line(-6, 6, 1201))
         g = sample(FnAtom("power", (2.0,)), Grid.line(-6, 6, 1201))
         res = fenchel_duality_gap(f, g, [[1.0]], Grid.line(-4, 4, 801), Grid.line(-4, 4, 801))
-        _check("quadratic pair gap ~ 0", abs(float(res.gap)) <= 1e-6, c)
-        _check("weak duality", float(res.gap) >= -1e-9, c)
+        _check("quadratic pair gap ~ 0", abs(res.gap) <= 1e-6, c)
+        _check("weak duality", res.gap >= -1e-9, c)
     return c[0], c[1]
 
 

@@ -26,7 +26,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridMismatchError, ImproperFunctionError, ParameterError, TruncationWarning
-from .extreal import ExtReal
 from .grids import Grid, GridFn, interp_gridfn, require_proper
 
 __all__ = [
@@ -640,8 +639,8 @@ class CoercivityReport:
     coercive: bool
 
 
-def coercivity_check(f: GridFn, levels: int = 9) -> CoercivityReport:
-    """Boundary growth slope and bounded-level-set scan.
+def coercivity_check(f: GridFn) -> CoercivityReport:
+    """Boundary growth slope and a scan of 9 levels from min f to max f.
 
     A level set {f <= c} is 'bounded up to the grid' iff it contains no
     boundary node, i.e. iff c is below the smallest boundary value.
@@ -667,7 +666,7 @@ def coercivity_check(f: GridFn, levels: int = 9) -> CoercivityReport:
 
     bmin = float(bvals.min()) if np.isfinite(bvals).any() else np.inf
     fmax = float(v[fin].max())
-    cs = np.linspace(fmin + 1e-12 * max(1.0, abs(fmin)), fmax, levels)
+    cs = np.linspace(fmin + 1e-12 * max(1.0, abs(fmin)), fmax, 9)
     scan = tuple((float(c), bool(c < bmin)) for c in cs)
     coercive = slope > 0 and bmin > fmin
     return CoercivityReport(slope, scan, coercive)
@@ -675,9 +674,9 @@ def coercivity_check(f: GridFn, levels: int = 9) -> CoercivityReport:
 
 @dataclass(frozen=True)
 class DualityGapResult:
-    primal: ExtReal
-    dual: ExtReal
-    gap: ExtReal
+    primal: float
+    dual: float
+    gap: float
 
 
 def fenchel_duality_gap(
@@ -693,7 +692,10 @@ def fenchel_duality_gap(
 
     g and the conjugates are evaluated by multilinear interpolation, +inf
     outside their boxes; interpolation over-estimates convex data, which
-    keeps the weak-duality direction safe.
+    keeps the weak-duality direction safe.  Sums overflow to ±inf
+    silently, and the gap is +inf where primal = +inf or dual = -inf (so
+    where both are +inf), else primal - dual.  A T with a non-finite
+    entry raises ParameterError.
     """
     require_proper(f, "duality input f")
     require_proper(g, "duality input g")
@@ -702,6 +704,8 @@ def fenchel_duality_gap(
         raise GridMismatchError(
             f"T must map dim {f.grid.dim} to dim {g.grid.dim}, got shape {Tm.shape}"
         )
+    if not np.isfinite(Tm).all():
+        raise ParameterError(f"T must have finite entries, got {Tm.tolist()}")
     xs = f.grid.nodes()
     tx = xs @ Tm.T
     inside = np.ones(len(tx), dtype=bool)
@@ -715,20 +719,21 @@ def fenchel_duality_gap(
             stacklevel=2,
         )
     gvals = interp_gridfn(g, tx)
-    primal_vals = np.where(
-        np.isfinite(f.values.ravel()) & np.isfinite(gvals),
-        f.values.ravel() + gvals,
-        np.inf,
-    )
-    primal = float(primal_vals.min())
-
     fstar = conjugate(f, f_dual_grid).dual
     gstar = conjugate(g, g_dual_grid).dual
     ys = g_dual_grid.nodes()
     fterm = interp_gridfn(fstar, ys @ Tm)
     gterm = interp_gridfn(gstar, -ys)
-    dual_vals = np.where(
-        np.isfinite(fterm) & np.isfinite(gterm), -fterm - gterm, -np.inf
-    )
+    with np.errstate(over="ignore"):
+        primal_vals = np.where(
+            np.isfinite(f.values.ravel()) & np.isfinite(gvals),
+            f.values.ravel() + gvals,
+            np.inf,
+        )
+        dual_vals = np.where(
+            np.isfinite(fterm) & np.isfinite(gterm), -fterm - gterm, -np.inf
+        )
+    primal = float(primal_vals.min())
     dual = float(dual_vals.max())
-    return DualityGapResult(ExtReal(primal), ExtReal(dual), ExtReal(primal) - ExtReal(dual))
+    gap = math.inf if primal == math.inf or dual == -math.inf else primal - dual
+    return DualityGapResult(primal, dual, gap)

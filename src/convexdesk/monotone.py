@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .extreal import ExtReal
 from .fenchel import conjugate_value_at
 from .grids import GridFn, interp_gridfn
 from .moreau import _boundary_axis, prox
@@ -82,10 +81,10 @@ class MonotonicityReport:
         return self.monotone
 
 
-def is_monotone(G: OperatorGraph, tol: Optional[float] = None) -> MonotonicityReport:
-    """Exhaustive O(k^2) check of <x - y, x* - y*> >= -tol over stored pairs."""
-    if tol is None:
-        tol = _default_tol(G)
+def is_monotone(G: OperatorGraph) -> MonotonicityReport:
+    """Exhaustive O(k^2) check of <x - y, x* - y*> >= -tol over stored pairs,
+    tol = 1e-8 (1 + max|x| max|x*|)."""
+    tol = _default_tol(G)
     P = G.xs @ G.xstars.T
     d = np.diag(P)
     M = d[:, None] + d[None, :] - P - P.T
@@ -97,11 +96,10 @@ def is_monotone(G: OperatorGraph, tol: Optional[float] = None) -> MonotonicityRe
     return MonotonicityReport(False, (i, j), mn)
 
 
-def monotonically_related(G: OperatorGraph, candidate: tuple, tol: Optional[float] = None) -> bool:
+def monotonically_related(G: OperatorGraph, candidate: tuple) -> bool:
     """True iff the candidate pair has nonnegative product against every
-    stored pair (within -tol)."""
-    if tol is None:
-        tol = _default_tol(G)
+    stored pair (within -tol, the tolerance of is_monotone)."""
+    tol = _default_tol(G)
     cx = np.atleast_1d(np.asarray(candidate[0], dtype=float))
     cs = np.atleast_1d(np.asarray(candidate[1], dtype=float))
     prods = ((G.xs - cx[None, :]) * (G.xstars - cs[None, :])).sum(axis=1)
@@ -111,19 +109,24 @@ def monotonically_related(G: OperatorGraph, candidate: tuple, tol: Optional[floa
 @dataclass(frozen=True)
 class FitzpatrickEval:
     query: tuple[tuple[float, ...], tuple[float, ...]]
-    value: ExtReal
+    value: float
     attaining_index: int
 
 
 def fitzpatrick(G: OperatorGraph, query: tuple) -> FitzpatrickEval:
-    """Exact sup over the stored graph of <x, a*> + <a, x*> - <a, a*>."""
+    """Exact sup over the stored graph of <x, a*> + <a, x*> - <a, a*>.
+    Terms that overflow are ±inf silently; a NaN term (inf - inf) raises
+    ParameterError."""
     qx = np.atleast_1d(np.asarray(query[0], dtype=float))
     qs = np.atleast_1d(np.asarray(query[1], dtype=float))
-    vals = G.xstars @ qx + G.xs @ qs - (G.xs * G.xstars).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = G.xstars @ qx + G.xs @ qs - (G.xs * G.xstars).sum(axis=1)
+    if np.isnan(vals).any():
+        i = int(np.flatnonzero(np.isnan(vals))[0])
+        raise ParameterError(f"stored pair {i} gives a NaN Fitzpatrick term at "
+                             f"x = {qx.tolist()}, x* = {qs.tolist()}")
     idx = int(np.argmax(vals))
-    return FitzpatrickEval(
-        (tuple(qx), tuple(qs)), ExtReal(float(vals[idx])), idx
-    )
+    return FitzpatrickEval((tuple(qx), tuple(qs)), float(vals[idx]), idx)
 
 
 @dataclass(frozen=True)

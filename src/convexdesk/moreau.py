@@ -48,13 +48,13 @@ def _check_inputs(
 ) -> Optional[np.ndarray]:
     """Input checks of prox (with its query x) and moreau_envelope."""
     require_proper(f, f"{name} input")
-    if lam <= 0:
+    if not lam > 0:  # NaN too
         raise ParameterError(f"lambda must be > 0, got {lam}")
     xv = None if x is None else np.atleast_1d(np.asarray(x, dtype=float))
     if xv is not None and xv.size != f.grid.dim:
         raise GridMismatchError("query dimension does not match the grid")
     if xv is not None and not f.grid.contains(xv):
-        raise GridMismatchError(f"query {tuple(xv)} is outside the grid box")
+        raise GridMismatchError(f"query {tuple(xv.tolist())} is outside the grid box")
     if check_convexity:
         rep = discrete_convexity_check(f, tol=convexity_tol)
         if not rep:
@@ -181,16 +181,14 @@ def moreau_envelope(
     return GridFn(f.grid, np.minimum(vals[0], refined))
 
 
-def moreau_decomposition_residual(
-    f: GridFn, x, dual_grid: Optional[Grid] = None, check_convexity: bool = True
-) -> float:
-    """|| x - prox_f(x) - prox_{f*}(x) || at lambda = 1."""
+def moreau_decomposition_residual(f: GridFn, x, dual_grid: Optional[Grid] = None) -> float:
+    """|| x - prox_f(x) - prox_{f*}(x) || at lambda = 1, for convex f."""
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     if dual_grid is None:
         dual_grid = default_dual_grid(f, pad=1.0 + float(np.abs(xv).max()))
     if not dual_grid.contains(xv):
         raise WidenGridError("dual grid does not contain the query point; widen it")
-    a = np.asarray(prox(f, 1.0, xv, check_convexity=check_convexity).point)
+    a = np.asarray(prox(f, 1.0, xv).point)
     fstar = conjugate(f, dual_grid).dual
     b = np.asarray(prox(fstar, 1.0, xv, check_convexity=False).point)
     ax = _boundary_axis(dual_grid, b)

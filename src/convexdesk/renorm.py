@@ -25,7 +25,6 @@ from .errors import (
     NormalizationError,
     ParameterError,
 )
-from .extreal import ext_add
 from .fenchel import minkowski_infconv_convex
 from .grids import Grid, GridFn, interp_gridfn
 
@@ -74,11 +73,9 @@ def _region_mask(grid: Grid, halfwidth: float) -> np.ndarray:
     return c0[:, None] & c1[None, :]
 
 
-def measured_ratio(pair: NormPair, halfwidth: Optional[float] = None) -> float:
+def measured_ratio(pair: NormPair) -> float:
     """r = max(p/q - 1) over finite nodes of the valid window, origin excluded."""
-    if halfwidth is None:
-        halfwidth = valid_region_halfwidth(pair.p.grid, pair.n)
-    mask = _region_mask(pair.p.grid, halfwidth)
+    mask = _region_mask(pair.p.grid, valid_region_halfwidth(pair.p.grid, pair.n))
     pv, qv = pair.p.values, pair.q.values
     ok = mask & np.isfinite(pv) & np.isfinite(qv) & (qv > 0)
     if not ok.any():
@@ -137,7 +134,7 @@ def asplund_step(pair: NormPair, sandwich_slack: Optional[float] = None) -> Norm
     h = grid.spacing[0]
     if sandwich_slack is None:
         sandwich_slack = 10.0 * h
-    p1_vals = ext_add(pair.p.values, pair.q.values) / 2.0
+    p1_vals = (pair.p.values + pair.q.values) / 2.0  # p, q hold no -inf: +inf absorbs
 
     pb = _finite_box(pair.p.values)
     qb = _finite_box(pair.q.values)
@@ -160,9 +157,8 @@ def asplund_step(pair: NormPair, sandwich_slack: Optional[float] = None) -> Norm
         raise IterationDivergedError(
             f"sandwich bound violated at step {n_next}: r={r:.3e} > {bound:.3e} + {sandwich_slack:.3e}"
         )
-    bad = ext_add(new.q.values, -new.p.values)
     fin = np.isfinite(new.q.values) & np.isfinite(new.p.values)
-    if fin.any() and float(np.max(bad[fin])) > sandwich_slack:
+    if fin.any() and float(np.max(new.q.values[fin] - new.p.values[fin])) > sandwich_slack:
         raise IterationDivergedError("q exceeded p beyond the slack")
     return new
 

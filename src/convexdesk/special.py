@@ -86,16 +86,20 @@ def gamma_limit(x: float, n: int) -> float:
     """n-th partial product of the Gamma limit n! n^x / (x (x+1) ... (x+n)).
 
     Computed in log space; increases monotonically to Gamma(x) as n grows.
+    +inf where the product overflows.
     """
     x = float(x)
-    if x <= 0.0:
-        raise ParameterError("gamma_limit requires x > 0")
+    if not 0.0 < x < math.inf:
+        raise ParameterError("gamma_limit requires finite x > 0")
     n = int(n)
     if n < 1:
         raise ParameterError("gamma_limit requires n >= 1")
     ks = np.arange(0, n + 1, dtype=float)
     log_val = math.lgamma(n + 1) + x * math.log(n) - float(np.log(x + ks).sum())
-    return math.exp(log_val)
+    try:
+        return math.exp(log_val)
+    except OverflowError:
+        return math.inf
 
 
 def ball_volume(n: int, p: float) -> float:

@@ -7,12 +7,11 @@ from convexdesk.atoms import (
     FnAtom,
     analytic_conjugate,
     atom_eval,
-    atom_is_convex,
     catalog_tags,
     sample,
 )
 from convexdesk.errors import CatalogError, GridMismatchError, ParameterError
-from convexdesk.grids import Grid
+from convexdesk.grids import Grid, discrete_convexity_check
 
 
 def test_power_eval():
@@ -119,5 +118,18 @@ def test_fenchel_young_holds_for_every_conjugate_pair():
 
 
 def test_documented_convex_atoms_flagged_convex():
-    for atom in _one_of_each():
-        assert atom_is_convex(atom)
+    """Every catalog atom is convex: sampled on [-2, 2] (81 nodes, 41^2 in
+    2-D) it passes the discrete convexity check."""
+    line, box = Grid.line(-2.0, 2.0, 81), Grid.box((-2.0, 2.0, 41), (-2.0, 2.0, 41))
+    atoms = _one_of_each()
+    for atom in atoms:
+        rep = discrete_convexity_check(sample(atom, line if atom.arity == 1 else box))
+        assert rep, (atom.tag, rep.violation_index)
+    assert len(atoms) == 23
+
+
+def test_atom_eval_is_a_float_and_refuses_nan():
+    v = atom_eval(FnAtom("indicator", (-1.0, 1.0)), 2.0)
+    assert type(v) is float and v == math.inf
+    with pytest.raises(ParameterError, match="'power'.* is NaN at"):
+        atom_eval(FnAtom("power", (math.nan,)), 1.0)

@@ -47,6 +47,66 @@ def test_malformed_number_is_usage_error():
     assert main(["gamma", "--x", "abc", "--n", "10"]) == 2
 
 
+ABS5 = ["--atom", "abs", "--grid=-1:1:5"]
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["volume", "--dim", "3", "--p", "nan"], "--p"),
+        (["gamma", "--x", "nan", "--n", "3"], "--x"),
+        (["project", "--box", "nan:1", "--x", "0.5"], "--box"),
+        (["project", "--box", "-1:1", "--x", "nan"], "--x"),
+        (["prox", *ABS5, "--lambda", "nan", "--x", "0.5"], "--lambda"),
+        (["prox", *ABS5, "--x", "nan"], "--x"),
+        (["resolvent", *ABS5, "--lambda", "nan", "--z", "0.5"], "--lambda"),
+        (["resolvent", *ABS5, "--z", "NaN"], "--z"),
+        (["envelope", *ABS5, "--lambda", "nan"], "--lambda"),
+        (["duality", "--f-atom", "quad", "--f-params", "1,0", "--g-atom", "abs",
+          "--grid=-4:4:41", "--T", "nan"], "--T"),
+        (["duality", "--f-atom", "quad", "--f-params", "1,nan", "--g-atom", "abs",
+          "--grid=-4:4:41"], "--f-params"),
+        (["duality", "--f-atom", "abs", "--g-atom", "power", "--g-params", "nan",
+          "--grid=-4:4:41"], "--g-params"),
+        (["conjugate", "--atom", "power", "--params", "nan", "--grid=-1:1:5"], "--params"),
+        (["infconv", *ABS5, "--atom2", "power", "--params2", "nan"], "--params2"),
+        (["coupon", "--x", "nan,1"], "--x"),
+        (["fitzpatrick", "--graph", "GRAPH", "--x", "1", "--xstar", "nan"], "--xstar"),
+    ],
+)
+def test_nan_option_is_usage_error(argv, option, tmp_path, capsys):
+    """NaN in any float option is refused before any work: exit 2, the option
+    named, nothing on stdout (these wrote NaN into the report or ended in a
+    traceback)."""
+    graph = str(tmp_path / "g.json")
+    write_graph_json(OperatorGraph(np.zeros((1, 1)), np.zeros((1, 1))), graph)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([graph if a == "GRAPH" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert f"error: argument {option}: " in err and "is not a number" in err
+
+
+@pytest.mark.parametrize(
+    "argv, key, want",
+    [
+        (["prox", *ABS5, "--lambda", "inf", "--x", "0.5"], "lambda", "+inf"),
+        (["resolvent", *ABS5, "--lambda", "inf", "--z", "0.5"], "lambda", "+inf"),
+        (["volume", "--dim", "3", "--p", "inf"], "volume", 8.0),
+        (["volume", "--dim", "3", "--p", "oo"], "p", "+inf"),
+    ],
+)
+def test_infinite_options_still_run(argv, key, want, capsys):
+    assert main(argv) == 0
+    assert _strict_json(capsys.readouterr().out)[key] == want
+
+
+def test_query_outside_the_grid_is_named_in_plain_floats(capsys):
+    assert main(["prox", *ABS5, "--x", "9"]) == 1
+    assert capsys.readouterr().err == "error: query (9.0,) is outside the grid box\n"
+
+
 @pytest.mark.parametrize(
     "argv, missing",
     [
@@ -139,6 +199,16 @@ def test_coupon_ie_past_its_range_is_refused(x, capsys):
     assert err.startswith("error: max(x)/min(x) is about 1e616;") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("forms", ["perm", "all"])
+def test_coupon_nan_form_is_refused(forms, capsys):
+    # the float permutation form is inf / inf here; this once printed "perm": NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["coupon", "--x", "5e-324,5e-324,1e+200", "--forms", forms]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: the perm form is NaN in floats at this x\n"
+
+
 def test_coupon_negative_probe_trials_is_usage_error(tmp_path, capsys):
     out = str(tmp_path / "c.json")
     assert main(["coupon", "--x", "1,2", "--probe-trials", "-3", "--out", out]) == 2
@@ -198,6 +268,17 @@ def test_fitzpatrick_job(tmp_path):
                "--out", out])
     assert rc == 0
     assert json.load(open(out))["value"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_fitzpatrick_job_refuses_a_nan_term(tmp_path, capsys):
+    gpath = str(tmp_path / "g.json")
+    pts = np.array([[1e200], [-1e200], [0.0]])
+    write_graph_json(OperatorGraph(pts, pts), gpath)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fitzpatrick", "--graph", gpath, "--x", "1e200", "--xstar", "-1e200"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: stored pair 0 gives a NaN Fitzpatrick term")
 
 
 def test_resolvent_job(tmp_path):
@@ -338,6 +419,17 @@ def test_tolerance_env_override(monkeypatch):
     assert default_tol() == 1e-5
     monkeypatch.delenv("CONVEXDESK_TOL")
     assert default_tol() is None
+
+
+@pytest.mark.parametrize("argv", [["envelope", "--in", "F"], ["renorm", "--grid=-2:2:21x-2:2:21", "--steps", "1"]])
+def test_nan_tolerance_env_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # a NaN tolerance passed every check: the envelope of a nonconvex f exited 0
+    path = str(tmp_path / "f.json")
+    write_gridfn_json(GridFn(Grid.line(-1, 1, 5), [0.0, 0.0, 1.0, 0.0, 0.0]), path)
+    monkeypatch.setenv("CONVEXDESK_TOL", "nan")
+    assert main([path if a == "F" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "usage error: CONVEXDESK_TOL must be a number, got 'nan'\n"
 
 
 def test_tolerance_env_override_covers_prox_envelope_and_resolvent(tmp_path, monkeypatch, capsys):

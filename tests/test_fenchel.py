@@ -955,6 +955,19 @@ def test_duality_infeasible_is_inf():
     res = fenchel_duality_gap(f, h, [[1.0]], Grid.line(-4, 4, 801), Grid.line(-4, 4, 801))
     assert float(res.primal) == math.inf
     assert float(res.gap) == math.inf  # extended-real convention
+    # both sums overflow: primal = dual = +inf, and the gap is +inf, not inf - inf
+    c = sample(FnAtom("const", (1e308,)), Grid.line(-1, 1, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fenchel_duality_gap(c, c, [[1.0]], default_dual_grid(c), default_dual_grid(c))
+    assert (res.primal, res.dual, res.gap) == (math.inf, math.inf, math.inf)
+
+
+@pytest.mark.parametrize("T", [[[math.inf]], [[math.nan]], [[-math.inf]]])
+def test_duality_refuses_a_non_finite_T(T):
+    f = sample(FnAtom("quad", (1.0, 0.0)), Grid.line(-4, 4, 41))
+    with pytest.raises(ParameterError, match="T must have finite entries"):
+        fenchel_duality_gap(f, f, T, default_dual_grid(f), default_dual_grid(f))
 
 
 def test_coercivity_continuity_duality_shadow():

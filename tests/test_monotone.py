@@ -94,6 +94,18 @@ def test_fitzpatrick_singleton():
     assert float(fitzpatrick(G, (3.0, -7.0)).value) == 0.0
 
 
+def test_fitzpatrick_refuses_an_overflowing_pair_without_a_warning():
+    # pair 0's term is 1e200 * -1e200 + 1e200 * 1e200 - 1e400: -inf + inf - inf
+    G = OperatorGraph(np.array([[1e200], [-1e200], [0.0]]), np.array([[1e200], [-1e200], [0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=r"stored pair 0 gives a NaN Fitzpatrick term"):
+            fitzpatrick(G, (1e200, -1e200))
+        # an overflow alone is a plain -inf term, which never attains the sup
+        r = fitzpatrick(OperatorGraph(G.xs[::2], G.xstars[::2]), (1.0, 1.0))
+    assert type(r.value) is float and (r.value, r.attaining_index) == (0.0, 1)
+
+
 def test_fitzpatrick_identity_closed_form(rng):
     G = identity_graph(-2, 2, 401)
     h = 4 / 400

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -66,6 +67,17 @@ def test_prox_rejects_nonconvex_bad_lambda_outside_query():
         prox(a, 0.0, 0.0)
     with pytest.raises(GridMismatchError):
         prox(a, 1.0, 5.0)
+
+
+def test_nan_lambda_is_refused():
+    # a NaN lambda passed `lam <= 0` and gave "envelope": NaN
+    a = sample(FnAtom("abs"), Grid.line(-1, 1, 5))
+    with pytest.raises(ParameterError, match="lambda must be > 0, got nan"):
+        prox(a, math.nan, 0.5)
+    with pytest.raises(ParameterError, match="lambda must be > 0, got nan"):
+        moreau_envelope(a, math.nan)
+    with pytest.raises(GridMismatchError, match=r"query \(9.0,\) is outside the grid box"):
+        prox(a, 1.0, np.float64(9.0))
 
 
 def test_prox_2d_projection():

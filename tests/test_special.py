@@ -73,6 +73,19 @@ def test_gamma_limit_domain():
         gamma_limit(1.0, 0)
 
 
+@pytest.mark.parametrize("x", [math.inf, math.nan])
+def test_gamma_limit_refuses_a_non_finite_x(x):
+    # x = inf gave NaN, and `gamma --x inf` wrote it into its report
+    with pytest.raises(ParameterError, match="finite x > 0"):
+        gamma_limit(x, 3)
+
+
+def test_gamma_limit_overflow_is_inf():
+    # this ended in an OverflowError traceback from math.exp (`gamma --x 1000 --n 3`)
+    assert gamma_limit(1000.0, 3) == math.inf and gamma_limit(1e300, 3) == math.inf
+    assert gamma_limit(1e300, 1) == 0.0
+
+
 def test_ball_volumes_golden():
     assert abs(ball_volume(2, 2.0) - math.pi) <= 1e-12
     assert abs(ball_volume(3, 1.0) - 4.0 / 3.0) <= 1e-12
