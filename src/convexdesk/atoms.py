@@ -65,12 +65,13 @@ def _slack(*vals: float) -> float:
 
 def _eval_power(params, x):
     (p,) = params
-    return np.abs(x) ** p / p
+    with np.errstate(over="ignore"):  # |x| > 1 at a huge p: +inf, the limit
+        return np.abs(x) ** p / p
 
 
 def _check_power(params):
-    if params[0] <= 1.0:
-        raise ParameterError(f"power atom requires p > 1, got {params[0]}")
+    if params[0] <= 1.0 or params[0] == math.inf:
+        raise ParameterError(f"power atom requires 1 < p < inf, got {params[0]}")
 
 
 def _power_conj(params):

@@ -3,16 +3,24 @@ subdifferentials, coercivity, and duality gaps.
 
 The fast conjugate transforms stacks of lines at once.  The lower convex
 hull of every line comes from the monotone chain's pop test, batched:
-each round drops the middle of every consecutive kept triple that pops,
-until no triple pops; lines that still pop after a work budget of a
-constant times the block's points finish in the per-point chain, so the
-hull costs O(n) per line.  Counting hull slopes below each sorted dual
-node places it on the hull, O(n + m) per line.  Where a hull slope lies
-within rounding of a dual node, the exhaustive max is taken over the
-nodes rounding could make the argmax, so 1-D values and argmax agree
-bit-for-bit with the oracle, ties to the smallest primal index.  A 2-D
-transform is two batched passes, rows then columns: its values agree
-bit-for-bit, its argmax breaks ties row first.
+the first round drops the middle of every consecutive triple that lies
+strictly above its chord, and each further round, over the kept points
+of the lines that popped, also drops a middle within the test's own
+rounding below its chord (a margin of 2 eps (|f0| + |f1| + |f2|)
+(x2 - x0) on the cross product), until no triple pops, so rounding noise
+on collinear runs goes in a few rounds.  Lines that still pop after a
+work budget of a constant times the block's points, geometric zippers
+with one low end node, finish in the per-point chain, so the hull costs
+O(n) per line.  Counting hull slopes below each sorted dual node places
+it on the hull, O(n + m) per line.  Where a hull slope lies within
+rounding of a dual node, the exhaustive max is taken over the nodes
+rounding could make the argmax; a line's depth, its deepest dropped node
+below the kept hull, widens that rounding bound, and a line deeper than
+an eighth of it (true curvature under the margin) is done again with
+the exact test.  So 1-D values and argmax agree bit-for-bit with the
+oracle, ties to the smallest primal index.  A 2-D transform is two
+batched passes, rows then columns: its values agree bit-for-bit, its
+argmax breaks ties row first.
 """
 
 from __future__ import annotations
@@ -82,9 +90,27 @@ def _lower_hull(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.asarray(hull, dtype=np.int64)
 
 
-def _pops(x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """_lower_hull's pop test, batched over consecutive triples of (x, f)."""
+def _above(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """_lower_hull's pop test, batched over consecutive triples of (x, f):
+    the middle lies strictly above the chord of its neighbours."""
     return (f[1:-1] - f[:-2]) * (x[2:] - x[:-2]) > (f[2:] - f[:-2]) * (x[1:-1] - x[:-2])
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _pops(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """_above with a rounding margin: the middle also pops where it lies
+    within 2 eps (|f0| + |f1| + |f2|) (x2 - x0) of the chord in the cross
+    product, the test's own rounding, where the float test cannot tell
+    its side."""
+    dx = x[2:] - x[:-2]
+    af = np.abs(f)
+    margin = af[:-2] + af[1:-1]
+    margin += af[2:]
+    margin *= (2.0 * _EPS) * dx
+    margin += (f[1:-1] - f[:-2]) * dx
+    return margin > (f[2:] - f[:-2]) * (x[1:-1] - x[:-2])
 
 
 # Hull elimination budget of a block, in points tested: a round costs its
@@ -93,27 +119,61 @@ def _pops(x: np.ndarray, f: np.ndarray) -> np.ndarray:
 # points, the lines still popping finish in _lower_hull.
 _HULL_WORK = 16
 _ROUND_WORK = 2048
+# a popping line whose depth (see _hull_mask) passes this share of its
+# rounding bound is done again with the exact test
+_DEEP = 0.125
 
 
-def _hull_mask(rows: np.ndarray, x: np.ndarray, f: np.ndarray, pops: np.ndarray, L: int) -> np.ndarray:
+def _hull_mask(rows: np.ndarray, x: np.ndarray, f: np.ndarray, pops: np.ndarray, bound: np.ndarray):
     """Which of a block's finite points (rows, x, f), sorted by line then
-    x, lie on their line's lower hull; pops is _pops on their consecutive
-    triples, false where a triple spans two lines.
+    x, are kept as their line's hull, and per line how deep a dropped
+    point lies below the kept chain; pops is _above on their consecutive
+    triples, false where a triple spans two lines, and bound holds the
+    lines' rounding bounds (see _conjugate_block).
 
-    Each round drops the middle of every kept triple that pops and tests
-    again the kept points of the lines that popped.  A point that pops
-    lies above a chord, so it is off the hull, and a line where no triple
-    pops is its own hull.  A zipper line (one low end point) loses one
-    point a round, so past the work budget the lines still popping finish
-    in _lower_hull on their kept points: O(n) per line either way.
+    The first round drops the middle of every triple that pops, and each
+    further round the middles that pop with _pops's margin among the kept
+    points of the lines that popped (_rounds).  A line where no triple
+    pops is its own hull.  A dropped point lies above a chord or within
+    rounding below it, so a line's depth is its deepest dropped point
+    below the kept chain, which the windows absorb.  A line deeper than an
+    eighth of its bound (true curvature under the margin) is done again
+    from all its points with the exact test, depth 0.
     """
     keep = np.ones(rows.size, dtype=bool)
-    idx = np.arange(rows.size)
-    work, budget = rows.size, _HULL_WORK * rows.size
+    _rounds(keep, rows, x, f, np.arange(rows.size), pops, _pops)
+    # a line's first and last points are kept, so every dropped point d
+    # has kept neighbours a < d < b on its own line
+    k, d = np.flatnonzero(keep), np.flatnonzero(~keep)
+    b = np.cumsum(keep)[d]  # kept points before d
+    a, b = k[b - 1], k[b]
+    below = f[a] + (f[b] - f[a]) * ((x[d] - x[a]) / (x[b] - x[a])) - f[d]
+    depth = np.zeros(bound.size)
+    np.maximum.at(depth, rows[d], below)
+    deep = depth > _DEEP * bound
+    if deep.any():
+        depth[deep] = 0.0
+        idx = np.flatnonzero(deep[rows])
+        keep[idx] = True
+        r = rows[idx]
+        _rounds(keep, rows, x, f, idx, (r[2:] == r[:-2]) & _above(x[idx], f[idx]), _above)
+    return keep, depth
+
+
+def _rounds(keep: np.ndarray, rows: np.ndarray, x: np.ndarray, f: np.ndarray, idx: np.ndarray,
+            pops: np.ndarray, test) -> None:
+    """Batched elimination rounds over the points idx (sorted by line then
+    x), pops on their consecutive triples, then test on the kept points of
+    the lines that popped, until none pops.  A zipper line (one low end
+    point) loses one point a round, so past the work budget the lines
+    still popping finish in _lower_hull on their kept points: O(n) per
+    line either way."""
+    work, budget = idx.size, _HULL_WORK * idx.size
+    live = np.zeros(rows[-1] + 1, dtype=bool)
     while pops.any():
         mid = idx[1:-1][pops]
         keep[mid] = False
-        live = np.zeros(L, dtype=bool)
+        live[:] = False
         live[rows[mid]] = True
         idx = idx[keep[idx] & live[rows[idx]]]
         r = rows[idx]
@@ -122,9 +182,8 @@ def _hull_mask(rows: np.ndarray, x: np.ndarray, f: np.ndarray, pops: np.ndarray,
             for p in np.split(idx, np.flatnonzero(r[1:] != r[:-1]) + 1):
                 keep[p] = False
                 keep[p[_lower_hull(x[p], f[p])]] = True
-            break
-        pops = (r[2:] == r[:-2]) & _pops(x[idx], f[idx])
-    return keep
+            return
+        pops = (r[2:] == r[:-2]) & test(x[idx], f[idx])
 
 
 # elements per block of lines, which bounds the kernel's temporaries
@@ -148,21 +207,23 @@ def _conjugate_block(xs: np.ndarray, F: np.ndarray, ys: np.ndarray, lam: Optiona
     if not hr.size:
         return np.full((L, m), -np.inf), np.full((L, m), -1, dtype=np.int64), windows
     hf, hx = F[hr, hc], xs[hc]
-    # a line where the pop test never fires is its own hull
-    pops = (hr[2:] == hr[:-2]) & _pops(hx, hf)
-    if pops.any():
-        keep = _hull_mask(hr, hx, hf, pops, L)
-        hr, hc, hf, hx = hr[keep], hc[keep], hf[keep], hx[keep]
-    seg = np.flatnonzero(hr[1:] == hr[:-1])
-    slopes = (hf[seg + 1] - hf[seg]) / (hx[seg + 1] - hx[seg])
-    srow = hr[seg]
-
     # A hull segment whose slope is within tol of y drops by at most `bound`
     # per index step, so rounding can make any node on or above it the
     # oracle's argmax.  The window spans the run of such segments around y;
-    # every node outside it is below the window's best by more than `bound`.
+    # every node outside it is below the window's best by more than `bound`,
+    # and a node the margin dropped lies at most its line's depth below the
+    # kept chain, so the depth widens the line's bound.
     yx = max(abs(ys[0]), abs(ys[-1])) * max(abs(xs[0]), abs(xs[-1]))
-    bound = 64.0 * np.finfo(float).eps * (yx + fmax + 1.0)
+    bound = 64.0 * _EPS * (yx + fmax + 1.0)
+    # a line where the exact pop test never fires is its own hull
+    pops = (hr[2:] == hr[:-2]) & _above(hx, hf)
+    if pops.any():
+        keep, depth = _hull_mask(hr, hx, hf, pops, bound)
+        hr, hc, hf, hx = hr[keep], hc[keep], hf[keep], hx[keep]
+        bound += depth
+    seg = np.flatnonzero(hr[1:] == hr[:-1])
+    slopes = (hf[seg + 1] - hf[seg]) / (hx[seg + 1] - hx[seg])
+    srow = hr[seg]
     tol = (bound * (n - 1) / (xs[-1] - xs[0]))[srow]
     # per line and dual node y: hull segments with slope + tol < y (lo) and
     # with slope - tol < y (hi), counted in one bincount over 2 L groups
@@ -264,6 +325,14 @@ def conjugate(f: GridFn, dual_grid: Grid) -> ConjugateResult:
     axis of f's grid (span S, spacing h).  Otherwise the result is
     conjugate_oracle's, which refuses more than MAX_DIRECT_PAIRS node
     pairs with ParameterError before any work.
+
+    The hull's rounds drop a node within rounding below its chord too (the
+    margin in the module docstring).  Each line's window bound grows by
+    its depth, the deepest node so dropped below the kept hull, so the
+    windows hold every such node that could be the argmax; a line deeper
+    than an eighth of its bound is done again with the exact test, so the
+    bound grows by at most an eighth.  Only geometric zippers (one low end
+    node) still reach the per-point chain, past the rounds' work budget.
 
     The rounding windows take an exhaustive max over each window's nodes.
     Past MAX_DIRECT_PAIRS window nodes in one pass over lines it raises

@@ -222,12 +222,18 @@ def coupon_pn_ie(x: Sequence):
     xs = _check_coupon_input(x, MAX_IE_N)
     if not all(isinstance(v, Fraction) for v in xs):
         return _pn_float(np.array(xs, dtype=float))
-    total = Fraction(0)
+    # a balanced pairwise tree of the terms, one partial sum per level:
+    # the same exact value as a running total, with smaller denominators
+    partial: list[tuple[int, Fraction]] = []
     for k in range(1, len(xs) + 1):
         sign = 1 if k % 2 == 1 else -1
         for subset in combinations(xs, k):
-            total += sign / sum(subset)
-    return total
+            level, term = 0, sign / sum(subset)
+            while partial and partial[-1][0] == level:
+                term += partial.pop()[1]
+                level += 1
+            partial.append((level, term))
+    return sum((term for _, term in partial), Fraction(0))
 
 
 _BLOCK_BITS = 14  # the float form runs over blocks of 2^14 subsets

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from convexdesk import cli
+from convexdesk.atoms import FnAtom, sample
 from convexdesk.cli import SUBCOMMANDS, main, parse_args, parse_grid_spec
 from convexdesk.fileio import read_gridfn_json, write_graph_json, write_gridfn_json
 from convexdesk.grids import Grid, GridFn
@@ -100,6 +101,27 @@ def test_nan_option_is_usage_error(argv, option, tmp_path, capsys):
 def test_infinite_options_still_run(argv, key, want, capsys):
     assert main(argv) == 0
     assert _strict_json(capsys.readouterr().out)[key] == want
+
+
+def test_power_atom_refuses_an_infinite_p(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["conjugate", "--atom", "power", "--params", "inf", "--grid=-2:2:5"])
+    out = capsys.readouterr()
+    assert (rc, out.out) == (1, "")
+    assert out.err == "error: power atom requires 1 < p < inf, got inf\n"
+
+
+def test_power_atom_at_a_huge_p_is_inf_past_one(capsys):
+    # |x|^p / p overflows to +inf where |x| > 1, silently: the p -> inf limit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["conjugate", "--atom", "power", "--params", "1e308", "--grid=-2:2:5"])
+        f = sample(FnAtom("power", (1e308,)), Grid.line(-2, 2, 5))
+    out = capsys.readouterr()
+    assert (rc, out.err) == (0, "")
+    assert _strict_json(out.out) == {"argmax": [1, 2, 2, 2, 2], "values": [0.0, -0.0, 0.0, 0.0, 0.0]}
+    assert f.values.tolist() == [np.inf, 1e-308, 0.0, 1e-308, np.inf]
 
 
 def test_query_outside_the_grid_is_named_in_plain_floats(capsys):

@@ -277,6 +277,97 @@ def test_zipper_line_elimination_work_is_linear(monkeypatch):
     assert np.array_equal(res.argmax, ref.argmax)
 
 
+def _noise_line(kind):
+    """Collinear runs that pop by rounding alone, on 10^5 nodes, or the 2-D
+    l1norm, whose rows do."""
+    if kind == "l1norm":
+        box = Grid.box((-1.5, 1.5, 101), (-1.5, 1.5, 101))
+        return sample(FnAtom("l1norm"), Grid.box((-2, 2, 101), (-2, 2, 101))), box
+    g = Grid.line(-1, 1, 100_001)
+    xs = g.coords(0)
+    if kind == "fstar":  # the f* line of a random convex line
+        f = random_convex_gridfn(np.random.default_rng(5), g)
+        return conjugate(f, default_dual_grid(f)).dual, Grid.line(-1, 1, 61)
+    vals = {
+        "linear": 0.7 * xs,
+        "kinked": np.maximum(-1.3 * xs, 0.4 * xs + 0.3),
+        "maxlines": np.max(np.array([[-1.9], [-0.2], [0.6], [1.7]]) * xs
+                           + np.array([[0.1], [-0.5], [-0.2], [0.8]]), axis=0),
+    }[kind]
+    return GridFn(g, vals), Grid.line(-3, 3, 61)
+
+
+@pytest.mark.parametrize("kind", ["linear", "kinked", "maxlines", "fstar", "l1norm"])
+def test_rounding_noise_lines_skip_the_budget_and_the_chain(monkeypatch, kind):
+    # rounding noise on collinear runs pops the exact test over and over;
+    # the margin drops it in a few rounds, and no line reaches the chain
+    f, dg = _noise_line(kind)
+    tested, chained, blocks = [], [], []
+    pops, hull, mask = fenchel._pops, fenchel._lower_hull, fenchel._hull_mask
+    monkeypatch.setattr(fenchel, "_pops", lambda x, v: tested.append(x.size) or pops(x, v))
+    monkeypatch.setattr(fenchel, "_lower_hull", lambda x, v: chained.append(x.size) or hull(x, v))
+    monkeypatch.setattr(fenchel, "_hull_mask", lambda *a: blocks.append(1) or mask(*a))
+    res = conjugate(f, dg)
+    assert blocks and len(tested) <= 8 * len(blocks)
+    assert chained == []
+    ref = conjugate_oracle(f, dg)
+    assert np.array_equal(res.dual.values, ref.dual.values)
+    if f.grid.dim == 1:
+        assert np.array_equal(res.argmax, ref.argmax)
+
+
+def _sub_rounding_line(seed):
+    """A near-collinear run whose true kinks sit at the rounding scale: a
+    parabola of second difference q eps |f| per node, q up to 3, around a
+    line, plus up to three kinks of the same size."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 2000))
+    scale = 10.0 ** int(rng.integers(0, 7))
+    g = Grid.line(-scale, scale, n)
+    xs, h = g.coords(0), 2 * scale / (n - 1)
+    s, c = rng.integers(-20, 21) / 10, rng.integers(1, 11) / 10 * scale
+    unit = np.finfo(float).eps * (abs(s) * scale + c) / h
+    vals = s * xs + c + rng.uniform(0.02, 3) * unit / h * (xs - rng.uniform(-scale, scale)) ** 2 / 2
+    for at in rng.uniform(-scale, scale, size=int(rng.integers(0, 4))):
+        vals = vals + rng.uniform(0.5, 6) * unit * np.abs(xs - at)
+    return GridFn(g, vals), default_dual_grid(GridFn(g, vals), n=int(rng.integers(2, 80)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), redo=st.booleans())
+def test_margin_hull_matches_oracle_on_sub_rounding_kinks(seed, redo):
+    # the margin drops real hull vertices here; the windows widened by the
+    # depth absorb them, also with the exact redo of deep lines switched off
+    f, dg = _sub_rounding_line(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        if not redo:
+            mp.setattr(fenchel, "_DEEP", math.inf)
+        a = conjugate(f, dg)
+    b = conjugate_oracle(f, dg)
+    assert np.array_equal(a.dual.values, b.dual.values)
+    assert np.array_equal(a.argmax, b.argmax)
+
+
+def test_sub_rounding_curvature_keeps_the_exact_hull_windows(monkeypatch):
+    # a parabola whose curvature lies under the margin: every interior node
+    # pops with it, and the margin's hull (two end points) would need a
+    # window of all n nodes at every dual node; the line is done again with
+    # the exact test and keeps the exact hull's 810633 window nodes
+    n = 2001
+    g = Grid.line(-1, 1, n)
+    h = 2 / (n - 1)
+    f = GridFn(g, 1.0 + 0.3 * np.finfo(float).eps / h**2 * g.coords(0) ** 2)
+    dg = default_dual_grid(f)
+    ref = conjugate_oracle(f, dg)
+    monkeypatch.setattr(fenchel, "MAX_DIRECT_PAIRS", 810_633)
+    res = conjugate(f, dg)
+    assert res.dual.values.tobytes() == ref.dual.values.tobytes()
+    assert res.argmax.tobytes() == ref.argmax.tobytes()
+    monkeypatch.setattr(fenchel, "_DEEP", math.inf)
+    with pytest.raises(ParameterError, match=str(n * n)):
+        conjugate(f, dg)
+
+
 def test_oracle_2d_refuses_grids_over_the_pair_cap():
     g = Grid.box((-1, 1, 2000), (-1, 1, 2000))
     f = GridFn(g, np.zeros(g.shape))

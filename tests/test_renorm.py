@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from convexdesk import renorm
 from convexdesk.atoms import FnAtom
-from convexdesk.errors import ParameterError
+from convexdesk.errors import IterationDivergedError, ParameterError
 from convexdesk.fenchel import conjugate, inf_convolution
 from convexdesk.grids import Grid, GridFn, discrete_convexity_check
 from convexdesk.renorm import (
@@ -54,6 +55,18 @@ def test_fixpoint_identical_norms():
     sub = np.ix_(np.flatnonzero(mask), np.flatnonzero(mask))
     assert np.max(np.abs(nxt.p.values[sub] - pair.p.values[sub])) <= 1e-10
     assert np.max(np.abs(nxt.q.values[sub] - pair.q.values[sub])) <= 1e-10
+
+
+def test_step_refuses_q_above_p_beyond_the_slack(monkeypatch):
+    # the lattice merge keeps q1 <= p1 up to rounding; a merge that
+    # quadruples q (so q1 doubles) reaches the check, while the sandwich
+    # ratio max(p/q - 1) only falls
+    merge = renorm.minkowski_infconv_convex
+    monkeypatch.setattr(renorm, "minkowski_infconv_convex",
+                        lambda F, G, rows=None: 4.0 * merge(F, G, rows=rows))
+    pair = init_pair(FnAtom("l1norm"), FnAtom("l2norm"), small_grid())
+    with pytest.raises(IterationDivergedError, match="q exceeded p beyond the slack"):
+        asplund_step(pair)
 
 
 def test_one_step_contracts_l1_l2():

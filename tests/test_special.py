@@ -440,7 +440,7 @@ def test_coupon_ie_float_memory_at_max_n():
 
 
 def test_no_scipy_module_loads_at_import_or_in_either_integral():
-    # a fresh process: other tests import scipy into this one
+    # a fresh process, so that no module this test run has imported counts
     code = (
         "import sys, math\n"
         "import convexdesk, convexdesk.cli\n"
