@@ -368,11 +368,7 @@ def conjugate_oracle(f: GridFn, dual_grid: Grid) -> ConjugateResult:
     """Exhaustive O(n*m) conjugate; ground truth for the fast transform.
 
     Above MAX_DIRECT_PAIRS primal-dual node pairs (n*m) it raises
-    ParameterError before any work.  One scan for 1-D and 2-D over blocks
-    of dual nodes, about _TILE_ELEMS pairs each, so its memory is bounded.
-    A block forms y x - f in 1-D and x1 y1 + (x2 y2 - f) in 2-D, the
-    expression tree of the iterated transform, so 'bit-identical' is well
-    defined; ties go to the smallest flat primal index.
+    ParameterError before any work; else it is _conjugate_scan's.
     """
     require_proper(f, "conjugate input")
     if dual_grid.dim != f.grid.dim:
@@ -382,44 +378,38 @@ def conjugate_oracle(f: GridFn, dual_grid: Grid) -> ConjugateResult:
         raise ParameterError(
             f"conjugate_oracle needs {pairs} node pairs, cap is {MAX_DIRECT_PAIRS}"
         )
-    dim, n = f.grid.dim, f.grid.node_count
-    # axis ax's primal coordinates, broadcast along the other axes
-    xs = [f.grid.coords(ax).reshape([-1 if k == ax else 1 for k in range(dim)]) for ax in range(dim)]
-    ys = dual_grid.nodes()
-    best = np.empty(ys.shape[0])
-    arg = np.empty(ys.shape[0], dtype=np.int64)
-    step = max(1, _TILE_ELEMS // n)
-    buf = np.empty(min(step, ys.shape[0]) * n)
-    for a in range(0, ys.shape[0], step):
-        y = ys[a : a + step].T[(...,) + (None,) * dim]  # y[ax]: (block, 1, ...)
-        v = buf[: y.shape[1] * n].reshape((-1,) + f.grid.shape)
-        np.subtract(y[-1] * xs[-1], f.values, out=v)
-        for ax in range(dim - 2, -1, -1):
-            np.add(y[ax] * xs[ax], v, out=v)
-        v = v.reshape(-1, n)
-        j = arg[a : a + step] = np.argmax(v, axis=1)
-        best[a : a + step] = v[np.arange(j.size), j]
+    best, arg = _conjugate_scan(f, dual_grid.nodes())
     shape = dual_grid.shape
     return ConjugateResult(GridFn(dual_grid, best.reshape(shape)), arg.reshape(shape))
 
 
-def conjugate_value_at(f: GridFn, y) -> tuple[float, int]:
-    """Exact discrete conjugate value max_j <y, x_j> - f_j at one dual
-    point (not necessarily a dual-grid node); returns (value, argmax), the
-    smallest flat index.  Each term is ((0.0 + x_j0 y_0) + x_j1 y_1) - f_j,
-    formed from the per-axis coordinates; overflow gives inf or nan silently."""
-    require_proper(f, "conjugate input")
-    yv = np.atleast_1d(np.asarray(y, dtype=float))
-    dim = f.grid.dim
-    if yv.size != dim:
-        raise GridMismatchError(f"dual point has dim {yv.size}, grid has dim {dim}")
-    vals = 0.0
+def _conjugate_scan(f: GridFn, ys: np.ndarray):
+    """max_j <y, x_j> - f_j over the nodes x_j of dom f and its smallest flat
+    index j, for each row y of ys (K, dim), over blocks of about _TILE_ELEMS
+    pairs.  A term is y x - f in 1-D and x1 y1 + (x2 y2 - f) in 2-D, the
+    iterated transform's expression tree, and -inf where f = +inf; overflow
+    is silent, and a 2-D inf - inf in dom f is nan, which wins as in np.argmax."""
+    dim, n, k = f.grid.dim, f.values.size, ys.shape[0]
+    # axis ax's primal coordinates, broadcast along the other axes
+    xs = [f.grid.coords(ax).reshape([-1 if a == ax else 1 for a in range(dim)]) for ax in range(dim)]
+    best, arg = np.empty(k), np.empty(k, dtype=np.int64)
+    step = max(1, _TILE_ELEMS // n)
+    buf = np.empty((min(step, k),) + f.values.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        for ax in range(dim):
-            vals = vals + f.grid.coords(ax).reshape((-1,) + (1,) * (dim - 1 - ax)) * yv[ax]
-        vals = (vals - f.values).ravel()
-    j = int(np.argmax(vals))
-    return float(vals[j]), j
+        for a in range(0, k, step):
+            y = ys[a : a + step].T[(...,) + (None,) * dim]  # y[ax]: (block, 1, ...)
+            v = np.subtract(y[-1] * xs[-1], f.values, out=buf[: y.shape[1]])
+            for ax in range(dim - 2, -1, -1):
+                np.add(y[ax] * xs[ax], v, out=v)
+            v = v.reshape(-1, n)
+            j = np.argmax(v, axis=1)
+            b = v[np.arange(j.size), j]
+            if math.isnan(b.min()):  # inf - inf where f = +inf
+                v[:, np.isinf(f.values.ravel())] = -np.inf
+                j = np.argmax(v, axis=1)
+                b = v[np.arange(j.size), j]
+            arg[a : a + step], best[a : a + step] = j, b
+    return best, arg
 
 
 def default_dual_grid(f: GridFn, n: Optional[int] = None, pad: float = 0.0) -> Grid:
@@ -616,21 +606,11 @@ def _node_coords(grid: Grid, index: tuple[int, ...]) -> tuple[float, ...]:
 
 
 def _local_slope_scale(f: GridFn, index: tuple[int, ...]) -> float:
-    """Largest |difference quotient| adjacent to a node (per axis)."""
+    """Largest finite |difference quotient| adjacent to a node of finite value."""
     scale = 0.0
-    v = f.values
-    for ax in range(f.grid.dim):
-        h = f.grid.spacing[ax]
-        n = f.grid.shape[ax]
-        i = index[ax]
-        for d in (-1, 1):
-            j = i + d
-            if 0 <= j < n:
-                sel = list(index)
-                sel[ax] = j
-                q = (v[tuple(sel)] - v[index]) / h
-                if np.isfinite(q):
-                    scale = max(scale, abs(q))
+    for ax, (h, i) in enumerate(zip(f.grid.spacing, index)):
+        q = np.abs(np.diff(f.values[index[:ax] + (slice(max(i - 1, 0), i + 2),) + index[ax + 1 :]]) / h)
+        scale = max(scale, float(np.max(q, where=np.isfinite(q), initial=0.0)))
     return scale
 
 
@@ -690,9 +670,7 @@ def max_formula_check(
     fn = float(f.values[nxt])
     if not (np.isfinite(fx) and np.isfinite(fn)):
         raise ImproperFunctionError("requires finite values at x and x + h d")
-    hstep = np.asarray(
-        [s * f.grid.spacing[ax] for ax, s in enumerate(step)], dtype=float
-    )
+    hstep = step * np.asarray(f.grid.spacing)
     unit = d / np.linalg.norm(d)
     quotient = (fn - fx) / np.linalg.norm(hstep)
     sub = subdifferential(f, index, epsilon=epsilon, dual_grid=dual_grid)

@@ -78,7 +78,7 @@ class Grid:
 
     @property
     def node_count(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def spacing(self) -> tuple[float, ...]:

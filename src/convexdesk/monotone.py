@@ -9,13 +9,14 @@ samples; the surjectivity probe is the operational surrogate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ParameterError
-from .fenchel import conjugate_value_at
+from .fenchel import _conjugate_scan
 from .grids import GridFn, interp_gridfn
 from .moreau import _boundary_axis, prox
 
@@ -83,16 +84,21 @@ class MonotonicityReport:
 
 def is_monotone(G: OperatorGraph) -> MonotonicityReport:
     """Exhaustive O(k^2) check of <x - y, x* - y*> >= -tol over stored pairs,
-    tol = 1e-8 (1 + max|x| max|x*|)."""
-    tol = _default_tol(G)
-    P = G.xs @ G.xstars.T
-    d = np.diag(P)
-    M = d[:, None] + d[None, :] - P - P.T
+    tol = 1e-8 (1 + max|x| max|x*|).  The violating pair is the smallest
+    (i, j); a NaN product (±inf entries, or overflow) raises ParameterError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        tol = _default_tol(G)
+        P = G.xs @ G.xstars.T
+        d = np.diag(P)
+        M = d[:, None] + d[None, :] - P - P.T
     mn = float(M.min())
+    if math.isnan(mn):
+        i, j = divmod(int(np.argmax(np.isnan(M))), G.size)
+        raise ParameterError(f"stored pairs ({i}, {j}) give a NaN product <x_i - x_j, x*_i - x*_j>")
     if mn >= -tol:
         return MonotonicityReport(True, None, mn)
-    bad = np.argwhere(M < -tol)
-    i, j = min((int(a), int(b)) for a, b in bad if a != b)
+    # M's diagonal is 0: the first violation in row-major order is the smallest pair
+    i, j = divmod(int(np.argmax(M < -tol)), G.size)
     return MonotonicityReport(False, (i, j), mn)
 
 
@@ -139,15 +145,17 @@ class ResolventResult:
 def _certificate(f: GridFn, lam: float, z: np.ndarray, x: np.ndarray, residual: bool = True):
     """y = (z - x) / lam for x = prox(f, lam, z), and the Fenchel-Young residual
     f(x) + f*(y) - <x, y> of y in d_eps f(x), None unless `residual`: f interpolated,
-    f* exact over the nodes (the conjugate of the piecewise-linear extension).
-    Near the float limit y, f*(y) and the residual overflow to inf or nan silently."""
+    f* exact over the nodes of dom f (the conjugate of the piecewise-linear extension).
+    Near the float limit y, f*(y) and <x, y> overflow silently; where the residual
+    is then inf - inf (always where y is not finite) it is +inf."""
     with np.errstate(over="ignore", invalid="ignore"):
         y = (z - x) / lam
         if not residual:
             return y, None
         fx = float(interp_gridfn(f, x[None, :])[0])
-        fy, _ = conjugate_value_at(f, y)
-        return y, fx + fy - float(x @ y)
+        fy = float(_conjugate_scan(f, y[None, :])[0][0])
+        eps = fx + fy - float(x @ y)
+    return y, math.inf if math.isnan(eps) else eps
 
 
 def resolvent(f: GridFn, lam: float, z, check_convexity: bool = True) -> ResolventResult:

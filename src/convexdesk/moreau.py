@@ -111,14 +111,20 @@ def prox(
     Ties in the discrete argmin break to the smallest index; convexity
     makes them adjacent.  Where the objective overflows at every node (a
     tiny lam), the node minimizes lam f(y) + ||x - y||^2 / 2 instead,
-    which has the same minimizer.
+    which has the same minimizer, and where that overflows at every node
+    too, both terms over s^2, s a power of two above every |x_a - y_a|.
     """
     xv = _check_inputs(f, lam, check_convexity, convexity_tol, "prox", x)[None, :]
     coords = [f.grid.coords(ax) for ax in range(f.grid.dim)]
     j, best = _node_minimum(coords, f.values.ravel(), lam, xv)
     if best[0] == np.inf:
         with np.errstate(over="ignore"):
-            j, _ = _node_minimum(coords, lam * f.values.ravel(), 1.0, xv)
+            j, low = _node_minimum(coords, lam * f.values.ravel(), 1.0, xv)
+            if low[0] == np.inf:  # both terms times t^2, t = 1 / s
+                s = max(max(xa - c[0], c[-1] - xa) for c, xa in zip(coords, xv[0]))
+                t = np.ldexp(1.0, -np.frexp(s)[1])
+                j, _ = _node_minimum([c * t for c in coords], f.values.ravel() * t * lam * t,
+                                     1.0, xv * t)
     idx = np.unravel_index(j, f.grid.shape)
     best_pt, best_val = [c[i[0]] for c, i in zip(coords, idx)], float(best[0])
     for ax in range(f.grid.dim):  # per axis from the node; the first strictly better wins

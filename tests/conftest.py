@@ -47,21 +47,34 @@ def brute_conjugate_2d(f: GridFn, dual_grid: Grid) -> tuple[np.ndarray, np.ndarr
 
 def brute_conjugate_value_at(f: GridFn, y) -> tuple[float, int]:
     """max_j <y, x_j> - f_j at one dual point by a python loop over the
-    nodes in row-major order, each term ((0.0 + x_j0 y_0) + x_j1 y_1) - f_j
-    in plain floats; the smallest index of the maximum, or of the first
-    nan, as np.argmax gives it."""
+    nodes in row-major order, each term y x - f in 1-D and x1 y1 + (x2 y2
+    - f) in 2-D in plain floats, -inf where f = +inf; the smallest index of
+    the maximum, or of the first nan, as np.argmax gives it."""
     coords = [f.grid.coords(ax).tolist() for ax in range(f.grid.dim)]
     best, arg = None, 0
     for j, node in enumerate(itertools.product(*coords)):
-        v = 0.0
-        for xa, ya in zip(node, y):
-            v = v + xa * ya
-        v = v - float(f.values.flat[j])
+        fj = float(f.values.flat[j])
+        v = -math.inf
+        if fj != math.inf:
+            v = y[-1] * node[-1] - fj
+            for xa, ya in zip(node[-2::-1], y[-2::-1]):
+                v = xa * ya + v
         if math.isnan(v):
             return v, j
         if best is None or v > best:
             best, arg = v, j
     return best, arg
+
+
+def brute_violating_pair(xs: np.ndarray, xstars: np.ndarray, tol: float):
+    """The smallest pair (i, j), i != j, with <x_i - x_j, x*_i - x*_j> < -tol,
+    by a python loop in row-major order; None if there is none."""
+    k = len(xs)
+    for i, j in itertools.product(range(k), repeat=2):
+        prod = sum((a - b) * (c - d) for a, b, c, d in zip(xs[i], xs[j], xstars[i], xstars[j]))
+        if i != j and prod < -tol:
+            return i, j
+    return None
 
 
 def brute_infconv_1d(f: GridFn, g: GridFn) -> np.ndarray:

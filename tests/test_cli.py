@@ -376,6 +376,41 @@ def test_computation_error_exit_code(tmp_path):
     assert rc == 1
 
 
+def test_conjugate_at_the_float_limit_scans_dom_f_only(tmp_path, capsys):
+    # y x - f at the +inf node was 1e310 - inf = nan: two RuntimeWarnings
+    # and a usage error; a node off dom f gives -inf
+    p = str(tmp_path / "f.json")
+    write_gridfn_json(GridFn(Grid.line(-1e300, 1e300, 3), [0.0, 0.0, np.inf]), p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["conjugate", "--in", p, "--dual=-1e10:1e10:3"])
+    out = capsys.readouterr()
+    assert (rc, out.err) == (0, "")
+    assert out.out == '{"argmax": [0, 0, 1], "values": ["+inf", -0.0, 0.0]}\n'
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["prox", "--x", "1e299", "--lambda", "1"],
+         {"prox": [0.0], "envelope": "+inf", "certificate_eps": 0.0}),
+        (["resolvent", "--z", "1e299", "--lambda", "1e-10"],
+         {"x": [0.0], "y": ["+inf"], "certificate_eps": "+inf"}),
+    ],
+)
+def test_prox_and_resolvent_stay_in_dom_f_where_every_objective_overflows(argv, want, capsys):
+    # on [-1e300, 1e300] both prox rules overflow at every node: node 0,
+    # off dom f, was the prox, and the certificates were NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([argv[0], "--atom", "indicator", "--params", "-1,1", "--grid=-1e300:1e300:3",
+                   *argv[1:]])
+    out = capsys.readouterr()
+    assert (rc, out.err) == (0, "")
+    doc = _strict_json(out.out)
+    assert {k: doc[k] for k in want} == want
+
+
 @pytest.mark.parametrize(
     "grid, message",
     [

@@ -20,15 +20,15 @@ from conftest import (
 )
 from convexdesk import fenchel
 from convexdesk.atoms import FnAtom, sample
-from convexdesk.errors import GridMismatchError, ImproperFunctionError, ParameterError
+from convexdesk.errors import GridMismatchError, ImproperFunctionError, ParameterError, TruncationWarning
 from convexdesk.fenchel import (
     MAX_DIRECT_PAIRS,
     _axis_pairs,
+    _conjugate_scan,
     biconjugate,
     coercivity_check,
     conjugate,
     conjugate_oracle,
-    conjugate_value_at,
     default_dual_grid,
     fenchel_duality_gap,
     inf_convolution,
@@ -600,9 +600,9 @@ def test_conjugate_always_convex(rng):
 
 def test_conjugate_value_at_matches_node_transform():
     f = sample(FnAtom("power", (2.0,)), Grid.line(-4, 4, 801))
-    v, j = conjugate_value_at(f, 1.0)
+    v, j = _conjugate_scan(f, np.array([[1.0]]))
     res = conjugate(f, Grid.line(1.0, 2.0, 2))
-    assert v == res.dual.values[0] and j == res.argmax[0]
+    assert v[0] == res.dual.values[0] and j[0] == res.argmax[0]
 
 
 CVA_VALUES = [0.0, -0.0, 0.1, -0.3, 1.0, np.inf, 1e308, 1.7e308, -1.7e308]
@@ -635,15 +635,21 @@ def test_conjugate_value_at_is_the_plain_loop_bit_for_bit(case):
     f = GridFn(g, np.array(vals, dtype=float).reshape(g.shape))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        v, j = conjugate_value_at(f, y)
+        v, j = _conjugate_scan(f, np.array([y], dtype=float))
     want_v, want_j = brute_conjugate_value_at(f, y)
-    assert np.float64(v).tobytes() == np.float64(want_v).tobytes() and j == want_j
+    assert v[0].tobytes() == np.float64(want_v).tobytes() and j[0] == want_j
 
 
-def test_conjugate_value_at_refuses_a_point_of_the_wrong_dimension():
-    f = GridFn(Grid.line(-1, 1, 3), np.zeros(3))
-    with pytest.raises(GridMismatchError):
-        conjugate_value_at(f, (1.0, 2.0))
+def test_oracle_scans_dom_f_only_at_the_float_limit():
+    # at y = 1e10 the +inf node's term was 1e310 - inf = nan, and building
+    # the result's GridFn raised; a node off dom f gives -inf
+    f = GridFn(Grid.line(-1e300, 1e300, 3), np.array([0.0, 0.0, np.inf]))
+    dual = Grid.line(-1e10, 1e10, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for res in (conjugate_oracle(f, dual), conjugate(f, dual)):
+            assert res.dual.values.tobytes() == np.array([np.inf, -0.0, 0.0]).tobytes()
+            assert res.argmax.tolist() == [0, 0, 1]
 
 
 def test_young_inequality_power_pairs():
@@ -944,6 +950,20 @@ def test_subdifferential_requires_finite_value():
         subdifferential(f, 0)  # f(-2) = +inf
 
 
+@pytest.mark.parametrize("c", [1.0, 5.0])
+def test_subdifferential_default_epsilon_is_four_steps_of_the_local_slope(c):
+    # h = 0.01 and the slopes next to x = 1 are c, so eps = 4 h max(1, c);
+    # the default dual grid spans [-c, c] in 401 nodes
+    g = Grid.line(-2, 2, 401)
+    f = GridFn(g, c * np.abs(g.coords(0)))
+    sub = subdifferential(f, 300)
+    assert sub.epsilon == pytest.approx(0.04 * c)
+    ys = default_dual_grid(f).coords(0)
+    assert sub.slopes[:, 0].tolist() == ys[-9:].tolist()
+    assert (ys[-9], ys[-1]) == pytest.approx((0.96 * c, c))
+    assert max_formula_check(f, 300, 1.0) == pytest.approx((c, c))
+
+
 def test_max_formula_abs_both_directions():
     g = Grid.line(-2, 2, 401)
     f = sample(FnAtom("abs"), g)
@@ -1059,6 +1079,22 @@ def test_duality_refuses_a_non_finite_T(T):
     f = sample(FnAtom("quad", (1.0, 0.0)), Grid.line(-4, 4, 41))
     with pytest.raises(ParameterError, match="T must have finite entries"):
         fenchel_duality_gap(f, f, T, default_dual_grid(f), default_dual_grid(f))
+
+
+def test_duality_warns_where_g_does_not_cover_T_dom_f():
+    f = sample(FnAtom("abs"), Grid.line(-8, 8, 81))
+    g = sample(FnAtom("abs"), Grid.line(-2, 2, 21))
+    dual = Grid.line(-2, 2, 41)
+    with pytest.warns(TruncationWarning, match="does not cover T"):
+        res = fenchel_duality_gap(f, g, 1.0, dual, dual)
+    assert (res.primal, res.dual, res.gap) == (0.0, 0.0, 0.0)
+
+
+def test_duality_refuses_a_T_of_the_wrong_shape():
+    f = sample(FnAtom("abs"), Grid.line(-2, 2, 21))
+    dual = Grid.line(-2, 2, 41)
+    with pytest.raises(GridMismatchError, match=r"got shape \(1, 2\)"):
+        fenchel_duality_gap(f, f, [[1, 2]], dual, dual)
 
 
 def test_coercivity_continuity_duality_shadow():

@@ -1,9 +1,10 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import random_convex_gridfn
+from conftest import brute_violating_pair, random_convex_gridfn
 from convexdesk import monotone
 from convexdesk.atoms import FnAtom, sample
 from convexdesk.errors import ParameterError
@@ -66,6 +67,30 @@ def test_gradient_graphs_monotone_and_decreasing_rejected(rng):
     assert is_monotone(OperatorGraph(mids[:, None], slopes[:, None]))
     decreasing = OperatorGraph(np.array([[0.0], [1.0]]), np.array([[1.0], [0.0]]))
     assert not is_monotone(decreasing)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_violating_pair_is_the_smallest_pair(seed):
+    rng = np.random.default_rng(seed)
+    k, d = int(rng.integers(2, 30)), int(rng.integers(1, 3))
+    xs, xstars = rng.normal(size=(k, d)), rng.normal(size=(k, d))
+    rep = is_monotone(OperatorGraph(xs, xstars))
+    tol = 1e-8 * (1.0 + np.abs(xs).max() * np.abs(xstars).max())
+    assert rep.violating_pair == brute_violating_pair(xs.tolist(), xstars.tolist(), tol)
+
+
+@pytest.mark.parametrize(
+    "xs, xstars, pair",
+    [
+        ([[0.0], [np.inf]], [[1.0], [0.0]], "(0, 1)"),  # 0 + inf * 0
+        ([[1.0], [1e200]], [[0.0], [1e200]], "(1, 1)"),  # 1e400 + 1e400 - 1e400 - 1e400
+    ],
+)
+def test_is_monotone_refuses_a_nan_product_without_a_warning(xs, xstars, pair):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=f"stored pairs {re.escape(pair)} give a NaN"):
+            is_monotone(OperatorGraph(np.array(xs), np.array(xstars)))
 
 
 def test_monotonically_related_examples():
@@ -216,6 +241,18 @@ def test_resolvent_is_silent_near_the_float_limit_as_prox_is():
             r = resolvent(f, lam, z, check_convexity=False)
             y = yosida(f, lam, z, check_convexity=False)
         assert r.x == p.point and r.y == tuple(y)
+
+
+def test_resolvent_certificate_is_inf_where_the_residual_is_inf_minus_inf():
+    # every objective overflows, so prox takes its scaled rule: x = 5e299,
+    # the node nearest z (node 0 before), y = 7.4e283, and both f*(y) and
+    # <x, y> overflow to +inf
+    f = GridFn(Grid.line(-1e300, 1e300, 5), np.array([0.0, 0.0, -1e308, 0.0, 1.7e308]))
+    z = np.nextafter(5e299, np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = resolvent(f, 1.0, z, check_convexity=False)
+    assert r.x == (5e299,) and r.y == (z - 5e299,) and r.certificate_eps == np.inf
 
 
 def test_surjectivity_probe_refuses_an_empty_target_set(monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 
 from convexdesk import renorm
 from convexdesk.atoms import FnAtom
-from convexdesk.errors import IterationDivergedError, ParameterError
+from convexdesk.errors import IterationDivergedError, NormalizationError, ParameterError
 from convexdesk.fenchel import conjugate, inf_convolution
 from convexdesk.grids import Grid, GridFn, discrete_convexity_check
 from convexdesk.renorm import (
@@ -193,3 +193,58 @@ def test_sandwich_violation_raises():
     bogus = NormPair(p, q, 0, 1e-9)
     with pytest.raises(IterationDivergedError):
         asplund_step(bogus, sandwich_slack=1e-6)
+
+
+def test_init_refuses_a_one_dimensional_grid():
+    with pytest.raises(ParameterError, match="2-D grids"):
+        init_pair(FnAtom("l1norm"), FnAtom("l2norm"), Grid.line(-2, 2, 41))
+
+
+def test_measured_ratio_refuses_an_empty_window():
+    grid = small_grid(5, 2.0)
+    zero = GridFn(grid, np.zeros(grid.shape))  # q = 0: no usable node
+    with pytest.raises(IterationDivergedError, match="no usable nodes"):
+        measured_ratio(NormPair(zero, zero, 0, 0.0))
+
+
+def test_init_refuses_norms_in_neither_order(monkeypatch):
+    # 1.2 |x|_2 lies above |x|_1 on the axes and below it on the diagonals
+    sample = renorm.sample
+    monkeypatch.setattr(renorm, "sample", lambda a, g: GridFn(
+        g, sample(a, g).values * (1.2 if a.tag == "l2norm" else 1.0)))
+    with pytest.raises(NormalizationError, match="neither order"):
+        init_pair(FnAtom("l1norm"), FnAtom("l2norm"), small_grid())
+
+
+def _half_squares(grid, w=1.0):
+    x0, x1 = np.meshgrid(grid.coords(0), grid.coords(1), indexing="ij")
+    return GridFn(grid, 0.5 * (w * x0 ** 2 + x1 ** 2))
+
+
+@pytest.mark.parametrize(
+    "p0, q0, C, error, message",
+    [
+        ("p", "q-other-grid", 0.5, ParameterError, "share a grid"),
+        ("p", "q-negative", 0.5, ParameterError, "q0 must be nonnegative"),
+        ("p", "q", -0.5, ParameterError, "C must be >= 0"),
+        ("q", "p", 0.5, NormalizationError, "q0 <= p0 fails"),
+        ("p", "q", 0.1, NormalizationError, r"p0 <= \(1 \+ C\) q0 fails"),
+    ],
+)
+def test_pair_from_gridfns_refusals(p0, q0, C, error, message):
+    grid = small_grid(41, 2.0)
+    neg = _half_squares(grid).values.copy()
+    neg[0, 0] = -1.0
+    fns = {"p": _half_squares(grid, 1.5), "q": _half_squares(grid),
+           "q-other-grid": _half_squares(small_grid(41, 3.0)), "q-negative": GridFn(grid, neg)}
+    with pytest.raises(error, match=message):
+        renorm.pair_from_gridfns(fns[p0], fns[q0], C)
+
+
+def test_step_refuses_a_finite_region_that_is_not_a_rectangle():
+    grid = small_grid(41, 2.0)
+    q = _half_squares(grid)
+    holed = q.values.copy()
+    holed[3, 3] = np.inf
+    with pytest.raises(IterationDivergedError, match="not a rectangle"):
+        asplund_step(NormPair(GridFn(grid, holed), q, 0, 1.0))
