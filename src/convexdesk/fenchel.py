@@ -368,7 +368,10 @@ def conjugate_oracle(f: GridFn, dual_grid: Grid) -> ConjugateResult:
     """Exhaustive O(n*m) conjugate; ground truth for the fast transform.
 
     Above MAX_DIRECT_PAIRS primal-dual node pairs (n*m) it raises
-    ParameterError before any work; else it is _conjugate_scan's.
+    ParameterError before any work; else it is _conjugate_scan's.  Where
+    a term is inf - inf in dom f (in 2-D, x1 y1 and x2 y2 - f past the
+    float limit with opposite signs) it raises ParameterError naming the
+    dual and the primal node.
     """
     require_proper(f, "conjugate input")
     if dual_grid.dim != f.grid.dim:
@@ -378,7 +381,14 @@ def conjugate_oracle(f: GridFn, dual_grid: Grid) -> ConjugateResult:
         raise ParameterError(
             f"conjugate_oracle needs {pairs} node pairs, cap is {MAX_DIRECT_PAIRS}"
         )
-    best, arg = _conjugate_scan(f, dual_grid.nodes())
+    ys = dual_grid.nodes()
+    best, arg = _conjugate_scan(f, ys)
+    if np.isnan(best).any():  # np.argmax named the first nan term
+        i = int(np.argmax(np.isnan(best)))
+        raise ParameterError(
+            f"conjugate term <x, y> - f(x) is inf - inf at dual node y = {ys[i].tolist()} "
+            f"and primal node x = {f.grid.nodes()[arg[i]].tolist()} of dom f"
+        )
     shape = dual_grid.shape
     return ConjugateResult(GridFn(dual_grid, best.reshape(shape)), arg.reshape(shape))
 
@@ -462,23 +472,77 @@ def _axis_pairs(n: int, i0: int) -> int:
     return n * n - (a * (a + 1) + b * (b + 1)) // 2
 
 
+def _bound_blocks(a: np.ndarray, b: np.ndarray, z: int):
+    """Row blocks (k, T) of the bound table T[x, y] = a[y] + b[x - y + z]
+    on one axis, +inf where x - y + z is off it: rows x from k, about
+    _TILE_ELEMS floats a block."""
+    n = a.size
+    win = sliding_window_view(np.pad(b[::-1], n - 1, constant_values=np.inf), n)
+    step = max(1, _TILE_ELEMS // n)
+    for k in range(0, n, step):  # win[2 n - 2 - z - x] lists b[x - y + z] over y
+        kb = min(k + step, n)
+        yield k, a + win[2 * n - 1 - z - kb : 2 * n - 1 - z - k][::-1]
+
+
+def _rectangles(fv: np.ndarray, gv: np.ndarray, zero: tuple[int, int]) -> np.ndarray:
+    """[lo0, hi0, lo1, hi1], each (n0, n1): per x, the rectangle of y nodes
+    [lo0, hi0) x [lo1, hi1) that holds every (x, y) pair whose sum is at
+    most U(x), the sum at (y0*, y1*), the argmins of the two bound tables.
+    A row bound adds the row minima of f and g (a column bound the column
+    minima), and float addition is monotone, so no pair's sum lies below
+    its row's bound or its column's."""
+    tables = [(fv.min(axis=1 - ax), gv.min(axis=1 - ax), z) for ax, z in enumerate(zero)]
+    ys = [np.concatenate([T.argmin(axis=1) for _, T in _bound_blocks(*t)]) for t in tables]
+    us = [np.arange(n) - y + z for n, y, z in zip(fv.shape, ys, zero)]
+    U = fv[np.ix_(*ys)] + gv[np.ix_(*(u.clip(0, n - 1) for u, n in zip(us, fv.shape)))]
+    U[(us[0] < 0) | (us[0] >= fv.shape[0])] = np.inf  # a bound row of +inf only
+    U[:, (us[1] < 0) | (us[1] >= fv.shape[1])] = np.inf
+    ends = np.empty((2, 2) + fv.shape, dtype=np.int64)  # per axis, lo and hi
+    for t, Ux, e in zip(tables, (U, U.T), (ends[0], ends[1].transpose(0, 2, 1))):
+        for k, T in _bound_blocks(*t):
+            # the first y whose bound is <= U is the first whose prefix
+            # minimum is, the last the last whose suffix minimum is
+            pre = -np.minimum.accumulate(T, axis=1)
+            suf = -np.minimum.accumulate(T[:, ::-1], axis=1)
+            for i, x in enumerate(range(k, k + T.shape[0])):
+                e[0, x] = pre[i].searchsorted(-Ux[x])
+                e[1, x] = T.shape[1] - suf[i].searchsorted(-Ux[x])
+    return ends.reshape((4,) + fv.shape)
+
+
+@np.errstate(over="ignore")
 def inf_convolution(f: GridFn, g: GridFn) -> InfConvResult:
     """(f box g)(x) = min over grid nodes y of f(y) + g(x - y).
 
     Direct computation over grid displacements; out-of-grid arguments are
     +inf.  Requires 0 to be a node so displacements land on nodes.  Each
     value is the rounded sum f(y) + g(x - y) at its argmin, the smallest
-    flat y index among ties; the argmin is -1 where the value is +inf.
-    A line is the (n, 1) grid.  One x column at a time, the loop copies
-    the columns of g (reversed, with n0 - 1 rows of +inf above and below)
-    and of f that the column reaches, so that each x reads its y block as
-    one contiguous run of floats in flat y order.  The column's x nodes go
-    in tiles of _TILE_ELEMS // node_count (at least one), and a tile sums
-    only the y rows it can reach.  Memory is O(tile + nodes): the tile's
-    sums, the padded g ((3 n0 - 2) n1 floats) and the column's copies (at
-    most (4 n0 - 2) n1 floats).  Above MAX_DIRECT_PAIRS (x, y) pairs (2e9:
-    about 51,600 nodes in 1-D, 241² in 2-D, centred on 0) it raises
-    ParameterError before any work.
+    flat y index among ties (+inf, silently, past the float limit); the
+    argmin is -1 where the value is +inf.  A line is the (n, 1) grid.
+
+    In 2-D only the y in a rectangle are summed.  A row bound adds the
+    minima of f's row y0 and g's row x0 - y0, a column bound the column
+    minima; float addition is monotone, so no pair's sum lies below its
+    row's or its column's bound.  U(x) is the sum at one pair, the argmins
+    of the two bound tables, so the minimum is at most U(x), and the rows
+    and columns whose bound exceeds U(x) hold no minimizer and no tie.
+    The rectangle spans the others, and summing it in flat y order gives
+    the same first minimum, bits and sign of zero included.  A prefix and
+    a suffix minimum of each bound row place its ends by binary search.
+    On a line the bound would be the value itself, so a line sums all of
+    its reach.
+
+    One x column at a time, the loop copies the columns of g (reversed,
+    with n0 - 1 rows of +inf above and below) and of f in the union of
+    the column's rectangles, so that each x reads its y block as one
+    contiguous run of floats in flat y order.  The column's x nodes go in
+    tiles of _TILE_ELEMS // node_count (at least one), and a tile sums
+    only the union of its x nodes' rows.  Memory is O(tile + nodes): the
+    tile's sums, the padded g ((3 n0 - 2) n1 floats), the column's copies
+    (at most (4 n0 - 2) n1 floats), blocks of the bound tables of about
+    _TILE_ELEMS floats and the rectangles' ends (4 n0 n1 integers).
+    Above MAX_DIRECT_PAIRS (x, y) pairs (2e9: about 51,600 nodes in 1-D,
+    241² in 2-D, centred on 0) it raises ParameterError before any work.
     """
     if f.grid != g.grid:
         raise GridMismatchError("inf-convolution requires the same grid geometry")
@@ -495,33 +559,47 @@ def inf_convolution(f: GridFn, g: GridFn) -> InfConvResult:
     # a line is the (n, 1) grid: shape (n0, n1), zero node (z0, z1)
     (n0, n1), (z0, z1) = (shape + (1,))[:2], (zero + [0])[:2]
     fv, gv = f.values.reshape(n0, n1), g.values.reshape(n0, n1)
+    # each x's y rectangle [lo0, hi0) x [lo1, hi1): its reach, and in 2-D
+    # the part of it that the bounds keep
+    x0, x1 = np.arange(n0)[:, None], np.arange(n1)
+    ends = [np.maximum(0, x0 + z0 - n0 + 1), np.minimum(n0, x0 + z0 + 1),
+            np.maximum(0, x1 + z1 - n1 + 1), np.minimum(n1, x1 + z1 + 1)]
+    if grid.dim == 2:
+        ends = [op(e, b) for op, e, b in
+                zip((np.maximum, np.minimum) * 2, ends, _rectangles(fv, gv, (z0, z1)))]
+    t = max(1, _TILE_ELEMS // grid.node_count)
+    starts = np.arange(0, n0, t)
+    # per x0 tile and x column, the union of its x nodes' y0 rows, and per
+    # x column the union of its x nodes' y1 columns
+    lo0, hi0 = (op.reduceat(np.broadcast_to(e, (n0, n1)), starts)
+                for op, e in zip((np.minimum, np.maximum), ends[:2]))
+    lo1, hi1 = (op.reduce(np.broadcast_to(e, (n0, n1)))
+                for op, e in zip((np.minimum, np.maximum), ends[2:]))
     # g reversed on both axes, with n0 - 1 rows of +inf above and below:
     # r[2 n0 - 2 - x0 + y0 - z0, n1 - 1 - x1 + y1 - z1] = g[x - y + z]
     r = np.pad(gv[::-1, ::-1], [(n0 - 1, n0 - 1), (0, 0)], constant_values=np.inf)
-    t = max(1, _TILE_ELEMS // grid.node_count)
-    out = np.empty((n0, n1))
-    arg = np.empty((n0, n1), dtype=np.int64)
-    buf = np.empty(t * grid.node_count)
+    out, j = np.empty((n1, n0)), np.empty((n1, n0), dtype=np.int64)  # x column-major
+    buf, ar = np.empty(t * grid.node_count), np.arange(t)
     rc, fc = np.empty(r.size), np.empty(fv.size)  # a column's copies
     runs = sliding_window_view(rc, fv.size)  # a start s <= (2 n0 - 2) w leaves n0 n1 after it
-    for c in range(n1):
-        # the y1 in [ya, yb) that x column c reaches, as rc's rows of w
-        # floats: the y block of x0 over rows [y0a, y0b) is one flat run
-        # of rc from (2 n0 - 2 - x0 - z0 + y0a) w, in flat y order
-        ya, yb = max(0, c + z1 - n1 + 1), min(n1, c + z1 + 1)
+    for c, (ya, yb, y0as, y0bs) in enumerate(zip(lo1.tolist(), hi1.tolist(),
+                                                 lo0.T.tolist(), hi0.T.tolist())):
+        # the tile's y block is rows [y0a, y0b) x columns [ya, yb) of y: as
+        # rc's rows of w floats, x0's block is one flat run of rc from
+        # (2 n0 - 2 - x0 - z0 + y0a) w, in flat y order
         w, q = yb - ya, n1 - 1 - c - z1 + ya
         rc[: r.shape[0] * w].reshape(-1, w)[...] = r[:, q : q + w]
         fc[: n0 * w].reshape(-1, w)[...] = fv[:, ya:yb]
-        for k in range(0, n0, t):
+        for k, y0a, y0b in zip(starts.tolist(), y0as, y0bs):
             kb = min(k + t, n0)
-            y0a, y0b = max(0, k + z0 - n0 + 1), min(n0, kb + z0)
             s = (2 * n0 - 2 - k - z0 + y0a) * w  # x0 = k; x0 + 1 starts w earlier
             win = runs[s - (kb - 1 - k) * w : s + 1 : w, : (y0b - y0a) * w][::-1]
             vals = np.add(fc[y0a * w : y0b * w], win, out=buf[: win.size].reshape(win.shape))
-            j = vals.argmin(axis=1)
-            best = vals[np.arange(j.size), j]
-            out[k:kb, c] = best
-            arg[k:kb, c] = np.where(np.isfinite(best), (y0a + j // w) * n1 + ya + j % w, -1)
+            vals.argmin(axis=1, out=j[c, k:kb])
+            out[c, k:kb] = vals[ar[: kb - k], j[c, k:kb]]
+    out, j, w = out.T, j.T, hi1 - lo1
+    lo0 = np.repeat(lo0, np.diff(starts, append=n0), axis=0)
+    arg = np.where(np.isfinite(out), (lo0 + j // w) * n1 + lo1 + j % w, -1)
     return InfConvResult(GridFn(grid, out.reshape(shape)), arg.reshape(shape))
 
 

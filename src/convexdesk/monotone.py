@@ -10,6 +10,7 @@ samples; the surjectivity probe is the operational surrogate.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -68,8 +69,11 @@ class OperatorGraph:
 
 
 def _default_tol(G: OperatorGraph) -> float:
-    scale = float(np.abs(G.xs).max() * np.abs(G.xstars).max()) if G.size else 0.0
-    return 1e-8 * (1.0 + scale)
+    """1e-8 (1 + max|x| max|x*|), capped at the largest float: an infinite
+    tolerance would accept an infinite negative product."""
+    with np.errstate(over="ignore"):
+        scale = float(np.abs(G.xs).max() * np.abs(G.xstars).max())
+    return min(1e-8 * (1.0 + scale), sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -84,8 +88,9 @@ class MonotonicityReport:
 
 def is_monotone(G: OperatorGraph) -> MonotonicityReport:
     """Exhaustive O(k^2) check of <x - y, x* - y*> >= -tol over stored pairs,
-    tol = 1e-8 (1 + max|x| max|x*|).  The violating pair is the smallest
-    (i, j); a NaN product (±inf entries, or overflow) raises ParameterError."""
+    tol = 1e-8 (1 + max|x| max|x*|), at most the largest float.  The
+    violating pair is the smallest (i, j); a NaN product (±inf entries, or
+    overflow) raises ParameterError."""
     with np.errstate(over="ignore", invalid="ignore"):
         tol = _default_tol(G)
         P = G.xs @ G.xstars.T
@@ -104,11 +109,16 @@ def is_monotone(G: OperatorGraph) -> MonotonicityReport:
 
 def monotonically_related(G: OperatorGraph, candidate: tuple) -> bool:
     """True iff the candidate pair has nonnegative product against every
-    stored pair (within -tol, the tolerance of is_monotone)."""
+    stored pair (within -tol, the tolerance of is_monotone).  A product
+    that overflows is ±inf; a NaN product raises ParameterError."""
     tol = _default_tol(G)
     cx = np.atleast_1d(np.asarray(candidate[0], dtype=float))
     cs = np.atleast_1d(np.asarray(candidate[1], dtype=float))
-    prods = ((G.xs - cx[None, :]) * (G.xstars - cs[None, :])).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prods = ((G.xs - cx[None, :]) * (G.xstars - cs[None, :])).sum(axis=1)
+    if np.isnan(prods).any():
+        i = int(np.flatnonzero(np.isnan(prods))[0])
+        raise ParameterError(f"stored pair {i} gives a NaN product with the candidate")
     return bool(prods.min() >= -tol)
 
 

@@ -389,6 +389,21 @@ def test_conjugate_at_the_float_limit_scans_dom_f_only(tmp_path, capsys):
     assert out.out == '{"argmax": [0, 0, 1], "values": ["+inf", -0.0, 0.0]}\n'
 
 
+def test_conjugate_refuses_inf_minus_inf_in_dom_f(tmp_path, capsys):
+    # x1 y1 = +inf and x2 y2 = -inf at a node of dom f: the term was nan,
+    # and the job ended as a usage error ("GridFn values cannot contain NaN")
+    p = str(tmp_path / "f.json")
+    write_gridfn_json(GridFn(Grid.box((-1e300, 1e300, 3), (-1e300, 1e300, 3)), np.zeros((3, 3))), p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["conjugate", "--in", p, "--dual=-1e10:1e10:3x-1e10:1e10:3"])
+    out = capsys.readouterr()
+    assert (rc, out.out) == (1, "")
+    assert "dual node y = [-10000000000.0, -10000000000.0]" in out.err
+    assert "primal node x = [-1e+300, 1e+300]" in out.err
+    assert "Traceback" not in out.err and "NaN" not in out.err
+
+
 @pytest.mark.parametrize(
     "argv, want",
     [

@@ -652,6 +652,19 @@ def test_oracle_scans_dom_f_only_at_the_float_limit():
             assert res.argmax.tolist() == [0, 0, 1]
 
 
+def test_oracle_refuses_inf_minus_inf_in_dom_f():
+    # at y = (-1e10, -1e10) and x = (-1e300, 1e300), x1 y1 = +inf and
+    # x2 y2 - f = -inf: the term was nan, and the result's GridFn refused it
+    f = GridFn(Grid.box((-1e300, 1e300, 3), (-1e300, 1e300, 3)), np.zeros((3, 3)))
+    dual = Grid.box((-1e10, 1e10, 3), (-1e10, 1e10, 3))
+    want = r"dual node y = \[-10000000000.0, -10000000000.0\] and primal node x = \[-1e\+300, 1e\+300\]"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for transform in (conjugate_oracle, conjugate):
+            with pytest.raises(ParameterError, match=want):
+                transform(f, dual)
+
+
 def test_young_inequality_power_pairs():
     for p in (1.5, 2.0, 3.0):
         q = p / (p - 1.0)
@@ -800,6 +813,88 @@ def test_infconv_is_the_oracle_on_non_square_grids_in_every_tiling(axes):
         assert np.array_equal(res.argmin, arg)
 
 
+@st.composite
+def _pruning_inputs(draw):
+    """2-D f and g built so that the bound U(x) is weak or +inf: +inf at
+    cells, whole rows and whole columns (the pair at the bound tables'
+    argmins is often +inf), separable integer values whose sums tie their
+    row and column bounds exactly (so minimizers sit in rows whose bound
+    equals U), or non-convex one-decimal values; the zero node may sit
+    anywhere and -0.0 is a value."""
+    axes = []
+    for _ in range(2):
+        n = draw(st.integers(2, 9))
+        i0 = draw(st.integers(0, n - 1))
+        axes.append((-0.5 * i0, 0.5 * (n - 1 - i0), n))
+    grid = Grid(tuple(axes))
+    n0, n1 = grid.shape
+    small = st.integers(-2, 2).map(float)
+    fns = []
+    for _ in range(2):
+        if draw(st.booleans()):  # separable: every sum ties its bounds
+            a = np.array(draw(st.lists(small, min_size=n0, max_size=n0)))
+            b = np.array(draw(st.lists(small, min_size=n1, max_size=n1)))
+            v = a[:, None] + b[None, :]
+        else:
+            value = st.one_of(st.integers(-9, 9).map(lambda k: k / 10), st.just(-0.0))
+            v = np.array(draw(st.lists(value, min_size=grid.node_count, max_size=grid.node_count)))
+            v = v.reshape(grid.shape)
+        for cell in draw(st.lists(st.integers(0, grid.node_count - 1), max_size=grid.node_count)):
+            v.flat[cell] = math.inf
+        v[draw(st.lists(st.integers(0, n0 - 1), max_size=n0 - 1))] = math.inf
+        v[:, draw(st.lists(st.integers(0, n1 - 1), max_size=n1 - 1))] = math.inf
+        if not np.isfinite(v).any():
+            v.flat[draw(st.integers(0, grid.node_count - 1))] = -0.0
+        fns.append(GridFn(grid, v))
+    return fns
+
+
+# the bound tables' argmins are (0, 0) for every x; f is +inf there, so the
+# guessed pair is +inf and U(x) = +inf everywhere
+_GUESS_INF = [GridFn(Grid.box((0, 2, 3), (0, 2, 3)), v) for v in (
+    [[math.inf, 0.0, 5.0], [0.0, 1.0, 1.0], [5.0, 1.0, 1.0]],
+    [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pruning_inputs(), st.sampled_from([1, 7, 50, fenchel._TILE_ELEMS]))
+@example(_GUESS_INF, fenchel._TILE_ELEMS)
+@example(_GUESS_INF, 1)
+def test_infconv_pruning_is_the_oracle_where_the_bound_is_weak(fg, tile_elems):
+    f, g = fg
+    vals, arg = brute_infconv(f, g)
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(fenchel, "_TILE_ELEMS", tile_elems)
+        warnings.simplefilter("error")
+        res = inf_convolution(f, g)
+    assert res.out.values.tobytes() == vals.tobytes()  # signs of zero included
+    assert np.array_equal(res.argmin, arg)
+
+
+@pytest.mark.parametrize("axes", [((-1.0, 0.0, 2), (-2.0, 3.0, 11)), ((-3.5, 1.5, 11), (0.0, 0.5, 2)),
+                                  ((0.0, 0.5, 2), (-0.5, 0.0, 2))],
+                         ids=["2x11", "11x2", "2x2"])
+def test_infconv_on_two_node_axes_is_the_oracle_in_every_tiling(axes):
+    # an axis needs two nodes, so these are the thinnest 2-D grids: one
+    # bound table has two rows, the other is about as large as the pairs
+    grid = Grid(axes)
+    rng = np.random.default_rng(18)
+    fns = []
+    for _ in range(2):
+        v = rng.integers(-3, 4, size=grid.shape) / 2
+        v[rng.random(grid.shape) < 0.2] = -0.0
+        v[rng.random(grid.shape) < 0.2] = math.inf
+        fns.append(GridFn(grid, v))
+    vals, arg = brute_infconv(*fns)
+    for tile_elems in (fenchel._TILE_ELEMS, 1, 5):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fenchel, "_TILE_ELEMS", tile_elems)
+            res = inf_convolution(*fns)
+        assert res.out.values.tobytes() == vals.tobytes()
+        assert np.array_equal(res.argmin, arg)
+
+
 @pytest.mark.parametrize("shape", [(20001,), (121, 121)])
 def test_infconv_memory_is_bounded_by_tile_and_nodes(shape):
     g = Grid(tuple((-1.0, 1.0, n) for n in shape))
@@ -847,7 +942,7 @@ def test_infconv_2d_matches_direct(rng):
             di = np.array([g.coords(0)[i[0]], g.coords(1)[i[1]]])
             if np.max(np.abs(di - d)) < 1e-9:
                 best = min(best, fv[j] + h.values[i])
-        assert res.out.values.ravel()[k] == pytest.approx(best, abs=1e-12)
+        assert res.out.values.ravel()[k] == best
 
 
 def test_infconv_2d_refuses_grids_over_the_pair_cap():

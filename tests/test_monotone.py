@@ -93,6 +93,26 @@ def test_is_monotone_refuses_a_nan_product_without_a_warning(xs, xstars, pair):
             is_monotone(OperatorGraph(np.array(xs), np.array(xstars)))
 
 
+# max|x| max|x*| = 1e400: the tolerance was +inf and accepted every graph
+_HUGE = OperatorGraph(np.array([[1e200], [0.0]]), np.array([[0.0], [1e200]]))
+
+
+def test_is_monotone_keeps_a_finite_tolerance_past_the_float_limit():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = is_monotone(_HUGE)  # <x0 - x1, x0* - x1*> = -1e400
+    assert (rep.monotone, rep.violating_pair, rep.min_product) == (False, (0, 1), -np.inf)
+
+
+def test_monotonically_related_keeps_a_finite_tolerance_past_the_float_limit():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not monotonically_related(_HUGE, (0.0, 1e200))  # 1e200 * -1e200 against pair 0
+        assert monotonically_related(_HUGE, (0.0, 0.0))
+        with pytest.raises(ParameterError, match="stored pair 1 gives a NaN product"):
+            monotonically_related(_HUGE, (np.inf, 1e200))  # -inf * 0 against pair 1
+
+
 def test_monotonically_related_examples():
     G = identity_graph()
     assert monotonically_related(G, (0.0, 0.0))
