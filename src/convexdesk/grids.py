@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -120,10 +120,17 @@ class Grid:
 
 @dataclass(frozen=True)
 class GridFn:
-    """Extended-real values sampled on a grid, +inf outside its box."""
+    """Extended-real values sampled on a grid, +inf outside its box.
+
+    `values` is a read-only copy of the input, and must stay unwritten:
+    results computed from it, such as the convexity verdict, are kept on
+    the instance and reused.
+    """
 
     grid: Grid
     values: np.ndarray
+    # discrete_convexity_check's reports by tol; not part of equality or repr
+    _convexity: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -136,6 +143,12 @@ class GridFn:
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+
+    def __eq__(self, other: object) -> bool:
+        """Same grid and equal values node for node (the memo is not compared)."""
+        if not isinstance(other, GridFn):
+            return NotImplemented
+        return self.grid == other.grid and bool(np.array_equal(self.values, other.values))
 
     @property
     def is_proper(self) -> bool:
@@ -233,7 +246,15 @@ def discrete_convexity_check(f: GridFn, tol: float = 1e-9) -> ConvexityReport:
     differences along it must be >= -tol.  In 2-D, lines in the axis and
     diagonal directions are checked, plus midpoint checks along the
     (1,2)-type directions.  The tolerance is relative to
-    max(1, |finite values|).
+    max(1, |finite values|).  tol = inf accepts every second difference,
+    so only domain gaps are reported; a negative tol demands second
+    differences of at least |tol| times that scale.  A NaN tol raises
+    ParameterError.
+
+    The report is computed once per GridFn and tol and kept on f: a
+    GridFn's values are read-only, so the verdict cannot change, and
+    repeated checks (every prox, envelope and resolvent call on f) return
+    the stored report without scanning again.
 
     Cost: O(N) time and memory for N nodes, a fixed number of whole-array
     passes (one per direction, plus the domain-gap masks when some value
@@ -244,6 +265,17 @@ def discrete_convexity_check(f: GridFn, tol: float = 1e-9) -> ConvexityReport:
     nodes along each line; on a line a domain gap comes before any second
     difference.
     """
+    tol = float(tol)
+    if math.isnan(tol):
+        raise ParameterError("convexity tolerance must not be NaN")
+    rep = f._convexity.get(tol)
+    if rep is None:  # concurrent first checks may both scan; they store equal reports
+        rep = f._convexity[tol] = _convexity_scan(f, tol)
+    return rep
+
+
+def _convexity_scan(f: GridFn, tol: float) -> ConvexityReport:
+    """discrete_convexity_check's scan, without its memo."""
     v = np.atleast_2d(f.values)  # a 1-D function is one row
     finite = np.isfinite(v)
     if not finite.any():

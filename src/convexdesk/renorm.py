@@ -129,11 +129,14 @@ def pair_from_gridfns(p0: GridFn, q0: GridFn, C: float) -> NormPair:
 def asplund_step(pair: NormPair, sandwich_slack: Optional[float] = None) -> NormPair:
     """One averaging step; re-verifies the contracted sandwich bound on the
     halved valid window (slack defaults to 10 h, the index-doubling error
-    scale).  Raises IterationDivergedError when the bound fails."""
+    scale).  Raises IterationDivergedError when the bound fails, and
+    ParameterError for a NaN slack, under which neither guard could fire."""
     grid = pair.p.grid
     h = grid.spacing[0]
     if sandwich_slack is None:
         sandwich_slack = 10.0 * h
+    if math.isnan(sandwich_slack):
+        raise ParameterError("sandwich_slack must not be NaN")
     p1_vals = (pair.p.values + pair.q.values) / 2.0  # p, q hold no -inf: +inf absorbs
 
     pb = _finite_box(pair.p.values)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_convexity_check_2d, brute_interp
+from convexdesk import grids
 from convexdesk.atoms import FnAtom, sample
 from convexdesk.errors import EmptyDomainError, ParameterError
 from convexdesk.fileio import read_gridfn_json, write_gridfn_csv, write_gridfn_json
@@ -141,6 +142,64 @@ def convexity_inputs(draw):
 def test_convexity_2d_matches_line_by_line_oracle(case):
     f, tol = case
     assert discrete_convexity_check(f, tol) == brute_convexity_check_2d(f, tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(convexity_inputs())
+def test_stored_convexity_report_is_a_fresh_scan(case):
+    f, tol = case
+    expected = brute_convexity_check_2d(f, tol)
+    first = discrete_convexity_check(f, tol)
+    assert first == expected == discrete_convexity_check(GridFn(f.grid, f.values), tol)
+    again = discrete_convexity_check(f, tol)
+    assert again == expected == discrete_convexity_check(GridFn(f.grid, f.values), tol)
+
+
+def test_convexity_scans_once_per_tol(monkeypatch):
+    scans = []
+    scan = grids._convexity_scan
+    monkeypatch.setattr(grids, "_convexity_scan", lambda f, tol: scans.append(tol) or scan(f, tol))
+    g = Grid.box((-1, 1, 7), (-1, 1, 9))
+    x0, x1 = np.meshgrid(g.coords(0), g.coords(1), indexing="ij")
+    f = GridFn(g, x0 * x1)
+    reports = [discrete_convexity_check(f) for _ in range(3)]
+    assert scans == [1e-9] and not reports[0]
+    assert reports[1] is reports[0] and reports[2] is reports[0]
+    assert not discrete_convexity_check(f, tol=1e-3) and scans == [1e-9, 1e-3]
+    discrete_convexity_check(f, tol=1e-3)
+    discrete_convexity_check(GridFn(g, f.values))  # a new GridFn scans anew
+    assert scans == [1e-9, 1e-3, 1e-9]
+
+
+def test_convexity_check_leaves_equality_and_repr_alone():
+    g = Grid.box((-1, 1, 3), (-1, 1, 4))
+    f = GridFn(g, np.arange(12.0).reshape(3, 4) ** 2)
+    text = repr(f)
+    assert f == GridFn(g, f.values) and f != GridFn(g, f.values + 1.0)
+    assert discrete_convexity_check(f) and discrete_convexity_check(f, tol=0.0)
+    assert repr(f) == text and "_convexity" not in text
+    assert f == GridFn(g, f.values) and GridFn(g, f.values) == f
+
+
+def test_convexity_tol_nan_is_refused_inf_and_negative_keep_their_meaning():
+    g = Grid.line(-1, 1, 3)
+    f = GridFn(g, [0.0, 1.0, 0.0])
+    # every `< -nan` comparison is false, so a NaN tol reported this f convex
+    with pytest.raises(ParameterError, match="tolerance must not be NaN"):
+        discrete_convexity_check(f, tol=np.nan)
+    assert f._convexity == {}  # nothing stored: a NaN key would never match again
+    with pytest.raises(ParameterError, match="tolerance must not be NaN"):  # before the scan
+        discrete_convexity_check(GridFn(g, [np.inf] * 3), tol=float("nan"))
+    # tol = inf accepts every second difference and still reports domain gaps
+    assert discrete_convexity_check(f, tol=np.inf)
+    gap = discrete_convexity_check(GridFn(Grid.line(-2, 2, 5), [0, np.inf, 0, 1, 2]), np.inf)
+    assert gap == ConvexityReport(False, (1,), "domain-gap", (1,))
+    # a negative tol demands second differences of at least |tol| times the scale
+    line = GridFn(g, [-1.0, 0.0, 1.0])
+    assert discrete_convexity_check(line, tol=0.0)
+    assert discrete_convexity_check(line, tol=-0.5) == ConvexityReport(
+        False, (1,), "second-difference", (1,))
+    assert discrete_convexity_check(GridFn(g, [1.0, 0.0, 1.0]), tol=-1.0)
 
 
 def _quadratic(a11, a22, a12, n0=5, n1=5):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_envelope_1d, brute_prox, random_convex_gridfn
-from convexdesk import fenchel, moreau
+from convexdesk import fenchel, grids, moreau
 from convexdesk.atoms import FnAtom, sample
 from convexdesk.errors import (
     GridMismatchError,
@@ -16,6 +17,7 @@ from convexdesk.errors import (
     WidenGridError,
 )
 from convexdesk.grids import Grid, GridFn, discrete_convexity_check
+from convexdesk.monotone import resolvent, yosida
 from convexdesk.moreau import (
     distance_via_infconv_check,
     moreau_decomposition_residual,
@@ -78,6 +80,55 @@ def test_nan_lambda_is_refused():
         moreau_envelope(a, math.nan)
     with pytest.raises(GridMismatchError, match=r"query \(9.0,\) is outside the grid box"):
         prox(a, 1.0, np.float64(9.0))
+
+
+def test_nan_convexity_tol_is_refused():
+    # a NaN tol reported f convex, and prox ran on it and returned (1.0,)
+    f = GridFn(Grid.line(-1, 1, 3), [0.0, 1.0, 0.0])
+    with pytest.raises(ParameterError, match="tolerance must not be NaN"):
+        prox(f, 1.0, 0.2, convexity_tol=math.nan)
+    with pytest.raises(ParameterError, match="tolerance must not be NaN"):
+        moreau_envelope(f, 1.0, convexity_tol=math.nan)
+    assert prox(f, 1.0, 0.2, check_convexity=False, convexity_tol=math.nan).point == (1.0,)
+
+
+def _count_scans(monkeypatch) -> list:
+    scans = []
+    scan = grids._convexity_scan
+    monkeypatch.setattr(grids, "_convexity_scan", lambda f, tol: scans.append(tol) or scan(f, tol))
+    return scans
+
+
+def test_queries_on_one_function_check_it_once_per_tol(monkeypatch):
+    scans = _count_scans(monkeypatch)
+    g = Grid.box((-2, 2, 41), (-2, 2, 33))
+    f = sample(FnAtom("sqnorm2"), g)
+    points = [prox(f, 0.5, x).point for x in [(1.0, 0.5), (-0.3, 1.2), (0.0, 0.0)]]
+    env = moreau_envelope(f, 0.5)
+    res = resolvent(f, 0.5, (1.0, 0.5))
+    yos = yosida(f, 0.5, (1.0, 0.5))
+    assert scans == [1e-9]
+    assert prox(f, 0.5, (1.0, 0.5), convexity_tol=1e-6).point == points[0] == res.x
+    assert moreau_envelope(f, 0.5, convexity_tol=1e-6) == env
+    assert scans == [1e-9, 1e-6]
+    assert np.array_equal(yosida(f, 0.5, (1.0, 0.5), check_convexity=False), yos)
+    assert scans == [1e-9, 1e-6]
+
+
+def test_nonconvex_function_reports_the_same_violation_every_call(monkeypatch):
+    scans = _count_scans(monkeypatch)
+    g = Grid.box((-1, 1, 9), (-1, 1, 9))
+    x0, x1 = np.meshgrid(g.coords(0), g.coords(1), indexing="ij")
+    f = GridFn(g, x0 * x1)
+    rep = discrete_convexity_check(f)
+    assert not rep
+    calls = [lambda: prox(f, 1.0, (0.1, 0.2)), lambda: moreau_envelope(f, 1.0),
+             lambda: resolvent(f, 1.0, (0.1, 0.2)), lambda: yosida(f, 1.0, (0.1, 0.2))] * 2
+    for call in calls:
+        with pytest.raises(NonconvexError, match=re.escape(f"violation at {rep.violation_index}")):
+            call()
+    assert scans == [1e-9]
+    assert discrete_convexity_check(GridFn(g, f.values)) == rep
 
 
 def test_prox_2d_projection():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,15 @@ def test_sandwich_violation_raises():
     bogus = NormPair(p, q, 0, 1e-9)
     with pytest.raises(IterationDivergedError):
         asplund_step(bogus, sandwich_slack=1e-6)
+
+
+def test_nan_sandwich_slack_is_refused():
+    # every `> bound + nan` comparison is false, so a NaN slack passed both guards
+    pair = replace(init_pair(FnAtom("l1norm"), FnAtom("l2norm"), small_grid(21, 1.0)), C=1e-9)
+    with pytest.raises(IterationDivergedError, match="sandwich bound violated"):
+        asplund_step(pair, sandwich_slack=0.0)
+    with pytest.raises(ParameterError, match="sandwich_slack must not be NaN"):
+        asplund_step(pair, sandwich_slack=float("nan"))
 
 
 def test_init_refuses_a_one_dimensional_grid():
