@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from convexdesk import grids
 from convexdesk.grids import ConvexityReport, Grid, GridFn
 
 
@@ -465,3 +466,13 @@ def random_convex_gridfn(
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240809)
+
+
+@pytest.fixture
+def convexity_scans(monkeypatch) -> list:
+    """The tol of every convexity scan that runs, in order: the scan behind
+    discrete_convexity_check's stored reports, counted."""
+    scans = []
+    scan = grids._convexity_scan
+    monkeypatch.setattr(grids, "_convexity_scan", lambda f, tol: scans.append(tol) or scan(f, tol))
+    return scans

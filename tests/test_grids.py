@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_convexity_check_2d, brute_interp
-from convexdesk import grids
 from convexdesk.atoms import FnAtom, sample
 from convexdesk.errors import EmptyDomainError, ParameterError
 from convexdesk.fileio import read_gridfn_json, write_gridfn_csv, write_gridfn_json
@@ -155,20 +154,17 @@ def test_stored_convexity_report_is_a_fresh_scan(case):
     assert again == expected == discrete_convexity_check(GridFn(f.grid, f.values), tol)
 
 
-def test_convexity_scans_once_per_tol(monkeypatch):
-    scans = []
-    scan = grids._convexity_scan
-    monkeypatch.setattr(grids, "_convexity_scan", lambda f, tol: scans.append(tol) or scan(f, tol))
+def test_convexity_scans_once_per_tol(convexity_scans):
     g = Grid.box((-1, 1, 7), (-1, 1, 9))
     x0, x1 = np.meshgrid(g.coords(0), g.coords(1), indexing="ij")
     f = GridFn(g, x0 * x1)
     reports = [discrete_convexity_check(f) for _ in range(3)]
-    assert scans == [1e-9] and not reports[0]
+    assert convexity_scans == [1e-9] and not reports[0]
     assert reports[1] is reports[0] and reports[2] is reports[0]
-    assert not discrete_convexity_check(f, tol=1e-3) and scans == [1e-9, 1e-3]
+    assert not discrete_convexity_check(f, tol=1e-3) and convexity_scans == [1e-9, 1e-3]
     discrete_convexity_check(f, tol=1e-3)
     discrete_convexity_check(GridFn(g, f.values))  # a new GridFn scans anew
-    assert scans == [1e-9, 1e-3, 1e-9]
+    assert convexity_scans == [1e-9, 1e-3, 1e-9]
 
 
 def test_convexity_check_leaves_equality_and_repr_alone():

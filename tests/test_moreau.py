@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_envelope_1d, brute_prox, random_convex_gridfn
-from convexdesk import fenchel, grids, moreau
+from convexdesk import fenchel, moreau
 from convexdesk.atoms import FnAtom, sample
 from convexdesk.errors import (
     GridMismatchError,
@@ -92,31 +92,22 @@ def test_nan_convexity_tol_is_refused():
     assert prox(f, 1.0, 0.2, check_convexity=False, convexity_tol=math.nan).point == (1.0,)
 
 
-def _count_scans(monkeypatch) -> list:
-    scans = []
-    scan = grids._convexity_scan
-    monkeypatch.setattr(grids, "_convexity_scan", lambda f, tol: scans.append(tol) or scan(f, tol))
-    return scans
-
-
-def test_queries_on_one_function_check_it_once_per_tol(monkeypatch):
-    scans = _count_scans(monkeypatch)
+def test_queries_on_one_function_check_it_once_per_tol(convexity_scans):
     g = Grid.box((-2, 2, 41), (-2, 2, 33))
     f = sample(FnAtom("sqnorm2"), g)
     points = [prox(f, 0.5, x).point for x in [(1.0, 0.5), (-0.3, 1.2), (0.0, 0.0)]]
     env = moreau_envelope(f, 0.5)
     res = resolvent(f, 0.5, (1.0, 0.5))
     yos = yosida(f, 0.5, (1.0, 0.5))
-    assert scans == [1e-9]
+    assert convexity_scans == [1e-9]
     assert prox(f, 0.5, (1.0, 0.5), convexity_tol=1e-6).point == points[0] == res.x
     assert moreau_envelope(f, 0.5, convexity_tol=1e-6) == env
-    assert scans == [1e-9, 1e-6]
+    assert convexity_scans == [1e-9, 1e-6]
     assert np.array_equal(yosida(f, 0.5, (1.0, 0.5), check_convexity=False), yos)
-    assert scans == [1e-9, 1e-6]
+    assert convexity_scans == [1e-9, 1e-6]
 
 
-def test_nonconvex_function_reports_the_same_violation_every_call(monkeypatch):
-    scans = _count_scans(monkeypatch)
+def test_nonconvex_function_reports_the_same_violation_every_call(convexity_scans):
     g = Grid.box((-1, 1, 9), (-1, 1, 9))
     x0, x1 = np.meshgrid(g.coords(0), g.coords(1), indexing="ij")
     f = GridFn(g, x0 * x1)
@@ -127,7 +118,7 @@ def test_nonconvex_function_reports_the_same_violation_every_call(monkeypatch):
     for call in calls:
         with pytest.raises(NonconvexError, match=re.escape(f"violation at {rep.violation_index}")):
             call()
-    assert scans == [1e-9]
+    assert convexity_scans == [1e-9]
     assert discrete_convexity_check(GridFn(g, f.values)) == rep
 
 
