@@ -122,9 +122,9 @@ class Grid:
 class GridFn:
     """Extended-real values sampled on a grid, +inf outside its box.
 
-    `values` is a read-only copy of the input, and must stay unwritten:
-    results computed from it, such as the convexity verdict, are kept on
-    the instance and reused.
+    `values` is a view of a read-only copy of the input, so numpy refuses
+    `setflags(write=True)` on it: results computed from it, such as the
+    convexity verdict, are kept on the instance and reused.
     """
 
     grid: Grid
@@ -142,7 +142,7 @@ class GridFn:
             raise ValueError("GridFn values cannot contain NaN")
         v = v.copy()
         v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", v.view())
 
     def __eq__(self, other: object) -> bool:
         """Same grid and equal values node for node (the memo is not compared)."""

@@ -331,6 +331,17 @@ def test_renorm_grid_too_coarse_for_its_steps_is_refused_before_any_work(monkeyp
     )
 
 
+def test_renorm_past_the_merge_cap_exits_1_without_a_traceback(monkeypatch, capsys):
+    # at 21², the first step merges the 21 even output rows: 221 row pairs
+    # of 40 increments
+    monkeypatch.setattr("convexdesk.fenchel.MAX_DIRECT_PAIRS", 8839)
+    assert main(["renorm", "--grid", "-2:2:21x-2:2:21", "--steps", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: Minkowski merge needs 8840 sorted increments, cap is 8839\n"
+    monkeypatch.setattr("convexdesk.fenchel.MAX_DIRECT_PAIRS", 8840)
+    assert main(["renorm", "--grid", "-2:2:21x-2:2:21", "--steps", "1"]) == 0
+
+
 def test_duality_job(tmp_path):
     out = str(tmp_path / "d.json")
     rc = main(["duality", "--f-atom", "power", "--f-params", "2", "--g-atom", "power",

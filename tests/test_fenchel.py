@@ -991,6 +991,79 @@ def test_minkowski_merge_is_the_plain_loop_bit_for_bit(rng, shapes):
     assert H.tobytes() == brute_row_minkowski(F, G, rows).tobytes()
 
 
+SIGNED_ZEROS_AND_INTEGERS = np.array([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0])
+
+
+@st.composite
+def minkowski_inputs(draw):
+    """Two stacks of signed zeros, or of signed zeros and small integers
+    (ties everywhere, nonconvex rows), one-column and one-row shapes
+    included, and either every output row or a subset in any order.  The
+    stacks run to 12 rows of 14: numpy orders equal keys stably in a sort
+    of under 9 floats and in a min of under 9 floats, not in longer ones.
+    Values are drawn as bytes, which hypothesis generates fast."""
+    k = draw(st.sampled_from([2, 8]))
+    F, G = (SIGNED_ZEROS_AND_INTEGERS[
+                np.frombuffer(draw(st.binary(min_size=n0 * n1, max_size=n0 * n1)), np.uint8) % k
+            ].reshape(n0, n1)
+            for n0, n1 in [(draw(st.integers(1, 12)), draw(st.integers(1, 14))) for _ in "FG"])
+    K = F.shape[0] + G.shape[0] - 1
+    rows = draw(st.none() | st.lists(st.integers(0, K - 1), unique=True))
+    return F, G, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(minkowski_inputs())
+@example((np.array([[-0.0, -0.0]]), np.array([[-0.0, 0.0, 0.0, 0.0, -0.0, 0.0, 0.0, 0.0, -0.0]]),
+          None))
+@example((np.array([[-0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.0, 0.0, 0.0, -0.0]]), np.array([[-0.0]]),
+          None))
+@example((np.array([[0.0, 1.0], [-0.0, 1.0]]), np.array([[-0.0], [0.0]]), [1]))
+@example((np.array([[-0.0], [0.0]]), np.array([[-0.0, 2.0], [-0.0, 2.0]]), [2, 1]))
+@example((np.array([[0.0], [0.0], [0.0], [0.0], [-0.0], [-0.0], [0.0], [0.0], [-0.0]]),
+          np.array([[-0.0], [0.0], [-0.0], [-0.0], [-0.0], [-0.0], [0.0], [0.0], [-0.0]]), [8]))
+def test_minkowski_merge_is_the_plain_loop_on_signed_zeros_and_ties(inputs):
+    # the loop's running sum starts at +0.0, and np.minimum keeps the later
+    # of two equal values, in column 0 as in the others
+    F, G, rows = inputs
+    H = minkowski_infconv_convex(F, G, rows=rows)
+    ref = brute_row_minkowski(F, G, range(H.shape[0]) if rows is None else rows)
+    assert H.tobytes() == ref.tobytes()
+
+
+def test_minkowski_merge_refuses_work_past_the_cap_before_any(monkeypatch):
+    F, G = np.zeros((3, 4)), np.zeros((2, 5))  # 6 row pairs of 7 increments
+    monkeypatch.setattr(fenchel, "MAX_DIRECT_PAIRS", 41)
+    merge = fenchel._row_minkowski
+
+    def no_work(*args):
+        raise AssertionError("the merge ran")
+
+    monkeypatch.setattr(fenchel, "_row_minkowski", no_work)
+    with pytest.raises(ParameterError, match="needs 42 sorted increments, cap is 41"):
+        minkowski_infconv_convex(F, G)
+    monkeypatch.setattr(fenchel, "_row_minkowski", merge)
+    assert minkowski_infconv_convex(F, G, rows=[3, 1]).shape == (4, 8)  # 3 pairs
+    monkeypatch.setattr(fenchel, "MAX_DIRECT_PAIRS", 42)
+    assert np.array_equal(minkowski_infconv_convex(F, G), np.zeros((4, 8)))
+
+
+def test_minkowski_merge_memory_is_one_buffer(rng):
+    a0 = a1 = b0 = b1 = 101
+    F, G = (np.stack([random_convex_values(rng, 101) for _ in range(101)]) for _ in "FG")
+    floats = (min(a0, b0) * (a1 + b1 - 2) + a0 * (a1 - 1) + b0 * (b1 - 1)
+              + (a0 + b0 - 1) * (a1 + b1 - 1) + np.getbufsize())  # the docstring's bound
+    # a second min(a0, b0) x (a1 + b1 - 1) buffer would add 162 KB, past the 10 % slack
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        minkowski_infconv_convex(F, G)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * floats
+
+
 def test_infconv_dual_identity_examples():
     g = Grid.line(-6, 6, 1201)
     f = sample(FnAtom("power", (2.0,)), g)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_convexity_check_2d, brute_interp
+from convexdesk import grids
 from convexdesk.atoms import FnAtom, sample
 from convexdesk.errors import EmptyDomainError, ParameterError
 from convexdesk.fileio import read_gridfn_json, write_gridfn_csv, write_gridfn_json
@@ -165,6 +166,17 @@ def test_convexity_scans_once_per_tol(convexity_scans):
     discrete_convexity_check(f, tol=1e-3)
     discrete_convexity_check(GridFn(g, f.values))  # a new GridFn scans anew
     assert convexity_scans == [1e-9, 1e-3, 1e-9]
+
+
+def test_values_cannot_be_made_writable_so_the_stored_verdict_stays_fresh():
+    f = GridFn(Grid.line(-1, 1, 3), [1.0, 0.0, 1.0])
+    assert discrete_convexity_check(f)
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        f.values.setflags(write=True)
+    with pytest.raises(ValueError, match="read-only"):
+        f.values[1] = 5.0
+    assert discrete_convexity_check(f) == grids._convexity_scan(f, 1e-9)
+    assert discrete_convexity_check(f) and f.values.tolist() == [1.0, 0.0, 1.0]
 
 
 def test_convexity_check_leaves_equality_and_repr_alone():
