@@ -56,8 +56,8 @@ class _AtomSpec:
             self.validate_params(params)
 
 
-def _slack(*vals: float) -> float:
-    return _REL_SLACK * max(1.0, *(abs(v) for v in vals))
+def _slack(v: float) -> float:
+    return _REL_SLACK * max(1.0, abs(v))
 
 
 # ---- 1-D evaluations (x is a flat array) ----------------------------------
@@ -84,9 +84,8 @@ def _eval_abs(params, x):
 
 
 def _eval_indicator(params, x):
-    a, b = params
-    s = _slack(a, b)
-    return np.where((x >= a - s) & (x <= b + s), 0.0, np.inf)
+    a, b = params  # each bound its own slack: a huge b must not widen a
+    return np.where((x >= a - _slack(a)) & (x <= b + _slack(b)), 0.0, np.inf)
 
 
 def _check_interval(params):
@@ -173,6 +172,11 @@ def _eval_point(params, x):
     return np.where(np.abs(x - a) <= s, 0.0, np.inf)
 
 
+def _check_finite(tag, params):
+    if not math.isfinite(params[0]):
+        raise ParameterError(f"{tag} atom requires a finite a, got {params[0]}")
+
+
 def _eval_linear(params, x):
     (a,) = params
     return a * x
@@ -236,8 +240,10 @@ _CATALOG: dict[str, _AtomSpec] = {
     "hypot1": _AtomSpec(1, 0, _eval_hypot1, None, lambda p: FnAtom("negsqrt_circle")),
     "negsqrt": _AtomSpec(1, 0, _eval_negsqrt, None, lambda p: FnAtom("negsqrt_conj")),
     "negsqrt_conj": _AtomSpec(1, 0, _eval_negsqrt_conj, None, lambda p: FnAtom("negsqrt")),
-    "point": _AtomSpec(1, 1, _eval_point, None, lambda p: FnAtom("linear", p)),
-    "linear": _AtomSpec(1, 1, _eval_linear, None, lambda p: FnAtom("point", p)),
+    "point": _AtomSpec(1, 1, _eval_point, lambda p: _check_finite("point", p),
+                       lambda p: FnAtom("linear", p)),
+    "linear": _AtomSpec(1, 1, _eval_linear, lambda p: _check_finite("linear", p),
+                        lambda p: FnAtom("point", p)),
     "const": _AtomSpec(1, 1, _eval_const, None, None),
     "quad": _AtomSpec(1, 2, _eval_quad, _check_quad, lambda p: FnAtom("quad_conj", p)),
     "quad_conj": _AtomSpec(1, 2, _eval_quad_conj, _check_quad, lambda p: FnAtom("quad", p)),

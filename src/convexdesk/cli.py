@@ -3,8 +3,7 @@
 Grid syntax is "lo:hi:count" per axis, two axes joined by "x"
 (e.g. "-4:4:321x-4:4:321").  Output format follows the file extension:
 .csv for plot data, .json for reports and grid functions.  Exit codes:
-0 success, 1 computation error, 2 usage error.  Every subcommand accepts
---selftest to run its golden examples.  The environment variable
+0 success, 1 computation error, 2 usage error.  The environment variable
 CONVEXDESK_TOL overrides the default tolerance of the checks a job runs.
 """
 
@@ -33,7 +32,7 @@ from .fenchel import (
     inf_convolution,
 )
 from .grids import Grid, GridFn
-from .monotone import OperatorGraph, _certificate, fitzpatrick, resolvent
+from .monotone import _certificate, fitzpatrick, resolvent
 from .moreau import _check_inputs, moreau_envelope, project, prox
 from .renorm import (asplund_step, init_pair, measured_ratio, valid_region_halfwidth,
                      window_node_count)
@@ -127,12 +126,11 @@ def _build_parser() -> argparse.ArgumentParser:
     value_like = re.compile(r"^-\d[\d.:,x;eE+-]*$")
 
     def add(name: str, *flags: str, fn: bool = False, lam: bool = False) -> argparse.ArgumentParser:
-        """Subparser with --selftest, --out and the options `flags`, parsed by
+        """Subparser with --out and the options `flags`, parsed by
         _NUMBER_OPTIONS where listed there; `fn` adds the options naming the
         input function, `lam` --lambda."""
         p = sub.add_parser(name)
         p._negative_number_matcher = value_like
-        p.add_argument("--selftest", action="store_true")
         p.add_argument("--out")
         if fn:
             flags = ("--atom", "--params", "--grid") + flags
@@ -187,18 +185,17 @@ def parse_args(argv: list[str]) -> JobSpec:
     ns = _build_parser().parse_args(argv)
     opts = vars(ns)
     sub = opts.pop("subcommand")
-    if not opts.get("selftest"):
-        for need in JOBS[sub][1]:
-            alts = need if isinstance(need, tuple) else (need,)
-            if all(opts.get(d) is None for d in alts):
-                raise ValueError(f"{sub} needs {' or '.join(map(_flag, alts))}")
+    for need in JOBS[sub][1]:
+        alts = need if isinstance(need, tuple) else (need,)
+        if all(opts.get(d) is None for d in alts):
+            raise ValueError(f"{sub} needs {' or '.join(map(_flag, alts))}")
     for key in ("infile", "infile2", "graph"):
         path = opts.get(key)
         if path and not os.path.exists(path):
             raise ValueError(f"file not found: {path}")
     for key in ("atom", "atom2", "f_atom", "g_atom", "norm1", "norm2"):
         name = opts.get(key)
-        if name and not opts.get("selftest"):
+        if name:
             try:
                 make_atom(name, opts.get({"atom": "params", "atom2": "params2",
                                           "f_atom": "f_params", "g_atom": "g_params"}.get(key)))
@@ -389,8 +386,7 @@ def _run_duality(opts: dict) -> None:
 
 
 # subcommand -> (its runner, the options a job cannot run without, by
-# destination name; a tuple lists alternatives, any one of which will do).
-# --selftest needs none of them.
+# destination name; a tuple lists alternatives, any one of which will do)
 JOBS: dict[str, tuple[Callable[[dict], None], tuple]] = {
     "conjugate": (_run_conjugate, ()),
     "biconjugate": (_run_biconjugate, ()),
@@ -409,18 +405,8 @@ JOBS: dict[str, tuple[Callable[[dict], None], tuple]] = {
 SUBCOMMANDS = tuple(JOBS)
 
 
-def run(job: JobSpec) -> int:
-    """Execute a job; returns the exit code (0 ok, 1 computation error)."""
-    opts = job.options
-    if opts.get("selftest"):
-        npass, nfail = _selftest(job.subcommand)
-        print(f"{job.subcommand} selftest: {npass} passed, {nfail} failed")
-        return 0 if nfail == 0 else 1
-    JOBS[job.subcommand][0](opts)
-    return 0
-
-
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one job; returns the exit code (0 ok, 1 computation error, 2 usage error)."""
     if argv is None:
         argv = sys.argv[1:]
     try:
@@ -431,7 +417,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     try:
-        return run(job)
+        JOBS[job.subcommand][0](job.options)
+        return 0
     except (ValueError, KeyError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -442,94 +429,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
-
-
-# ---- golden-example selftests ----------------------------------------------
-
-
-def _check(label: str, ok: bool, counts: list[int]) -> None:
-    counts[0 if ok else 1] += 1
-    print(f"{'PASS' if ok else 'FAIL'}: {label}")
-
-
-def _selftest(sub: str) -> tuple[int, int]:
-    c = [0, 0]
-    if sub in ("conjugate", "biconjugate"):
-        f = sample(FnAtom("power", (2.0,)), Grid.line(-5, 5, 1001))
-        res = conjugate(f, Grid.line(-3, 3, 601))
-        v1 = res.dual.values[res.dual.grid.nearest_index(1.0)]
-        _check("conjugate of x^2/2 at y=1 is ~0.5", abs(v1 - 0.5) <= 1e-4, c)
-        fe = sample(FnAtom("exp"), Grid.line(-10, 3, 2001))
-        re_ = conjugate(fe, Grid.line(-1, 5, 601))
-        ve = re_.dual.values[re_.dual.grid.nearest_index(1.0)]
-        _check("conjugate of exp at y=1 is ~-1", abs(ve + 1.0) <= 1e-3, c)
-        fa = sample(FnAtom("abs"), Grid.line(-2, 2, 401))
-        bb = biconjugate(fa, Grid.line(-2, 2, 401))
-        _check("abs biconjugate fixpoint", float(np.max(np.abs(bb.values - fa.values))) <= 1e-9, c)
-    elif sub == "infconv":
-        g = Grid.line(-2, 2, 4001)
-        res = inf_convolution(sample(FnAtom("negsqrt_circle"), g), sample(FnAtom("abs"), g))
-        v = res.out.values[g.nearest_index(1.0)]
-        _check("circle box abs at x=1 is ~1-sqrt2", abs(v - (1 - math.sqrt(2))) <= 2e-3, c)
-    elif sub == "envelope":
-        f = sample(FnAtom("abs"), Grid.line(-3, 3, 601))
-        env = moreau_envelope(f, 1.0)
-        v = env.values[f.grid.nearest_index(0.5)]
-        _check("Huber at 0.5 is 0.125", abs(v - 0.125) <= 1e-6, c)
-        v2 = env.values[f.grid.nearest_index(2.0)]
-        _check("Huber at 2 is 1.5", abs(v2 - 1.5) <= 1e-6, c)
-    elif sub == "prox":
-        f = sample(FnAtom("indicator", (-1.0, 1.0)), Grid.line(-4, 4, 801))
-        r = prox(f, 1.0, 3.0)
-        _check("prox of indicator clamps 3 -> 1", abs(r.point[0] - 1.0) <= 1e-9, c)
-        fa = sample(FnAtom("abs"), Grid.line(-4, 4, 801))
-        r2 = prox(fa, 1.0, 0.4)
-        _check("soft-threshold dead zone 0.4 -> 0", abs(r2.point[0]) <= 1e-9, c)
-        r3 = prox(fa, 1.0, 3.0)
-        _check("soft-threshold 3 -> 2", abs(r3.point[0] - 2.0) <= 1e-9, c)
-    elif sub == "project":
-        _check("clamp 3 into [-1,1]", float(project((-1, 1), 3.0)[0]) == 1.0, c)
-        p = project(((-1, 1), (-1, 1)), (3.0, 0.5))
-        _check("box clamp (3,0.5)", tuple(p) == (1.0, 0.5), c)
-        _check("singleton box", float(project((0, 0), 7.0)[0]) == 0.0, c)
-    elif sub == "fitzpatrick":
-        xs = np.linspace(-2, 2, 401)
-        G = OperatorGraph(xs[:, None], xs[:, None])
-        r = fitzpatrick(G, (1.0, 1.0))
-        _check("identity graph point value 1", abs(r.value - 1.0) <= 1e-9, c)
-        r2 = fitzpatrick(G, (1.0, -1.0))
-        _check("off-graph value 0 >= -1", abs(r2.value) <= 1e-9, c)
-    elif sub == "resolvent":
-        f = sample(FnAtom("power", (2.0,)), Grid.line(-6, 6, 1201))
-        r = resolvent(f, 1.0, 2.0)
-        _check("J(2) = 1 for A = Id", abs(r.x[0] - 1.0) <= 1e-6, c)
-        _check("y = 1", abs(r.y[0] - 1.0) <= 1e-6, c)
-    elif sub == "renorm":
-        grid = Grid.box((-2, 2, 41), (-2, 2, 41))
-        pair = init_pair(FnAtom("l1norm"), FnAtom("l2norm"), grid)
-        _check("l1/l2 constant C = 1", abs(pair.C - 1.0) <= 1e-9, c)
-        nxt = asplund_step(pair)
-        _check("after 1 step r <= C/4 + slack",
-               measured_ratio(nxt) <= 0.25 + 10 * grid.spacing[0], c)
-    elif sub == "coupon":
-        _check("p_1(2) = 1/2", float(coupon_pn_perm((2.0,))) == 0.5, c)
-        _check("p_2(1,1) = 3/2", abs(float(coupon_pn_ie((1.0, 1.0))) - 1.5) <= 1e-12, c)
-        _check("integral matches ie at (1,2,3)",
-               abs(coupon_pn_integral((1.0, 2.0, 3.0)) - float(coupon_pn_ie((1.0, 2.0, 3.0)))) <= 1e-8, c)
-    elif sub == "volume":
-        _check("V_2(2) = pi", abs(ball_volume(2, 2.0) - math.pi) <= 1e-12, c)
-        _check("V_3(1) = 4/3", abs(ball_volume(3, 1.0) - 4.0 / 3.0) <= 1e-12, c)
-        _check("V_5(inf) = 32", ball_volume(5, math.inf) == 32.0, c)
-    elif sub == "gamma":
-        _check("gamma_limit(1, n) = n/(n+1)", abs(gamma_limit(1.0, 1000) - 1000.0 / 1001.0) <= 1e-12, c)
-        _check("gamma_limit(3, 1e6) ~ 2", abs(gamma_limit(3.0, 1_000_000) - 2.0) <= 1e-4, c)
-    elif sub == "duality":
-        f = sample(FnAtom("power", (2.0,)), Grid.line(-6, 6, 1201))
-        g = sample(FnAtom("power", (2.0,)), Grid.line(-6, 6, 1201))
-        res = fenchel_duality_gap(f, g, [[1.0]], Grid.line(-4, 4, 801), Grid.line(-4, 4, 801))
-        _check("quadratic pair gap ~ 0", abs(res.gap) <= 1e-6, c)
-        _check("weak duality", res.gap >= -1e-9, c)
-    return c[0], c[1]
 
 
 if __name__ == "__main__":

@@ -858,8 +858,9 @@ def fenchel_duality_gap(
         )
     if not np.isfinite(Tm).all():
         raise ParameterError(f"T must have finite entries, got {Tm.tolist()}")
-    xs = f.grid.nodes()
-    tx = xs @ Tm.T
+    ys = g_dual_grid.nodes()
+    with np.errstate(over="ignore"):  # an overflowed image is ±inf: off every box, so +inf
+        tx, tys = f.grid.nodes() @ Tm.T, ys @ Tm
     inside = np.ones(len(tx), dtype=bool)
     for ax, (lo, hi, _) in enumerate(g.grid.axes):
         inside &= (tx[:, ax] >= lo) & (tx[:, ax] <= hi)
@@ -873,8 +874,7 @@ def fenchel_duality_gap(
     gvals = interp_gridfn(g, tx)
     fstar = conjugate(f, f_dual_grid).dual
     gstar = conjugate(g, g_dual_grid).dual
-    ys = g_dual_grid.nodes()
-    fterm = interp_gridfn(fstar, ys @ Tm)
+    fterm = interp_gridfn(fstar, tys)
     gterm = interp_gridfn(gstar, -ys)
     with np.errstate(over="ignore"):
         primal_vals = np.where(

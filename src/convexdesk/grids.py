@@ -334,7 +334,8 @@ def interp_gridfn(f: GridFn, points: np.ndarray) -> np.ndarray:
     cell = []  # per axis: the two corner indices and their weights
     for (lo, hi, n), h, x in zip(f.grid.axes, f.grid.spacing, pts.T):
         inside &= (x >= lo - 1e-12 * max(1.0, abs(lo))) & (x <= hi + 1e-12 * max(1.0, abs(hi)))
-        t = np.clip((x - lo) / h, 0.0, n - 1)
+        with np.errstate(over="ignore"):  # a far point is ±inf, outside the box
+            t = np.clip((x - lo) / h, 0.0, n - 1)
         i = np.minimum(t.astype(int), n - 2)
         w = t - i
         cell.append(((i, i + 1), (1 - w, w)))

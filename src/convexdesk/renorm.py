@@ -91,8 +91,11 @@ def init_pair(norm1: FnAtom, norm2: FnAtom, grid: Grid) -> NormPair:
                 f"supported norms: {', '.join(_NORM_TAGS)}; got {a.tag!r}"
             )
     _grid_symmetric_odd(grid)
-    pv = sample(norm1, grid).values ** 2 / 2.0
-    qv = sample(norm2, grid).values ** 2 / 2.0
+    with np.errstate(over="ignore"):  # refused below where a node overflows
+        pv = sample(norm1, grid).values ** 2 / 2.0
+        qv = sample(norm2, grid).values ** 2 / 2.0
+    if not (np.isfinite(pv).all() and np.isfinite(qv).all()):
+        raise ParameterError(f"half-squared norms overflow on the grid {grid.axes}")
     swapped = False
     if not np.all(pv >= qv):
         if np.all(qv >= pv):
@@ -101,6 +104,8 @@ def init_pair(norm1: FnAtom, norm2: FnAtom, grid: Grid) -> NormPair:
         else:
             raise NormalizationError("neither order satisfies q0 <= p0 on the grid")
     nz = qv > 0
+    if not nz.any():
+        raise ParameterError(f"half-squared norms vanish at every node of the grid {grid.axes}")
     C = float(np.max(pv[nz] / qv[nz] - 1.0))
     return NormPair(GridFn(grid, pv), GridFn(grid, qv), 0, C, swapped)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,3 +134,23 @@ def test_atom_eval_is_a_float_and_refuses_nan():
     assert type(v) is float and v == math.inf
     with pytest.raises(ParameterError, match="'power'.* is NaN at"):
         atom_eval(FnAtom("power", (math.nan,)), 1.0)
+
+
+@pytest.mark.parametrize("b", [1e11, 1e12, math.inf])
+def test_indicator_bounds_take_their_own_slack(b):
+    # one slack from max(|a|, |b|) once widened [1, b] to about [0.9, b],
+    # then to the whole grid, and at b = inf dropped the lower edge
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = sample(FnAtom("indicator", (1.0, b)), Grid.line(-4, 4, 801))
+    xs = f.grid.coords(0)
+    assert np.array_equal(np.isinf(f.values), xs < 1.0)
+    assert float(atom_eval(FnAtom("indicator", (1.0, b)), 1.0 - 1e-11)) == math.inf
+
+
+@pytest.mark.parametrize("tag", ["point", "linear"])
+@pytest.mark.parametrize("a", [math.inf, -math.inf])
+def test_point_and_linear_refuse_a_non_finite_parameter(tag, a):
+    # point(inf) sampled as the zero function, linear(inf) as NaN
+    with pytest.raises(ParameterError, match=f"{tag} atom requires a finite a, got {a}"):
+        FnAtom(tag, (a,))

@@ -1,5 +1,7 @@
 import json
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from convexdesk import cli
 from convexdesk.atoms import FnAtom, sample
 from convexdesk.cli import SUBCOMMANDS, main, parse_args, parse_grid_spec
+from convexdesk.errors import TruncationWarning
 from convexdesk.fileio import read_gridfn_json, write_graph_json, write_gridfn_json
 from convexdesk.grids import Grid, GridFn
 from convexdesk.monotone import OperatorGraph
@@ -368,12 +371,123 @@ def test_infconv_job_from_files(tmp_path):
     assert np.max(np.abs(got.values - ref)) <= 1e-9  # distance to [-1, 1]
 
 
-def test_every_subcommand_selftests_green(capsys):
-    for sub in SUBCOMMANDS:
-        rc = main([sub, "--selftest"])
-        captured = capsys.readouterr()
-        assert rc == 0, f"{sub}: {captured.out}"
-        assert "FAIL" not in captured.out
+# Golden runs through `main`: (label, argv, key path into the stdout report,
+# expected, tolerance on the largest absolute error).  Each is a closed form
+# that no other test here pins as tightly; "GRAPH" stands for the identity
+# graph on 401 nodes of [-2, 2].
+GOLDEN = [
+    ("conjugate-of-half-square-at-1", ["conjugate", "--atom", "power", "--params", "2",
+     "--grid=-5:5:1001", "--dual=-3:3:601"], ("values", 400), 0.5, 1e-4),
+    ("conjugate-of-exp-at-1", ["conjugate", "--atom", "exp", "--grid=-10:3:2001",
+     "--dual=-1:5:601"], ("values", 200), -1.0, 1e-3),
+    ("abs-is-its-biconjugate", ["biconjugate", "--atom", "abs", "--grid=-2:2:401",
+     "--dual=-2:2:401"], ("values",), np.abs(np.linspace(-2, 2, 401)), 1e-9),
+    ("half-circle-box-abs-at-1", ["infconv", "--atom", "negsqrt_circle", "--atom2", "abs",
+     "--grid=-2:2:4001"], ("values", 3000), 1 - np.sqrt(2), 2e-3),
+    ("indicator-envelope-at-3", ["envelope", "--atom", "indicator", "--params=-1,1",
+     "--grid=-4:4:801"], ("values", 700), 2.0, 1e-12),
+    ("prox-of-indicator-clamps-3", ["prox", "--atom", "indicator", "--params=-1,1",
+     "--grid=-4:4:801", "--x", "3"], ("prox", 0), 1.0, 1e-9),
+    ("soft-threshold-dead-zone", ["prox", "--atom", "abs", "--grid=-4:4:801", "--x", "0.4"],
+     ("prox", 0), 0.0, 1e-9),
+    ("clamp-3-into-unit-interval", ["project", "--box=-1:1", "--x", "3"], ("projection",),
+     [1.0], 0.0),
+    ("singleton-box", ["project", "--box", "0:0", "--x", "7"], ("projection",), [0.0], 0.0),
+    ("identity-graph-off-graph-point", ["fitzpatrick", "--graph", "GRAPH", "--x", "1",
+     "--xstar=-1"], ("value",), 0.0, 1e-9),
+    ("resolvent-of-identity-y", ["resolvent", "--atom", "power", "--params", "2",
+     "--grid=-6:6:1201", "--z", "2"], ("y", 0), 1.0, 1e-6),
+    # one step contracts C = 1 to C / 4, up to the slack 10 h
+    ("renorm-one-step-contracts", ["renorm", "--grid=-2:2:41x-2:2:41", "--steps", "1"],
+     ("iterations", 1, "r_n"), 0.25, 10 * 0.1),
+    ("coupon-p1-of-2", ["coupon", "--x", "2", "--forms", "perm"], ("perm",), 0.5, 0.0),
+    ("coupon-p2-of-1-1", ["coupon", "--x", "1,1", "--forms", "ie"], ("ie",), 1.5, 1e-12),
+    ("volume-disc", ["volume", "--dim", "2", "--p", "2"], ("volume",), np.pi, 1e-12),
+    ("volume-cross-polytope", ["volume", "--dim", "3", "--p", "1"], ("volume",), 4 / 3, 1e-12),
+    ("gamma-limit-at-3", ["gamma", "--x", "3", "--n", "1000000"], ("value",), 2.0, 1e-4),
+    ("duality-of-half-squares", ["duality", "--f-atom", "power", "--f-params", "2",
+     "--g-atom", "power", "--g-params", "2", "--grid=-6:6:1201", "--dual=-4:4:801",
+     "--g-dual=-4:4:801"], ("dual",), 0.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("argv, key, want, tol", [row[1:] for row in GOLDEN],
+                         ids=[row[0] for row in GOLDEN])
+def test_golden_run(argv, key, want, tol, tmp_path, capsys):
+    if "GRAPH" in argv:
+        xs = np.linspace(-2, 2, 401)[:, None]
+        write_graph_json(OperatorGraph(xs, xs), str(tmp_path / "g.json"))
+        argv = [str(tmp_path / "g.json") if a == "GRAPH" else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(argv)
+    out = capsys.readouterr()
+    assert (rc, out.err) == (0, "")
+    got = _strict_json(out.out)
+    for k in key:
+        got = got[k]
+    assert np.max(np.abs(np.asarray(got, dtype=float) - want)) <= tol
+
+
+def test_every_subcommand_has_a_golden_run():
+    assert {row[1][0] for row in GOLDEN} == set(SUBCOMMANDS)
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    assert len(lines) >= 7 and all(line.startswith("convexdesk ") for line in lines)
+    for line in lines:
+        parse_args(shlex.split(line)[1:])
+
+
+@pytest.mark.parametrize("b", ["1e11", "1e12", "inf"])
+def test_prox_onto_an_indicator_with_one_huge_bound(b, capsys):
+    # a slack from the huge bound widened [1, b]: prox 0.9, then 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["prox", "--atom", "indicator", "--params", f"1,{b}", "--grid=-4:4:801",
+                   "--x", "0"])
+    out = capsys.readouterr()
+    assert (rc, out.err) == (0, "")
+    assert _strict_json(out.out)["prox"] == [1.0]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["conjugate", "--atom", "point", "--params", "inf", "--grid=-2:2:5"],
+         "error: point atom requires a finite a, got inf\n"),
+        (["conjugate", "--atom", "linear", "--params", "inf", "--grid=-2:2:5"],
+         "error: linear atom requires a finite a, got inf\n"),
+        (["renorm", "--grid=-1e-200:1e-200:5x-1e-200:1e-200:5", "--steps", "1"],
+         "error: half-squared norms vanish at every node of the grid "
+         "((-1e-200, 1e-200, 5), (-1e-200, 1e-200, 5))\n"),
+        (["renorm", "--grid=-1e160:1e160:5x-1e160:1e160:5", "--steps", "1"],
+         "error: half-squared norms overflow on the grid "
+         "((-1e+160, 1e+160, 5), (-1e+160, 1e+160, 5))\n"),
+    ],
+    ids=["point", "linear", "renorm-underflow", "renorm-overflow"],
+)
+def test_non_finite_atoms_and_norms_are_refused(argv, message, capsys):
+    # point(inf) ran as the zero function; linear(inf), and norms that
+    # underflow or overflow, warned and ended as usage errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    assert (rc, capsys.readouterr()) == (1, ("", message))
+
+
+@pytest.mark.parametrize("extra", [["--T", "1e300"], ["--g-grid=-1e-10:1e-10:5"]])
+def test_duality_past_the_float_range_warns_only_of_truncation(extra, capsys):
+    # T x, and T x's cell index on a tiny g grid, overflowed with RuntimeWarnings
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        rc = main(["duality", "--f-atom", "abs", "--g-atom", "abs", "--grid=-1e300:1e300:5",
+                   *extra])
+    assert [w.category for w in seen] == [TruncationWarning]
+    assert (rc, capsys.readouterr().out) == (0, '{"dual": -0.0, "gap": 0.0, "primal": 0.0}\n')
 
 
 def test_computation_error_exit_code(tmp_path):

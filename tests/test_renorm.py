@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -259,3 +260,16 @@ def test_step_refuses_a_finite_region_that_is_not_a_rectangle():
     holed[3, 3] = np.inf
     with pytest.raises(IterationDivergedError, match="not a rectangle"):
         asplund_step(NormPair(GridFn(grid, holed), q, 0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "L, message",
+    [(1e-200, "vanish at every node"), (1e160, "overflow on the grid")],
+)
+def test_init_refuses_norms_that_underflow_or_overflow(L, message):
+    # every half-square underflowing to 0 left max() an empty set, and squares
+    # past the float range warned, then divided inf / inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=message):
+            init_pair(FnAtom("l1norm"), FnAtom("l2norm"), small_grid(5, L))
