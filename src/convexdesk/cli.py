@@ -33,7 +33,7 @@ from .fenchel import (
 )
 from .grids import Grid, GridFn
 from .monotone import _certificate, fitzpatrick, resolvent
-from .moreau import _check_inputs, moreau_envelope, project, prox
+from .moreau import moreau_envelope, project, prox
 from .renorm import (asplund_step, init_pair, measured_ratio, valid_region_halfwidth,
                      window_node_count)
 from .special import (
@@ -120,7 +120,7 @@ def _write_fn(f: GridFn, path: Optional[str]) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: `parse_args` returns a fresh
     namespace on every call, and every default is immutable."""
-    ap = argparse.ArgumentParser(prog="convexdesk", description=__doc__)
+    ap = argparse.ArgumentParser(prog="convexdesk", description=__doc__, allow_abbrev=False)
     sub = ap.add_subparsers(dest="subcommand", required=True)
     # let grid specs and vectors like "-10:3:2001" or "-3,0.5" pass as values
     value_like = re.compile(r"^-\d[\d.:,x;eE+-]*$")
@@ -129,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
         """Subparser with --out and the options `flags`, parsed by
         _NUMBER_OPTIONS where listed there; `fn` adds the options naming the
         input function, `lam` --lambda."""
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)  # no option prefixes: --lam is not --lambda
         p._negative_number_matcher = value_like
         p.add_argument("--out")
         if fn:
@@ -266,7 +266,7 @@ def _run_prox(opts: dict) -> None:
     f = _load_fn(opts)
     x = np.asarray(opts["x"])
     res = prox(f, opts["lam"], x, convexity_tol=_convexity_tol())
-    _, eps = _certificate(f, opts["lam"], x, np.asarray(res.point))
+    eps = _certificate(f, opts["lam"], x, res)[2]
     _emit(
         {"x": list(x), "prox": list(res.point), "envelope": res.envelope,
          "lambda": res.lam, "certificate_eps": eps},
@@ -292,9 +292,7 @@ def _run_fitzpatrick(opts: dict) -> None:
 def _run_resolvent(opts: dict) -> None:
     f = _load_fn(opts)
     z = np.asarray(opts["z"])
-    # prox's input checks at the job's tolerance; resolvent then skips convexity
-    _check_inputs(f, opts["lam"], True, _convexity_tol(), "prox", z)
-    res = resolvent(f, opts["lam"], z, check_convexity=False)
+    res = resolvent(f, opts["lam"], z, convexity_tol=_convexity_tol())
     _emit(
         {"z": list(z), "x": list(res.x), "y": list(res.y),
          "lambda": opts["lam"], "certificate_eps": res.certificate_eps},

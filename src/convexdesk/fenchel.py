@@ -402,9 +402,8 @@ def _conjugate_scan(f: GridFn, ys: np.ndarray):
     dim, n, k = f.grid.dim, f.values.size, ys.shape[0]
     # axis ax's primal coordinates, broadcast along the other axes
     xs = [f.grid.coords(ax).reshape([-1 if a == ax else 1 for a in range(dim)]) for ax in range(dim)]
-    best, arg = np.empty(k), np.empty(k, dtype=np.int64)
     step = max(1, _TILE_ELEMS // n)
-    buf = np.empty((min(step, k),) + f.values.shape)
+    buf, out = np.empty((min(step, k),) + f.values.shape), []
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, k, step):
             y = ys[a : a + step].T[(...,) + (None,) * dim]  # y[ax]: (block, 1, ...)
@@ -418,8 +417,8 @@ def _conjugate_scan(f: GridFn, ys: np.ndarray):
                 v[:, np.isinf(f.values.ravel())] = -np.inf
                 j = np.argmax(v, axis=1)
                 b = v[np.arange(j.size), j]
-            arg[a : a + step], best[a : a + step] = j, b
-    return best, arg
+            out.append((b, j))
+    return out[0] if len(out) == 1 else tuple(np.concatenate(z) for z in zip(*out))
 
 
 def default_dual_grid(f: GridFn, n: Optional[int] = None, pad: float = 0.0) -> Grid:

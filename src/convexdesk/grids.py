@@ -59,6 +59,10 @@ class Grid:
             total *= n
         if total > MAX_NODES:
             raise ParameterError(f"grid has {total} nodes, cap is {MAX_NODES}")
+        coords = tuple(np.linspace(lo, hi, n) for lo, hi, n in axes)  # see coords
+        for c in coords:
+            c.setflags(write=False)
+        object.__setattr__(self, "_coords", coords)
 
     @classmethod
     def line(cls, lo: float, hi: float, n: int) -> "Grid":
@@ -85,8 +89,9 @@ class Grid:
         return tuple((hi - lo) / (n - 1) for lo, hi, n in self.axes)
 
     def coords(self, axis: int = 0) -> np.ndarray:
-        lo, hi, n = self.axes[axis]
-        return np.linspace(lo, hi, n)
+        """np.linspace(lo, hi, n) of the axis, computed once per Grid and
+        read-only: copy it before writing."""
+        return self._coords[axis]
 
     def nodes(self) -> np.ndarray:
         """All node coordinates, shape (node_count, dim), row-major order."""
@@ -96,10 +101,10 @@ class Grid:
         return out.reshape(-1, self.dim)
 
     def contains(self, point: Sequence[float]) -> bool:
-        p = np.atleast_1d(np.asarray(point, dtype=float))
+        p = np.array(point, dtype=float, ndmin=1)
         if p.size != self.dim:
             raise GridMismatchError(f"point has dim {p.size}, grid has dim {self.dim}")
-        return all(lo <= v <= hi for v, (lo, hi, _) in zip(p, self.axes))
+        return all(lo <= v <= hi for v, (lo, hi, _) in zip(p.ravel().tolist(), self.axes))
 
     def nearest_index(self, point: Sequence[float]) -> tuple[int, ...]:
         p = np.atleast_1d(np.asarray(point, dtype=float))
@@ -133,14 +138,13 @@ class GridFn:
     _convexity: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.shape != self.grid.shape:
             raise GridMismatchError(
                 f"values shape {v.shape} does not match grid shape {self.grid.shape}"
             )
-        if np.any(np.isnan(v)):
+        if math.isnan(v.min()):  # the min of values holding NaN is NaN
             raise ValueError("GridFn values cannot contain NaN")
-        v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v.view())
 
@@ -152,8 +156,8 @@ class GridFn:
 
     @property
     def is_proper(self) -> bool:
-        v = self.values
-        return bool(np.any(np.isfinite(v)) and not np.any(v == -np.inf))
+        """Some value finite and none -inf: the least value is finite (no NaN)."""
+        return math.isfinite(self.values.min())
 
 
 def require_proper(f: GridFn, what: str = "input") -> None:
@@ -278,11 +282,11 @@ def _convexity_scan(f: GridFn, tol: float) -> ConvexityReport:
     """discrete_convexity_check's scan, without its memo."""
     v = np.atleast_2d(f.values)  # a 1-D function is one row
     finite = np.isfinite(v)
-    if not finite.any():
+    nfin = np.count_nonzero(finite)
+    if not nfin:
         raise EmptyDomainError("all values are infinite")
-    scale = max(1.0, float(np.max(np.abs(v), where=finite, initial=0.0)))
-    t = tol * scale
-    fin = None if finite.all() else finite
+    fin, absv = (None if nfin == v.size else finite), np.abs(v)
+    t = tol * max(1.0, float(absv.max() if fin is None else np.max(absv, where=fin, initial=0.0)))
 
     hit = _first_violation(_concave_midpoints(v, fin, (0, 1), t), fin)
     if f.grid.dim == 1:
@@ -330,16 +334,15 @@ def interp_gridfn(f: GridFn, points: np.ndarray) -> np.ndarray:
     if pts.shape[1] != f.grid.dim:
         raise GridMismatchError("points dimension does not match grid")
     v = f.values
-    inside = np.ones(pts.shape[0], dtype=bool)
-    cell = []  # per axis: the two corner indices and their weights
-    for (lo, hi, n), h, x in zip(f.grid.axes, f.grid.spacing, pts.T):
-        inside &= (x >= lo - 1e-12 * max(1.0, abs(lo))) & (x <= hi + 1e-12 * max(1.0, abs(hi)))
-        with np.errstate(over="ignore"):  # a far point is ±inf, outside the box
-            t = np.clip((x - lo) / h, 0.0, n - 1)
-        i = np.minimum(t.astype(int), n - 2)
-        w = t - i
-        cell.append(((i, i + 1), (1 - w, w)))
+    inside, cell = [], []  # per axis: the box test, the two corner indices and their weights
+    # a far point is ±inf, outside the box; an infinite corner makes nan terms
     with np.errstate(invalid="ignore", over="ignore"):
+        for (lo, hi, n), h, x in zip(f.grid.axes, f.grid.spacing, pts.T):
+            inside.append((x >= lo - 1e-12 * max(1.0, abs(lo))) & (x <= hi + 1e-12 * max(1.0, abs(hi))))
+            t = np.minimum(n - 1, np.maximum(0.0, (x - lo) / h))  # np.clip's bits
+            i = np.minimum(t.astype(int), n - 2)
+            w = t - i
+            cell.append(((i, i + 1), (1 - w, w)))
         # the 2^dim corners in row-major order; the terms are summed from the
         # first one, since a start of 0.0 would turn a -0.0 sum into 0.0
         corners, vals = [], None
@@ -348,12 +351,9 @@ def interp_gridfn(f: GridFn, points: np.ndarray) -> np.ndarray:
             term = functools.reduce(operator.mul, (ws[b] for (_, ws), b in zip(cell, bits))) * c
             vals = term if vals is None else vals + term
             corners.append(c)
-        corner_inf = functools.reduce(operator.or_, map(np.isinf, corners))
-        # exact node hits next to an infinite neighbour are still finite
-        on_node = functools.reduce(operator.and_, (ws[1] == 0.0 for _, ws in cell))
-        vals = np.where(corner_inf & on_node, corners[0], vals)
-        vals = np.where(corner_inf & ~on_node, np.inf, vals)
-        vals = np.where(np.isnan(vals), np.inf, vals)
-    out = np.full(pts.shape[0], np.inf)
-    out[inside] = vals[inside]
-    return out
+    corner_inf = functools.reduce(operator.or_, map(np.isinf, corners))
+    # exact node hits next to an infinite neighbour are still finite; the sum
+    # is nan only next to one, since finite terms never add to inf - inf
+    on_node = functools.reduce(operator.and_, (ws[1] == 0.0 for _, ws in cell))
+    vals = np.where(corner_inf, np.where(on_node, corners[0], np.inf), vals)
+    return np.where(functools.reduce(operator.and_, inside), vals, np.inf)

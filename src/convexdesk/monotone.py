@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .fenchel import _conjugate_scan
-from .grids import GridFn, interp_gridfn
-from .moreau import _boundary_axis, prox
+from .grids import GridFn
+from .moreau import ProxResult, _boundary_axis, prox
 
 __all__ = [
     "OperatorGraph",
@@ -152,40 +152,39 @@ class ResolventResult:
     certificate_eps: float  # Fenchel-Young residual of y in d_eps f(x)
 
 
-def _certificate(f: GridFn, lam: float, z: np.ndarray, x: np.ndarray, residual: bool = True):
-    """y = (z - x) / lam for x = prox(f, lam, z), and the Fenchel-Young residual
-    f(x) + f*(y) - <x, y> of y in d_eps f(x), None unless `residual`: f interpolated,
-    f* exact over the nodes of dom f (the conjugate of the piecewise-linear extension).
-    Near the float limit y, f*(y) and <x, y> overflow silently; where the residual
-    is then inf - inf (always where y is not finite) it is +inf."""
+def _certificate(f: GridFn, lam: float, z: np.ndarray, p: ProxResult, residual: bool = True):
+    """x = p.point and y = (z - x) / lam for p = prox(f, lam, z), and the Fenchel-Young
+    residual f(x) + f*(y) - <x, y> of y in d_eps f(x), None unless `residual`: f
+    interpolated (p.f_point), f* exact over the nodes of dom f (the conjugate of the
+    piecewise-linear extension).  Near the float limit y, f*(y) and <x, y> overflow
+    silently; where the residual is then inf - inf (always where y is not finite) it
+    is +inf.  Cost: one O(N) scan plus a fixed number of array calls."""
+    x = np.asarray(p.point)
     with np.errstate(over="ignore", invalid="ignore"):
         y = (z - x) / lam
         if not residual:
-            return y, None
-        fx = float(interp_gridfn(f, x[None, :])[0])
-        fy = float(_conjugate_scan(f, y[None, :])[0][0])
-        eps = fx + fy - float(x @ y)
-    return y, math.inf if math.isnan(eps) else eps
+            return x, y, None
+        eps = p.f_point + float(_conjugate_scan(f, y[None, :])[0][0]) - float(x @ y)
+    return x, y, math.inf if math.isnan(eps) else eps
 
 
-def resolvent(f: GridFn, lam: float, z, check_convexity: bool = True) -> ResolventResult:
+def resolvent(f: GridFn, lam: float, z, check_convexity: bool = True,
+              convexity_tol: float = 1e-9) -> ResolventResult:
     """J_{lam A} for A = the subdifferential of f, realized via prox.
 
     Returns x = prox(f, lam, z) and y = (z - x) / lam, so z = x + lam y by
     construction; the certificate is the Fenchel-Young residual of
-    y in d_eps f(x).
+    y in d_eps f(x).  Cost: prox's plus _certificate's.
     """
     zv = np.atleast_1d(np.asarray(z, dtype=float))
-    x = np.asarray(prox(f, lam, zv, check_convexity=check_convexity).point)
-    y, eps = _certificate(f, lam, zv, x)
+    x, y, eps = _certificate(f, lam, zv, prox(f, lam, zv, check_convexity, convexity_tol))
     return ResolventResult(tuple(x), tuple(y), eps)
 
 
 def yosida(f: GridFn, lam: float, z, check_convexity: bool = True) -> np.ndarray:
     """(z - prox(f, lam, z)) / lam; the gradient of the Moreau envelope."""
     zv = np.atleast_1d(np.asarray(z, dtype=float))
-    x = np.asarray(prox(f, lam, zv, check_convexity=check_convexity).point)
-    return _certificate(f, lam, zv, x, residual=False)[0]
+    return _certificate(f, lam, zv, prox(f, lam, zv, check_convexity=check_convexity), False)[1]
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,11 @@ drops below the true envelope.
 from __future__ import annotations
 
 import functools
+import math
 import operator
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -41,6 +44,8 @@ class ProxResult:
     point: tuple[float, ...]
     envelope: float
     lam: float
+    # f at point as interp_gridfn values it, for the resolvent certificate
+    f_point: float = field(default=math.nan, repr=False, compare=False)
 
 
 def _check_inputs(
@@ -50,7 +55,7 @@ def _check_inputs(
     require_proper(f, f"{name} input")
     if not lam > 0:  # NaN too
         raise ParameterError(f"lambda must be > 0, got {lam}")
-    xv = None if x is None else np.atleast_1d(np.asarray(x, dtype=float))
+    xv = None if x is None else np.array(x, dtype=float, ndmin=1)
     if xv is not None and xv.size != f.grid.dim:
         raise GridMismatchError("query dimension does not match the grid")
     if xv is not None and not f.grid.contains(xv):
@@ -66,41 +71,93 @@ def _node_minimum(coords, values: np.ndarray, lam: float, X: np.ndarray):
     """Smallest flat index j minimizing values[j] + ||x - x_j||^2 / (2 lam)
     over the row-major nodes x_j of the axis coordinates `coords`, and that
     minimum, for each query row x of X (K, dim), a block at a time; the
-    squares are summed over the axes in order, as ((x_j - x) ** 2).sum(-1)."""
+    squares are summed over the axes in order, as ((x_j - x) ** 2).sum(-1).
+    A query whose quotient overflows at some node, or whose objective
+    overflows at every node, takes _exact_minimum."""
     j = np.empty(X.shape[0], dtype=np.int64)
     best = np.empty(X.shape[0])
-    with np.errstate(over="ignore"):  # near the float limit: inf samples skip the step
+    sqmax = sum(float(c[-1] - c[0]) * float(c[-1] - c[0]) for c in coords)
+    qmax = sqmax / (2.0 * float(lam))
+    with np.errstate(over="ignore", invalid="ignore"):  # near the float limit
         for b in _line_blocks(X.shape[0], values.size):
             sq = functools.reduce(lambda q, d: (q[:, :, None] + d[:, None, :]).reshape(len(d), -1),
                                   ((c - x[:, None]) ** 2 for c, x in zip(coords, X[b].T)))
-            v = values + sq / (2.0 * lam)
+            quot = sq / (2.0 * lam)  # at most qmax for a query in the box
+            v = values + quot
             j[b] = np.argmin(v, axis=1)
-            best[b] = v[np.arange(v.shape[0]), j[b]]
+            best[b] = v.min(axis=1)  # v[j]: no -0.0 in v (quot >= +0.0); a nan row is redone below
+            if not qmax < math.inf or best[b].max() == np.inf:  # qmax is nan where 2 lam is inf
+                if sqmax < math.inf and values.min() >= best[b].max() - sys.float_info.max / 2:
+                    continue  # no node can beat its row's minimum (see _exact_minimum)
+                r = np.flatnonzero(~(quot < np.inf).all(axis=1) | ~(best[b] < np.inf))
+                j[b][r], best[b][r] = _exact_minimum(coords, values, lam, X[b][r], sq[r], quot[r])
     return j, best
 
 
-def _parabola_step(f: GridFn, coords, idx, axis: int, x: np.ndarray, lam: float):
-    """Guarded quadratic refinement along `axis` for K queries x (K, dim) at
-    their argmin nodes, indices `idx` (a (K,) array per axis) into `coords`:
+def _exact_minimum(coords, values: np.ndarray, lam: float, X, sq, quot):
+    """_node_minimum's choice for the query rows of X where quot = sq / (2 lam)
+    overflows (or is inf / inf) at some node, or the objective at every
+    node: there, in dom f, the objective is the exact f_j + ||x - x_j||^2 /
+    (2 lam), elsewhere the float one; the least (value, index) wins, its
+    value rounded (+inf past the float range).  Only nodes that can beat
+    the float minimum m are evaluated: f below m and, unless sq overflows
+    there, below m - max_float / 2, as the quotient exceeds max_float / 2;
+    where m is +inf, lam f + sq / 2 within its rounding of its least value."""
+    plain = quot < np.inf
+    v = np.where(plain, values + quot, np.inf)
+    j0, m = np.argmin(v, axis=1), v.min(axis=1, keepdims=True)
+    keep = (values < m - sys.float_info.max / 2) | (np.isinf(sq) & (values < m))
+    keep &= (~plain | (m == np.inf)) & np.isfinite(values)
+    m, lamq = m[:, 0], 2 * Fraction(lam)
+    for k in np.flatnonzero(m == np.inf).tolist():
+        w = lam * values + sq[k] / 2  # lam times the objective, to 2^-51 relative and 2^-1072
+        err = 2.0 ** -50 * (np.abs(lam * values) + sq[k] / 2) + 2.0 ** -1070
+        if keep[k].any() and np.isfinite(w[keep[k]]).all():
+            keep[k] &= w - err <= (w + err)[keep[k]].min()
+    for k in np.flatnonzero(keep.any(axis=1)).tolist():
+        top = (Fraction(m[k]) if m[k] < math.inf else math.inf, j0[k])
+        for jj in np.flatnonzero(keep[k]).tolist():
+            node = [c[i] for c, i in zip(coords, np.unravel_index(jj, [c.size for c in coords]))]
+            e = Fraction(values[jj]) + sum((Fraction(c) - Fraction(xa)) ** 2
+                                           for c, xa in zip(node, X[k])) / lamq
+            top = min(top, (e, jj))
+        # m is never -0.0 (v = f + q, q >= +0.0), so it comes back as it was
+        j0[k], m[k] = top[1], math.inf if top[0] >= _ROUNDS_TO_INF else float(top[0])
+    return j0, m
+
+
+def _parabola_step(f: GridFn, coords, idx, x: np.ndarray, lam: float):
+    """Guarded quadratic refinement along each axis a for K queries x (K, dim)
+    at their argmin nodes, indices `idx` (a (K,) array per axis) into `coords`:
     the parabola through the objective there and at the two neighbours on
-    the axis.  Returns its vertices and their values, +inf where not applied."""
-    c, i = coords[axis], idx[axis]
-    h = c[1] - c[0]
-    near = list(idx)
-    near[axis] = np.clip(i + np.arange(-1, 2)[:, None], 0, c.size - 1)
+    axis a.  Returns its vertices (dim, K, dim) and their values (dim, K),
+    +inf where not applied, with the node as vertex dim, and f interpolated
+    at all (dim + 1, K); a fixed number of array calls per axis."""
+    dim, K = len(coords), x.shape[0]
+    i = np.array(idx)  # (dim, K)
+    near = i[:, None, :] + _STEPS[dim]  # [a, b]: axis b's index of the step along a, unclipped
     with np.errstate(all="ignore"):  # inf and nan where the step does not apply
-        sq = functools.reduce(operator.add,
-                              ((cs[k] - xa) ** 2 for cs, k, xa in zip(coords, near, x.T)))
-        pm, p0, pp = f.values[tuple(near)] + sq / (2.0 * lam)
+        sq = functools.reduce(operator.add, ((c.take(near[:, b], mode="clip") - xb) ** 2
+                                             for b, (c, xb) in enumerate(zip(coords, x.T))))
+        flat = np.ravel_multi_index(tuple(near.transpose(1, 0, 2, 3)), f.grid.shape, mode="clip")
+        pm, p0, pp = (f.values.take(flat) + sq / (2.0 * lam)).transpose(1, 0, 2)
         denom = pm - 2.0 * p0 + pp
-        ok = (i > 0) & (i < c.size - 1) & (denom > 0) & np.isfinite(denom)
-        ok &= np.isfinite(pm) & np.isfinite(p0) & np.isfinite(pp)
-        delta = np.clip(0.5 * (pm - pp) / denom * h, -h, h)
-        cand = np.stack([cs[k] for cs, k in zip(coords, idx)], axis=1)
-        cand[:, axis] += np.where(ok, delta, 0.0)
-        fc = interp_gridfn(f, cand)
-        val = fc + ((x - cand) ** 2).sum(axis=1) / (2.0 * lam)
-    return cand, np.where(ok & np.isfinite(fc), val, np.inf)
+        # a finite denom has pm, p0 and pp finite: none of them is -inf or nan
+        ok = (i > 0) & (i < np.array([[c.size - 1] for c in coords])) & (denom > 0) & (denom < np.inf)
+        h, neg_h = np.array([[[c[1] - c[0]], [c[0] - c[1]]] for c in coords]).transpose(1, 0, 2)
+        delta = np.minimum(h, np.maximum(neg_h, 0.5 * (pm - pp) / denom * h))  # np.clip's bits
+        cand, step = np.empty((dim + 1, K, dim)), np.where(ok, delta, 0.0)
+        for b, (c, ib) in enumerate(zip(coords, idx)):  # the node, moved along axis b in row b
+            cand[:, :, b] = c[ib]
+            cand[b, :, b] += step[b]
+        fc = interp_gridfn(f, cand.reshape(-1, dim)).reshape(dim + 1, K)
+        val = fc[:dim] + np.add.reduce((x - cand[:dim]) ** 2, axis=-1) / (2.0 * lam)
+    return cand, np.where(ok & np.isfinite(fc[:dim]), val, np.inf), fc
+
+
+# per dimension, shape (axis a, axis b, 3, 1): the index steps (-1, 0, 1) along each axis a
+_STEPS = {d: np.eye(d, dtype=np.int64)[:, :, None, None] * np.arange(-1, 2)[:, None] for d in (1, 2)}
+_ROUNDS_TO_INF = Fraction(2 ** 1024 - 2 ** 970)  # max_float + half an ulp, which rounds up
 
 
 def prox(
@@ -109,29 +166,21 @@ def prox(
     """argmin of f(y) + ||x - y||^2 / (2 lam) over the grid, refined.
 
     Ties in the discrete argmin break to the smallest index; convexity
-    makes them adjacent.  Where the objective overflows at every node (a
-    tiny lam), the node minimizes lam f(y) + ||x - y||^2 / 2 instead,
-    which has the same minimizer, and where that overflows at every node
-    too, both terms over s^2, s a power of two above every |x_a - y_a|.
+    makes them adjacent.  Where ||x - y||^2 / (2 lam) overflows at a node
+    of dom f, or the objective at every node, the objective there is the
+    exact rational value, and the envelope reported at such a node is that
+    value rounded, +inf only past the float range.  Cost: the O(N) node
+    scan plus a fixed number of array calls per axis, whatever N.
     """
     xv = _check_inputs(f, lam, check_convexity, convexity_tol, "prox", x)[None, :]
     coords = [f.grid.coords(ax) for ax in range(f.grid.dim)]
     j, best = _node_minimum(coords, f.values.ravel(), lam, xv)
-    if best[0] == np.inf:
-        with np.errstate(over="ignore"):
-            j, low = _node_minimum(coords, lam * f.values.ravel(), 1.0, xv)
-            if low[0] == np.inf:  # both terms times t^2, t = 1 / s
-                s = max(max(xa - c[0], c[-1] - xa) for c, xa in zip(coords, xv[0]))
-                t = np.ldexp(1.0, -np.frexp(s)[1])
-                j, _ = _node_minimum([c * t for c in coords], f.values.ravel() * t * lam * t,
-                                     1.0, xv * t)
-    idx = np.unravel_index(j, f.grid.shape)
-    best_pt, best_val = [c[i[0]] for c, i in zip(coords, idx)], float(best[0])
+    cand, val, fc = _parabola_step(f, coords, np.unravel_index(j, f.grid.shape), xv, lam)
+    a, best_val = f.grid.dim, float(best[0])  # vertex dim is the node
     for ax in range(f.grid.dim):  # per axis from the node; the first strictly better wins
-        cand, val = _parabola_step(f, coords, idx, ax, xv, lam)
-        if val[0] < best_val:
-            best_pt, best_val = cand[0], float(val[0])
-    return ProxResult(tuple(float(v) for v in best_pt), best_val, float(lam))
+        if val[ax, 0] < best_val:
+            a, best_val = ax, float(val[ax, 0])
+    return ProxResult(tuple(float(v) for v in cand[a, 0]), best_val, float(lam), float(fc[a, 0]))
 
 
 def _envelope_lines(xs: np.ndarray, F: np.ndarray, lam: float):
@@ -183,8 +232,8 @@ def moreau_envelope(
         return GridFn(f.grid, _envelope_lines(f.grid.coords(0), inner.T, lam)[1].T)
     xs = f.grid.coords(0)
     j, vals = _envelope_lines(xs, f.values[None, :], lam)
-    _, refined = _parabola_step(f, [xs], (j[0],), 0, xs[:, None], lam)
-    return GridFn(f.grid, np.minimum(vals[0], refined))
+    _, refined, _ = _parabola_step(f, [xs], (j[0],), xs[:, None], lam)
+    return GridFn(f.grid, np.minimum(vals[0], refined[0]))
 
 
 def moreau_decomposition_residual(f: GridFn, x, dual_grid: Optional[Grid] = None) -> float:

@@ -7,6 +7,7 @@ code paths they check.
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -200,32 +201,61 @@ def brute_coercivity(f: GridFn, levels: int = 9):
 
 
 def brute_envelope_1d(f: GridFn, lam: float) -> np.ndarray:
-    """Per-node brute-force inf of f(y) + (x-y)^2/(2 lam) over nodes."""
-    xs = f.grid.coords(0)
-    out = np.empty(xs.size)
-    for k in range(xs.size):
-        out[k] = np.min(f.values + (xs[k] - xs) ** 2 / (2.0 * lam))
-    return out
+    """Per-node brute-force inf of f(y) + (x-y)^2/(2 lam) over nodes, by
+    brute_node_minimum at each node."""
+    return np.array([brute_node_minimum(f, lam, [x])[1] for x in f.grid.coords(0).tolist()])
+
+
+def brute_node_minimum(f: GridFn, lam: float, x) -> tuple[int, float]:
+    """The node minimum of prox and the exhaustive envelope, python loop over
+    the nodes in row-major order in plain floats: the objective is
+    f_j + (sum over the axes, in order, of (x_j - x)^2) / (2 lam).  Where
+    that quotient overflows (or is inf / inf) at some node, each node of
+    dom f where it does, and where the objective overflows at every node,
+    each node of dom f, takes the exact rational value (Fraction) instead.  Returns the smallest index of the least value
+    and that value as a float, +inf past the float range."""
+    coords = [f.grid.coords(ax).tolist() for ax in range(f.grid.dim)]
+    xs = [float(v) for v in np.atleast_1d(x)]
+    vals, quots = [], []
+    for j, node in enumerate(itertools.product(*coords)):
+        sq = None
+        for c, xa in zip(node, xs):
+            d = (c - xa) * (c - xa)
+            sq = d if sq is None else sq + d
+        quots.append(sq / (2.0 * lam))  # nan where sq and 2 lam are inf
+        vals.append(float(f.values.flat[j]) + quots[-1] if quots[-1] < math.inf else math.inf)
+    every = min(vals) == math.inf
+    over = [not q < math.inf for q in quots]
+    best = None
+    for j, node in enumerate(itertools.product(*coords)):
+        fj, v = float(f.values.flat[j]), vals[j]
+        if (every or any(over)) and fj != math.inf and (every or over[j]):
+            v = Fraction(fj) + sum((Fraction(c) - Fraction(xa)) ** 2
+                                   for c, xa in zip(node, xs)) / (2 * Fraction(lam))
+        if best is None or v < best[0]:
+            best = (v, j)
+    try:
+        return best[1], float(best[0])
+    except OverflowError:
+        return best[1], math.inf
 
 
 def brute_prox(f: GridFn, lam: float, x) -> tuple[tuple[float, ...], float]:
-    """prox by the dense objective f_j + ||x - x_j||^2 / (2 lam) over every
-    node and its smallest flat-index minimum; then, per axis from that
-    node, the parabola through the objective at the node and its two
-    neighbours on the axis, python loop: where the node is interior, the
-    three values finite and the curvature finite and positive, the vertex
-    (its step clipped to one spacing) is valued through brute_interp, and
-    the first strictly better value wins.  Where the objective is +inf at
-    every node, the node is the smallest flat-index minimum of
-    lam f_j + ||x - x_j||^2 / 2 instead.  Returns (point, envelope)."""
+    """prox by brute_node_minimum; then, per axis from that node, the
+    parabola through the float objective f_j + ||x - x_j||^2 / (2 lam) at
+    the node and its two neighbours on the axis, python loop: where the
+    node is interior, the three values finite and the curvature finite and
+    positive, the vertex (its step clipped to one spacing, bound first) is
+    valued through brute_interp, and the first strictly better value wins.
+    Returns (point, envelope)."""
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     with np.errstate(over="ignore"):
         sq = ((f.grid.nodes() - xv) ** 2).sum(axis=1).reshape(f.grid.shape)
         obj = f.values + sq / (2.0 * lam)
-        scaled = obj if np.isfinite(obj).any() else lam * f.values + sq / 2.0
-    idx = np.unravel_index(int(np.argmin(scaled)), obj.shape)
+    j, best_val = brute_node_minimum(f, lam, xv)
+    idx = np.unravel_index(j, obj.shape)
     node = [float(f.grid.coords(ax)[i]) for ax, i in enumerate(idx)]
-    best_pt, best_val = node, float(obj[idx])
+    best_pt = node
     for ax, i in enumerate(idx):
         coords = f.grid.coords(ax)
         if not 0 < i < coords.size - 1:
@@ -238,7 +268,7 @@ def brute_prox(f: GridFn, lam: float, x) -> tuple[tuple[float, ...], float]:
         if not (math.isfinite(denom) and denom > 0):
             continue
         cand = list(node)
-        cand[ax] = node[ax] + min(max(0.5 * (pm - pp) / denom * h, -h), h)
+        cand[ax] = node[ax] + min(h, max(-h, 0.5 * (pm - pp) / denom * h))
         fc = float(brute_interp(f, [cand])[0])
         if not math.isfinite(fc):
             continue
@@ -250,6 +280,19 @@ def brute_prox(f: GridFn, lam: float, x) -> tuple[tuple[float, ...], float]:
         if val < best_val:
             best_pt, best_val = cand, val
     return tuple(best_pt), best_val
+
+
+def brute_certificate(f: GridFn, lam: float, z, x) -> tuple[tuple[float, ...], float]:
+    """The resolvent's y = (z - x) / lam per axis in plain floats, and the
+    Fenchel-Young residual f(x) + f*(y) - <x, y>: f(x) by brute_interp,
+    f*(y) by brute_conjugate_value_at, <x, y> as numpy's dot computes it (a
+    BLAS may fuse its products); +inf where the residual is nan."""
+    xs = [float(v) for v in np.atleast_1d(x)]
+    y = [(float(za) - xa) / lam for za, xa in zip(np.atleast_1d(z), xs)]
+    with np.errstate(all="ignore"):
+        xy = float(np.dot(xs, y))
+    eps = float(brute_interp(f, [xs])[0]) + brute_conjugate_value_at(f, y)[0] - xy
+    return tuple(y), math.inf if math.isnan(eps) else eps
 
 
 def brute_coupon_perm(xs) -> float:

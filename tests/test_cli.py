@@ -770,3 +770,40 @@ def test_cached_parser_gives_each_call_fresh_options_and_defaults(tmp_path, caps
     assert main(["prox", "--help"]) == 0
     assert main(["prox", *fn, "--lambda", "2", "--out", out]) == 0
     assert json.load(open(out))["lambda"] == 2.0
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["prox", "--x", "1e300"], {"prox": [0.0], "envelope": -5e299}),
+        (["resolvent", "--z", "1e300"], {"x": [0.0], "y": [1.0], "certificate_eps": 0.0}),
+    ],
+)
+def test_prox_and_resolvent_take_the_exact_node_where_the_squares_overflow(tmp_path, capsys, argv,
+                                                                           want):
+    # (x - y)^2 overflows at two of three nodes: the report was prox 1e300
+    # with envelope 0.0, and resolvent x = 1e300, y = 0, eps = 1e300
+    p = str(tmp_path / "f.json")
+    write_gridfn_json(GridFn(Grid.line(0, 1e300, 3), [-1e300, -5e299, 0.0]), p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([argv[0], "--in", p, "--lambda", "1e300", *argv[1:]])
+    out = capsys.readouterr()
+    assert (rc, out.err) == (0, "")
+    doc = _strict_json(out.out)
+    assert {k: doc[k] for k in want} == want
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["prox", "--atom", "abs", "--grid=-4:4:801", "--lam", "2", "--x", "3"], "--lam 2"),
+        (["prox", "--atom", "abs", "--gri=-4:4:801", "--x", "3"], "--gri=-4:4:801"),
+        (["conjugate", "--atom", "abs", "--grid=-4:4:801", "--dua=-1:1:3"], "--dua=-1:1:3"),
+    ],
+    ids=["lam", "gri", "dua"],
+)
+def test_option_prefixes_are_usage_errors(argv, bad, capsys):
+    # argparse took any unambiguous prefix: --lam ran as --lambda 2
+    assert main(argv) == 2
+    assert f"unrecognized arguments: {bad}\n" in capsys.readouterr().err

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_envelope_1d, brute_prox, random_convex_gridfn
+from conftest import (brute_certificate, brute_envelope_1d, brute_node_minimum, brute_prox,
+                      random_convex_gridfn)
 from convexdesk import fenchel, moreau
 from convexdesk.atoms import FnAtom, sample
 from convexdesk.errors import (
@@ -188,6 +189,151 @@ def test_prox_takes_the_minimizer_where_every_node_overflows(z, expect):
         assert prox(g, 1e-320, (z, 0.5), check_convexity=False).point == (expect, 0.0)
 
 
+QUERY_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, 3.0]
+
+
+@st.composite
+def query_cases(draw):
+    """A 1-D or 2-D grid whose axes start at 0.0, -0.0 or a negative lo,
+    values from QUERY_VALUES with +inf patches, and a query on a node, at
+    a box edge, at -0.0 where lo is 0.0, or inside the box."""
+    shape = draw(st.one_of(st.tuples(st.integers(2, 12)),
+                           st.tuples(st.integers(2, 6), st.integers(2, 6))))
+    axes = []
+    for n in shape:
+        lo = draw(st.sampled_from([0.0, -0.0, -1.0, -2.5]))
+        axes.append((lo, lo + draw(st.sampled_from([1.0, 2.0, 5.0])), n))
+    g = Grid(tuple(axes))
+    vals = draw(st.lists(st.sampled_from(QUERY_VALUES + [np.inf]), min_size=g.node_count,
+                         max_size=g.node_count))
+    x = [draw(st.one_of(st.sampled_from(g.coords(ax).tolist() + [lo, hi, -0.0 if lo == 0.0 else lo]),
+                        st.floats(lo, hi)))
+         for ax, (lo, hi, _) in enumerate(g.axes)]
+    return GridFn(g, np.reshape(vals, g.shape)), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=query_cases(), lam=st.sampled_from([1e-3, 0.5, 1.0, 2.0, 10.0]))
+@example(case=(GridFn(Grid.line(0.0, 1.0, 3), [0.0, 1.0, 0.5]), [-0.0]), lam=1.0)  # clip order
+def test_prox_and_certificate_match_the_plain_loops_bit_for_bit(case, lam):
+    # the point, the envelope, y and eps of one query against python loops
+    # that follow the library's expression trees, warnings as errors
+    f, x = case
+    if not f.is_proper:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = prox(f, lam, x, check_convexity=False)
+        r = resolvent(f, lam, x, check_convexity=False)
+    point, value = brute_prox(f, lam, x)
+    y, eps = brute_certificate(f, lam, x, point)
+    assert np.asarray(res.point).tobytes() == np.asarray(point).tobytes()
+    assert np.float64(res.envelope).tobytes() == np.float64(value).tobytes()
+    assert np.asarray(r.x).tobytes() == np.asarray(point).tobytes()
+    assert np.asarray(r.y).tobytes() == np.asarray(y).tobytes()
+    assert np.float64(r.certificate_eps).tobytes() == np.float64(eps).tobytes()
+
+
+# linear data whose squares (x - y)^2 overflow at two of three nodes
+SQUARES_OVERFLOW = GridFn(Grid.line(0, 1e300, 3), [-1e300, -5e299, 0.0])
+
+
+def test_prox_takes_the_exact_node_where_the_squares_overflow():
+    # y = 1e300 with envelope 0.0 was returned: the nodes whose objective
+    # overflowed were skipped.  The exact minimum is -5e299 at y = 0, as
+    # for the same data scaled by 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = prox(SQUARES_OVERFLOW, 1e300, 1e300)
+        small = prox(GridFn(Grid.line(0, 1, 3), [-1.0, -0.5, 0.0]), 1.0, 1.0)
+    assert (res.point, res.envelope) == ((0.0,), -5e299)
+    assert (small.point, small.envelope) == ((0.0,), -0.5)
+
+
+def test_envelope_takes_the_exact_node_minima_where_the_squares_overflow():
+    # the exhaustive envelope shares the node minimum: it was [-1e300, -5e299, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        env = moreau_envelope(SQUARES_OVERFLOW, 1e300).values
+    assert env.tolist() == [-1e300, -8.75e299, -5e299]
+
+
+def test_prox_where_every_objective_overflows_is_never_decided_by_a_nan():
+    # at 2.5e299 every objective overflows and lam f is -inf at two nodes:
+    # -inf + inf was nan ("invalid value encountered in add") and np.argmin
+    # took the first nan.  The exact minimum is -9.6875e299 at y = 0
+    g = GridFn(Grid.box((-0.0, 1e300, 6), (-1e-300, 1, 2)),
+               [[0.0, 0.0], [-1e300, 0.0], [-1e300, -1e300], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = prox(SQUARES_OVERFLOW, 1e300, 2.5e299, check_convexity=False)
+        for z in ([2.5e299, 0.5], [7e299, 1.0], [1e300, -1e-300]):
+            got = prox(g, 1e300, z, check_convexity=False)
+            resolvent(g, 1e300, z, check_convexity=False)
+            yosida(g, 1e300, z, check_convexity=False)
+            j, value = brute_node_minimum(g, 1e300, z)
+            node = tuple(g.grid.nodes()[j].tolist())
+            assert got.point == node and got.envelope == value
+    assert (res.point, res.envelope) == ((0.0,), -9.6875e299)
+
+
+LIMIT_VALUES = [0.0, -1.0, 1e300, -1e300, -5e299, 1.7e308, -1.7e308, np.inf]
+LIMIT_AXES = [(0.0, 1e300), (-1e300, 1e300), (-0.0, 1e300), (-1e-300, 1.0), (-2.5, 2.5)]
+
+
+@st.composite
+def limit_cases(draw):
+    """A 1-D or 2-D grid over LIMIT_AXES, values near the float limit from
+    LIMIT_VALUES, and a query on a node or inside the box."""
+    shape = draw(st.one_of(st.tuples(st.integers(2, 6)),
+                           st.tuples(st.integers(2, 4), st.integers(2, 4))))
+    g = Grid(tuple((*draw(st.sampled_from(LIMIT_AXES)), n) for n in shape))
+    vals = draw(st.lists(st.sampled_from(LIMIT_VALUES), min_size=g.node_count,
+                         max_size=g.node_count))
+    x = [draw(st.one_of(st.sampled_from(g.coords(ax).tolist()), st.floats(lo, hi)))
+         for ax, (lo, hi, _) in enumerate(g.axes)]
+    return GridFn(g, np.reshape(vals, g.shape)), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=limit_cases(),
+       lam=st.sampled_from([1.7e308, 1e300, 1e200, 1.0, 1e-300, 1e-308, 1e-320]))
+def test_node_minimum_near_the_float_limit_is_the_fraction_oracle(case, lam):
+    # where the objective overflows, the node is the exact minimizer over
+    # those nodes and the value the exact one, rounded; no warning, no nan
+    f, x = case
+    if not f.is_proper:
+        return
+    coords = [f.grid.coords(ax) for ax in range(f.grid.dim)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        j, best = moreau._node_minimum(coords, f.values.ravel(), lam, np.array([x]))
+        res = prox(f, lam, x, check_convexity=False)
+        resolvent(f, lam, x, check_convexity=False)
+    jb, value = brute_node_minimum(f, lam, x)
+    assert int(j[0]) == jb
+    assert np.float64(best[0]).tobytes() == np.float64(value).tobytes()
+    assert res.envelope <= value
+
+
+@pytest.mark.parametrize("lam", [1e-320, 1e-312])
+def test_node_minimum_where_every_objective_overflows_is_the_fraction_oracle_on_long_lines(lam):
+    # every objective overflows off the nodes: the exact pass pre-selects by
+    # lam f + sq / 2 within its rounding, which must keep the minimizer
+    rng = np.random.default_rng(7)
+    for shape in ((400,), (20, 20)):
+        g = Grid(tuple((-2.0, 2.0, n) for n in shape))
+        vals = rng.choice([0.0, 1.0, -1e308, 1e308, 1.7e308, np.inf], size=shape)
+        f = GridFn(g, vals)
+        coords = [g.coords(ax) for ax in range(g.dim)]
+        for x in rng.uniform(-2.0, 2.0, size=(5, g.dim)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                j, best = moreau._node_minimum(coords, f.values.ravel(), lam, x[None, :])
+            jb, value = brute_node_minimum(f, lam, x)
+            assert (int(j[0]), np.float64(best[0]).tobytes()) == (jb, np.float64(value).tobytes())
+
+
 # ---- envelope ---------------------------------------------------------------
 
 
@@ -293,7 +439,7 @@ def _envelope_node_minima(f: GridFn, lam: float, kernel_calls: list):
         brute = brute_envelope_1d(f, lam)
         xs = f.grid.coords(0)
         assert j[0].tolist() == [
-            int(np.argmin(f.values + (x - xs) ** 2 / (2.0 * lam))) for x in xs
+            brute_node_minimum(f, lam, [x])[0] for x in xs
         ]  # the smallest minimizing index
     return vals[0], brute, env
 
