@@ -65,8 +65,7 @@ def _slack(v: float) -> float:
 
 def _eval_power(params, x):
     (p,) = params
-    with np.errstate(over="ignore"):  # |x| > 1 at a huge p: +inf, the limit
-        return np.abs(x) ** p / p
+    return np.abs(x) ** p / p  # |x| > 1 at a huge p: +inf, the limit
 
 
 def _check_power(params):
@@ -112,8 +111,7 @@ def _eval_dist_conj(params, x):
 
 
 def _eval_exp(params, x):
-    with np.errstate(over="ignore"):
-        return np.exp(x)
+    return np.exp(x)
 
 
 def _eval_xlogx(params, x):
@@ -125,8 +123,7 @@ def _eval_xlogx(params, x):
 
 
 def _eval_expexp(params, x):
-    with np.errstate(over="ignore"):
-        return np.exp(np.exp(x))
+    return np.exp(np.exp(x))
 
 
 def _eval_expexp_conj(params, x):
@@ -210,7 +207,10 @@ def _eval_l1norm(params, x):
 
 
 def _eval_l2norm(params, x):
-    return np.sqrt((x ** 2).sum(axis=1))
+    out = np.sqrt((x ** 2).sum(axis=1))
+    big = np.isinf(out)  # the squares overflow: hypot, +inf only past the float range
+    out[big] = np.hypot(x[big, 0], x[big, 1])
+    return out
 
 
 def _eval_linfnorm(params, x):
@@ -267,29 +267,31 @@ def catalog_tags() -> list[str]:
 
 
 def _eval_array(atom: FnAtom, pts: np.ndarray) -> np.ndarray:
-    spec = _catalog_spec(atom.tag)
-    if spec.arity == 1:
-        x = pts.reshape(-1)
-    else:
-        x = pts.reshape(-1, 2)
-    return np.asarray(spec.evaluate(atom.params, np.asarray(x, dtype=float)), dtype=float)
-
-
-def atom_eval(atom: FnAtom, x) -> float:
-    """Evaluate one atom at one point (scalar or length-`arity` vector);
-    ParameterError where the value is NaN."""
-    p = np.atleast_1d(np.asarray(x, dtype=float))
-    if p.size != atom.arity:
-        raise GridMismatchError(f"atom {atom.tag!r} has arity {atom.arity}, point has size {p.size}")
-    v = float(_eval_array(atom, p[None, :] if atom.arity == 2 else p)[0])
-    if math.isnan(v):
+    """The atom at each point of pts, the float rule of every sample: a value
+    past the float range is ±inf, silently, and a NaN value raises
+    ParameterError naming the atom, its parameters and the first NaN point."""
+    x = np.asarray(pts, dtype=float).reshape(-1, atom.arity)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.asarray(_catalog_spec(atom.tag).evaluate(atom.params, x[:, 0] if atom.arity == 1 else x),
+                       dtype=float)
+    if math.isnan(v.min()):  # the min of values holding NaN is NaN
         raise ParameterError(f"atom {atom.tag!r} with parameters {atom.params} "
-                             f"is NaN at {p.tolist()}")
+                             f"is NaN at {x[int(np.argmax(np.isnan(v)))].tolist()}")
     return v
 
 
+def atom_eval(atom: FnAtom, x) -> float:
+    """Evaluate one atom at one point (scalar or length-`arity` vector),
+    under _eval_array's float rule."""
+    p = np.atleast_1d(np.asarray(x, dtype=float))
+    if p.size != atom.arity:
+        raise GridMismatchError(f"atom {atom.tag!r} has arity {atom.arity}, point has size {p.size}")
+    return float(_eval_array(atom, p)[0])
+
+
 def sample(atom: FnAtom, grid: Grid) -> GridFn:
-    """Sample an atom on a grid; points outside the box are implicitly +inf."""
+    """Sample an atom on a grid under _eval_array's float rule; points
+    outside the box are implicitly +inf."""
     if grid.dim != atom.arity:
         raise GridMismatchError(
             f"atom {atom.tag!r} has arity {atom.arity}, grid has dim {grid.dim}"

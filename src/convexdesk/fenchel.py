@@ -68,6 +68,9 @@ class ConjugateResult:
         a.setflags(write=False)
         object.__setattr__(self, "argmax", a)
 
+    def __reduce__(self):
+        return ConjugateResult, (self.dual, self.argmax)  # a read-only argmax again
+
 
 def _lower_hull(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Indices of the lower convex hull of the finite points (x, f), x
@@ -245,11 +248,7 @@ def _conjugate_block(xs: np.ndarray, F: np.ndarray, ys: np.ndarray, lam: Optiona
     wl, wk = np.nonzero(jhi > jlo)
     a = jlo[wl, wk]
     size = jhi[wl, wk] - a + 1
-    windows += int(size.sum())
-    if windows > MAX_DIRECT_PAIRS:
-        raise ParameterError(
-            f"conjugate's rounding windows need {windows} nodes, cap is {MAX_DIRECT_PAIRS}"
-        )
+    windows = _budget(windows + int(size.sum()), "conjugate's rounding windows need {} nodes")
     ends = np.cumsum(size)
     c0 = 0
     while c0 < wl.size:
@@ -323,8 +322,7 @@ def conjugate(f: GridFn, dual_grid: Grid) -> ConjugateResult:
     of max |x| max |y| (a bound on every value the kernel forms), it runs
     only if 8 max(M, 1) max(S, 1/h) is at most the largest float on every
     axis of f's grid (span S, spacing h).  Otherwise the result is
-    conjugate_oracle's, which refuses more than MAX_DIRECT_PAIRS node
-    pairs with ParameterError before any work.
+    conjugate_oracle's, with its work budget.
 
     The hull's rounds drop a node within rounding below its chord too (the
     margin in the module docstring).  Each line's window bound grows by
@@ -335,8 +333,8 @@ def conjugate(f: GridFn, dual_grid: Grid) -> ConjugateResult:
     node) still reach the per-point chain, past the rounds' work budget.
 
     The rounding windows take an exhaustive max over each window's nodes.
-    Past MAX_DIRECT_PAIRS window nodes in one pass over lines it raises
-    ParameterError before the block that crosses the cap.  A pass has at
+    Their work is one pass's window nodes, counted a block of lines at a
+    time and refused before the block that crosses the cap.  A pass has at
     most one window of one line's nodes per line and dual node, so only
     inputs over the oracle's pair cap reach it; f = 0 on [-1, 1] with the
     dual grid in [-1e-13, 1e-13] has n*m window nodes.
@@ -367,20 +365,15 @@ def conjugate(f: GridFn, dual_grid: Grid) -> ConjugateResult:
 def conjugate_oracle(f: GridFn, dual_grid: Grid) -> ConjugateResult:
     """Exhaustive O(n*m) conjugate; ground truth for the fast transform.
 
-    Above MAX_DIRECT_PAIRS primal-dual node pairs (n*m) it raises
-    ParameterError before any work; else it is _conjugate_scan's.  Where
-    a term is inf - inf in dom f (in 2-D, x1 y1 and x2 y2 - f past the
-    float limit with opposite signs) it raises ParameterError naming the
-    dual and the primal node.
+    Its work is the n*m primal-dual node pairs (MAX_DIRECT_PAIRS caps it);
+    the result is _conjugate_scan's.  Where a term is inf - inf in dom f
+    (in 2-D, x1 y1 and x2 y2 - f past the float limit with opposite signs)
+    it raises ParameterError naming the dual and the primal node.
     """
     require_proper(f, "conjugate input")
     if dual_grid.dim != f.grid.dim:
         raise GridMismatchError("dual grid dimension must match the function's")
-    pairs = f.grid.node_count * dual_grid.node_count
-    if pairs > MAX_DIRECT_PAIRS:
-        raise ParameterError(
-            f"conjugate_oracle needs {pairs} node pairs, cap is {MAX_DIRECT_PAIRS}"
-        )
+    _budget(f.grid.node_count * dual_grid.node_count, "conjugate_oracle needs {} node pairs")
     ys = dual_grid.nodes()
     best, arg = _conjugate_scan(f, ys)
     if np.isnan(best).any():  # np.argmax named the first nan term
@@ -454,12 +447,28 @@ class InfConvResult:
     argmin: np.ndarray  # flat index of the attaining y node, -1 where +inf
 
 
-# cap on the node pairs of the direct paths, the (x, y) pairs of
-# inf_convolution and the primal-dual pairs of conjugate_oracle.  On a
-# shared 2-vCPU Xeon host, at the cap, the inf-convolution takes about 2
-# to 2.5 s at 241² and 2 to 2.4 s at 51,639 nodes (centred on 0), and the
-# oracle (about 2 ns a pair in 1-D, 2.5 ns in 2-D) some 4 to 5 s.
+# The work budget of every exhaustive pass.  A pass counts its work from
+# its input sizes (each entry point's docstring gives its count) and calls
+# _budget before the work it counts, so a pass past the cap is refused
+# with ParameterError before it starts.  On a shared 2-vCPU Xeon host, at
+# the cap: the direct inf-convolution about 2 to 2.5 s at 241² and 2 to
+# 2.4 s at 51,639 nodes (centred on 0); conjugate_oracle 4 to 5 s (about
+# 2 ns a pair in 1-D, 2.5 ns in 2-D); a conjugate pass's rounding windows
+# about 50 s (21 to 24 ns a window node); the Minkowski merge about 20 s
+# (10 to 11 ns an increment); the exhaustive envelope about 7.5 s (3.7 ns
+# a node pair).  is_monotone, surjectivity_probe and coupon_convexity_probe
+# state theirs.
 MAX_DIRECT_PAIRS = 2_000_000_000
+
+
+def _budget(work: int, needs: str) -> int:
+    """`work`, the count of an exhaustive pass, or ParameterError past
+    MAX_DIRECT_PAIRS, read at each call so that a patched cap holds
+    everywhere; `needs` is the pass's "... needs {} ..." text."""
+    if work > MAX_DIRECT_PAIRS:
+        raise ParameterError(f"{needs.format(work)}, cap is {MAX_DIRECT_PAIRS}")
+    return work
+
 
 # (x, y) sums per tile of the direct inf-convolution, 1 MB of float64
 _TILE_ELEMS = 1 << 17
@@ -540,8 +549,8 @@ def inf_convolution(f: GridFn, g: GridFn) -> InfConvResult:
     tile's sums, the padded g ((3 n0 - 2) n1 floats), the column's copies
     (at most (4 n0 - 2) n1 floats), blocks of the bound tables of about
     _TILE_ELEMS floats and the rectangles' ends (4 n0 n1 integers).
-    Above MAX_DIRECT_PAIRS (x, y) pairs (2e9: about 51,600 nodes in 1-D,
-    241² in 2-D, centred on 0) it raises ParameterError before any work.
+    Its work is the (x, y) pairs with x - y a node, which MAX_DIRECT_PAIRS
+    caps at about 51,600 nodes in 1-D and 241² in 2-D, centred on 0.
     """
     if f.grid != g.grid:
         raise GridMismatchError("inf-convolution requires the same grid geometry")
@@ -550,11 +559,8 @@ def inf_convolution(f: GridFn, g: GridFn) -> InfConvResult:
     grid = f.grid
     shape = grid.shape
     zero = [grid.zero_index(ax) for ax in range(grid.dim)]
-    pairs = math.prod(_axis_pairs(n, i0) for n, i0 in zip(shape, zero))
-    if pairs > MAX_DIRECT_PAIRS:
-        raise ParameterError(
-            f"direct inf-convolution needs {pairs} (x, y) pairs, cap is {MAX_DIRECT_PAIRS}"
-        )
+    _budget(math.prod(_axis_pairs(n, i0) for n, i0 in zip(shape, zero)),
+            "direct inf-convolution needs {} (x, y) pairs")
     # a line is the (n, 1) grid: shape (n0, n1), zero node (z0, z1)
     (n0, n1), (z0, z1) = (shape + (1,))[:2], (zero + [0])[:2]
     fv, gv = f.values.reshape(n0, n1), g.values.reshape(n0, n1)
@@ -653,12 +659,10 @@ def minkowski_infconv_convex(fvals: np.ndarray, gvals: np.ndarray, rows=None) ->
     O(sum pairs (a1 + b1) log(a1 + b1)); memory is 8 bytes times
     min(a0, b0)(a1 + b1 - 2) + a0(a1 - 1) + b0(b1 - 1) + (a0 + b0 - 1)(a1 + b1 - 1)
     floats (the buffer, the two increment tables and H), plus numpy's
-    ufunc buffer for the bases' broadcast (np.getbufsize() floats).  Past
-    MAX_DIRECT_PAIRS increments it raises ParameterError before any
-    work.  The cap is two n x n arrays at n = 1000 with every row, or at
-    n = 1260 with every other row, as an Asplund step asks: about 20 s at
-    the 10 to 11 ns an increment measured on a shared 2-vCPU Xeon host,
-    and 64 MB or 100 MB.
+    ufunc buffer for the bases' broadcast (np.getbufsize() floats).  W is
+    its work: MAX_DIRECT_PAIRS caps it at two n x n arrays at n = 1000 with
+    every row, or at n = 1260 with every other row, as an Asplund step
+    asks, in 64 MB or 100 MB.
     """
     F = np.asarray(fvals, dtype=float)
     G = np.asarray(gvals, dtype=float)
@@ -669,11 +673,7 @@ def minkowski_infconv_convex(fvals: np.ndarray, gvals: np.ndarray, rows=None) ->
     a0, b0 = F.shape[0], G.shape[0]
     K = np.arange(a0 + b0 - 1) if rows is None else np.asarray(rows, dtype=np.int64)
     pairs = np.minimum(K, a0 - 1) - np.maximum(0, K - b0 + 1) + 1
-    work = int(pairs.sum()) * (shape[-1] - 1)
-    if work > MAX_DIRECT_PAIRS:
-        raise ParameterError(
-            f"Minkowski merge needs {work} sorted increments, cap is {MAX_DIRECT_PAIRS}"
-        )
+    _budget(int(pairs.sum()) * (shape[-1] - 1), "Minkowski merge needs {} sorted increments")
     return _row_minkowski(F, G, K.tolist()).reshape(shape)
 
 
@@ -703,6 +703,9 @@ class SubdifferentialSet:
         s.setflags(write=False)
         object.__setattr__(self, "slopes", s)
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
+
+    def __reduce__(self):
+        return SubdifferentialSet, (self.x, self.slopes, self.epsilon)  # read-only slopes again
 
 
 def _node_coords(grid: Grid, index: tuple[int, ...]) -> tuple[float, ...]:

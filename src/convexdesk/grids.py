@@ -64,6 +64,9 @@ class Grid:
             c.setflags(write=False)
         object.__setattr__(self, "_coords", coords)
 
+    def __reduce__(self):
+        return Grid, (self.axes,)  # a copy or unpickled Grid builds its coords again, read-only
+
     @classmethod
     def line(cls, lo: float, hi: float, n: int) -> "Grid":
         return cls(((lo, hi, n),))
@@ -147,6 +150,9 @@ class GridFn:
             raise ValueError("GridFn values cannot contain NaN")
         v.setflags(write=False)
         object.__setattr__(self, "values", v.view())
+
+    def __reduce__(self):
+        return GridFn, (self.grid, self.values)  # read-only again, and no stored verdict
 
     def __eq__(self, other: object) -> bool:
         """Same grid and equal values node for node (the memo is not compared)."""

@@ -25,8 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import GridMismatchError, NonconvexError, ParameterError, WidenGridError
-from .fenchel import (MAX_DIRECT_PAIRS, _conjugate_lines, _kernel_overflows, _line_blocks,
-                      conjugate, default_dual_grid, inf_convolution)
+from .fenchel import (_TILE_ELEMS, _budget, _conjugate_lines, _kernel_overflows, conjugate,
+                      default_dual_grid, inf_convolution)
 from .grids import Grid, GridFn, discrete_convexity_check, interp_gridfn, require_proper
 
 __all__ = [
@@ -70,16 +70,19 @@ def _check_inputs(
 def _node_minimum(coords, values: np.ndarray, lam: float, X: np.ndarray):
     """Smallest flat index j minimizing values[j] + ||x - x_j||^2 / (2 lam)
     over the row-major nodes x_j of the axis coordinates `coords`, and that
-    minimum, for each query row x of X (K, dim), a block at a time; the
-    squares are summed over the axes in order, as ((x_j - x) ** 2).sum(-1).
+    minimum, for each query row x of X (K, dim), in blocks of about
+    _TILE_ELEMS (query, node) pairs; the squares are summed over the axes
+    in order, as ((x_j - x) ** 2).sum(-1).
     A query whose quotient overflows at some node, or whose objective
     overflows at every node, takes _exact_minimum."""
     j = np.empty(X.shape[0], dtype=np.int64)
     best = np.empty(X.shape[0])
     sqmax = sum(float(c[-1] - c[0]) * float(c[-1] - c[0]) for c in coords)
     qmax = sqmax / (2.0 * float(lam))
+    step = max(1, _TILE_ELEMS // values.size)
     with np.errstate(over="ignore", invalid="ignore"):  # near the float limit
-        for b in _line_blocks(X.shape[0], values.size):
+        for a in range(0, X.shape[0], step):
+            b = slice(a, a + step)
             sq = functools.reduce(lambda q, d: (q[:, :, None] + d[:, None, :]).reshape(len(d), -1),
                                   ((c - x[:, None]) ** 2 for c, x in zip(coords, X[b].T)))
             quot = sq / (2.0 * lam)  # at most qmax for a query in the box
@@ -192,28 +195,19 @@ def _envelope_lines(xs: np.ndarray, F: np.ndarray, lam: float):
     expression (_conjugate_lines with lam: a line with no finite value gives
     (-1, +inf)).  Where conjugate's float-limit bound fails on g (its
     largest finite |g| taken as max |f| + max x^2 / (2 lam)) and the dual
-    nodes x / lam, the minimum is the exhaustive one instead, which refuses
-    more than MAX_DIRECT_PAIRS (line node, node) pairs before its work; the
-    kernel's windows are capped as in conjugate.
+    nodes x / lam, the minimum is the exhaustive node minimum instead, its
+    work L n^2 (line node, node) pairs; the kernel's windows count as in
+    conjugate.
     """
     lo, hi, n, lam = float(xs[0]), float(xs[-1]), xs.size, float(lam)
     fmax = max(-float(F.min()), float(np.max(F, where=np.isfinite(F), initial=0.0)))
     gmax = fmax + max(lo * lo, hi * hi) / (2.0 * lam)  # Python floats: inf, no warning
     if _kernel_overflows(gmax, [(lo, hi, n)], [(lo / lam, hi / lam, n)]):
-        return _envelope_exhaustive(xs, F, lam)
+        _budget(F.size * n, "exhaustive envelope needs {} node pairs")
+        j, best = zip(*(_node_minimum([xs], line, lam, xs[:, None]) for line in F))
+        return np.array(j), np.array(best)
     vals, j = _conjugate_lines(xs, F, xs, lam)
     return j, -vals
-
-
-def _envelope_exhaustive(xs: np.ndarray, F: np.ndarray, lam: float):
-    """_envelope_lines by the node minimum over every node pair, a line at a time."""
-    pairs = F.size * xs.size
-    if pairs > MAX_DIRECT_PAIRS:
-        raise ParameterError(
-            f"exhaustive envelope needs {pairs} node pairs, cap is {MAX_DIRECT_PAIRS}"
-        )
-    j, best = zip(*(_node_minimum([xs], line, lam, xs[:, None]) for line in F))
-    return np.array(j), np.array(best)
 
 
 def moreau_envelope(

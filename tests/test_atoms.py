@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -134,6 +135,43 @@ def test_atom_eval_is_a_float_and_refuses_nan():
     assert type(v) is float and v == math.inf
     with pytest.raises(ParameterError, match="'power'.* is NaN at"):
         atom_eval(FnAtom("power", (math.nan,)), 1.0)
+
+
+_INF = math.inf
+
+
+@pytest.mark.parametrize(
+    "atom, grid, values",
+    [
+        (FnAtom("sqnorm2"), Grid.box((-8e307, 8e307, 3), (-1e300, 1e300, 3)),
+         [_INF] * 4 + [0.0] + [_INF] * 4),
+        (FnAtom("quad", (1.0, 0.0)), Grid.line(-8e307, 8e307, 5), [_INF, _INF, 0.0, _INF, _INF]),
+        (FnAtom("quad_conj", (1.0, 0.0)), Grid.line(-8e307, 8e307, 5), [_INF, _INF, 0.0, _INF, _INF]),
+        (FnAtom("negsqrt_conj"), Grid.line(-8e307, 8e307, 5), [0.0, 6.25e-309, _INF, _INF, _INF]),
+        # the squares overflow: +inf at 6 of the 9 nodes, now hypot's value
+        (FnAtom("l2norm"), Grid.box((-2, 2, 3), (-1e200, 1e200, 3)),
+         [1e200, 2.0, 1e200, 1e200, 0.0, 1e200, 1e200, 2.0, 1e200]),
+    ],
+    ids=["sqnorm2", "quad", "quad_conj", "negsqrt_conj", "l2norm"],
+)
+def test_samples_past_the_float_range_of_their_terms_raise_no_warning(atom, grid, values):
+    # the squares, and 4 x in negsqrt_conj, overflowed with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = sample(atom, grid)
+    assert f.values.ravel().tolist() == values
+
+
+def test_a_nan_sample_names_the_atom_and_its_first_nan_node():
+    # -inf * 0 at x = 0: a RuntimeWarning, then "GridFn values cannot contain NaN"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=re.escape(
+                "atom 'support' with parameters (-inf, 1.0) is NaN at [0.0]")):
+            sample(FnAtom("support", (-math.inf, 1.0)), Grid.line(-1, 1, 3))
+        with pytest.raises(ParameterError, match=re.escape(
+                "atom 'const' with parameters (nan,) is NaN at [-1.0]")):
+            sample(FnAtom("const", (math.nan,)), Grid.line(-1, 1, 3))
 
 
 @pytest.mark.parametrize("b", [1e11, 1e12, math.inf])

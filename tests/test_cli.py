@@ -160,6 +160,45 @@ def test_missing_required_option_is_usage_error(argv, missing, tmp_path, capsys)
     assert capsys.readouterr().err.strip() == f"usage error: {argv[0]} needs {missing}"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["conjugate", "--dual=-1:1:5"], "need --atom or --in"),
+        (["conjugate", "--atom", "abs"], "need --grid with --atom"),
+        (["conjugate", "--atom", "abs", "--grid=-1:1"], "grid axis must be lo:hi:count, got '-1:1'"),
+        (["coupon", "--n", "3", "--x", "1,2"], "--n 3 does not match len(x) = 2"),
+    ],
+)
+def test_incomplete_input_is_usage_error(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
+
+
+def test_renorm_out_prefix_writes_every_iterate(tmp_path, monkeypatch, capsys):
+    from convexdesk.renorm import asplund_step, init_pair
+
+    monkeypatch.delenv("CONVEXDESK_TOL", raising=False)
+    prefix = str(tmp_path / "P")
+    assert main(["renorm", "--grid=-2:2:21x-2:2:21", "--steps", "2", "--out-prefix", prefix]) == 0
+    assert capsys.readouterr().err == ""
+    pair = init_pair(FnAtom("l1norm"), FnAtom("l2norm"), parse_grid_spec("-2:2:21x-2:2:21"))
+    for n in range(3):
+        for name, f in (("p", pair.p), ("q", pair.q)):
+            got = read_gridfn_json(f"{prefix}_{name}{n}.json")
+            assert got.grid == f.grid and got.values.tobytes() == f.values.tobytes()
+        pair = asplund_step(pair)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"P_{s}{n}.json" for s in "pq" for n in range(3)]
+
+
+def test_a_nan_sample_exits_1_naming_the_atom(capsys):
+    # -inf * 0 at x = 0 warned, and "GridFn values cannot contain NaN" exited 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["conjugate", "--atom", "support", "--params=-inf,1", "--grid=-1:1:3"])
+    assert (rc, capsys.readouterr()) == (
+        1, ("", "error: atom 'support' with parameters (-inf, 1.0) is NaN at [0.0]\n"))
+
+
 def test_conjugate_job_csv(tmp_path):
     out = str(tmp_path / "f.csv")
     rc = main(["conjugate", "--atom", "exp", "--grid", "-10:3:2001",

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 import warnings
 
@@ -177,6 +179,40 @@ def test_values_cannot_be_made_writable_so_the_stored_verdict_stays_fresh():
         f.values[1] = 5.0
     assert discrete_convexity_check(f) == grids._convexity_scan(f, 1e-9)
     assert discrete_convexity_check(f) and f.values.tolist() == [1.0, 0.0, 1.0]
+
+
+def _read_only_objects():
+    from convexdesk.fenchel import conjugate, subdifferential
+    from convexdesk.monotone import OperatorGraph
+
+    f = GridFn(Grid.line(-1, 1, 5), [1.0, 0.5, 0.0, 0.5, 1.0])
+    assert discrete_convexity_check(f)  # stored on f
+    # each object with its read-only arrays
+    return [(f, ["values"]), (f.grid, ["coords"]), (conjugate(f, f.grid), ["argmax"]),
+            (subdifferential(f, 2), ["slopes"]),
+            (OperatorGraph([[0.0], [1.0]], [[1.0], [2.0]]), ["xs", "xstars"])]
+
+
+@pytest.mark.parametrize("clone", [lambda o: pickle.loads(pickle.dumps(o)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("k", range(5), ids=["GridFn", "Grid", "ConjugateResult",
+                                             "SubdifferentialSet", "OperatorGraph"])
+def test_a_copied_or_unpickled_object_is_read_only_with_no_stored_verdict(clone, k):
+    # they came back writable, and a GridFn kept its verdict: after
+    # f2.values[2] = -5.0 the stored "convex" let prox accept a nonconvex f
+    obj, names = _read_only_objects()[k]
+    obj2 = clone(obj)
+    for name in names:
+        a = getattr(obj2, name)
+        a = a() if callable(a) else a  # Grid.coords(0)
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = -5.0
+    if isinstance(obj2, GridFn):
+        assert obj2._convexity == {} and obj2 == obj
+        assert discrete_convexity_check(obj2) == grids._convexity_scan(obj, 1e-9)
+    elif isinstance(obj2, Grid):
+        assert obj2 == obj
 
 
 def test_convexity_check_leaves_equality_and_repr_alone():
