@@ -1,10 +1,15 @@
 """Command-line surface.
 
 Grid syntax is "lo:hi:count" per axis, two axes joined by "x"
-(e.g. "-4:4:321x-4:4:321").  Output format follows the file extension:
-.csv for plot data, .json for reports and grid functions.  Exit codes:
-0 success, 1 computation error, 2 usage error.  The environment variable
-CONVEXDESK_TOL overrides the default tolerance of the checks a job runs.
+(e.g. "-4:4:321x-4:4:321").  A job's result is a report, and for
+conjugate, biconjugate, infconv and envelope a grid function too.  A grid
+function at a .csv --out path is CSV plot data; at any other path it is
+the grid-function JSON with the report's fields beside it; with no --out,
+its values and the fields print as JSON.  A report alone is JSON at any
+path or on stdout.  Exit codes: 0 success, 1 computation error, 2 usage
+error.  The environment variable CONVEXDESK_TOL overrides the default
+tolerance of the checks a job runs, renorm's sandwich slack included;
+any set value counts, 0 too.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .moreau import moreau_envelope, project, prox
 from .renorm import (asplund_step, init_pair, measured_ratio, valid_region_halfwidth,
                      window_node_count)
 from .special import (
+    _probe_work,
     ball_volume,
     coupon_convexity_probe,
     coupon_pn_ie,
@@ -51,11 +57,12 @@ class JobSpec:
     options: dict = field(default_factory=dict)
 
 
-def default_tol() -> Optional[float]:
+def default_tol(unset: Optional[float] = None) -> Optional[float]:
+    """CONVEXDESK_TOL as a float, any set value (0 too), else `unset`."""
     v = os.environ.get("CONVEXDESK_TOL")
     if v and math.isnan(float(v)):  # a NaN tolerance would pass every check
         raise ValueError(f"CONVEXDESK_TOL must be a number, got {v!r}")
-    return float(v) if v else None
+    return float(v) if v else unset
 
 
 def parse_grid_spec(spec: str) -> Grid:
@@ -104,16 +111,6 @@ def _load_fn(opts: dict) -> GridFn:
     if not opts.get("grid"):
         raise ValueError("need --grid with --atom")
     return sample(make_atom(opts["atom"], opts.get("params")), parse_grid_spec(opts["grid"]))
-
-
-def _write_fn(f: GridFn, path: Optional[str]) -> None:
-    """Grid function to a .csv or .json file, or its values to stdout."""
-    if not path:
-        _emit({"values": f.values}, None)
-    elif path.endswith(".csv"):
-        fileio.write_gridfn_csv(f, path)
-    else:
-        fileio.write_gridfn_json(f, path)
 
 
 @functools.lru_cache(maxsize=1)
@@ -208,7 +205,22 @@ def parse_args(argv: list[str]) -> JobSpec:
     return JobSpec(sub, opts)
 
 
-def _emit(doc: dict, out: Optional[str]) -> None:
+def _emit(doc: dict, out: Optional[str], fn: Optional[GridFn] = None) -> None:
+    """The one writer of a job's result: the report `doc`, and the grid
+    function `fn` where the job computed one.
+
+    - fn at a .csv path: fileio.write_gridfn_csv, without doc;
+    - fn at any other path: the grid-function JSON (dim, axes, flat values)
+      with doc's fields beside it, flattened row-major;
+    - fn with no path: {"values": ..., **doc} on stdout;
+    - doc alone: JSON at any path, or on stdout.
+    """
+    if fn is not None and out and out.endswith(".csv"):
+        fileio.write_gridfn_csv(fn, out)
+        return
+    if fn is not None:
+        doc = ({**fileio._gridfn_doc(fn), **{k: np.ravel(v) for k, v in doc.items()}} if out
+               else {"values": fn.values, **doc})
     if out:
         fileio.write_json_report(doc, out)
     else:
@@ -220,84 +232,51 @@ def _fn_and_dual(opts: dict) -> tuple[GridFn, Grid]:
     return f, parse_grid_spec(opts["dual"]) if opts.get("dual") else default_dual_grid(f)
 
 
-def _run_conjugate(opts: dict) -> None:
-    f, dual = _fn_and_dual(opts)
-    res = conjugate(f, dual)
-    out = opts.get("out")
-    if out and out.endswith(".json"):
-        fileio.write_json_report(
-            {
-                "dim": dual.dim,
-                "axes": [{"lo": lo, "hi": hi, "n": n} for lo, hi, n in dual.axes],
-                "values": res.dual.values.ravel(),
-                "argmax": res.argmax.ravel(),
-            },
-            out,
-        )
-    elif out:
-        fileio.write_gridfn_csv(res.dual, out)
-    else:
-        _emit({"values": res.dual.values, "argmax": res.argmax}, None)
+def _run_conjugate(opts: dict) -> tuple[dict, GridFn]:
+    res = conjugate(*_fn_and_dual(opts))
+    return {"argmax": res.argmax}, res.dual
 
 
-def _run_biconjugate(opts: dict) -> None:
-    _write_fn(biconjugate(*_fn_and_dual(opts)), opts.get("out"))
+def _run_biconjugate(opts: dict) -> tuple[dict, GridFn]:
+    return {}, biconjugate(*_fn_and_dual(opts))
 
 
-def _run_infconv(opts: dict) -> None:
+def _run_infconv(opts: dict) -> tuple[dict, GridFn]:
     f = _load_fn(opts)
     if opts.get("infile2"):
         g = fileio.read_gridfn_json(opts["infile2"])
     else:
         g = sample(make_atom(opts["atom2"], opts.get("params2")), f.grid)
-    _write_fn(inf_convolution(f, g).out, opts.get("out"))
+    return {}, inf_convolution(f, g).out
 
 
-def _convexity_tol() -> float:
-    return default_tol() or 1e-9
+def _run_envelope(opts: dict) -> tuple[dict, GridFn]:
+    return {}, moreau_envelope(_load_fn(opts), opts["lam"], convexity_tol=default_tol(1e-9))
 
 
-def _run_envelope(opts: dict) -> None:
-    f = _load_fn(opts)
-    _write_fn(moreau_envelope(f, opts["lam"], convexity_tol=_convexity_tol()), opts.get("out"))
-
-
-def _run_prox(opts: dict) -> None:
+def _run_prox(opts: dict) -> dict:
     f = _load_fn(opts)
     x = np.asarray(opts["x"])
-    res = prox(f, opts["lam"], x, convexity_tol=_convexity_tol())
-    eps = _certificate(f, opts["lam"], x, res)[2]
-    _emit(
-        {"x": list(x), "prox": list(res.point), "envelope": res.envelope,
-         "lambda": res.lam, "certificate_eps": eps},
-        opts.get("out"),
-    )
+    res = prox(f, opts["lam"], x, convexity_tol=default_tol(1e-9))
+    return {"x": list(x), "prox": list(res.point), "envelope": res.envelope,
+            "lambda": res.lam, "certificate_eps": _certificate(f, opts["lam"], x, res)[2]}
 
 
-def _run_project(opts: dict) -> None:
-    _emit({"x": list(opts["x"]), "projection": list(project(opts["box"], opts["x"]))},
-          opts.get("out"))
+def _run_project(opts: dict) -> dict:
+    return {"x": list(opts["x"]), "projection": list(project(opts["box"], opts["x"]))}
 
 
-def _run_fitzpatrick(opts: dict) -> None:
-    G = fileio.read_graph_json(opts["graph"])
-    res = fitzpatrick(G, (opts["x"], opts["xstar"]))
-    _emit(
-        {"x": list(res.query[0]), "xstar": list(res.query[1]),
-         "value": res.value, "attaining_index": res.attaining_index},
-        opts.get("out"),
-    )
+def _run_fitzpatrick(opts: dict) -> dict:
+    res = fitzpatrick(fileio.read_graph_json(opts["graph"]), (opts["x"], opts["xstar"]))
+    return {"x": list(res.query[0]), "xstar": list(res.query[1]),
+            "value": res.value, "attaining_index": res.attaining_index}
 
 
-def _run_resolvent(opts: dict) -> None:
-    f = _load_fn(opts)
+def _run_resolvent(opts: dict) -> dict:
     z = np.asarray(opts["z"])
-    res = resolvent(f, opts["lam"], z, convexity_tol=_convexity_tol())
-    _emit(
-        {"z": list(z), "x": list(res.x), "y": list(res.y),
-         "lambda": opts["lam"], "certificate_eps": res.certificate_eps},
-        opts.get("out"),
-    )
+    res = resolvent(_load_fn(opts), opts["lam"], z, convexity_tol=default_tol(1e-9))
+    return {"z": list(z), "x": list(res.x), "y": list(res.y),
+            "lambda": opts["lam"], "certificate_eps": res.certificate_eps}
 
 
 def _step_record(pair) -> dict:
@@ -307,7 +286,7 @@ def _step_record(pair) -> dict:
             "window_nodes": window_node_count(grid, pair.n)}
 
 
-def _run_renorm(opts: dict) -> None:
+def _run_renorm(opts: dict) -> dict:
     grid = parse_grid_spec(opts["grid"])
     steps, h = opts["steps"], grid.spacing[0]
     hw = valid_region_halfwidth(grid, steps)
@@ -315,26 +294,25 @@ def _run_renorm(opts: dict) -> None:
         raise ParameterError(f"--steps {steps} leaves a valid window of half-width {hw:g}, "
                              f"below the grid spacing {h:g}; use fewer steps or a finer grid")
     pair = init_pair(FnAtom(opts["norm1"]), FnAtom(opts["norm2"]), grid)
-    records = [_step_record(pair)]
-    prefix = opts.get("out_prefix")
-    if prefix:
-        fileio.write_gridfn_json(pair.p, f"{prefix}_p0.json")
-        fileio.write_gridfn_json(pair.q, f"{prefix}_q0.json")
-    for _ in range(steps):
-        pair = asplund_step(pair, sandwich_slack=default_tol())
+    records, prefix = [], opts["out_prefix"]
+    for k in range(steps + 1):
+        if k:
+            pair = asplund_step(pair, sandwich_slack=default_tol())
         records.append(_step_record(pair))
-        if prefix:
-            fileio.write_gridfn_json(pair.p, f"{prefix}_p{pair.n}.json")
-            fileio.write_gridfn_json(pair.q, f"{prefix}_q{pair.n}.json")
-    _emit({"C": pair.C, "swapped": pair.swapped, "iterations": records}, opts.get("out"))
+        if prefix:  # each iterate's pair as grid-function JSON
+            _emit({}, f"{prefix}_p{pair.n}.json", pair.p)
+            _emit({}, f"{prefix}_q{pair.n}.json", pair.q)
+    return {"C": pair.C, "swapped": pair.swapped, "iterations": records}
 
 
-def _run_coupon(opts: dict) -> None:
-    if opts["probe_trials"] < 0:
-        raise ValueError(f"--probe-trials must be >= 0 (0: no probe), got {opts['probe_trials']}")
-    x = opts["x"]
+def _run_coupon(opts: dict) -> dict:
+    x, trials = opts["x"], opts["probe_trials"]
+    if trials < 0:
+        raise ValueError(f"--probe-trials must be >= 0 (0: no probe), got {trials}")
     if opts.get("n") and opts["n"] != len(x):
         raise ValueError(f"--n {opts['n']} does not match len(x) = {len(x)}")
+    if trials:
+        _probe_work(len(x), trials)  # the probe's refusals come before any form runs
     doc: dict = {"x": list(x)}
     forms = opts["forms"]
     if forms in ("perm", "all"):
@@ -350,42 +328,40 @@ def _run_coupon(opts: dict) -> None:
         vals = [doc["perm"], doc["ie"], doc["integral"]]
         hi, lo = max(vals), min(vals)
         doc["max_discrepancy"] = 0.0 if hi == lo else hi - lo  # equal infinities agree
-    if opts["probe_trials"]:
-        rep = coupon_convexity_probe(len(x), opts["probe_trials"], opts["seed"])
+    if trials:
+        rep = coupon_convexity_probe(len(x), trials, opts["seed"])
         doc["probe"] = {
             "trials": rep.trials, "seed": rep.seed,
             "min_hessian_eig": rep.min_hessian_eig,
             "max_inv_hessian_eig": rep.max_inv_hessian_eig,
             "min_log_hessian_eig": rep.min_log_hessian_eig,
         }
-    _emit(doc, opts.get("out"))
+    return doc
 
 
-def _run_volume(opts: dict) -> None:
-    p = opts["p"]
-    _emit({"n": opts["dim"], "p": p, "volume": ball_volume(opts["dim"], p)}, opts.get("out"))
+def _run_volume(opts: dict) -> dict:
+    return {"n": opts["dim"], "p": opts["p"], "volume": ball_volume(opts["dim"], opts["p"])}
 
 
-def _run_gamma(opts: dict) -> None:
-    _emit(
-        {"x": opts["x"], "n": opts["n"], "value": gamma_limit(opts["x"], opts["n"])},
-        opts.get("out"),
-    )
+def _run_gamma(opts: dict) -> dict:
+    return {"x": opts["x"], "n": opts["n"], "value": gamma_limit(opts["x"], opts["n"])}
 
 
-def _run_duality(opts: dict) -> None:
+def _run_duality(opts: dict) -> dict:
     f = sample(make_atom(opts["f_atom"], opts.get("f_params")), parse_grid_spec(opts["grid"]))
     g_grid = parse_grid_spec(opts["g_grid"]) if opts.get("g_grid") else f.grid
     g = sample(make_atom(opts["g_atom"], opts.get("g_params")), g_grid)
     fd = parse_grid_spec(opts["dual"]) if opts.get("dual") else default_dual_grid(f)
     gd = parse_grid_spec(opts["g_dual"]) if opts.get("g_dual") else default_dual_grid(g)
     res = fenchel_duality_gap(f, g, opts["T"], fd, gd)
-    _emit({"primal": res.primal, "dual": res.dual, "gap": res.gap}, opts.get("out"))
+    return {"primal": res.primal, "dual": res.dual, "gap": res.gap}
 
 
 # subcommand -> (its runner, the options a job cannot run without, by
-# destination name; a tuple lists alternatives, any one of which will do)
-JOBS: dict[str, tuple[Callable[[dict], None], tuple]] = {
+# destination name; a tuple lists alternatives, any one of which will do).
+# A runner returns its report, or (report fields, grid function); main
+# hands either to _emit.
+JOBS: dict[str, tuple[Callable[[dict], dict | tuple[dict, GridFn]], tuple]] = {
     "conjugate": (_run_conjugate, ()),
     "biconjugate": (_run_biconjugate, ()),
     "infconv": (_run_infconv, (("atom2", "infile2"),)),
@@ -415,7 +391,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     try:
-        JOBS[job.subcommand][0](job.options)
+        result = JOBS[job.subcommand][0](job.options)
+        doc, fn = result if isinstance(result, tuple) else (result, None)
+        _emit(doc, job.options["out"], fn)
         return 0
     except (ValueError, KeyError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -96,14 +96,22 @@ def _refuse_non_numbers(path: str, col: list, a: np.ndarray, what: str) -> None:
         raise ValueError(f"{path}: {what} at index {index} is {json.dumps(col[k])}, not a number")
 
 
-def write_gridfn_json(f: GridFn, path: str) -> None:
-    doc = {
-        "schema": SCHEMA_VERSION,
+def _gridfn_doc(f: GridFn) -> dict:
+    """The grid-function JSON layout: dim, axes and the values as one flat
+    row-major array (encoded when the document is written)."""
+    return {
         "dim": f.grid.dim,
         "axes": [{"lo": lo, "hi": hi, "n": n} for lo, hi, n in f.grid.axes],
-        "values": _encode_array(f.values.ravel()),
+        "values": f.values.ravel(),
     }
-    _atomic_write(path, json.dumps(doc, sort_keys=True))
+
+
+def _doc_text(doc: dict) -> str:
+    return json.dumps({"schema": SCHEMA_VERSION, **_jsonable(doc)}, sort_keys=True)
+
+
+def write_gridfn_json(f: GridFn, path: str) -> None:
+    _atomic_write(path, _doc_text(_gridfn_doc(f)))
 
 
 def read_gridfn_json(path: str) -> GridFn:
@@ -175,6 +183,4 @@ def _jsonable(obj: Any) -> Any:
 
 
 def write_json_report(doc: dict, path: str) -> None:
-    out = {"schema": SCHEMA_VERSION}
-    out.update(_jsonable(doc))
-    _atomic_write(path, json.dumps(out, sort_keys=True))
+    _atomic_write(path, _doc_text(doc))

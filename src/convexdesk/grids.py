@@ -190,6 +190,8 @@ def _concave_midpoints(
     With a, b, c = v[m - d], v[m], v[m + d], all finite, the second
     difference is a - 2 b + c on lines and a + c - 2 b on the knight
     pairs; fin is v's finite mask, or None when all of v is finite.
+    Where 2 b or a + c leaves the float range, it is taken as
+    (a - b) + (c - b), which is never inf - inf.
     """
     out = np.zeros(v.shape, dtype=bool)
     mid = tuple(slice(abs(k), n - abs(k)) for k, n in zip(d, v.shape))
@@ -199,7 +201,11 @@ def _concave_midpoints(
     hi = tuple(slice(s.start + k, s.stop + k) for s, k in zip(mid, d))
     a, b, c = v[lo], v[mid], v[hi]
     with np.errstate(invalid="ignore", over="ignore"):
-        out[mid] = (a + c - 2.0 * b if knight else a - 2.0 * b + c) < -t
+        s = a + c - 2.0 * b if knight else a - 2.0 * b + c
+        over = ~np.isfinite(s)  # also where a node is not finite, masked below
+        if over.any():
+            s[over] = (a[over] - b[over]) + (c[over] - b[over])
+        out[mid] = s < -t
     if fin is not None:
         out[mid] &= fin[lo] & fin[mid] & fin[hi]
     return out

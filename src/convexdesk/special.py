@@ -319,8 +319,10 @@ def _pn_float(x: np.ndarray) -> float:
     coordinates past the first 14, T over the subsets of those 14.  Each
     term q = sigma/s gets its correction (sigma - q s)/s, from s = hi + lo
     and q s split exactly; each block's terms are split into parts whose
-    sums are exact, and math.fsum adds those sums exactly.  Terms past the
-    float range give inf or nan, as plain float arithmetic would."""
+    sums are exact, and math.fsum adds those sums exactly.  Under the cap
+    every part is finite (|q| <= 2^1001 summed over a block of 2^14, and
+    non-finite corrections dropped), so fsum never meets inf - inf; a p
+    past the float range is inf."""
     xmax, xmin = float(x.max()), float(x.min())
     spread = math.log2(xmax) - math.log2(xmin)
     if spread > _IE_SPREAD_BITS:
@@ -351,8 +353,6 @@ def _pn_float(x: np.ndarray) -> float:
         return math.ldexp(math.fsum(parts), -shift)
     except OverflowError:  # p past the float range
         return math.inf
-    except ValueError:  # inf - inf
-        return math.nan
 
 
 def coupon_pn_integral(x: Sequence[float]) -> float:
@@ -486,6 +486,15 @@ class ConvexityProbeReport:
 _PROBE_ELEMS = 2 ** 20  # the probe's trials run in chunks of T N 2^N <= this
 
 
+def _probe_work(n: int, trials: int) -> None:
+    """coupon_convexity_probe's refusals: N, the trials and the work budget."""
+    if not 2 <= n <= 10:
+        raise ParameterError("probe supports 2 <= N <= 10")
+    if trials < 1:
+        raise ParameterError(f"probe needs trials >= 1, got {trials}")
+    _budget(trials * ((n << n) + 2 ** 10), "coupon_convexity_probe needs {} subset terms")
+
+
 def coupon_convexity_probe(n: int, trials: int, seed: int) -> ConvexityProbeReport:
     """Sample the exact Hessians of p_N (convexity), 1/p_N (concavity) and
     log p_N (log-convexity, informational) at log-uniform random points of
@@ -499,11 +508,7 @@ def coupon_convexity_probe(n: int, trials: int, seed: int) -> ConvexityProbeRepo
     (its eigvalsh calls) counted as 2^10 (MAX_DIRECT_PAIRS caps it).  At the cap it takes at
     most about 20 s on a shared 2-vCPU Xeon host: 1.4 to 9.5 ns a term
     over 2 <= N <= 10 (1.4 us a trial at N = 2, 61 us at N = 10)."""
-    if not 2 <= n <= 10:
-        raise ParameterError("probe supports 2 <= N <= 10")
-    if trials < 1:
-        raise ParameterError(f"probe needs trials >= 1, got {trials}")
-    _budget(trials * ((n << n) + 2 ** 10), "coupon_convexity_probe needs {} subset terms")
+    _probe_work(n, trials)
     rng = np.random.default_rng(seed)
     chunk = max(1, _PROBE_ELEMS // (n << n))
     min_eig, max_inv, min_log = math.inf, -math.inf, math.inf

@@ -318,6 +318,16 @@ def brute_coupon_perm(xs) -> float:
     return total
 
 
+def _below(trip, second, a, b, c, t) -> np.ndarray:
+    """Where all of a, b, c are finite, second < -t; where the float second
+    difference left the float range, the exact a - 2b + c < -t instead."""
+    bad = trip & (second < -t)
+    for k in np.flatnonzero(trip & ~np.isfinite(second)):
+        exact = Fraction(a[k]) - 2 * Fraction(b[k]) + Fraction(c[k])
+        bad[k] = exact < -Fraction(t) if math.isfinite(t) else t < 0
+    return bad
+
+
 def _brute_line_violation(vals: np.ndarray, tol: float):
     """First convexity violation on one grid line, or None: a non-finite
     entry between finite ones, else the first second difference below -tol."""
@@ -335,7 +345,7 @@ def _brute_line_violation(vals: np.ndarray, tol: float):
     trip = np.isfinite(a) & np.isfinite(b) & np.isfinite(c)
     with np.errstate(invalid="ignore", over="ignore"):
         second = np.where(trip, a - 2.0 * b + c, 0.0)
-    bad = np.flatnonzero(trip & (second < -tol))
+    bad = np.flatnonzero(_below(trip, second, a, b, c, tol))
     if bad.size:
         return int(bad[0]) + 1, "second-difference"
     return None
@@ -381,7 +391,7 @@ def brute_convexity_check_2d(f: GridFn, tol: float = 1e-9) -> ConvexityReport:
             trip = np.isfinite(va) & np.isfinite(vb) & np.isfinite(vm)
             with np.errstate(invalid="ignore", over="ignore"):
                 gap = np.where(trip, va + vb - 2.0 * vm, 0.0)
-            bad = np.flatnonzero(trip & (gap < -t))
+            bad = np.flatnonzero(_below(trip, gap, va, vm, vb, t))
             if bad.size:
                 j = int(js[bad[0]])
                 return ConvexityReport(False, (i + d0, j + d1), "second-difference", (d0, d1))

@@ -10,7 +10,8 @@ from convexdesk import cli
 from convexdesk.atoms import FnAtom, sample
 from convexdesk.cli import SUBCOMMANDS, main, parse_args, parse_grid_spec
 from convexdesk.errors import TruncationWarning
-from convexdesk.fileio import read_gridfn_json, write_graph_json, write_gridfn_json
+from convexdesk.fileio import (read_gridfn_json, write_graph_json, write_gridfn_csv,
+                               write_gridfn_json)
 from convexdesk.grids import Grid, GridFn
 from convexdesk.monotone import OperatorGraph
 
@@ -282,6 +283,25 @@ def test_coupon_negative_probe_trials_is_usage_error(tmp_path, capsys):
     assert "probe" not in json.load(open(out))
 
 
+@pytest.mark.parametrize("x, trials, cap, message", [
+    (",".join(map(str, range(1, 25))), "1", None, "error: probe supports 2 <= N <= 10\n"),
+    ("1,2", "3", 3095, "error: coupon_convexity_probe needs 3096 subset terms, cap is 3095\n"),
+], ids=["n-past-the-probe-range", "work-past-the-cap"])
+def test_coupon_probe_is_refused_before_any_form_runs(x, trials, cap, message, monkeypatch, capsys):
+    # the probe's range and work count are checked first: at N = 24 the
+    # inclusion-exclusion form's 2^24 terms ran and were discarded before
+    for form in ("coupon_pn_perm", "coupon_pn_ie", "coupon_pn_integral"):
+        monkeypatch.setattr(cli, form, _no_form)
+    if cap is not None:
+        monkeypatch.setattr("convexdesk.fenchel.MAX_DIRECT_PAIRS", cap)
+    assert main(["coupon", "--x", x, "--forms", "all", "--probe-trials", trials]) == 1
+    assert capsys.readouterr() == ("", message)
+
+
+def _no_form(x):
+    raise AssertionError("a coupon form ran before the probe was refused")
+
+
 def test_envelope_job_matches_huber(tmp_path):
     out = str(tmp_path / "e.csv")
     rc = main(["envelope", "--atom", "abs", "--grid", "-3:3:601", "--lambda", "1",
@@ -472,6 +492,67 @@ def test_every_subcommand_has_a_golden_run():
     assert {row[1][0] for row in GOLDEN} == set(SUBCOMMANDS)
 
 
+# one job per subcommand for the output rule; the first four compute a grid
+# function, the rest a report alone
+OUTPUT_JOBS = {
+    "conjugate": ["--atom", "power", "--params", "2", "--grid=-2:2:9", "--dual=-3:3:7"],
+    "biconjugate": ["--atom", "sqnorm2", "--grid=-2:2:5x-1:1:3"],
+    "infconv": ["--atom", "abs", "--grid=-2:2:9", "--atom2", "power", "--params2", "3"],
+    "envelope": ["--atom", "l1norm", "--grid=-2:2:5x-1:1:3"],
+    "prox": ["--atom", "abs", "--grid=-2:2:9", "--x", "0.3"],
+    "project": ["--box", "0:1", "--x", "2"],
+    "fitzpatrick": ["--graph", "GRAPH", "--x", "0.5", "--xstar", "1"],
+    "resolvent": ["--atom", "abs", "--grid=-2:2:9", "--z", "0.7"],
+    "renorm": ["--grid=-2:2:21x-2:2:21", "--steps", "1"],
+    "coupon": ["--x", "1,2,3", "--probe-trials", "3"],
+    "volume": ["--dim", "2", "--p", "2"],
+    "gamma": ["--x", "1.5", "--n", "50"],
+    "duality": ["--f-atom", "power", "--f-params", "2", "--g-atom", "abs", "--grid=-3:3:31"],
+}
+GRID_JOBS = ("conjugate", "biconjugate", "infconv", "envelope")
+
+
+@pytest.mark.parametrize("ext", [None, "json", "csv", "txt"])
+@pytest.mark.parametrize("sub", list(OUTPUT_JOBS))
+def test_output_rule(sub, ext, tmp_path, capsys):
+    """A grid function at a .csv path is write_gridfn_csv's bytes; at any
+    other path it is the grid-function JSON with the report's fields beside
+    it; with no --out, {"values": ..., **fields} on stdout.  A report is
+    JSON at any path, or on stdout."""
+    graph = str(tmp_path / "g.json")
+    write_graph_json(OperatorGraph([[0.0], [1.0]], [[0.0], [2.0]]), graph)
+    argv = [sub] + [graph if a == "GRAPH" else a for a in OUTPUT_JOBS[sub]]
+    out = None if ext is None else str(tmp_path / f"r.{ext}")
+    assert main(argv + ([] if out is None else ["--out", out])) == 0
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    if out is None:
+        doc = _strict_json(printed.out)
+    else:
+        assert printed.out == ""
+        text = Path(out).read_text()
+        if sub in GRID_JOBS and ext == "csv":
+            assert main(argv + ["--out", str(tmp_path / "f.json")]) == 0
+            f = read_gridfn_json(str(tmp_path / "f.json"))
+            write_gridfn_csv(f, str(tmp_path / "f.csv"))
+            assert text == Path(tmp_path / "f.csv").read_text()
+            return
+        doc = _strict_json(text)
+        assert doc["schema"] == 1
+    if sub in GRID_JOBS:
+        values = np.asarray(doc["values"], dtype=float)
+        if out is not None:  # the grid-function JSON: flat values, read back bit for bit
+            assert doc["dim"] == len(doc["axes"]) and values.ndim == 1
+            assert read_gridfn_json(out).values.ravel().tobytes() == values.tobytes()
+        if sub == "conjugate":
+            assert np.asarray(doc["argmax"]).shape == values.shape
+    assert ("argmax" in doc) == (sub == "conjugate")
+
+
+def test_every_subcommand_has_an_output_rule_row():
+    assert set(OUTPUT_JOBS) == set(SUBCOMMANDS)
+
+
 def test_readme_cli_examples_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
@@ -551,6 +632,18 @@ def test_conjugate_at_the_float_limit_scans_dom_f_only(tmp_path, capsys):
     out = capsys.readouterr()
     assert (rc, out.err) == (0, "")
     assert out.out == '{"argmax": [0, 0, 1], "values": ["+inf", -0.0, 0.0]}\n'
+
+
+@pytest.mark.parametrize("argv", [
+    ["envelope", "--atom", "const", "--params", "1.7e308", "--grid=-1:1:5"],
+    ["prox", "--atom", "const", "--params", "1e308", "--grid=-1:1:5", "--x", "0.3"],
+])
+def test_a_constant_near_the_float_limit_passes_the_convexity_check(argv, capsys):
+    # its second difference a - 2b + c overflowed at 2b: "violation at (1,)"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_conjugate_refuses_inf_minus_inf_in_dom_f(tmp_path, capsys):
@@ -686,6 +779,23 @@ def test_tolerance_env_override_covers_prox_envelope_and_resolvent(tmp_path, mon
         assert main(argv + ["--out", out]) == 0, argv
     doc = json.load(open(out))
     assert doc["z"][0] == pytest.approx(doc["x"][0] + doc["lambda"] * doc["y"][0], abs=1e-12)
+
+
+def test_a_zero_tolerance_env_is_zero_for_the_convexity_check(tmp_path, monkeypatch, capsys):
+    # one second difference of -1e-12 (relative to max(1, |f|)): within the
+    # default 1e-9, and a violation at CONVEXDESK_TOL=0, which read as unset
+    vals = np.zeros(41)
+    vals[20] = 5e-13
+    path = str(tmp_path / "f.json")
+    write_gridfn_json(GridFn(Grid.line(-1, 1, 41), vals), path)
+    argv = ["prox", "--in", path, "--x", "0.3"]
+    monkeypatch.delenv("CONVEXDESK_TOL", raising=False)
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("CONVEXDESK_TOL", "0")
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "requires convex f" in err and "(20,)" in err
 
 
 GRID3 = {"schema": 1, "dim": 1, "axes": [{"lo": -1.0, "hi": 1.0, "n": 3}]}

@@ -1,5 +1,6 @@
 import copy
 import pickle
+from fractions import Fraction
 import re
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_convexity_check_2d, brute_interp
+from conftest import _brute_line_violation, brute_convexity_check_2d, brute_interp
 from convexdesk import grids
 from convexdesk.atoms import FnAtom, sample
 from convexdesk.errors import EmptyDomainError, ParameterError
@@ -345,6 +346,67 @@ def test_convexity_keeps_each_direction_expression(nodes, abc, report):
     f = GridFn(Grid.box((0, 2, 3), (0, 4, 5)), v)
     expected = ConvexityReport(True) if report is None else ConvexityReport(False, *report)
     assert discrete_convexity_check(f, tol=0.0) == expected == brute_convexity_check_2d(f, 0.0)
+
+
+@pytest.mark.parametrize("c", [1.7e308, 1e308, -1.7e308, 8e307])
+def test_a_constant_near_the_float_limit_is_convex(c):
+    # 2b overflowed, so a - 2b + c was -inf: "violation at (1,)"
+    assert discrete_convexity_check(sample(FnAtom("const", (c,)), Grid.line(-1, 1, 5)))
+    assert discrete_convexity_check(GridFn(Grid.box((-1, 1, 5), (-1, 1, 5)), np.full((5, 5), c)))
+
+
+# second differences of these overflow in floats wherever 2b or a + c passes
+# the largest float
+EDGE_VALUES = (1.7e308, -1.7e308, 1e308, -1e308, 5e307, 0.0, 1.0, np.inf)
+DIRECTIONS = ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (1, -2), (2, -1))
+
+
+def _exact_midpoints(v: np.ndarray, d: tuple[int, int], t: float) -> np.ndarray:
+    """_concave_midpoints node by node: the float second difference where
+    it is finite, else the exact one in Fractions."""
+    out = np.zeros(v.shape, dtype=bool)
+    knight = 2 in map(abs, d)
+    for i, j in np.ndindex(*v.shape):
+        lo, hi = (i - d[0], j - d[1]), (i + d[0], j + d[1])
+        if not all(0 <= p < n for q in (lo, hi) for p, n in zip(q, v.shape)):
+            continue
+        a, b, c = v[lo], v[i, j], v[hi]
+        if not np.isfinite([a, b, c]).all():
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            second = a + c - 2.0 * b if knight else a - 2.0 * b + c
+        if np.isfinite(second):
+            out[i, j] = second < -t
+        else:
+            out[i, j] = Fraction(a) - 2 * Fraction(b) + Fraction(c) < -Fraction(t)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.sampled_from([(3,), (7,), (3, 5), (5, 3), (5, 6)]), tol=st.sampled_from([0.0, 1e-9]),
+       data=st.data())
+def test_convexity_near_the_float_limit_matches_exact_second_differences(shape, tol, data):
+    size = int(np.prod(shape))
+    v = np.array(data.draw(st.lists(st.sampled_from(EDGE_VALUES), min_size=size, max_size=size)))
+    v[data.draw(st.integers(0, size - 1))] = data.draw(st.sampled_from(EDGE_VALUES[:-1]))
+    v = v.reshape(shape)
+    fin = np.isfinite(v)
+    t = tol * max(1.0, float(np.max(np.abs(v[fin]))))
+    # every scan direction, the anti-diagonals as the diagonals of v flipped
+    v2 = np.atleast_2d(v)
+    for w in (v2, v2[:, ::-1]):
+        finite = np.isfinite(w)
+        for d in DIRECTIONS:
+            got = grids._concave_midpoints(w, None if finite.all() else finite, d, t,
+                                           knight=2 in map(abs, d))
+            assert np.array_equal(got, _exact_midpoints(w, d, t)), d
+    f = GridFn(Grid(tuple((-1, 1, n) for n in shape)), v)
+    if len(shape) == 2:
+        assert discrete_convexity_check(f, tol) == brute_convexity_check_2d(f, tol)
+    else:
+        hit = _brute_line_violation(v, t)
+        expected = ConvexityReport(True) if hit is None else ConvexityReport(False, (hit[0],), hit[1], (1,))
+        assert discrete_convexity_check(f, tol) == expected
 
 
 @pytest.mark.parametrize("disk", [False, True])

@@ -422,6 +422,21 @@ def test_coupon_ie_float_is_finite_up_to_its_range():
     assert coupon_pn_ie(x) == coupon_pn_ie(x + (1.0,)) == math.inf
 
 
+def test_coupon_ie_float_sums_only_finite_parts_up_to_its_range(monkeypatch):
+    # why the float form needs no inf - inf branch: under the 2^2000 spread
+    # cap every part that math.fsum adds is finite
+    finite, fsum = [], math.fsum
+    monkeypatch.setattr(math, "fsum", lambda parts: finite.append(all(map(math.isfinite, parts)))
+                        or fsum(parts))
+    rng = np.random.default_rng(7)
+    for n in (2, 5, 16):
+        for lo in (-1074, -1000, -976):
+            e = rng.uniform(lo, lo + 1999.5, n)
+            e[:2] = lo, lo + 1999.5
+            coupon_pn_ie(tuple(np.ldexp(1.0 + rng.random(n), np.floor(e).astype(int)).tolist()))
+    assert len(finite) == 9 and all(finite)
+
+
 def test_coupon_ie_float_past_the_float_range_is_inf():
     assert coupon_pn_ie((1e-310, 1e-310)) == math.inf
 
