@@ -11,14 +11,19 @@ rounding below its chord (a margin of 2 eps (|f0| + |f1| + |f2|)
 on collinear runs goes in a few rounds.  Lines that still pop after a
 work budget of a constant times the block's points, geometric zippers
 with one low end node, finish in the per-point chain, so the hull costs
-O(n) per line.  Counting hull slopes below each sorted dual node places
-it on the hull, O(n + m) per line.  Where a hull slope lies within
-rounding of a dual node, the exhaustive max is taken over the nodes
-rounding could make the argmax; a line's depth, its deepest dropped node
-below the kept hull, widens that rounding bound, and a line deeper than
-an eighth of it (true curvature under the margin) is done again with
-the exact test.  So 1-D values and argmax agree bit-for-bit with the
-oracle, ties to the smallest primal index.  A 2-D transform is two
+O(n) per line.  A block of lines whose values are all finite and where
+no triple pops is its own hull, and skips this compaction.  Each hull
+segment is placed once among the sorted dual nodes, by its slope plus a
+rounding tolerance, and counting the placements puts each dual node on
+a hull vertex, O(n + m) per line.  A segment straddles the dual nodes
+within that tolerance of its slope; only such segments are placed a
+second time, and the nodes each one straddles widen their rounding
+windows by one vertex.  Over a window the exhaustive max is taken, over
+the nodes rounding could make the argmax; a line's depth, its deepest
+dropped node below the kept hull, widens the tolerance, and a line
+deeper than an eighth of it (true curvature under the margin) is done
+again with the exact test.  So 1-D values and argmax agree bit-for-bit
+with the oracle, ties to the smallest primal index.  A 2-D transform is two
 batched passes, rows then columns: its values agree bit-for-bit, its
 argmax breaks ties row first.
 """
@@ -94,9 +99,10 @@ def _lower_hull(x: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def _above(x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """_lower_hull's pop test, batched over consecutive triples of (x, f):
-    the middle lies strictly above the chord of its neighbours."""
-    return (f[1:-1] - f[:-2]) * (x[2:] - x[:-2]) > (f[2:] - f[:-2]) * (x[1:-1] - x[:-2])
+    """_lower_hull's pop test, batched over consecutive triples of (x, f)
+    along the last axis: the middle lies strictly above the chord of its
+    neighbours."""
+    return (f[..., 1:-1] - f[..., :-2]) * (x[2:] - x[:-2]) > (f[..., 2:] - f[..., :-2]) * (x[1:-1] - x[:-2])
 
 
 _EPS = float(np.finfo(float).eps)
@@ -205,11 +211,8 @@ def _conjugate_block(xs: np.ndarray, F: np.ndarray, ys: np.ndarray, lam: Optiona
     L, n = F.shape
     m = ys.size
     fin = np.isfinite(F)
-    fmax = np.max(np.abs(np.where(fin, F, 0.0)), axis=1)
-    hr, hc = np.nonzero(fin)
-    if not hr.size:
-        return np.full((L, m), -np.inf), np.full((L, m), -1, dtype=np.int64), windows
-    hf, hx = F[hr, hc], xs[hc]
+    finite = fin.all()
+    fmax = np.abs(F).max(axis=1) if finite else np.max(np.abs(F), axis=1, where=fin, initial=0.0)
     # A hull segment whose slope is within tol of y drops by at most `bound`
     # per index step, so rounding can make any node on or above it the
     # oracle's argmax.  The window spans the run of such segments around y;
@@ -218,36 +221,67 @@ def _conjugate_block(xs: np.ndarray, F: np.ndarray, ys: np.ndarray, lam: Optiona
     # kept chain, so the depth widens the line's bound.
     yx = max(abs(ys[0]), abs(ys[-1])) * max(abs(xs[0]), abs(xs[-1]))
     bound = 64.0 * _EPS * (yx + fmax + 1.0)
-    # a line where the exact pop test never fires is its own hull
-    pops = (hr[2:] == hr[:-2]) & _above(hx, hf)
-    if pops.any():
-        keep, depth = _hull_mask(hr, hx, hf, pops, bound)
-        hr, hc, hf, hx = hr[keep], hc[keep], hf[keep], hx[keep]
-        bound += depth
-    seg = np.flatnonzero(hr[1:] == hr[:-1])
-    slopes = (hf[seg + 1] - hf[seg]) / (hx[seg + 1] - hx[seg])
-    srow = hr[seg]
-    tol = (bound * (n - 1) / (xs[-1] - xs[0]))[srow]
-    # per line and dual node y: hull segments with slope + tol < y (lo) and
-    # with slope - tol < y (hi), counted in one bincount over 2 L groups
-    k0 = np.searchsorted(ys, np.concatenate([slopes + tol, slopes - tol]), side="right")
-    group = np.concatenate([srow, srow + L]) * (m + 1) + k0
-    counts = np.bincount(group, minlength=2 * L * (m + 1)).reshape(2 * L, m + 1)
-    lo, hi = np.cumsum(counts, axis=1)[:, :m].reshape(2, L, m)
+    # every value finite and no triple popping: each line is its own hull,
+    # its segments a row of slopes, and hull vertex v of line l is node v
+    full = finite and not _above(xs, F).any()
+    if full:
+        slopes = np.diff(F, axis=1) / (xs[1:] - xs[:-1])
+        srow = np.arange(L)[:, None]
+    else:
+        hr, hc = np.nonzero(fin)
+        if not hr.size:
+            return np.full((L, m), -np.inf), np.full((L, m), -1, dtype=np.int64), windows
+        hf, hx = F[hr, hc], xs[hc]
+        # a line where the exact pop test never fires is its own hull
+        pops = (hr[2:] == hr[:-2]) & _above(hx, hf)
+        if pops.any():
+            keep, depth = _hull_mask(hr, hx, hf, pops, bound)
+            hr, hc, hf, hx = hr[keep], hc[keep], hf[keep], hx[keep]
+            bound += depth
+        seg = np.flatnonzero(hr[1:] == hr[:-1])
+        slopes = (hf[seg + 1] - hf[seg]) / (hx[seg + 1] - hx[seg])
+        srow = hr[seg]
+        # a line without finite values lands on another line's vertex: -inf
+        nh = np.bincount(hr, minlength=L)
+        start = np.cumsum(nh) - nh
 
-    # a line without finite values lands on another line's vertex: -inf
-    nh = np.bincount(hr, minlength=L)
-    start = (np.cumsum(nh) - nh)[:, None]
-    jlo = hc[np.minimum(start + lo, hc.size - 1)]
-    jhi = hc[np.minimum(start + hi, hc.size - 1)]
-    vals = ys * xs[jlo] - F[np.arange(L)[:, None], jlo]
+    def vertex(l, v):  # node of hull vertex v of line l
+        return v if full else hc[np.minimum(start[l] + v, hc.size - 1)]
+
+    tol = (bound * (n - 1) / (xs[-1] - xs[0]))[srow]
+    # per line and dual node y: the hull segments with slope + tol < y, one
+    # placement each, so y lands on vertex lo of its line
+    k1 = np.searchsorted(ys, slopes + tol, side="right")
+    counts = np.bincount((srow * (m + 1) + k1).ravel(), minlength=L * (m + 1))
+    lo = np.cumsum(counts.reshape(L, m + 1), axis=1)[:, :m]
+    rows = np.arange(L)[:, None]
+    jlo = vertex(rows, lo)
+    vals = ys * xs[jlo] - F[rows, jlo]
     if lam is not None:  # the envelope's own expression, negated
-        vals = -(f[np.arange(L)[:, None], jlo] + (xq - xs[jlo]) ** 2 / (2.0 * lam))
+        vals = -(f[rows, jlo] + (xq - xs[jlo]) ** 2 / (2.0 * lam))
     arg = jlo
 
-    wl, wk = np.nonzero(jhi > jlo)
+    # The window at (line, y) runs from vertex lo to vertex lo + extra, with
+    # extra the segments with slope - tol < y <= slope + tol: the segments
+    # that straddle a dual node, each +1 on its nodes [k0, k1), summed over
+    # (m + 1) bins per line that has one.
+    lows = slopes - tol
+    st = (ys[k1 - 1] > lows) & (k1 > 0)
+    wl = wk = e = np.zeros(0, dtype=np.int64)
+    if st.any():
+        r = np.broadcast_to(srow, st.shape)[st]
+        has = np.zeros(L, dtype=bool)
+        has[r] = True
+        wrows = np.flatnonzero(has)
+        at = (np.cumsum(has) - 1)[r] * (m + 1)
+        nbins = wrows.size * (m + 1)
+        events = np.bincount(at + np.searchsorted(ys, lows[st], side="right"), minlength=nbins)
+        events -= np.bincount(at + k1[st], minlength=nbins)
+        extra = np.cumsum(events.reshape(wrows.size, m + 1), axis=1)[:, :m]
+        wl, wk = np.nonzero(extra)
+        e, wl = extra[wl, wk], wrows[wl]
     a = jlo[wl, wk]
-    size = jhi[wl, wk] - a + 1
+    size = vertex(wl, lo[wl, wk] + e) - a + 1
     windows = _budget(windows + int(size.sum()), "conjugate's rounding windows need {} nodes")
     ends = np.cumsum(size)
     c0 = 0
@@ -267,7 +301,8 @@ def _conjugate_block(xs: np.ndarray, F: np.ndarray, ys: np.ndarray, lam: Optiona
         vals[wl[c], wk[c]] = v[k]
         arg[wl[c], wk[c]] = j[k]
         c0 = c.stop
-    arg[nh == 0] = -1
+    if not full:
+        arg[nh == 0] = -1
     return vals, arg, windows
 
 
@@ -332,6 +367,13 @@ def conjugate(f: GridFn, dual_grid: Grid) -> ConjugateResult:
     bound grows by at most an eighth.  Only geometric zippers (one low end
     node) still reach the per-point chain, past the rounds' work budget.
 
+    Each hull segment is placed once among the dual nodes, by its slope
+    plus the line's tolerance.  Only a segment that straddles a dual node
+    (one lies within the tolerance of its slope) is placed again, by its
+    slope minus the tolerance, and adds one vertex to the windows of the
+    nodes it straddles, summed per line that has one.  A block whose
+    values are all finite and where no triple pops is its own hull: its
+    slopes come from the values and nothing is gathered or compacted.
     The rounding windows take an exhaustive max over each window's nodes.
     Their work is one pass's window nodes, counted a block of lines at a
     time and refused before the block that crosses the cap.  A pass has at
@@ -340,8 +382,11 @@ def conjugate(f: GridFn, dual_grid: Grid) -> ConjugateResult:
     dual grid in [-1e-13, 1e-13] has n*m window nodes.
 
     Memory: a 1-D line is one kernel block, not split, so its temporaries
-    grow linearly, about 100 bytes per primal and dual node (at n = m a
-    peak of 194 bytes per node for |x| by tracemalloc, held under 256).
+    grow linearly in n + m.  By tracemalloc at n = m, |x| peaks at 81
+    bytes per primal node (held under 256), and f = 0 with every segment
+    straddling every dual node (n = m = 3000, the example above) at 127
+    bytes per primal and dual node (held under 256); the windows are
+    summed per line, never per (segment, dual node) pair.
     """
     require_proper(f, "conjugate input")
     if dual_grid.dim != f.grid.dim:

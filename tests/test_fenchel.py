@@ -436,6 +436,81 @@ def test_2d_blocks_of_lines_with_no_finite_value_match_the_oracle(monkeypatch):
     assert res.dual.values.tobytes() == ref.dual.values.tobytes()
 
 
+
+def _straddle_line(n, exp, tenths, cuts, m, center, span):
+    """A max of one-decimal lines, shifted by 10^exp, on a dual grid of m
+    nodes within span of one of its slopes: with a large offset, or a dual
+    grid narrower than the rounding, hull slopes straddle many dual nodes."""
+    g = Grid.line(-1, 1, n)
+    s, b = np.asarray(tenths) / 10, np.asarray(cuts) / 10
+    vals = 10.0**exp + np.max(s[:, None] * g.coords(0) + b[:, None], axis=0)
+    y = s[center % s.size]
+    return GridFn(g, vals), Grid.line(y - span, y + span, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 400), exp=st.sampled_from([-300, 0, 4, 8, 12]),
+       tenths=st.lists(st.integers(-20, 20), min_size=1, max_size=4),
+       cuts=st.lists(st.integers(-9, 9), min_size=4, max_size=4),
+       m=st.integers(2, 300), center=st.integers(0, 3),
+       span=st.sampled_from([1e-13, 1e-9, 1e-4, 0.5, 2.0]),
+       block=st.sampled_from([16, 512, fenchel._BLOCK_ELEMS]))
+@example(n=3000, exp=0, tenths=[0], cuts=[0, 0, 0, 0], m=3000, center=0, span=1e-13, block=64)
+def test_straddling_segments_match_the_oracle_bit_for_bit(n, exp, tenths, cuts, m, center, span, block):
+    # windows from straddling segments only, in window chunks of any size
+    f, dual = _straddle_line(n, exp, tenths, cuts[: len(tenths)], m, center, span)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fenchel, "_BLOCK_ELEMS", block)
+        res = conjugate(f, dual)
+    ref = conjugate_oracle(f, dual)
+    assert res.dual.values.tobytes() == ref.dual.values.tobytes()
+    assert res.argmax.tobytes() == ref.argmax.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n1=st.integers(2, 30), n2=st.integers(2, 30), m1=st.integers(2, 30), m2=st.integers(2, 30),
+       seed=st.integers(0, 2**32 - 1), lines=st.integers(1, 4), exp=st.sampled_from([0, 6, 12]))
+def test_blocks_mixing_full_hulls_and_popping_lines_match_the_oracle_values_2d(
+        n1, n2, m1, m2, seed, lines, exp):
+    # blocks of a few rows: some rows convex (each its own hull, a block of
+    # them skips the compaction), some popping, some with +inf patches
+    rng = np.random.default_rng(seed)
+    g = Grid.box((-1, 1, n1), (-2, 2, n2))
+    vals = 10.0**exp + np.cumsum(np.sort(rng.normal(size=(n1, n2)), axis=1), axis=1)
+    kind = rng.integers(0, 3, size=n1)
+    vals[kind == 1] = rng.normal(size=(int((kind == 1).sum()), n2))
+    vals[kind == 2, : int(rng.integers(1, n2 + 1))] = np.inf
+    f = GridFn(g, vals)
+    dual = Grid.box((-3, 3, m1), (-3, 3, m2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fenchel, "_BLOCK_ELEMS", lines * (max(n1, m1) + max(n2, m2)))
+        a = conjugate(f, dual)
+    b = conjugate_oracle(f, dual)
+    assert a.dual.values.tobytes() == b.dual.values.tobytes()
+    i, j = np.divmod(a.argmax, n2)  # the argmax attains the value
+    y1, y2 = np.meshgrid(dual.coords(0), dual.coords(1), indexing="ij")
+    assert np.array_equal(y1 * g.coords(0)[i] + (y2 * g.coords(1)[j] - f.values[i, j]), a.dual.values)
+
+
+def test_windows_of_segments_straddling_every_dual_node_take_linear_memory():
+    # f = 0: every hull segment straddles every dual node, so each of the m
+    # windows spans all n nodes; the windows are summed per line, never per
+    # (segment, dual node) pair (n m = 9e6 pairs would take some 150 MB)
+    n = m = 3000
+    f = GridFn(Grid.line(-1, 1, n), np.zeros(n))
+    dual = Grid.line(-1e-13, 1e-13, m)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = conjugate(f, dual)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * (n + m)
+    ref = conjugate_oracle(f, dual)
+    assert res.dual.values.tobytes() == ref.dual.values.tobytes()
+    assert res.argmax.tobytes() == ref.argmax.tobytes()
+
 # one-decimal values tie exactly on one-decimal grids; the rest sit at the
 # float limit, at -0.0 and at +inf
 ORACLE_VALUES = st.one_of(
