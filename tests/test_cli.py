@@ -48,6 +48,21 @@ def test_missing_file_is_usage_error(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("make", [None, "dir"])
+def test_an_unwritable_out_names_the_path_given(capsys, tmp_path, make):
+    # a missing directory, or a directory where the file should go: the
+    # message names f.json, the same on every run, and no temp file is left
+    out = tmp_path / "nonexistent" / "f.json"
+    if make:
+        out.mkdir(parents=True)
+    errs = []
+    for _ in range(2):
+        assert main(["conjugate", "--atom", "abs", "--grid=-1:1:5", "--out", str(out)]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] and repr(str(out)) in errs[0] and ".tmp" not in errs[0]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == (["f.json", "nonexistent"] if make else [])
+
+
 def test_malformed_number_is_usage_error():
     assert main(["gamma", "--x", "abc", "--n", "10"]) == 2
 
