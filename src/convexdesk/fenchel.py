@@ -223,7 +223,8 @@ def _conjugate_block(xs: np.ndarray, F: np.ndarray, ys: np.ndarray, lam: Optiona
     bound = 64.0 * _EPS * (yx + fmax + 1.0)
     # every value finite and no triple popping: each line is its own hull,
     # its segments a row of slopes, and hull vertex v of line l is node v
-    full = finite and not _above(xs, F).any()
+    pops = _above(xs, F) if finite else None
+    full = finite and not pops.any()
     if full:
         slopes = np.diff(F, axis=1) / (xs[1:] - xs[:-1])
         srow = np.arange(L)[:, None]
@@ -232,8 +233,10 @@ def _conjugate_block(xs: np.ndarray, F: np.ndarray, ys: np.ndarray, lam: Optiona
         if not hr.size:
             return np.full((L, m), -np.inf), np.full((L, m), -1, dtype=np.int64), windows
         hf, hx = F[hr, hc], xs[hc]
-        # a line where the exact pop test never fires is its own hull
-        pops = (hr[2:] == hr[:-2]) & _above(hx, hf)
+        # a line where the exact pop test never fires is its own hull; no
+        # triple spans two lines
+        pops = (np.pad(pops, ((0, 0), (0, 2))).ravel()[:-2] if finite
+                else (hr[2:] == hr[:-2]) & _above(hx, hf))
         if pops.any():
             keep, depth = _hull_mask(hr, hx, hf, pops, bound)
             hr, hc, hf, hx = hr[keep], hc[keep], hf[keep], hx[keep]
@@ -269,11 +272,8 @@ def _conjugate_block(xs: np.ndarray, F: np.ndarray, ys: np.ndarray, lam: Optiona
     st = (ys[k1 - 1] > lows) & (k1 > 0)
     wl = wk = e = np.zeros(0, dtype=np.int64)
     if st.any():
-        r = np.broadcast_to(srow, st.shape)[st]
-        has = np.zeros(L, dtype=bool)
-        has[r] = True
-        wrows = np.flatnonzero(has)
-        at = (np.cumsum(has) - 1)[r] * (m + 1)
+        wrows, at = np.unique(np.broadcast_to(srow, st.shape)[st], return_inverse=True)
+        at *= m + 1
         nbins = wrows.size * (m + 1)
         events = np.bincount(at + np.searchsorted(ys, lows[st], side="right"), minlength=nbins)
         events -= np.bincount(at + k1[st], minlength=nbins)
