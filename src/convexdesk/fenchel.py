@@ -235,7 +235,7 @@ def _conjugate_block(xs: np.ndarray, F: np.ndarray, ys: np.ndarray, lam: Optiona
         hf, hx = F[hr, hc], xs[hc]
         # a line where the exact pop test never fires is its own hull; no
         # triple spans two lines
-        pops = (np.pad(pops, ((0, 0), (0, 2))).ravel()[:-2] if finite
+        pops = (np.concatenate([pops, np.zeros((L, 2), dtype=bool)], axis=1).ravel()[:-2] if finite
                 else (hr[2:] == hr[:-2]) & _above(hx, hf))
         if pops.any():
             keep, depth = _hull_mask(hr, hx, hf, pops, bound)
@@ -272,8 +272,11 @@ def _conjugate_block(xs: np.ndarray, F: np.ndarray, ys: np.ndarray, lam: Optiona
     st = (ys[k1 - 1] > lows) & (k1 > 0)
     wl = wk = e = np.zeros(0, dtype=np.int64)
     if st.any():
-        wrows, at = np.unique(np.broadcast_to(srow, st.shape)[st], return_inverse=True)
-        at *= m + 1
+        r = st.nonzero()[0] if full else srow[st]  # their lines
+        has = np.zeros(L, dtype=bool)
+        has[r] = True
+        wrows = has.nonzero()[0]
+        at = (has.cumsum() - 1)[r] * (m + 1)
         nbins = wrows.size * (m + 1)
         events = np.bincount(at + np.searchsorted(ys, lows[st], side="right"), minlength=nbins)
         events -= np.bincount(at + k1[st], minlength=nbins)
@@ -382,9 +385,9 @@ def conjugate(f: GridFn, dual_grid: Grid) -> ConjugateResult:
     dual grid in [-1e-13, 1e-13] has n*m window nodes.
 
     Memory: a 1-D line is one kernel block, not split, so its temporaries
-    grow linearly in n + m.  By tracemalloc at n = m, |x| peaks at 81
+    grow linearly in n + m.  By tracemalloc at n = m, |x| peaks at 82
     bytes per primal node (held under 256), and f = 0 with every segment
-    straddling every dual node (n = m = 3000, the example above) at 127
+    straddling every dual node (n = m = 3000, the example above) at 124
     bytes per primal and dual node (held under 256); the windows are
     summed per line, never per (segment, dual node) pair.
     """

@@ -179,7 +179,8 @@ def _certificate(f: GridFn, lam: float, z: np.ndarray, p: ProxResult, residual: 
     """x = p.point and y = (z - x) / lam for p = prox(f, lam, z), and the Fenchel-Young
     residual f(x) + f*(y) - <x, y> of y in d_eps f(x), None unless `residual`: f
     interpolated (p.f_point), f* exact over the nodes of dom f (the conjugate of the
-    piecewise-linear extension).  Near the float limit y, f*(y) and <x, y> overflow
+    piecewise-linear extension), <x, y> np.dot's (one product keeps its sign of zero,
+    where x @ y adds it to +0.0).  Near the float limit y, f*(y) and <x, y> overflow
     silently; where the residual is then inf - inf (always where y is not finite) it
     is +inf.  Cost: one O(N) scan plus a fixed number of array calls."""
     x = np.asarray(p.point)
@@ -187,7 +188,7 @@ def _certificate(f: GridFn, lam: float, z: np.ndarray, p: ProxResult, residual: 
         y = (z - x) / lam
         if not residual:
             return x, y, None
-        eps = p.f_point + float(_conjugate_scan(f, y[None, :])[0][0]) - float(x @ y)
+        eps = p.f_point + float(_conjugate_scan(f, y[None, :])[0][0]) - float(np.dot(x, y))
     return x, y, math.inf if math.isnan(eps) else eps
 
 

@@ -580,7 +580,7 @@ def test_oracle_memory_is_bounded_in_1d(rng):
 
 def test_1d_conjugate_memory_is_linear_in_the_line():
     # one line is one block of the kernel: at n = m its temporaries take
-    # about 194 bytes per node, whatever the line's size
+    # about 82 bytes per node, whatever the line's size
     n = 200_000
     f = sample(FnAtom("abs"), Grid.line(-1, 1, n))
     dual = Grid.line(-2, 2, n)
