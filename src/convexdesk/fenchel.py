@@ -135,10 +135,11 @@ _DEEP = 0.125
 
 def _hull_mask(rows: np.ndarray, x: np.ndarray, f: np.ndarray, pops: np.ndarray, bound: np.ndarray):
     """Which of a block's finite points (rows, x, f), sorted by line then
-    x, are kept as their line's hull, and per line how deep a dropped
-    point lies below the kept chain; pops is _above on their consecutive
-    triples, false where a triple spans two lines, and bound holds the
-    lines' rounding bounds (see _conjugate_block).
+    x, are kept as their line's hull (their indices, increasing), and per
+    line how deep a dropped point lies below the kept chain; pops is
+    _above on their consecutive triples, false where a triple spans two
+    lines, and bound holds the lines' rounding bounds (see
+    _conjugate_block).
 
     The first round drops the middle of every triple that pops, and each
     further round the middles that pop with _pops's margin among the kept
@@ -154,7 +155,7 @@ def _hull_mask(rows: np.ndarray, x: np.ndarray, f: np.ndarray, pops: np.ndarray,
     # a line's first and last points are kept, so every dropped point d
     # has kept neighbours a < d < b on its own line
     k, d = np.flatnonzero(keep), np.flatnonzero(~keep)
-    b = np.cumsum(keep)[d]  # kept points before d
+    b = d - np.arange(d.size)  # kept points before d
     a, b = k[b - 1], k[b]
     below = f[a] + (f[b] - f[a]) * ((x[d] - x[a]) / (x[b] - x[a])) - f[d]
     depth = np.zeros(bound.size)
@@ -166,7 +167,8 @@ def _hull_mask(rows: np.ndarray, x: np.ndarray, f: np.ndarray, pops: np.ndarray,
         keep[idx] = True
         r = rows[idx]
         _rounds(keep, rows, x, f, idx, (r[2:] == r[:-2]) & _above(x[idx], f[idx]), _above)
-    return keep, depth
+        k = np.flatnonzero(keep)
+    return k, depth
 
 
 def _rounds(keep: np.ndarray, rows: np.ndarray, x: np.ndarray, f: np.ndarray, idx: np.ndarray,
@@ -179,13 +181,18 @@ def _rounds(keep: np.ndarray, rows: np.ndarray, x: np.ndarray, f: np.ndarray, id
     line either way."""
     work, budget = idx.size, _HULL_WORK * idx.size
     live = np.zeros(rows[-1] + 1, dtype=bool)
+    r = rows[idx]
     while pops.any():
-        mid = idx[1:-1][pops]
-        keep[mid] = False
+        # every point of idx is kept, so the next round's points are those
+        # of the lines that popped, less the middles that popped (p)
+        p = np.flatnonzero(pops) + 1
+        keep[idx[p]] = False
         live[:] = False
-        live[rows[mid]] = True
-        idx = idx[keep[idx] & live[rows[idx]]]
-        r = rows[idx]
+        live[r[p]] = True
+        s = live[r]
+        s[p] = False
+        s = np.flatnonzero(s)
+        idx, r = idx[s], r[s]
         work += idx.size + _ROUND_WORK
         if work > budget:
             for p in np.split(idx, np.flatnonzero(r[1:] != r[:-1]) + 1):
@@ -195,8 +202,13 @@ def _rounds(keep: np.ndarray, rows: np.ndarray, x: np.ndarray, f: np.ndarray, id
         pops = (r[2:] == r[:-2]) & test(x[idx], f[idx])
 
 
-# elements per block of lines, which bounds the kernel's temporaries
-_BLOCK_ELEMS = 1 << 13
+# Elements per block of lines, which bounds the kernel's temporaries.
+# grid-2d's eight kernel calls (2-D conjugates, biconjugates and envelopes
+# at 251^2 and 355^2) took 240, 174, 155 and 170 ms at 2^13, 2^14, 2^15
+# and 2^16 elements on a shared 2-vCPU Xeon host (9 alternated reps): the
+# blocks' numpy calls cost less per element as blocks grow, until the
+# working set, a few dozen arrays of a block's size, leaves its 4 MB L2.
+_BLOCK_ELEMS = 1 << 15
 
 
 def _line_blocks(nlines: int, width: int):
@@ -205,9 +217,36 @@ def _line_blocks(nlines: int, width: int):
     return (slice(a, a + step) for a in range(0, nlines, step))
 
 
+def _place(ys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """np.searchsorted(ys, keys, side="right") for the sorted ys of a grid
+    axis, uniform up to rounding: a key's count c is read off its offset
+    from ys[0] and kept where ys[c - 1] <= key < ys[c], which fixes it; the
+    keys that miss (next to a node, or on far from uniform ys) take the
+    binary search.  So do fewer than 2048 keys, for which the search costs
+    less than the estimate's fixed cost (some 15 us), and every key where
+    ys is unsorted, as np.linspace over a subnormal span can make it."""
+    m = ys.size
+    if keys.size < 2048 or not (ys[1:] >= ys[:-1]).all():
+        return np.searchsorted(ys, keys, side="right")
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        inv = (m - 1) / (ys[-1] - ys[0])
+        c = keys * inv
+        c += 1.0 - ys[0] * inv
+    c = np.fmin(np.fmax(c, 0.0, out=c), float(m), out=c).astype(np.int64)  # nan to 0
+    yp = np.concatenate(([-np.inf], ys, [np.inf]))  # yp[c] = ys[c - 1]
+    miss = np.flatnonzero(~((yp[:-1].take(c) <= keys) & (yp[1:].take(c) > keys)))  # a nan key too
+    if miss.size:
+        np.put(c, miss, np.searchsorted(ys, np.take(keys, miss), side="right"))
+    return c
+
+
 def _conjugate_block(xs: np.ndarray, F: np.ndarray, ys: np.ndarray, lam: Optional[float], windows: int):
     if lam is not None:  # the envelope's transform, see _conjugate_lines
-        f, xq, F, ys = F, ys, F + xs ** 2 / (2.0 * lam), ys / lam
+        f, xq, F, ys = np.ascontiguousarray(F).ravel(), ys, F + xs ** 2 / (2.0 * lam), ys / lam
+    # the gathers below take flat indices into the block; a 2-D column pass
+    # hands in a transposed view, copied here one block at a time
+    F = np.ascontiguousarray(F)
+    Ff = F.ravel()
     L, n = F.shape
     m = ys.size
     fin = np.isfinite(F)
@@ -229,83 +268,98 @@ def _conjugate_block(xs: np.ndarray, F: np.ndarray, ys: np.ndarray, lam: Optiona
         slopes = np.diff(F, axis=1) / (xs[1:] - xs[:-1])
         srow = np.arange(L)[:, None]
     else:
-        hr, hc = np.nonzero(fin)
-        if not hr.size:
-            return np.full((L, m), -np.inf), np.full((L, m), -1, dtype=np.int64), windows
-        hf, hx = F[hr, hc], xs[hc]
-        # a line where the exact pop test never fires is its own hull; no
-        # triple spans two lines
-        pops = (np.concatenate([pops, np.zeros((L, 2), dtype=bool)], axis=1).ravel()[:-2] if finite
-                else (hr[2:] == hr[:-2]) & _above(hx, hf))
+        # the finite points in line then node order: line hr, node hc,
+        # value hf, abscissa hx; no triple spans two lines
+        if finite:
+            hr, hc, hf, hx = np.repeat(np.arange(L), n), np.tile(np.arange(n), L), Ff, np.tile(xs, L)
+            pops = np.concatenate([pops, np.zeros((L, 2), dtype=bool)], axis=1).ravel()[:-2]
+        else:
+            p = np.flatnonzero(fin)
+            if not p.size:
+                return np.full((L, m), -np.inf), np.full((L, m), -1, dtype=np.int64), windows
+            hr = p // n
+            hc = p - hr * n
+            hf, hx = Ff[p], xs[hc]
+            pops = (hr[2:] == hr[:-2]) & _above(hx, hf)
+        # a line where the exact pop test never fires is its own hull
         if pops.any():
-            keep, depth = _hull_mask(hr, hx, hf, pops, bound)
-            hr, hc, hf, hx = hr[keep], hc[keep], hf[keep], hx[keep]
+            k, depth = _hull_mask(hr, hx, hf, pops, bound)
+            hr, hc, hf, hx = hr[k], hc[k], hf[k], hx[k]
             bound += depth
         seg = np.flatnonzero(hr[1:] == hr[:-1])
-        slopes = (hf[seg + 1] - hf[seg]) / (hx[seg + 1] - hx[seg])
+        slopes = (hf[1:] - hf[:-1])[seg] / (hx[1:] - hx[:-1])[seg]
         srow = hr[seg]
-        # a line without finite values lands on another line's vertex: -inf
-        nh = np.bincount(hr, minlength=L)
-        start = np.cumsum(nh) - nh
+        # each line's first hull vertex; a line without finite values lands
+        # on another line's vertex: -inf
+        start = np.searchsorted(hr, np.arange(L + 1))
 
     def vertex(l, v):  # node of hull vertex v of line l
-        return v if full else hc[np.minimum(start[l] + v, hc.size - 1)]
+        return v if full else hc.take(np.minimum(start[l] + v, hc.size - 1))
+
+    yq = ys if lam is None else xq  # the dual nodes of the oracle's expression
+
+    def value(y, j, q):  # that expression at y (of yq), node j and F's flat index q
+        if lam is None:
+            return y * xs.take(j) - Ff.take(q)
+        return -(f.take(q) + (y - xs.take(j)) ** 2 / (2.0 * lam))  # the envelope's, negated
 
     tol = (bound * (n - 1) / (xs[-1] - xs[0]))[srow]
     # per line and dual node y: the hull segments with slope + tol < y, one
     # placement each, so y lands on vertex lo of its line
-    k1 = np.searchsorted(ys, slopes + tol, side="right")
+    k1 = _place(ys, slopes + tol)
     counts = np.bincount((srow * (m + 1) + k1).ravel(), minlength=L * (m + 1))
-    lo = np.cumsum(counts.reshape(L, m + 1), axis=1)[:, :m]
+    lo = np.cumsum(counts.reshape(L, m + 1)[:, :m], axis=1)
     rows = np.arange(L)[:, None]
-    jlo = vertex(rows, lo)
-    vals = ys * xs[jlo] - F[rows, jlo]
-    if lam is not None:  # the envelope's own expression, negated
-        vals = -(f[rows, jlo] + (xq - xs[jlo]) ** 2 / (2.0 * lam))
-    arg = jlo
+    arg = vertex(rows, lo)
+    vals = value(yq, arg, rows * n + arg)
 
     # The window at (line, y) runs from vertex lo to vertex lo + extra, with
     # extra the segments with slope - tol < y <= slope + tol: the segments
     # that straddle a dual node, each +1 on its nodes [k0, k1), summed over
     # (m + 1) bins per line that has one.
     lows = slopes - tol
-    st = (ys[k1 - 1] > lows) & (k1 > 0)
+    st = np.flatnonzero((ys.take(k1 - 1) > lows) & (k1 > 0))
     wl = wk = e = np.zeros(0, dtype=np.int64)
-    if st.any():
-        r = st.nonzero()[0] if full else srow[st]  # their lines
+    if st.size:
+        r = st // (n - 1) if full else srow[st]  # their lines
         has = np.zeros(L, dtype=bool)
         has[r] = True
         wrows = has.nonzero()[0]
         at = (has.cumsum() - 1)[r] * (m + 1)
-        nbins = wrows.size * (m + 1)
-        events = np.bincount(at + np.searchsorted(ys, lows[st], side="right"), minlength=nbins)
-        events -= np.bincount(at + k1[st], minlength=nbins)
-        extra = np.cumsum(events.reshape(wrows.size, m + 1), axis=1)[:, :m]
-        wl, wk = np.nonzero(extra)
-        e, wl = extra[wl, wk], wrows[wl]
-    a = jlo[wl, wk]
-    size = vertex(wl, lo[wl, wk] + e) - a + 1
+        events = np.bincount(at + _place(ys, np.take(lows, st)), minlength=wrows.size * (m + 1))
+        events -= np.bincount(at + np.take(k1, st), minlength=events.size)
+        # a line's events sum to 0, so one running sum serves all its lines
+        extra = np.cumsum(events)
+        wk = np.flatnonzero(extra)
+        e, wl = extra[wk], wk // (m + 1)
+        wk -= wl * (m + 1)
+        wl = wrows[wl]
+    q = wl * m + wk  # flat index of (line, dual node)
+    a = np.take(arg, q)
+    size = vertex(wl, np.take(lo, q) + e) - a + 1
     windows = _budget(windows + int(size.sum()), "conjugate's rounding windows need {} nodes")
+    # Chunks of window nodes, the block's size at most: a 2-D block settles
+    # its windows in one chunk, and a line in chunks of 2^13 nodes or n + m.
+    chunk = min(_BLOCK_ELEMS, max(1 << 13, L * (n + m)))
     ends = np.cumsum(size)
     c0 = 0
     while c0 < wl.size:
-        # exhaustive smallest-index max of the oracle's expression per
-        # window, about _BLOCK_ELEMS window nodes at a time
-        c = slice(c0, max(c0 + 1, int(np.searchsorted(ends, ends[c0] - size[c0] + _BLOCK_ELEMS))))
+        # exhaustive smallest-index max of the oracle's expression per window
+        c = slice(c0, max(c0 + 1, int(np.searchsorted(ends, ends[c0] - size[c0] + chunk))))
         first = np.cumsum(size[c]) - size[c]
         w = np.repeat(np.arange(first.size), size[c])
-        j = a[c][w] + np.arange(w.size) - first[w]
-        v = ys[wk[c][w]] * xs[j] - F[wl[c][w], j]
-        if lam is not None:
-            v = -(f[wl[c][w], j] + (xq[wk[c][w]] - xs[j]) ** 2 / (2.0 * lam))
+        j = (a[c] - first)[w] + np.arange(w.size)
+        v = value(yq.take(wk[c])[w], j, (wl[c] * n)[w] + j)
         hit = np.flatnonzero(v == np.maximum.reduceat(v, first)[w])
-        # the first maximum, with its own sign of zero as in the oracle
-        k = hit[np.searchsorted(w[hit], np.arange(first.size))]
-        vals[wl[c], wk[c]] = v[k]
-        arg[wl[c], wk[c]] = j[k]
+        # each window's first maximum, with its own sign of zero as in the
+        # oracle: every window has one, so the hits open window after window
+        wh = w[hit]
+        k = hit[np.flatnonzero(np.concatenate(([True], wh[1:] != wh[:-1])))]
+        np.put(vals, q[c], v[k])
+        np.put(arg, q[c], j[k])
         c0 = c.stop
     if not full:
-        arg[nh == 0] = -1
+        arg[start[:-1] == start[1:]] = -1
     return vals, arg, windows
 
 
@@ -371,7 +425,9 @@ def conjugate(f: GridFn, dual_grid: Grid) -> ConjugateResult:
     node) still reach the per-point chain, past the rounds' work budget.
 
     Each hull segment is placed once among the dual nodes, by its slope
-    plus the line's tolerance.  Only a segment that straddles a dual node
+    plus the line's tolerance: read off its offset on the uniform dual
+    grid and checked against the two nodes around it, with a binary search
+    where that check fails.  Only a segment that straddles a dual node
     (one lies within the tolerance of its slope) is placed again, by its
     slope minus the tolerance, and adds one vertex to the windows of the
     nodes it straddles, summed per line that has one.  A block whose
@@ -384,12 +440,26 @@ def conjugate(f: GridFn, dual_grid: Grid) -> ConjugateResult:
     inputs over the oracle's pair cap reach it; f = 0 on [-1, 1] with the
     dual grid in [-1e-13, 1e-13] has n*m window nodes.
 
+    Blocks: a pass of L lines, n nodes and m dual nodes each, goes in
+    blocks of _BLOCK_ELEMS // (n + m) lines (2^15 elements; at least one
+    line), and a block of L lines takes its windows in chunks of
+    min(_BLOCK_ELEMS, max(2^13, L (n + m))) window nodes.  So a 2-D block
+    settles its windows in one chunk unless they outnumber its elements,
+    and a line of n + m <= 2^13 goes in chunks of 2^13 window nodes.
+
     Memory: a 1-D line is one kernel block, not split, so its temporaries
     grow linearly in n + m.  By tracemalloc at n = m, |x| peaks at 82
     bytes per primal node (held under 256), and f = 0 with every segment
-    straddling every dual node (n = m = 3000, the example above) at 124
+    straddling every dual node (n = m = 3000, the example above) at 146
     bytes per primal and dual node (held under 256); the windows are
-    summed per line, never per (segment, dual node) pair.
+    summed per line, never per (segment, dual node) pair.  A 2-D
+    transform holds its (n1, m2) inner transform and its (m1, m2) result,
+    values and argmax, 16 bytes a node each, and one block's temporaries
+    at a time, at most 96 bytes per element of the block (82 on a block
+    that pops, 33 on one that is its own hull).  f = a quadratic at 355^2
+    onto 355^2 peaks at 5.3 MB, and its biconjugate, which holds the first
+    result through the second transform, at 8.5 MB (held under 32 and 48
+    bytes a node plus 96 _BLOCK_ELEMS).
     """
     require_proper(f, "conjugate input")
     if dual_grid.dim != f.grid.dim:

@@ -22,3 +22,12 @@ def test_a_digest_file_from_another_numpy_fails_and_says_so(monkeypatch):
     monkeypatch.setattr(corpus, "load", lambda: {"numpy": "0.0", "digests": {}})
     with pytest.raises(pytest.fail.Exception, match="made with numpy 0.0, this is"):
         test_kernel_digests_match_the_committed_file()
+
+
+def test_each_value_entry_has_one_digest_across_block_sizes():
+    # the kernel's values and argmax do not depend on its block size; the
+    # budget and refusal entries may, since windows are counted per block
+    stored = corpus.load()["digests"]
+    for entry in ("conjugate_1d", "conjugate_2d", "biconjugate", "moreau_envelope"):
+        found = {stored[f"{entry}@{block}"] for block in corpus.BLOCKS}
+        assert len(found) == 1, entry

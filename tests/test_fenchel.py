@@ -25,6 +25,7 @@ from convexdesk.fenchel import (
     MAX_DIRECT_PAIRS,
     _axis_pairs,
     _conjugate_scan,
+    _place,
     biconjugate,
     coercivity_check,
     conjugate,
@@ -38,6 +39,7 @@ from convexdesk.fenchel import (
     subdifferential,
 )
 from convexdesk.grids import Grid, GridFn, discrete_convexity_check
+from convexdesk.moreau import moreau_envelope
 
 
 # ---- conjugate -------------------------------------------------------------
@@ -470,6 +472,7 @@ def test_straddling_segments_match_the_oracle_bit_for_bit(n, exp, tenths, cuts, 
 @settings(max_examples=60, deadline=None)
 @given(n1=st.integers(2, 30), n2=st.integers(2, 30), m1=st.integers(2, 30), m2=st.integers(2, 30),
        seed=st.integers(0, 2**32 - 1), lines=st.integers(1, 4), exp=st.sampled_from([0, 6, 12]))
+@example(n1=2, n2=4, m1=2, m2=2, seed=286, lines=1, exp=0)  # every row +inf: f is improper
 def test_blocks_mixing_full_hulls_and_popping_lines_match_the_oracle_values_2d(
         n1, n2, m1, m2, seed, lines, exp):
     # blocks of a few rows: some rows convex (each its own hull, a block of
@@ -482,6 +485,11 @@ def test_blocks_mixing_full_hulls_and_popping_lines_match_the_oracle_values_2d(
     vals[kind == 2, : int(rng.integers(1, n2 + 1))] = np.inf
     f = GridFn(g, vals)
     dual = Grid.box((-3, 3, m1), (-3, 3, m2))
+    if not np.isfinite(vals).any():  # both refuse an improper f
+        for transform in (conjugate, conjugate_oracle):
+            with pytest.raises(ImproperFunctionError):
+                transform(f, dual)
+        return
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fenchel, "_BLOCK_ELEMS", lines * (max(n1, m1) + max(n2, m2)))
         a = conjugate(f, dual)
@@ -510,6 +518,60 @@ def test_windows_of_segments_straddling_every_dual_node_take_linear_memory():
     ref = conjugate_oracle(f, dual)
     assert res.dual.values.tobytes() == ref.dual.values.tobytes()
     assert res.argmax.tobytes() == ref.argmax.tobytes()
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.sampled_from([-3.0, 0.0, 1.0, 1e10, -1e300, -1e-13, -1.5e-323]),
+       span=st.sampled_from([1e-323, 5e-323, 1e-15, 1e-13, 0.37, 6.0, 1e300]),
+       m=st.integers(2, 400), seed=st.integers(0, 2**32 - 1), lam=st.sampled_from([1.0, 0.3, 1e-5]))
+def test_place_is_the_binary_search(lo, span, m, seed, lam):
+    # the kernel's placement reads a key's count off the grid's spacing and
+    # keeps it only where the two nodes around it agree: dual grids far from
+    # uniform (a huge offset, nodes a few ulps apart, a subnormal span that
+    # np.linspace leaves unsorted), keys on nodes and one ulp off them,
+    # signed zeros, infinities and nan all give np.searchsorted's count
+    if not np.isfinite(lo + span):
+        return
+    ys = np.linspace(lo, lo + span, m) / lam  # an envelope's dual nodes are x / lam
+    rng = np.random.default_rng(seed)
+    on = rng.choice(ys, 1500)
+    keys = np.concatenate([on, np.nextafter(on, np.inf), np.nextafter(on, -np.inf),
+                           rng.uniform(ys[0] - span, ys[-1] + span, 1000) if np.isfinite(2 * span) else on,
+                           [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308]])
+    rng.shuffle(keys)
+    for k in (keys, keys[:5000].reshape(100, 50), keys[:100]):
+        assert np.array_equal(_place(ys, k), np.searchsorted(ys, k, side="right"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n1=st.integers(2, 60), n2=st.integers(2, 40), m1=st.integers(2, 40), m2=st.integers(2, 40),
+       seed=st.integers(0, 2**32 - 1), exp=st.sampled_from([0, 6, 12]), flat=st.booleans(),
+       span=st.sampled_from([1e-13, 3.0]), lam=st.sampled_from([0.5, 2.0]))
+@example(n1=120, n2=60, m1=40, m2=60, seed=0, exp=0, flat=True, span=1e-13, lam=1.0)
+def test_2d_outputs_do_not_depend_on_the_block_size(n1, n2, m1, m2, seed, exp, flat, span, lam):
+    # rows convex, popping and +inf-patched, or all flat; on a dual box
+    # within rounding of 0 every segment of a flat row straddles every dual
+    # node, so a block's windows pass 2^13 nodes and go in chunks of 2^13
+    # nodes or, past it, of the block's L (n + m) (the example: 14400 at
+    # the default block, 8192 at 8192)
+    rng = np.random.default_rng(seed)
+    g = Grid.box((-1, 1, n1), (-2, 2, n2))
+    vals = 10.0**exp + np.cumsum(np.sort(rng.normal(size=(n1, n2)), axis=1), axis=1)
+    kind = rng.integers(0, 3, size=n1)
+    vals[kind == 1] = rng.normal(size=(int((kind == 1).sum()), n2))
+    vals[kind == 2, : int(rng.integers(1, n2 + 1))] = np.inf
+    if flat:
+        vals[...] = 10.0**exp
+    vals[-1, -1] = 10.0**exp  # f is proper
+    f, dual = GridFn(g, vals), Grid.box((-span, span, m1), (-span, span, m2))
+    outs = []
+    for block in (96, 8192, fenchel._BLOCK_ELEMS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fenchel, "_BLOCK_ELEMS", block)
+            c = conjugate(f, dual)
+            outs.append([c.dual.values.tobytes(), c.argmax.tobytes(), biconjugate(f, dual).values.tobytes(),
+                         moreau_envelope(f, lam, check_convexity=False).values.tobytes()])
+    assert outs[0] == outs[1] == outs[2]
+
 
 # one-decimal values tie exactly on one-decimal grids; the rest sit at the
 # float limit, at -0.0 and at +inf
@@ -594,7 +656,29 @@ def test_1d_conjugate_memory_is_linear_in_the_line():
     assert peak < 256 * n
 
 
-NEAR_LIMIT = [1e308, -1e308, 1.7e308, -1.7e308, 5e307, 0.0, 1.0, -3.0, np.inf]
+def test_2d_conjugate_memory_is_its_arrays_plus_one_block():
+    # conjugate's docstring: the (n1, m2) inner transform and the (m1, m2)
+    # result, 16 bytes a node each, plus one block's temporaries, at most
+    # 96 bytes per element of the block; biconjugate holds its first result
+    # (16 bytes a dual node) through the second transform
+    n = 355
+    g = Grid.box((-2, 2, n), (-2, 2, n))
+    x1, x2 = np.meshgrid(g.coords(0), g.coords(1), indexing="ij")
+    f = GridFn(g, 0.7 * x1**2 + 0.3 * x1 * x2 + 0.5 * x2**2 + 0.1 * x1)
+    dual = default_dual_grid(f)
+    block = 96 * fenchel._BLOCK_ELEMS
+    for transform, bound in ((conjugate, 32 * n * n + block), (biconjugate, 48 * n * n + block)):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            transform(f, dual)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, transform.__name__
+
+
+NEAR_LIMIT =[1e308, -1e308, 1.7e308, -1.7e308, 5e307, 0.0, 1.0, -3.0, np.inf]
 
 
 @settings(max_examples=300, deadline=None)
