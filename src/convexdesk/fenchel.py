@@ -458,8 +458,8 @@ def conjugate(f: GridFn, dual_grid: Grid) -> ConjugateResult:
     at a time, at most 96 bytes per element of the block (82 on a block
     that pops, 33 on one that is its own hull).  f = a quadratic at 355^2
     onto 355^2 peaks at 5.3 MB, and its biconjugate, which holds the first
-    result through the second transform, at 8.5 MB (held under 32 and 48
-    bytes a node plus 96 _BLOCK_ELEMS).
+    transform's values (8 bytes a dual node) through the second, at 7.5 MB
+    (held under 32 and 40 bytes a node plus 96 _BLOCK_ELEMS).
     """
     require_proper(f, "conjugate input")
     if dual_grid.dim != f.grid.dim:
@@ -553,10 +553,9 @@ def default_dual_grid(f: GridFn, n: Optional[int] = None, pad: float = 0.0) -> G
 
 
 def biconjugate(f: GridFn, dual_grid: Grid) -> GridFn:
-    """Conjugate applied twice, back onto f's own grid."""
-    c1 = conjugate(f, dual_grid)
-    c2 = conjugate(c1.dual, f.grid)
-    return c2.dual
+    """Conjugate applied twice, back onto f's own grid; the first argmax is
+    freed before the second transform."""
+    return conjugate(conjugate(f, dual_grid).dual, f.grid).dual
 
 
 @dataclass(frozen=True)

@@ -659,15 +659,15 @@ def test_1d_conjugate_memory_is_linear_in_the_line():
 def test_2d_conjugate_memory_is_its_arrays_plus_one_block():
     # conjugate's docstring: the (n1, m2) inner transform and the (m1, m2)
     # result, 16 bytes a node each, plus one block's temporaries, at most
-    # 96 bytes per element of the block; biconjugate holds its first result
-    # (16 bytes a dual node) through the second transform
+    # 96 bytes per element of the block; biconjugate holds the first
+    # transform's values (8 bytes a dual node) through the second
     n = 355
     g = Grid.box((-2, 2, n), (-2, 2, n))
     x1, x2 = np.meshgrid(g.coords(0), g.coords(1), indexing="ij")
     f = GridFn(g, 0.7 * x1**2 + 0.3 * x1 * x2 + 0.5 * x2**2 + 0.1 * x1)
     dual = default_dual_grid(f)
     block = 96 * fenchel._BLOCK_ELEMS
-    for transform, bound in ((conjugate, 32 * n * n + block), (biconjugate, 48 * n * n + block)):
+    for transform, bound in ((conjugate, 32 * n * n + block), (biconjugate, 40 * n * n + block)):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
