@@ -339,7 +339,8 @@ def _conjugate_block(xs: np.ndarray, F: np.ndarray, ys: np.ndarray, lam: Optiona
     size = vertex(wl, np.take(lo, q) + e) - a + 1
     windows = _budget(windows + int(size.sum()), "conjugate's rounding windows need {} nodes")
     # Chunks of window nodes, the block's size at most: a 2-D block settles
-    # its windows in one chunk, and a line in chunks of 2^13 nodes or n + m.
+    # its windows in one chunk unless they outnumber its elements, and a
+    # line in chunks of 2^13 nodes or of n + m.
     chunk = min(_BLOCK_ELEMS, max(1 << 13, L * (n + m)))
     ends = np.cumsum(size)
     c0 = 0
