@@ -428,7 +428,8 @@ def conjugate(f: GridFn, dual_grid: Grid) -> ConjugateResult:
     Each hull segment is placed once among the dual nodes, by its slope
     plus the line's tolerance: read off its offset on the uniform dual
     grid and checked against the two nodes around it, with a binary search
-    where that check fails.  Only a segment that straddles a dual node
+    where that check fails or a block has fewer than 2048 segments.  Only
+    a segment that straddles a dual node
     (one lies within the tolerance of its slope) is placed again, by its
     slope minus the tolerance, and adds one vertex to the windows of the
     nodes it straddles, summed per line that has one.  A block whose
