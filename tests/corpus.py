@@ -1,5 +1,5 @@
-"""A seeded replay corpus for the conjugate kernel, and the digests of its
-outputs.
+"""A seeded replay corpus for the conjugate kernel and the point queries,
+and the digests of their outputs.
 
     PYTHONPATH=src python tests/corpus.py          # compare with the file
     PYTHONPATH=src python tests/corpus.py --write  # regenerate the file
@@ -12,6 +12,14 @@ value, float-limit values, 2-D grids whose rows mix full hulls and popping
 lines, and Moreau envelopes at lam in {0.5, 1, 2}.  Every input runs with
 the kernel's block size at its default and at a small value, so that a
 block holds a few lines.
+
+The point queries run once, at the default block size: `prox`, `resolvent`
+and `yosida` on convex 1-D and 2-D grids (item 13's constant offsets
+c + |x| among them, 1e6 to 1e17), and 2-D `fenchel_duality_gap`,
+`fitzpatrick` and `subdifferential`, each entry holding its outputs or
+its refusal.  The coupon probe is not digested: its Hessians come from
+matrix products and LAPACK's `eigvalsh`, whose bits depend on the BLAS
+build and on the kernel it selects for the CPU.
 
 Each entry of `kernel_digests.json` is the SHA-256 of the bytes of one
 function's outputs over the corpus, in order: `conjugate` values and argmax
@@ -35,9 +43,10 @@ import numpy as np
 
 from convexdesk import fenchel
 from convexdesk.errors import ConvexDeskError
-from convexdesk.fenchel import biconjugate, conjugate
+from convexdesk.fenchel import biconjugate, conjugate, fenchel_duality_gap, subdifferential
 from convexdesk.grids import Grid, GridFn
-from convexdesk.moreau import moreau_envelope
+from convexdesk.monotone import OperatorGraph, fitzpatrick, resolvent, yosida
+from convexdesk.moreau import moreau_envelope, prox
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernel_digests.json")
 BLOCKS = (fenchel._BLOCK_ELEMS, 96)  # the default, and a few lines a block
@@ -145,6 +154,63 @@ def _boxes(rng):
     return out
 
 
+def _convex(rng, g):
+    """A convex function on the 1-D or 2-D grid g, large offsets among them."""
+    x = np.meshgrid(*(g.coords(ax) for ax in range(g.dim)), indexing="ij")
+    a = _tenths(rng, g.dim, -10, 10)
+    kind = int(rng.integers(0, 4))
+    if kind == 0:  # a shifted norm, l1 or l2
+        d = [xa - aa for xa, aa in zip(x, a)]
+        return np.hypot(*d) if g.dim == 2 and rng.integers(0, 2) else sum(np.abs(v) for v in d)
+    if kind == 1:  # a quadratic with a linear term
+        return sum(s * v * v + aa * v for v, aa, s in zip(x, a, _tenths(rng, g.dim, 1, 30)))
+    if kind == 2:  # a max of one-decimal planes
+        s = _tenths(rng, (4, g.dim))
+        return np.max([sum(si * v for si, v in zip(row, x)) for row in s], axis=0)
+    return 10.0 ** int(rng.integers(4, 17)) + sum(np.abs(v) for v in x)
+
+
+def _queries(rng):
+    """(digest key, call) of the point queries, in corpus order."""
+    inputs = []
+    for c in (0.0, 1e6, 1e12, 1e14, 1e15, 1e16, 1e17):  # item 13's table, and its CLI case
+        g = Grid.line(-4, 4, 801)
+        inputs.append((GridFn(g, c + np.abs(g.coords(0))), np.array([2.5]), 1.0))
+    inputs.append((GridFn(Grid.line(-1, 1, 5), np.full(5, 1e17)), np.array([0.3]), 1.0))
+    for _ in range(60):
+        g = Grid.line(-3, 3, int(rng.integers(3, 400)))
+        inputs.append((GridFn(g, _convex(rng, g)), rng.uniform(-3, 3, 1), float(rng.choice(LAMS + (0.7,)))))
+    for c in (1e12, 1e15):
+        g = Grid.box((-2, 2, 41), (-2, 2, 41))
+        x1, x2 = np.meshgrid(g.coords(0), g.coords(1), indexing="ij")
+        inputs.append((GridFn(g, c + np.hypot(x1, x2)), np.array([1.5, -0.5]), 1.0))
+    for _ in range(60):
+        n1, n2 = (int(v) for v in rng.integers(3, 82, size=2))
+        g = Grid.box((-2, 2, n1), (-2, 2, n2))
+        inputs.append((GridFn(g, _convex(rng, g)), rng.uniform(-2, 2, 2), float(rng.choice(LAMS + (0.7,)))))
+    for name, fn in (("prox", prox), ("resolvent", resolvent), ("yosida", yosida)):
+        for f, z, lam in inputs:
+            yield f"{name}_{f.grid.dim}d", lambda fn=fn, f=f, z=z, lam=lam: fn(f, lam, z)
+    tees = [np.array([[1.0, 0.3], [-0.7, 1.1]])] + [_tenths(rng, (2, 2)) for _ in range(9)]
+    for T in tees:  # f on [-1, 1]^2 and |T| <= 2: T x stays in g's box
+        n, m = (int(v) for v in rng.integers(5, 62, size=2))
+        gf, gg = Grid.box((-1, 1, n), (-1, 1, n)), Grid.box((-4, 4, m), (-4, 4, m))
+        f, g = GridFn(gf, _convex(rng, gf)), GridFn(gg, _convex(rng, gg))
+        yield "fenchel_duality_gap_2d", lambda f=f, g=g, T=T: fenchel_duality_gap(
+            f, g, T, Grid.box((-6, 6, 41), (-6, 6, 41)), Grid.box((-6, 6, 41), (-6, 6, 41)))
+    for _ in range(20):
+        k = int(rng.integers(1, 60))
+        xs = rng.normal(size=(k, 2))
+        G = OperatorGraph(xs, xs @ _tenths(rng, (2, 2)) + rng.normal(scale=0.1, size=(k, 2)))
+        for q in rng.normal(size=(5, 2, 2)):
+            yield "fitzpatrick_2d", lambda G=G, q=q: fitzpatrick(G, (q[0], q[1]))
+    for _ in range(20):
+        n1, n2 = (int(v) for v in rng.integers(5, 42, size=2))
+        g = Grid.box((-2, 2, n1), (-2, 2, n2))
+        f, i = GridFn(g, _convex(rng, g)), (int(rng.integers(1, n1 - 1)), int(rng.integers(1, n2 - 1)))
+        yield "subdifferential_2d", lambda f=f, i=i: subdifferential(f, i)
+
+
 def _refusals():
     """Calls that raise: improper input, mismatched grids, rounding windows
     past a patched cap, a bad lam, a nonconvex envelope input."""
@@ -200,11 +266,28 @@ def _calls():
 def _bytes(out) -> bytes:
     if isinstance(out, fenchel.ConjugateResult):
         return out.dual.values.tobytes() + out.argmax.tobytes()
-    return out.values.tobytes()
+    if isinstance(out, GridFn):
+        return out.values.tobytes()
+    if isinstance(out, np.ndarray):  # yosida
+        return out.tobytes()
+    if isinstance(out, fenchel.SubdifferentialSet):
+        return np.array([*out.x, out.epsilon]).tobytes() + out.slopes.tobytes()
+    # ProxResult, ResolventResult, DualityGapResult, FitzpatrickEval: their floats in field order
+    fields = [getattr(out, k) for k in out.__dataclass_fields__ if k != "query"]
+    return np.hstack([np.asarray(v, dtype=float).ravel() for v in fields]).tobytes()
+
+
+def _record(hashes: dict, key: str, call, refusals: str) -> None:
+    try:
+        data = _bytes(call())
+    except ConvexDeskError as e:
+        data, key = f"{type(e).__name__}: {e}\n".encode(), refusals
+    hashes.setdefault(key, hashlib.sha256()).update(data)
 
 
 def digests() -> dict:
-    """SHA-256 per entry over the corpus, at every block size in BLOCKS."""
+    """SHA-256 per entry over the corpus: the kernel's at every block size in
+    BLOCKS, the point queries' once."""
     hashes = {}
     budget = fenchel._budget
 
@@ -216,11 +299,9 @@ def digests() -> dict:
         hashes[f"budget@{block}"] = hashlib.sha256()
         with _patched(_BLOCK_ELEMS=block, _budget=recorded):
             for key, call in _calls():
-                try:
-                    data, key = _bytes(call()), f"{key}@{block}"
-                except ConvexDeskError as e:
-                    data, key = f"{type(e).__name__}: {e}\n".encode(), f"refusals@{block}"
-                hashes.setdefault(key, hashlib.sha256()).update(data)
+                _record(hashes, f"{key}@{block}", call, f"refusals@{block}")
+    for key, call in _queries(np.random.default_rng(20261021)):
+        _record(hashes, key, call, key)
     return {k: h.hexdigest() for k, h in sorted(hashes.items())}
 
 
