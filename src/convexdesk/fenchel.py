@@ -39,7 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridMismatchError, ImproperFunctionError, ParameterError, TruncationWarning
-from .grids import Grid, GridFn, interp_gridfn, require_proper
+from .grids import Grid, GridFn, _dots, interp_gridfn, require_proper
 
 __all__ = [
     "ConjugateResult",
@@ -865,7 +865,7 @@ def subdifferential(
     x = np.asarray(_node_coords(f.grid, tuple(index)))
     fstar = conjugate(f, dual_grid).dual
     ys = dual_grid.nodes()
-    resid = fx + fstar.values.ravel() - ys @ x
+    resid = fx + fstar.values.ravel() - _dots(ys, x)
     keep = np.isfinite(resid) & (resid <= epsilon)
     return SubdifferentialSet(tuple(x), ys[keep], float(epsilon))
 
@@ -881,10 +881,15 @@ def max_formula_check(
 
     Returns (forward quotient at one grid step, max_y <y, d>); the two
     agree within O(h) plus the epsilon slack sqrt(2 eps) for smooth f.
+    ParameterError, before any work, where |d|^2 is not a normal float.
     """
     if isinstance(index, int):
         index = (index,)
     d = np.atleast_1d(np.asarray(direction, dtype=float))
+    with np.errstate(over="ignore"):
+        sq = float(_dots(d, d))
+    if not np.finfo(float).tiny <= sq < math.inf:  # zero, subnormal, ±inf or nan
+        raise ParameterError(f"direction {d.tolist()} needs |d|^2 to be a normal float, got {sq}")
     step = np.rint(d / np.max(np.abs(d))).astype(int)
     nxt = tuple(i + s for i, s in zip(index, step))
     for ax, i in enumerate(nxt):
@@ -897,12 +902,13 @@ def max_formula_check(
     if not (np.isfinite(fx) and np.isfinite(fn)):
         raise ImproperFunctionError("requires finite values at x and x + h d")
     hstep = step * np.asarray(f.grid.spacing)
-    unit = d / np.linalg.norm(d)
-    quotient = (fn - fx) / np.linalg.norm(hstep)
+    unit = d / math.sqrt(sq)
+    with np.errstate(over="ignore"):
+        quotient = (fn - fx) / np.sqrt(_dots(hstep, hstep))
     sub = subdifferential(f, index, epsilon=epsilon, dual_grid=dual_grid)
     if sub.slopes.size == 0:
         return float(quotient), -np.inf
-    return float(quotient), float(np.max(sub.slopes @ unit))
+    return float(quotient), float(np.max(_dots(sub.slopes, unit)))
 
 
 @dataclass(frozen=True)
@@ -929,10 +935,9 @@ def coercivity_check(f: GridFn) -> CoercivityReport:
     mask = np.zeros(v.shape, dtype=bool)
     for ax in range(v.ndim):  # the first and last node of every axis
         mask[(slice(None),) * ax + ([0, -1],)] = True
-    nodes = f.grid.nodes()
     bvals = v[mask]
-    bpts = nodes.reshape(v.shape + (f.grid.dim,))[mask]
-    dist = np.linalg.norm(bpts - xmin[None, :], axis=1)
+    diff = f.grid.nodes().reshape(v.shape + (f.grid.dim,))[mask] - xmin
+    dist = np.sqrt(_dots(diff, diff))
     quot = np.where(dist > 0, (bvals - fmin) / np.maximum(dist, 1e-300), 0.0)
     quot = np.where(np.isfinite(bvals), quot, np.inf)
     slope = float(np.min(quot))
@@ -980,8 +985,8 @@ def fenchel_duality_gap(
     if not np.isfinite(Tm).all():
         raise ParameterError(f"T must have finite entries, got {Tm.tolist()}")
     ys = g_dual_grid.nodes()
-    with np.errstate(over="ignore"):  # an overflowed image is ±inf: off every box, so +inf
-        tx, tys = f.grid.nodes() @ Tm.T, ys @ Tm
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed image is ±inf or nan: +inf
+        tx, tys = _dots(f.grid.nodes()[:, None], Tm), _dots(ys[:, None], Tm.T)
     inside = np.ones(len(tx), dtype=bool)
     for ax, (lo, hi, _) in enumerate(g.grid.axes):
         inside &= (tx[:, ax] >= lo) & (tx[:, ax] <= hi)
@@ -998,14 +1003,8 @@ def fenchel_duality_gap(
     fterm = interp_gridfn(fstar, tys)
     gterm = interp_gridfn(gstar, -ys)
     with np.errstate(over="ignore"):
-        primal_vals = np.where(
-            np.isfinite(f.values.ravel()) & np.isfinite(gvals),
-            f.values.ravel() + gvals,
-            np.inf,
-        )
-        dual_vals = np.where(
-            np.isfinite(fterm) & np.isfinite(gterm), -fterm - gterm, -np.inf
-        )
+        primal_vals = np.where(feas & np.isfinite(gvals), f.values.ravel() + gvals, np.inf)
+        dual_vals = np.where(np.isfinite(fterm) & np.isfinite(gterm), -fterm - gterm, -np.inf)
     primal = float(primal_vals.min())
     dual = float(dual_vals.max())
     gap = math.inf if primal == math.inf or dual == -math.inf else primal - dual

@@ -147,12 +147,7 @@ def write_gridfn_csv(f: GridFn, path: str) -> None:
 
 
 def write_graph_json(G: OperatorGraph, path: str) -> None:
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "dim": G.dim,
-        "pairs": np.stack([G.xs, G.xstars], axis=1).tolist(),
-    }
-    _atomic_write(path, json.dumps(doc, sort_keys=True))
+    _atomic_write(path, _doc_text({"dim": G.dim, "pairs": np.stack([G.xs, G.xstars], axis=1)}))
 
 
 def read_graph_json(path: str) -> OperatorGraph:

@@ -32,6 +32,13 @@ __all__ = [
 MAX_NODES = 4_000_000  # desk-scale cap on total node count
 
 
+def _dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """<a, b> over the last axis of A and B, broadcast, the axes' products
+    added in axis order: elementwise, so its bits do not depend on BLAS.
+    Every <., .> over the grid axes is this, and a norm sqrt(_dots(v, v))."""
+    return functools.reduce(operator.add, (A[..., a] * B[..., a] for a in range(A.shape[-1])))
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform 1-D or 2-D grid; each axis is (lo, hi, count)."""
@@ -60,7 +67,9 @@ class Grid:
         if total > MAX_NODES:
             raise ParameterError(f"grid has {total} nodes, cap is {MAX_NODES}")
         coords = tuple(np.linspace(lo, hi, n) for lo, hi, n in axes)  # see coords
-        for c in coords:
+        for k, c in enumerate(coords):
+            if not (c[1:] > c[:-1]).all():  # a subnormal step rounds; a step may be below an ulp
+                raise ParameterError(f"axis {k} nodes np.linspace{axes[k]} are not strictly increasing")
             c.setflags(write=False)
         object.__setattr__(self, "_coords", coords)
 

@@ -9,9 +9,7 @@ samples; the surjectivity probe is the operational surrogate.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -20,7 +18,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .fenchel import _TILE_ELEMS, _budget, _conjugate_scan
-from .grids import GridFn
+from .grids import GridFn, _dots
 from .moreau import ProxResult, _boundary_axis, prox
 
 __all__ = [
@@ -91,12 +89,6 @@ class MonotonicityReport:
         return self.monotone
 
 
-def _dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """<a, b> over the last axis of A and B, broadcast, the axes' products
-    added in axis order: elementwise, so its bits do not depend on BLAS."""
-    return functools.reduce(operator.add, (A[..., a] * B[..., a] for a in range(A.shape[-1])))
-
-
 def is_monotone(G: OperatorGraph) -> MonotonicityReport:
     """Exhaustive check of <x_i - x_j, x*_i - x*_j> >= -tol over the k^2
     stored pairs (i, j), tol = 1e-8 (1 + max|x| max|x*|), at most the
@@ -138,7 +130,7 @@ def monotonically_related(G: OperatorGraph, candidate: tuple) -> bool:
     cx = np.atleast_1d(np.asarray(candidate[0], dtype=float))
     cs = np.atleast_1d(np.asarray(candidate[1], dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
-        prods = ((G.xs - cx[None, :]) * (G.xstars - cs[None, :])).sum(axis=1)
+        prods = _dots(G.xs - cx, G.xstars - cs)
     if np.isnan(prods).any():
         i = int(np.flatnonzero(np.isnan(prods))[0])
         raise ParameterError(f"stored pair {i} gives a NaN product with the candidate")
@@ -159,7 +151,7 @@ def fitzpatrick(G: OperatorGraph, query: tuple) -> FitzpatrickEval:
     qx = np.atleast_1d(np.asarray(query[0], dtype=float))
     qs = np.atleast_1d(np.asarray(query[1], dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = G.xstars @ qx + G.xs @ qs - (G.xs * G.xstars).sum(axis=1)
+        vals = _dots(G.xstars, qx) + _dots(G.xs, qs) - _dots(G.xs, G.xstars)
     if np.isnan(vals).any():
         i = int(np.flatnonzero(np.isnan(vals))[0])
         raise ParameterError(f"stored pair {i} gives a NaN Fitzpatrick term at "
@@ -175,20 +167,17 @@ class ResolventResult:
     certificate_eps: float  # Fenchel-Young residual of y in d_eps f(x)
 
 
-def _certificate(f: GridFn, lam: float, z: np.ndarray, p: ProxResult, residual: bool = True):
+def _certificate(f: GridFn, lam: float, z: np.ndarray, p: ProxResult):
     """x = p.point and y = (z - x) / lam for p = prox(f, lam, z), and the Fenchel-Young
-    residual f(x) + f*(y) - <x, y> of y in d_eps f(x), None unless `residual`: f
-    interpolated (p.f_point), f* exact over the nodes of dom f (the conjugate of the
-    piecewise-linear extension), <x, y> np.dot's (one product keeps its sign of zero,
-    where x @ y adds it to +0.0).  Near the float limit y, f*(y) and <x, y> overflow
-    silently; where the residual is then inf - inf (always where y is not finite) it
-    is +inf.  Cost: one O(N) scan plus a fixed number of array calls."""
+    residual f(x) + f*(y) - <x, y> of y in d_eps f(x): f interpolated (p.f_point), f*
+    exact over the nodes of dom f (the conjugate of the piecewise-linear extension),
+    <x, y> by _dots.  Near the float limit y, f*(y) and <x, y> overflow silently; where
+    the residual is then inf - inf (always where y is not finite) it is +inf.  Cost:
+    one O(N) scan plus a fixed number of array calls."""
     x = np.asarray(p.point)
     with np.errstate(over="ignore", invalid="ignore"):
         y = (z - x) / lam
-        if not residual:
-            return x, y, None
-        eps = p.f_point + float(_conjugate_scan(f, y[None, :])[0][0]) - float(np.dot(x, y))
+        eps = p.f_point + float(_conjugate_scan(f, y[None, :])[0][0]) - float(_dots(x, y))
     return x, y, math.inf if math.isnan(eps) else eps
 
 
@@ -208,7 +197,9 @@ def resolvent(f: GridFn, lam: float, z, check_convexity: bool = True,
 def yosida(f: GridFn, lam: float, z, check_convexity: bool = True) -> np.ndarray:
     """(z - prox(f, lam, z)) / lam; the gradient of the Moreau envelope."""
     zv = np.atleast_1d(np.asarray(z, dtype=float))
-    return _certificate(f, lam, zv, prox(f, lam, zv, check_convexity=check_convexity), False)[1]
+    x = np.asarray(prox(f, lam, zv, check_convexity=check_convexity).point)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (zv - x) / lam
 
 
 @dataclass(frozen=True)

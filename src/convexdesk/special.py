@@ -297,6 +297,7 @@ def _subset_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     masks, sign = _subset_table(x.size)
     if x.size == 0:
         return np.zeros(1), np.zeros(1), sign
+    # BLAS: sums of a or b are exact in any order, and r is below 2^-100 (n + 1)^2 max|x|
     a, b, r = (masks @ v for v in _exact_parts(x))
     hi, lo = _two_sum(a, b)
     hi, lo = _two_sum(hi, lo + r)  # hi is 0 where only r holds the sum
@@ -462,6 +463,7 @@ def _coupon_derivatives(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     and log p has H/p - gg^T/p^2."""
     masks, sign = _subset_table(X.shape[1])
     masks, sign = masks[1:], sign[1:]  # the nonempty subsets
+    # BLAS in all four: the Hessians go to LAPACK's eigvalsh, which depends on BLAS anyway
     r = 1.0 / (X @ masks.T)
     p = r @ sign
     g = -(sign * r * r) @ masks

@@ -1313,6 +1313,21 @@ def test_max_formula_smooth_case():
     assert abs(m - 1.0) <= 2 * h
 
 
+@pytest.mark.parametrize("direction", [[0.0], [np.inf], [np.nan], [1e-320], [1e200],
+                                       [0.0, -0.0], [1.0, np.nan], [1e-170, 1e-170]])
+def test_max_formula_refuses_a_direction_without_a_normal_norm_before_any_work(direction, monkeypatch):
+    # zero or non-finite entries, or a squared norm that underflows or
+    # overflows: these divided by 0 or cast nan to int
+    f = (sample(FnAtom("abs"), Grid.line(-2, 2, 41)) if len(direction) == 1 else
+         sample(FnAtom("l1norm"), Grid.box((-2, 2, 21), (-2, 2, 21))))
+    for name in ("subdifferential", "conjugate"):
+        monkeypatch.setattr(fenchel, name, lambda *a, **k: pytest.fail("work started"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=r"^direction \[.*\] needs \|d\|\^2 to be a normal float, got "):
+            max_formula_check(f, (10,) * len(direction), direction)
+
+
 def test_max_formula_boundary_error():
     g = Grid.line(-2, 2, 41)
     f = sample(FnAtom("abs"), g)

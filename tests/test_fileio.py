@@ -162,6 +162,22 @@ def test_conjugate_report_bytes_match_oracle(f, m):
         assert _read(out) == expect
 
 
+def _no_constants(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_graph_json_with_infinite_coordinates_is_strict_json(tmp_path):
+    # ±inf coordinates are the "+inf"/"-inf" sentinels, as in every other
+    # writer: a strict parser refuses Infinity
+    G = OperatorGraph([[0.0], [np.inf]], [[1.0], [-np.inf]])
+    p = str(tmp_path / "g.json")
+    write_graph_json(G, p)
+    doc = json.loads(_read(p), parse_constant=_no_constants)
+    assert doc["pairs"] == [[[0.0], [1.0]], [["+inf"], ["-inf"]]]
+    back = read_graph_json(p)
+    assert back.xs.tobytes() == G.xs.tobytes() and back.xstars.tobytes() == G.xstars.tobytes()
+
+
 @settings(max_examples=50, deadline=None)
 @given(k=st.integers(1, 12), d=st.integers(1, 2), data=st.data())
 def test_graph_json_bytes_and_roundtrip_match_oracle(k, d, data):

@@ -41,6 +41,20 @@ def test_grid_validation():
         Grid.box((-1, 1, 2001), (-1, 1, 2001))  # over the node cap
 
 
+def test_grid_refuses_an_axis_whose_nodes_are_not_strictly_increasing():
+    # on a subnormal span np.linspace's step rounds: 18 nodes of
+    # [-1.5e-323, 3.5e-323] end 5.4e-323, 5.9e-323, 6.4e-323, 3.5e-323,
+    # out of order and past hi; a step below an ulp repeats nodes
+    with pytest.raises(ParameterError, match=r"^axis 0 nodes np.linspace\(-1.5e-323, 3.5e-323, 18\) "
+                                             r"are not strictly increasing$"):
+        Grid.line(-1.5e-323, 3.5e-323, 18)
+    with pytest.raises(ParameterError, match="^axis 1 nodes .* not strictly increasing$"):
+        Grid.box((-1, 1, 3), (1.0, 1.0 + 1e-15, 100))
+    for lo, hi, n in ((-1.5e-323, 3.5e-323, 11), (0.0, 5e-324, 2), (1.0, 1.0 + 4.5e-16, 3)):
+        c = Grid.line(lo, hi, n).coords(0)  # steps of whole subnormals, or of one ulp, are kept
+        assert (np.diff(c) > 0).all() and c[-1] == hi
+
+
 def test_gridfn_shape_and_proper():
     g = Grid.line(-1, 1, 3)
     f = GridFn(g, [1.0, 0.0, np.inf])

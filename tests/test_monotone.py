@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import brute_violating_pair, random_convex_gridfn
+from conftest import brute_certificate, brute_fitzpatrick, brute_violating_pair, random_convex_gridfn
 from convexdesk import monotone
 from convexdesk.atoms import FnAtom, sample
 from convexdesk.errors import ParameterError
@@ -149,6 +149,31 @@ def test_fitzpatrick_refuses_an_overflowing_pair_without_a_warning():
         # an overflow alone is a plain -inf term, which never attains the sup
         r = fitzpatrick(OperatorGraph(G.xs[::2], G.xstars[::2]), (1.0, 1.0))
     assert type(r.value) is float and (r.value, r.attaining_index) == (0.0, 1)
+
+
+def test_2d_fitzpatrick_is_the_plain_loop_bit_for_bit():
+    # each <., .> summed elementwise in axis order; a BLAS matrix-vector
+    # product may fuse its multiply-adds, and its bits then depend on the
+    # kernel the CPU selects
+    rng = np.random.default_rng(2027)
+    for _ in range(200):
+        xs = rng.normal(size=(50, 2))
+        G = OperatorGraph(xs, xs @ rng.normal(size=(2, 2)) + rng.normal(scale=0.1, size=(50, 2)))
+        q = rng.normal(size=(2, 2))
+        r = fitzpatrick(G, (q[0], q[1]))
+        value, index = brute_fitzpatrick(G, (q[0], q[1]))
+        assert (np.float64(r.value).tobytes(), r.attaining_index) == (np.float64(value).tobytes(), index)
+
+
+def test_2d_resolvent_certificate_is_the_plain_loop_bit_for_bit():
+    # <x, y> summed in axis order as brute_certificate's loop does, for
+    # resolvents of the l2 norm (a BLAS dot may fuse its multiply-adds)
+    f = sample(FnAtom("l2norm"), Grid.box((-2, 2, 81), (-2, 2, 81)))
+    for z in np.random.default_rng(2027).uniform(-2, 2, size=(60, 2)):
+        r = resolvent(f, 0.7, z)
+        y, eps = brute_certificate(f, 0.7, z, r.x)
+        assert np.asarray(r.y).tobytes() == np.asarray(y).tobytes()
+        assert np.float64(r.certificate_eps).tobytes() == np.float64(eps).tobytes()
 
 
 def test_fitzpatrick_identity_closed_form(rng):
