@@ -282,34 +282,33 @@ def brute_prox(f: GridFn, lam: float, x) -> tuple[tuple[float, ...], float]:
     return tuple(best_pt), best_val
 
 
+def brute_dot(u, v) -> float:
+    """<u, v> of two float lists, the products added in axis order from the
+    first (so one product keeps its sign of zero), in plain floats."""
+    total = u[0] * v[0]
+    for ua, va in zip(u[1:], v[1:]):
+        total = total + ua * va
+    return total
+
+
 def brute_certificate(f: GridFn, lam: float, z, x) -> tuple[tuple[float, ...], float]:
     """The resolvent's y = (z - x) / lam per axis in plain floats, and the
     Fenchel-Young residual f(x) + f*(y) - <x, y>: f(x) by brute_interp,
-    f*(y) by brute_conjugate_value_at, <x, y> the products added in axis
-    order from the first; +inf where the residual is nan."""
+    f*(y) by brute_conjugate_value_at, <x, y> by brute_dot; +inf where the
+    residual is nan."""
     xs = [float(v) for v in np.atleast_1d(x)]
     y = [(float(za) - xa) / lam for za, xa in zip(np.atleast_1d(z), xs)]
-    xy = xs[0] * y[0]
-    for xa, ya in zip(xs[1:], y[1:]):
-        xy = xy + xa * ya
-    eps = float(brute_interp(f, [xs])[0]) + brute_conjugate_value_at(f, y)[0] - xy
+    eps = float(brute_interp(f, [xs])[0]) + brute_conjugate_value_at(f, y)[0] - brute_dot(xs, y)
     return tuple(y), math.inf if math.isnan(eps) else eps
 
 
 def brute_fitzpatrick(G, query) -> tuple[float, int]:
     """max_i <x, a*_i> + <a_i, x*> - <a_i, a*_i> over the stored pairs by a
-    python loop, each <., .> the products added in axis order from the
-    first; the first index of the maximum."""
-    def dot(u, v):
-        total = u[0] * v[0]
-        for ua, va in zip(u[1:], v[1:]):
-            total = total + ua * va
-        return total
-
+    python loop, each <., .> by brute_dot; the first index of the maximum."""
     qx, qs = ([float(v) for v in np.atleast_1d(q)] for q in query)
     best, arg = None, 0
     for i, (a, s) in enumerate(zip(G.xs.tolist(), G.xstars.tolist())):
-        v = dot(qx, s) + dot(a, qs) - dot(a, s)
+        v = brute_dot(qx, s) + brute_dot(a, qs) - brute_dot(a, s)
         if best is None or v > best:
             best, arg = v, i
     return best, arg

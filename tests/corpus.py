@@ -14,8 +14,9 @@ the kernel's block size at its default and at a small value, so that a
 block holds a few lines.
 
 The point queries run once, at the default block size: `prox`, `resolvent`
-and `yosida` on convex 1-D and 2-D grids (item 13's constant offsets
-c + |x| among them, 1e6 to 1e17), and 2-D `fenchel_duality_gap`,
+and `yosida` on convex 1-D and 2-D grids (among them c + |x| with
+constant offsets c from 1e6 to 1e17, where the float objective loses the
+quadratic), and 2-D `fenchel_duality_gap`,
 `fitzpatrick` and `subdifferential`, each entry holding its outputs or
 its refusal.  The coupon probe is not digested: its Hessians come from
 matrix products and LAPACK's `eigvalsh`, whose bits depend on the BLAS
@@ -173,10 +174,10 @@ def _convex(rng, g):
 def _queries(rng):
     """(digest key, call) of the point queries, in corpus order."""
     inputs = []
-    for c in (0.0, 1e6, 1e12, 1e14, 1e15, 1e16, 1e17):  # item 13's table, and its CLI case
+    for c in (0.0, 1e6, 1e12, 1e14, 1e15, 1e16, 1e17):  # prox of c + |x| at 2.5 is 1.5
         g = Grid.line(-4, 4, 801)
         inputs.append((GridFn(g, c + np.abs(g.coords(0))), np.array([2.5]), 1.0))
-    inputs.append((GridFn(Grid.line(-1, 1, 5), np.full(5, 1e17)), np.array([0.3]), 1.0))
+    inputs.append((GridFn(Grid.line(-1, 1, 5), np.full(5, 1e17)), np.array([0.3]), 1.0))  # prox 0.3
     for _ in range(60):
         g = Grid.line(-3, 3, int(rng.integers(3, 400)))
         inputs.append((GridFn(g, _convex(rng, g)), rng.uniform(-3, 3, 1), float(rng.choice(LAMS + (0.7,)))))

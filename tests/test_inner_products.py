@@ -25,7 +25,6 @@ ALLOWED = {
         "H = (masks.T * (2.0 * sign * r ** 3)[:, None, :]) @ masks",
     },
 }
-BLAS_METHODS = {"dot", "matmul", "vdot", "inner", "tensordot", "einsum"}
 
 
 def _name(node) -> str:
@@ -40,15 +39,15 @@ def _name(node) -> str:
 
 def blas_sites(text: str) -> list[tuple[int, str]]:
     """(line, what) of every matrix product in the source: the @ operator
-    (ast.MatMult, so a decorator is not one), a call of np.dot, np.matmul
-    or another numpy product by attribute, and np.linalg.norm."""
+    (ast.MatMult, so a decorator is not one) and a call of np.dot,
+    np.matmul (or the .dot and .matmul of any name) or np.linalg.norm."""
     out = []
     for node in ast.walk(ast.parse(text)):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             out.append((node.lineno, "@"))
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             name = _name(node.func)
-            if node.func.attr in BLAS_METHODS or name.endswith("linalg.norm"):
+            if node.func.attr in ("dot", "matmul") or name.endswith("linalg.norm"):
                 out.append((node.lineno, name))
     return sorted(out)
 
