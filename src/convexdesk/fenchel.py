@@ -538,7 +538,7 @@ def default_dual_grid(f: GridFn, n: Optional[int] = None, pad: float = 0.0) -> G
     """Dual grid spanning the discrete difference quotients of f."""
     axes = []
     for ax in range(f.grid.dim):
-        h = f.grid.spacing[ax]
+        h, m = f.grid.spacing[ax], n or f.grid.axes[ax][2]
         with np.errstate(invalid="ignore"):
             d = np.diff(f.values, axis=ax) / h
         fin = np.isfinite(d)
@@ -546,11 +546,11 @@ def default_dual_grid(f: GridFn, n: Optional[int] = None, pad: float = 0.0) -> G
             lo, hi = -1.0, 1.0
         else:
             lo, hi = float(d[fin].min()), float(d[fin].max())
-            if lo == hi:
-                lo, hi = lo - 1.0, hi + 1.0
-        lo -= pad
-        hi += pad
-        axes.append((lo, hi, n or f.grid.axes[ax][2]))
+            c = np.linspace(lo, hi, m)
+            if not (c[1:] > c[:-1]).all():  # an affine f: its slopes agree, or spread over a few ulps
+                w = max(1.0, m * float(np.spacing(max(abs(lo), abs(hi)))))
+                lo, hi = lo - w, hi + w
+        axes.append((lo - pad, hi + pad, m))
     return Grid(tuple(axes))
 
 
@@ -881,16 +881,16 @@ def max_formula_check(
 
     Returns (forward quotient at one grid step, max_y <y, d>); the two
     agree within O(h) plus the epsilon slack sqrt(2 eps) for smooth f.
-    ParameterError, before any work, where |d|^2 is not a normal float.
+    ParameterError, before any work, for a direction of the wrong dimension,
+    zero or not finite.
     """
     if isinstance(index, int):
         index = (index,)
     d = np.atleast_1d(np.asarray(direction, dtype=float))
-    with np.errstate(over="ignore"):
-        sq = float(_dots(d, d))
-    if not np.finfo(float).tiny <= sq < math.inf:  # zero, subnormal, ±inf or nan
-        raise ParameterError(f"direction {d.tolist()} needs |d|^2 to be a normal float, got {sq}")
-    step = np.rint(d / np.max(np.abs(d))).astype(int)
+    if d.shape != (f.grid.dim,) or not np.isfinite(d).all() or not d.any():
+        raise ParameterError(f"direction {d.tolist()} needs {f.grid.dim} finite components, not all zero")
+    u = d / np.max(np.abs(d))  # |u|^2 lies in [1, dim]: it cannot underflow or overflow
+    step = np.rint(u).astype(int)
     nxt = tuple(i + s for i, s in zip(index, step))
     for ax, i in enumerate(nxt):
         if not 0 < index[ax] < f.grid.shape[ax] - 1:
@@ -902,7 +902,7 @@ def max_formula_check(
     if not (np.isfinite(fx) and np.isfinite(fn)):
         raise ImproperFunctionError("requires finite values at x and x + h d")
     hstep = step * np.asarray(f.grid.spacing)
-    unit = d / math.sqrt(sq)
+    unit = u / math.sqrt(_dots(u, u))
     with np.errstate(over="ignore"):
         quotient = (fn - fx) / np.sqrt(_dots(hstep, hstep))
     sub = subdifferential(f, index, epsilon=epsilon, dual_grid=dual_grid)

@@ -36,6 +36,8 @@ def _dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """<a, b> over the last axis of A and B, broadcast, the axes' products
     added in axis order: elementwise, so its bits do not depend on BLAS.
     Every <., .> over the grid axes is this, and a norm sqrt(_dots(v, v))."""
+    if A.shape[-1] != B.shape[-1]:
+        raise ValueError(f"inner product of vectors of {A.shape[-1]} and {B.shape[-1]} components")
     return functools.reduce(operator.add, (A[..., a] * B[..., a] for a in range(A.shape[-1])))
 
 

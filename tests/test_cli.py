@@ -380,6 +380,23 @@ def test_fitzpatrick_job_refuses_a_nan_term(tmp_path, capsys):
     assert out == "" and err.startswith("error: stored pair 0 gives a NaN Fitzpatrick term")
 
 
+@pytest.mark.parametrize("dim, x", [(1, "1,2"), (2, "1")])
+def test_fitzpatrick_job_refuses_a_query_of_the_wrong_dimension(tmp_path, capsys, dim, x):
+    gpath = str(tmp_path / "g.json")
+    write_graph_json(OperatorGraph(np.zeros((2, dim)), np.ones((2, dim))), gpath)
+    assert main(["fitzpatrick", "--graph", gpath, "--x", x, "--xstar", x]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error: inner product of vectors of")
+
+
+@pytest.mark.parametrize("grid", ["-2:2:41", "-1:1:1001"])
+def test_conjugate_job_of_an_affine_function_takes_the_default_dual_grid(tmp_path, grid):
+    # the slopes spread over a few ulps of 0.5, too narrow for distinct dual nodes
+    out = str(tmp_path / "c.json")
+    assert main(["conjugate", "--atom", "linear", "--params", "0.5", f"--grid={grid}", "--out", out]) == 0
+    assert read_gridfn_json(out).grid.axes[0][2] == int(grid.split(":")[2])
+
+
 def test_resolvent_job(tmp_path):
     out = str(tmp_path / "rv.json")
     rc = main(["resolvent", "--atom", "power", "--params", "2", "--grid",

@@ -1313,19 +1313,55 @@ def test_max_formula_smooth_case():
     assert abs(m - 1.0) <= 2 * h
 
 
-@pytest.mark.parametrize("direction", [[0.0], [np.inf], [np.nan], [1e-320], [1e200],
-                                       [0.0, -0.0], [1.0, np.nan], [1e-170, 1e-170]])
-def test_max_formula_refuses_a_direction_without_a_normal_norm_before_any_work(direction, monkeypatch):
-    # zero or non-finite entries, or a squared norm that underflows or
-    # overflows: these divided by 0 or cast nan to int
-    f = (sample(FnAtom("abs"), Grid.line(-2, 2, 41)) if len(direction) == 1 else
-         sample(FnAtom("l1norm"), Grid.box((-2, 2, 21), (-2, 2, 21))))
+def _abs_or_l1norm(dim):
+    return (sample(FnAtom("abs"), Grid.line(-2, 2, 41)) if dim == 1 else
+            sample(FnAtom("l1norm"), Grid.box((-2, 2, 21), (-2, 2, 21))))
+
+
+@pytest.mark.parametrize("dim, direction", [(1, [0.0]), (1, [np.inf]), (1, [np.nan]), (2, [0.0, -0.0]),
+                                            (2, [1.0, np.nan]), (1, [1.0, 1.0]), (2, [1.0])])
+def test_max_formula_refuses_a_zero_non_finite_or_misshapen_direction_before_any_work(dim, direction,
+                                                                                      monkeypatch):
+    # these divided by 0, cast nan to int, or read one axis of two
+    f = _abs_or_l1norm(dim)
     for name in ("subdifferential", "conjugate"):
         monkeypatch.setattr(fenchel, name, lambda *a, **k: pytest.fail("work started"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ParameterError, match=r"^direction \[.*\] needs \|d\|\^2 to be a normal float, got "):
-            max_formula_check(f, (10,) * len(direction), direction)
+        with pytest.raises(ParameterError, match=rf"^direction \[.*\] needs {dim} finite components, not all zero$"):
+            max_formula_check(f, (10,) * dim, direction)
+
+
+@pytest.mark.parametrize("direction, plain", [([1e-320], [1.0]), ([-1e200], [-1.0]),
+                                              ([1e-170, 1e-170], [1.0, 1.0]), ([1e300, -1e300], [1.0, -1.0])])
+def test_max_formula_takes_a_tiny_or_huge_direction_as_its_plain_multiple(direction, plain):
+    # the norm is taken of d / max|d|, whose square lies in [1, dim]; |d|^2
+    # itself underflows or overflows here
+    f = _abs_or_l1norm(len(direction))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = max_formula_check(f, (10,) * len(direction), direction)
+    assert got == max_formula_check(f, (10,) * len(direction), plain)
+
+
+@pytest.mark.parametrize("spec", [(-2, 2, 41), (-1, 1, 1001), (-3, 7, 11), (0, 1, 3)])
+@pytest.mark.parametrize("slope", [0.5, 0.1, -3.3, 1e300])
+def test_default_dual_grid_of_an_affine_function_is_widened_to_a_grid(spec, slope):
+    # the difference quotients agree, or spread over a few ulps: too narrow
+    # for the nodes to be distinct
+    f = sample(FnAtom("linear", (slope,)), Grid.line(*spec))
+    (lo, hi, n), = default_dual_grid(f).axes
+    assert lo < slope < hi and n == spec[2]
+    assert np.isfinite(conjugate(f, default_dual_grid(f)).dual.values).all()
+
+
+def test_default_dual_grid_of_an_affine_function_is_widened_to_a_grid_2d():
+    g = Grid.box((-2, 2, 41), (-3, 7, 11))
+    x0, x1 = np.meshgrid(g.coords(0), g.coords(1), indexing="ij")
+    f = GridFn(g, 0.1 * x0 + 0.5 * x1)
+    dg = default_dual_grid(f)
+    assert [lo < s < hi for (lo, hi, _), s in zip(dg.axes, (0.1, 0.5))] == [True, True]
+    assert np.isfinite(conjugate(f, dg).dual.values).all()
 
 
 def test_max_formula_boundary_error():

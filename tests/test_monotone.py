@@ -139,6 +139,15 @@ def test_fitzpatrick_singleton():
     assert float(fitzpatrick(G, (3.0, -7.0)).value) == 0.0
 
 
+@pytest.mark.parametrize("dim, query", [(1, ([1.0, 2.0], [1.0, 2.0])), (1, (1.0, [1.0, 2.0])),
+                                        (2, (1.0, 1.0)), (2, ([1.0, 1.0], 1.0))])
+def test_fitzpatrick_refuses_a_query_of_the_wrong_dimension(dim, query):
+    # a component past the graph's dimension was dropped; one too few read past the query
+    G = OperatorGraph(np.eye(dim)[:1].repeat(3, axis=0), np.ones((3, dim)))
+    with pytest.raises(ValueError, match=r"^inner product of vectors of \d and \d components$"):
+        fitzpatrick(G, query)
+
+
 def test_fitzpatrick_refuses_an_overflowing_pair_without_a_warning():
     # pair 0's term is 1e200 * -1e200 + 1e200 * 1e200 - 1e400: -inf + inf - inf
     G = OperatorGraph(np.array([[1e200], [-1e200], [0.0]]), np.array([[1e200], [-1e200], [0.0]]))
