@@ -1,5 +1,5 @@
-"""A seeded replay corpus for the conjugate kernel and the point queries,
-and the digests of their outputs.
+"""A seeded replay corpus for the conjugate kernel, the direct
+inf-convolution and the point queries, and the digests of their outputs.
 
     PYTHONPATH=src python tests/corpus.py          # compare with the file
     PYTHONPATH=src python tests/corpus.py --write  # regenerate the file
@@ -13,6 +13,14 @@ lines, and Moreau envelopes at lam in {0.5, 1, 2}.  Every input runs with
 the kernel's block size at its default and at a small value, so that a
 block holds a few lines.
 
+The direct inf-convolution runs on 1-D and 2-D grids whose zero node may
+sit anywhere, with one-decimal values (sums tie exactly), -0.0, +inf
+patches and whole +inf rows and columns, on convex pairs shaped like the
+benchmark's (a separable convex function plus a correlated quadratic,
+where the bounds prune most pairs), and past a patched pair cap.  Each
+call runs with the tile size `_TILE_ELEMS` at its default and at a small
+value, so that a tile holds a few x nodes.
+
 The point queries run once, at the default block size: `prox`, `resolvent`
 and `yosida` on convex 1-D and 2-D grids (among them c + |x| with
 constant offsets c from 1e6 to 1e17, where the float objective loses the
@@ -24,7 +32,8 @@ build and on the kernel it selects for the CPU.
 
 Each entry of `kernel_digests.json` is the SHA-256 of the bytes of one
 function's outputs over the corpus, in order: `conjugate` values and argmax
-in 1-D and 2-D, `biconjugate`, `moreau_envelope`, the type and message of
+in 1-D and 2-D, `biconjugate`, `moreau_envelope`, `inf_convolution` values
+and argmin in 1-D and 2-D, the type and message of
 every error raised, and the work count of every `_budget` call (the
 rounding windows' node counts).  The bytes are numpy's, so the file records
 the numpy version it was made with; on another version the comparison is
@@ -44,13 +53,15 @@ import numpy as np
 
 from convexdesk import fenchel
 from convexdesk.errors import ConvexDeskError
-from convexdesk.fenchel import biconjugate, conjugate, fenchel_duality_gap, subdifferential
+from convexdesk.fenchel import (biconjugate, conjugate, fenchel_duality_gap, inf_convolution,
+                                subdifferential)
 from convexdesk.grids import Grid, GridFn
 from convexdesk.monotone import OperatorGraph, fitzpatrick, resolvent, yosida
 from convexdesk.moreau import moreau_envelope, prox
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernel_digests.json")
 BLOCKS = (fenchel._BLOCK_ELEMS, 96)  # the default, and a few lines a block
+TILES = (fenchel._TILE_ELEMS, 300)  # the default, and a few x nodes a tile
 LAMS = (0.5, 1.0, 2.0)
 NEAR_LIMIT = [1e308, -1e308, 1.7e308, -1.7e308, 5e307, 0.0, -0.0, 1.0, -3.0, math.inf]
 
@@ -230,6 +241,90 @@ def _refusals():
     return calls
 
 
+def _offcentre(rng, n):
+    """An axis of n nodes 0.5 apart with 0 at a random node."""
+    i0 = int(rng.integers(0, n))
+    return (-0.5 * i0, 0.5 * (n - 1 - i0), n)
+
+
+def _tied(rng, shape):
+    """One-decimal values with -0.0 and +inf cells, a +inf block, and in
+    2-D whole +inf rows and columns; some value stays finite."""
+    v = _tenths(rng, shape, -9, 9)
+    v[rng.random(shape) < 0.1] = -0.0
+    v[rng.random(shape) < 0.1] = math.inf
+    lo = [int(rng.integers(0, n + 1)) for n in shape]
+    v[tuple(slice(a, int(rng.integers(a, n + 1))) for a, n in zip(lo, shape))] = math.inf
+    if len(shape) == 2:
+        v[rng.integers(shape[0], size=int(rng.integers(0, 3)))] = math.inf
+        v[:, rng.integers(shape[1], size=int(rng.integers(0, 3)))] = math.inf
+    if not np.isfinite(v).any():
+        v.flat[int(rng.integers(0, v.size))] = -0.0
+    return v
+
+
+def _convex_pair(rng, g):
+    """A separable convex function plus a correlated quadratic, and another
+    correlated quadratic: the benchmark's 2-D inf-convolution inputs (in
+    1-D, a convex sequence plus a quadratic, and a quadratic)."""
+    x = np.meshgrid(*(g.coords(ax) for ax in range(g.dim)), indexing="ij")
+
+    def quadratic():
+        L = rng.normal(size=(g.dim, g.dim))
+        A = L @ L.T + 0.2 * np.eye(g.dim)
+        b = rng.normal(size=g.dim)
+        return sum(0.5 * A[i, j] * x[i] * x[j] + (b[i] * x[i] if i == j else 0.0)
+                   for i in range(g.dim) for j in range(g.dim))
+
+    f = quadratic()
+    for ax, n in enumerate(g.shape):
+        conv = np.concatenate([[0.0], np.cumsum(np.sort(rng.normal(size=n - 1)))])
+        f = f + conv.reshape([-1 if a == ax else 1 for a in range(g.dim)])
+    return f, quadratic()
+
+
+def _infconvs(rng):
+    """(f, g) pairs on one grid, 1-D then 2-D."""
+    out = []
+    for _ in range(40):  # ties, signed zeros, +inf patches, the zero node anywhere
+        g = Grid((_offcentre(rng, int(rng.integers(2, 200))),))
+        out.append((GridFn(g, _tied(rng, g.shape)), GridFn(g, _tied(rng, g.shape))))
+    for _ in range(10):
+        n = int(rng.integers(2, 400))
+        g = Grid.line(-2, 2, 2 * (n // 2) + 1)
+        out.append(tuple(GridFn(g, v) for v in _convex_pair(rng, g)))
+    for _ in range(60):
+        g = Grid(tuple(_offcentre(rng, int(rng.integers(2, 16))) for _ in range(2)))
+        out.append((GridFn(g, _tied(rng, g.shape)), GridFn(g, _tied(rng, g.shape))))
+    for _ in range(15):  # small rectangles: the bounds prune most pairs
+        n = 2 * int(rng.integers(4, 17)) + 1
+        g = Grid.box((-2, 2, n), (-2, 2, n))
+        out.append(tuple(GridFn(g, v) for v in _convex_pair(rng, g)))
+    for _ in range(10):  # separable integer values: sums tie their bounds
+        g = Grid(tuple(_offcentre(rng, int(rng.integers(2, 12))) for _ in range(2)))
+        a, b = (rng.integers(-2, 3, size=n).astype(float) for n in g.shape)
+        out.append((GridFn(g, a[:, None] + b), GridFn(g, _tied(rng, g.shape))))
+    return out
+
+
+def _infconv_calls():
+    """(digest key, call) of the direct inf-convolution, in corpus order,
+    then its refusals: at patched pair caps below and at each grid's
+    count (the calls at the count succeed), and on improper or mismatched
+    input."""
+    for f, g in _infconvs(np.random.default_rng(20261022)):
+        yield f"inf_convolution_{f.grid.dim}d", lambda f=f, g=g: inf_convolution(f, g)
+    line, box = Grid.line(-1, 2, 31), Grid.box((-1, 1, 9), (-0.5, 1, 7))
+    for grid in (line, box):
+        f = GridFn(grid, np.zeros(grid.shape))
+        for cap in (0, 100, 695, 696, 2195, 2196):  # 696 pairs on the line, 2196 on the box
+            yield "inf_convolution_refusals", lambda f=f, cap=cap: _capped(cap, inf_convolution, f, f)
+        inf = GridFn(grid, np.full(grid.shape, math.inf))
+        yield "inf_convolution_refusals", lambda f=f, inf=inf: inf_convolution(f, inf)
+    yield "inf_convolution_refusals", lambda: inf_convolution(GridFn(line, np.zeros(31)),
+                                                                GridFn(Grid.line(-1, 2, 16), np.zeros(16)))
+
+
 def _capped(cap, fn, *args):
     with _patched(MAX_DIRECT_PAIRS=cap):
         return fn(*args)
@@ -267,6 +362,8 @@ def _calls():
 def _bytes(out) -> bytes:
     if isinstance(out, fenchel.ConjugateResult):
         return out.dual.values.tobytes() + out.argmax.tobytes()
+    if isinstance(out, fenchel.InfConvResult):
+        return out.out.values.tobytes() + out.argmin.tobytes()
     if isinstance(out, GridFn):
         return out.values.tobytes()
     if isinstance(out, np.ndarray):  # yosida
@@ -288,7 +385,8 @@ def _record(hashes: dict, key: str, call, refusals: str) -> None:
 
 def digests() -> dict:
     """SHA-256 per entry over the corpus: the kernel's at every block size in
-    BLOCKS, the point queries' once."""
+    BLOCKS, the inf-convolution's at every tile size in TILES, the point
+    queries' once."""
     hashes = {}
     budget = fenchel._budget
 
@@ -301,6 +399,10 @@ def digests() -> dict:
         with _patched(_BLOCK_ELEMS=block, _budget=recorded):
             for key, call in _calls():
                 _record(hashes, f"{key}@{block}", call, f"refusals@{block}")
+    for tile in TILES:
+        with _patched(_TILE_ELEMS=tile):
+            for key, call in _infconv_calls():
+                _record(hashes, f"{key}@{tile}", call, f"inf_convolution_refusals@{tile}")
     for key, call in _queries(np.random.default_rng(20261021)):
         _record(hashes, key, call, key)
     return {k: h.hexdigest() for k, h in sorted(hashes.items())}

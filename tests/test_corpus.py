@@ -31,3 +31,12 @@ def test_each_value_entry_has_one_digest_across_block_sizes():
     for entry in ("conjugate_1d", "conjugate_2d", "biconjugate", "moreau_envelope"):
         found = {stored[f"{entry}@{block}"] for block in corpus.BLOCKS}
         assert len(found) == 1, entry
+
+
+def test_each_inf_convolution_entry_has_one_digest_across_tile_sizes():
+    # the direct inf-convolution's values, argmin and refusals do not
+    # depend on its tile size
+    stored = corpus.load()["digests"]
+    for entry in ("inf_convolution_1d", "inf_convolution_2d", "inf_convolution_refusals"):
+        found = {stored[f"{entry}@{tile}"] for tile in corpus.TILES}
+        assert len(found) == 1, entry
