@@ -591,6 +591,9 @@ def _budget(work: int, needs: str) -> int:
 
 # (x, y) sums per tile of the direct inf-convolution, 1 MB of float64
 _TILE_ELEMS = 1 << 17
+# A tile's fixed cost in (x, y) pairs: its dozen numpy calls took 4.8 to
+# 7.9 us, and a pair 1.0 to 1.7 ns, on a shared 2-vCPU Xeon host
+_TILE_WORK = 4500
 
 
 def _axis_pairs(n: int, i0: int) -> int:
@@ -637,6 +640,38 @@ def _rectangles(fv: np.ndarray, gv: np.ndarray, zero: tuple[int, int]) -> np.nda
     return ends.reshape((4,) + fv.shape)
 
 
+def _tiles(fv: np.ndarray, gv: np.ndarray, zero: tuple[int, int]) -> np.ndarray:
+    """The tiles of the direct inf-convolution, (7, tiles): x column c, x0
+    rows [k, kb) and a box of y [y0a, y0b) x [ya, yb) that holds their
+    rectangles, by c, then k (inf_convolution states the rule)."""
+    (n0, n1), (z0, z1) = fv.shape, zero
+    # level l, rows [a_l, a_l + s_l): the s_l = N >> l tiles of t_l = 2^l
+    # rows from x0 = 0 (N = 2^L >= n0; those past n0 are empty), with per
+    # column their box as lo0, -hi0, lo1, -hi1: the union of their reaches,
+    # and in 2-D of their rectangles, a level's from the one below
+    N = 1 << (n0 - 1).bit_length()
+    s = N >> np.arange(N.bit_length())
+    a, t = np.cumsum(s) - s, N // s
+    k = (np.arange(2 * N - 1) - np.repeat(a, s)) * np.repeat(t, s)
+    kb, x1 = np.minimum(k + np.repeat(t, s), n0), np.arange(n1)
+    box = [np.maximum(0, k + z0 - n0 + 1)[:, None], -np.minimum(n0, kb + z0)[:, None],
+           np.maximum(0, x1 + z1 - n1 + 1), -np.minimum(n1, x1 + z1 + 1)]
+    if n1 > 1:
+        E = np.full((4, 2 * N - 1, n1), n0 + n1, dtype=np.int32)
+        E[:, :n0] = _rectangles(fv, gv, zero) * np.array([1, -1, 1, -1])[:, None, None]
+        for u, size in zip(a[:-1].tolist(), s[:-1].tolist()):
+            np.minimum(E[:, u : u + size : 2], E[:, u + 1 : u + size : 2], out=E[:, u + size : u + size + size // 2])
+        box = [np.maximum(e, v, out=e) for e, v in zip(E, box)]
+    pairs = np.maximum(kb - k, 0)[:, None] * ((box[0] + box[1]) * (box[2] + box[3]))
+    cost = np.add.reduceat(pairs, a) + _TILE_WORK * -(-n0 // t)[:, None]
+    cost[1:][np.maximum.reduceat(pairs, a)[1:] > _TILE_ELEMS] = np.iinfo(np.int64).max
+    lv = cost.argmin(axis=0)  # per column, its level's n tiles that start before n0
+    n = -(-n0 // t[lv])
+    c, i = np.repeat(x1, n), np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - a[lv], n)
+    return np.stack([c, k[i], kb[i], *(sg * np.broadcast_to(v, pairs.shape)[i, c]
+                                       for sg, v in zip((1, -1, 1, -1), box))])
+
+
 @np.errstate(over="ignore")
 def inf_convolution(f: GridFn, g: GridFn) -> InfConvResult:
     """(f box g)(x) = min over grid nodes y of f(y) + g(x - y).
@@ -659,17 +694,22 @@ def inf_convolution(f: GridFn, g: GridFn) -> InfConvResult:
     On a line the bound would be the value itself, so a line sums all of
     its reach.
 
-    One x column at a time, the loop copies the columns of g (reversed,
-    with n0 - 1 rows of +inf above and below) and of f in the union of
-    the column's rectangles, so that each x reads its y block as one
-    contiguous run of floats in flat y order.  The column's x nodes go in
-    tiles of _TILE_ELEMS // node_count (at least one), and a tile sums
-    only the union of its x nodes' rows.  Memory is O(tile + nodes): the
-    tile's sums, the padded g ((3 n0 - 2) n1 floats), the column's copies
-    (at most (4 n0 - 2) n1 floats), blocks of the bound tables of about
-    _TILE_ELEMS floats and the rectangles' ends (4 n0 n1 integers).
-    Its work is the (x, y) pairs with x - y a node, which MAX_DIRECT_PAIRS
-    caps at about 51,600 nodes in 1-D and 241² in 2-D, centred on 0.
+    The x nodes go in tiles of consecutive x0 rows of one x column.  A
+    tile sums a box of y that holds its x nodes' rectangles, the union of
+    their reaches and in 2-D of their rectangles, copying those columns of
+    the rows of f and of g (reversed, with n0 - 1 rows of +inf above and
+    below) that it reads, all rows if the next tile reads the same columns,
+    so that each x reads its y block as one contiguous run of floats in
+    flat y order.  A column's tiles have t rows, the power of two that
+    minimizes its work, the pairs its tiles sum plus _TILE_WORK (a tile's
+    fixed cost, in pairs) a tile, among the t whose tiles all sum at most
+    _TILE_ELEMS pairs, and 1.  The budget counts the (x, y) pairs with
+    x - y a node, which MAX_DIRECT_PAIRS caps at about 51,600 nodes in 1-D
+    and 241² in 2-D, centred on 0.  Memory is O(tile + nodes) floats: the
+    tile's sums (at most _TILE_ELEMS, or one x's box), the padded g and the
+    copies ((5 n0 - 2) n1 floats), blocks of the bound tables of about
+    _TILE_ELEMS floats, and under 16 n0 n1 integers (the rectangles, the
+    boxes of every power-of-two tile, the argmins).
     """
     if f.grid != g.grid:
         raise GridMismatchError("inf-convolution requires the same grid geometry")
@@ -683,48 +723,36 @@ def inf_convolution(f: GridFn, g: GridFn) -> InfConvResult:
     # a line is the (n, 1) grid: shape (n0, n1), zero node (z0, z1)
     (n0, n1), (z0, z1) = (shape + (1,))[:2], (zero + [0])[:2]
     fv, gv = f.values.reshape(n0, n1), g.values.reshape(n0, n1)
-    # each x's y rectangle [lo0, hi0) x [lo1, hi1): its reach, and in 2-D
-    # the part of it that the bounds keep
-    x0, x1 = np.arange(n0)[:, None], np.arange(n1)
-    ends = [np.maximum(0, x0 + z0 - n0 + 1), np.minimum(n0, x0 + z0 + 1),
-            np.maximum(0, x1 + z1 - n1 + 1), np.minimum(n1, x1 + z1 + 1)]
-    if grid.dim == 2:
-        ends = [op(e, b) for op, e, b in
-                zip((np.maximum, np.minimum) * 2, ends, _rectangles(fv, gv, (z0, z1)))]
-    t = max(1, _TILE_ELEMS // grid.node_count)
-    starts = np.arange(0, n0, t)
-    # per x0 tile and x column, the union of its x nodes' y0 rows, and per
-    # x column the union of its x nodes' y1 columns
-    lo0, hi0 = (op.reduceat(np.broadcast_to(e, (n0, n1)), starts)
-                for op, e in zip((np.minimum, np.maximum), ends[:2]))
-    lo1, hi1 = (op.reduce(np.broadcast_to(e, (n0, n1)))
-                for op, e in zip((np.minimum, np.maximum), ends[2:]))
+    tiles = _tiles(fv, gv, (z0, z1))
     # g reversed on both axes, with n0 - 1 rows of +inf above and below:
     # r[2 n0 - 2 - x0 + y0 - z0, n1 - 1 - x1 + y1 - z1] = g[x - y + z]
     r = np.pad(gv[::-1, ::-1], [(n0 - 1, n0 - 1), (0, 0)], constant_values=np.inf)
-    out, j = np.empty((n1, n0)), np.empty((n1, n0), dtype=np.int64)  # x column-major
-    buf, ar = np.empty(t * grid.node_count), np.arange(t)
-    rc, fc = np.empty(r.size), np.empty(fv.size)  # a column's copies
-    runs = sliding_window_view(rc, fv.size)  # a start s <= (2 n0 - 2) w leaves n0 n1 after it
-    for c, (ya, yb, y0as, y0bs) in enumerate(zip(lo1.tolist(), hi1.tolist(),
-                                                 lo0.T.tolist(), hi0.T.tolist())):
-        # the tile's y block is rows [y0a, y0b) x columns [ya, yb) of y: as
-        # rc's rows of w floats, x0's block is one flat run of rc from
-        # (2 n0 - 2 - x0 - z0 + y0a) w, in flat y order
-        w, q = yb - ya, n1 - 1 - c - z1 + ya
-        rc[: r.shape[0] * w].reshape(-1, w)[...] = r[:, q : q + w]
-        fc[: n0 * w].reshape(-1, w)[...] = fv[:, ya:yb]
-        for k, y0a, y0b in zip(starts.tolist(), y0as, y0bs):
-            kb = min(k + t, n0)
-            s = (2 * n0 - 2 - k - z0 + y0a) * w  # x0 = k; x0 + 1 starts w earlier
-            win = runs[s - (kb - 1 - k) * w : s + 1 : w, : (y0b - y0a) * w][::-1]
-            vals = np.add(fc[y0a * w : y0b * w], win, out=buf[: win.size].reshape(win.shape))
-            vals.argmin(axis=1, out=j[c, k:kb])
-            out[c, k:kb] = vals[ar[: kb - k], j[c, k:kb]]
-    out, j, w = out.T, j.T, hi1 - lo1
-    lo0 = np.repeat(lo0, np.diff(starts, append=n0), axis=0)
-    arg = np.where(np.isfinite(out), (lo0 + j // w) * n1 + lo1 + j % w, -1)
-    return InfConvResult(GridFn(grid, out.reshape(shape)), arg.reshape(shape))
+    j = np.empty((n1, n0), dtype=np.int64)  # x column-major
+    m, ws = tiles[2] - tiles[1], tiles[6] - tiles[5]
+    buf = np.empty(int((m * (tiles[4] - tiles[3]) * ws).max()))
+    rc, fc = np.empty(r.size + fv.size), np.empty(fv.size)  # a tile's copies
+    runs = sliding_window_view(rc, fv.size)  # a start s <= r.size leaves n0 n1 after it
+    same = np.zeros(m.size + 1, dtype=bool)  # same[i]: tiles i - 1 and i read the same columns
+    same[1:-1] = (tiles[[0, 5, 6], 1:] == tiles[[0, 5, 6], :-1]).all(axis=0)
+    for c, k, kb, y0a, y0b, ya, yb, prev, nxt in zip(*tiles.tolist(), same[:-1].tolist(), same[1:].tolist()):
+        # as rows of w floats, x0's y block [y0a, y0b) x [ya, yb) is one
+        # flat run from row 2 n0 - 2 - x0 - z0 + y0a of r's columns
+        # [q, q + w), in flat y order; x0 + 1 starts w floats earlier
+        w, h, q = yb - ya, y0b - y0a, n1 - 1 - c - z1 + ya
+        a = 2 * n0 - 1 - kb - z0 + y0a  # the row of x0 = kb - 1
+        if not prev:  # copy rows [ra, rb) of r and [fa, fb) of f
+            ra, rb, fa, fb = (0, r.shape[0], 0, n0) if nxt else (a, a + kb - k + h - 1, y0a, y0b)
+            rc[: (rb - ra) * w].reshape(-1, w)[...] = r[ra:rb, q : q + w]
+            fc[: (fb - fa) * w].reshape(-1, w)[...] = fv[fa:fb, ya:yb]
+        win = runs[(a - ra) * w : (a - ra + kb - 1 - k) * w + 1 : w][::-1, : h * w]
+        vals = np.add(fc[(y0a - fa) * w : (y0b - fa) * w], win, out=buf[: win.size].reshape(win.shape))
+        vals.argmin(axis=1, out=j[c, k:kb])
+    # per x, column-major: its argmin's flat y, and the value, the sum again
+    y0a, ya, w = (np.repeat(v, m) for v in (tiles[3], tiles[5], ws))
+    y, x = (y0a + j.ravel() // w) * n1 + ya + j.ravel() % w, np.arange(n0 * n1).reshape(n0, n1).T.ravel()
+    out = fv.ravel()[y] + r.ravel()[y - x + (2 * n0 - 1 - z0) * n1 - 1 - z1]
+    arg = np.where(np.isfinite(out), y, -1)
+    return InfConvResult(GridFn(grid, out.reshape(n1, n0).T.reshape(shape)), arg.reshape(n1, n0).T.reshape(shape))
 
 
 def _row_minkowski(F: np.ndarray, G: np.ndarray, rows):
