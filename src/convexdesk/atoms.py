@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CatalogError, GridMismatchError, ParameterError
-from .grids import Grid, GridFn, _dots
+from .grids import Grid, GridFn, _dots, _norm
 from .special import lambert_w
 
 __all__ = ["FnAtom", "atom_eval", "sample", "analytic_conjugate", "catalog_tags"]
@@ -207,10 +207,7 @@ def _eval_l1norm(params, x):
 
 
 def _eval_l2norm(params, x):
-    out = np.sqrt(_dots(x, x))
-    big = np.isinf(out)  # the squares overflow: hypot, +inf only past the float range
-    out[big] = np.hypot(x[big, 0], x[big, 1])
-    return out
+    return _norm(x)
 
 
 def _eval_linfnorm(params, x):

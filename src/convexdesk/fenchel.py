@@ -39,7 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridMismatchError, ImproperFunctionError, ParameterError, TruncationWarning
-from .grids import Grid, GridFn, _dots, interp_gridfn, require_proper
+from .grids import Grid, GridFn, _dots, _norm, interp_gridfn, require_proper
 
 __all__ = [
     "ConjugateResult",
@@ -218,15 +218,16 @@ def _line_blocks(nlines: int, width: int):
 
 
 def _place(ys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """np.searchsorted(ys, keys, side="right") for the sorted ys of a grid
-    axis, uniform up to rounding: a key's count c is read off its offset
-    from ys[0] and kept where ys[c - 1] <= key < ys[c], which fixes it; the
-    keys that miss (next to a node, or on far from uniform ys) take the
-    binary search.  So do fewer than 2048 keys, for which the search costs
-    less than the estimate's fixed cost (some 15 us), and every key where
-    ys is unsorted, as np.linspace over a subnormal span can make it."""
+    """np.searchsorted(ys, keys, side="right") for sorted ys (the nodes of
+    a grid axis, which Grid keeps strictly increasing, or those nodes over
+    an envelope's lam) uniform up to rounding: a key's count c is read off
+    its offset from ys[0] and kept
+    where ys[c - 1] <= key < ys[c], which fixes it; the keys that miss
+    (next to a node, or on far from uniform ys) take the binary search.
+    So do fewer than 2048 keys, for which the search costs less than the
+    estimate's fixed cost (some 15 us)."""
     m = ys.size
-    if keys.size < 2048 or not (ys[1:] >= ys[:-1]).all():
+    if keys.size < 2048:
         return np.searchsorted(ys, keys, side="right")
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         inv = (m - 1) / (ys[-1] - ys[0])
@@ -642,13 +643,11 @@ def _rectangles(fv: np.ndarray, gv: np.ndarray, zero: tuple[int, int]) -> np.nda
 
 def _tiles(fv: np.ndarray, gv: np.ndarray, zero: tuple[int, int]) -> np.ndarray:
     """The tiles of the direct inf-convolution, (7, tiles): x column c, x0
-    rows [k, kb) and a box of y [y0a, y0b) x [ya, yb) that holds their
-    rectangles, by c, then k (inf_convolution states the rule)."""
+    rows [k, kb) and their y box [y0a, y0b) x [ya, yb), by c, then k.
+    Level l of the tables is rows [a_l, a_l + s_l): the s_l = N >> l tiles
+    of 2^l rows from x0 = 0 (N = 2^L >= n0; those past n0 empty), a box as
+    lo0, -hi0, lo1, -hi1, a level's rectangles from the one below."""
     (n0, n1), (z0, z1) = fv.shape, zero
-    # level l, rows [a_l, a_l + s_l): the s_l = N >> l tiles of t_l = 2^l
-    # rows from x0 = 0 (N = 2^L >= n0; those past n0 are empty), with per
-    # column their box as lo0, -hi0, lo1, -hi1: the union of their reaches,
-    # and in 2-D of their rectangles, a level's from the one below
     N = 1 << (n0 - 1).bit_length()
     s = N >> np.arange(N.bit_length())
     a, t = np.cumsum(s) - s, N // s
@@ -694,22 +693,20 @@ def inf_convolution(f: GridFn, g: GridFn) -> InfConvResult:
     On a line the bound would be the value itself, so a line sums all of
     its reach.
 
-    The x nodes go in tiles of consecutive x0 rows of one x column.  A
-    tile sums a box of y that holds its x nodes' rectangles, the union of
-    their reaches and in 2-D of their rectangles, copying those columns of
-    the rows of f and of g (reversed, with n0 - 1 rows of +inf above and
-    below) that it reads, all rows if the next tile reads the same columns,
-    so that each x reads its y block as one contiguous run of floats in
-    flat y order.  A column's tiles have t rows, the power of two that
-    minimizes its work, the pairs its tiles sum plus _TILE_WORK (a tile's
-    fixed cost, in pairs) a tile, among the t whose tiles all sum at most
-    _TILE_ELEMS pairs, and 1.  The budget counts the (x, y) pairs with
-    x - y a node, which MAX_DIRECT_PAIRS caps at about 51,600 nodes in 1-D
-    and 241² in 2-D, centred on 0.  Memory is O(tile + nodes) floats: the
-    tile's sums (at most _TILE_ELEMS, or one x's box), the padded g and the
-    copies ((5 n0 - 2) n1 floats), blocks of the bound tables of about
-    _TILE_ELEMS floats, and under 16 n0 n1 integers (the rectangles, the
-    boxes of every power-of-two tile, the argmins).
+    The x nodes go in tiles of consecutive x0 rows of one x column, each
+    summing a box of y: the union of its x nodes' reaches, cut in 2-D to
+    the union of their rectangles.  A column's tiles have t rows, the power
+    of two that minimizes its work, the pairs its tiles sum plus _TILE_WORK
+    a tile, among the t whose tiles each sum at most _TILE_ELEMS pairs, and
+    1.  A tile copies the box's columns of the rows of f and of g (reversed,
+    with n0 - 1 rows of +inf above and below) that it reads, all rows if
+    the next tile reads the same columns, so that each x reads its y block
+    as one contiguous run in flat y order.  The budget counts the (x, y)
+    pairs with x - y a node, which MAX_DIRECT_PAIRS caps at about 51,600
+    nodes in 1-D and 241² in 2-D, centred on 0.  Memory, in floats: the
+    tile's sums (at most _TILE_ELEMS, or one x's box), (5 n0 - 2) n1 for g
+    and the copies, about _TILE_ELEMS for the bound tables, and tables of
+    under 16 n0 n1 integers.
     """
     if f.grid != g.grid:
         raise GridMismatchError("inf-convolution requires the same grid geometry")
@@ -932,7 +929,7 @@ def max_formula_check(
     hstep = step * np.asarray(f.grid.spacing)
     unit = u / math.sqrt(_dots(u, u))
     with np.errstate(over="ignore"):
-        quotient = (fn - fx) / np.sqrt(_dots(hstep, hstep))
+        quotient = (fn - fx) / _norm(hstep)
     sub = subdifferential(f, index, epsilon=epsilon, dual_grid=dual_grid)
     if sub.slopes.size == 0:
         return float(quotient), -np.inf
@@ -965,7 +962,7 @@ def coercivity_check(f: GridFn) -> CoercivityReport:
         mask[(slice(None),) * ax + ([0, -1],)] = True
     bvals = v[mask]
     diff = f.grid.nodes().reshape(v.shape + (f.grid.dim,))[mask] - xmin
-    dist = np.sqrt(_dots(diff, diff))
+    dist = _norm(diff)
     quot = np.where(dist > 0, (bvals - fmin) / np.maximum(dist, 1e-300), 0.0)
     quot = np.where(np.isfinite(bvals), quot, np.inf)
     slope = float(np.min(quot))

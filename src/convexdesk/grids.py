@@ -35,10 +35,21 @@ MAX_NODES = 4_000_000  # desk-scale cap on total node count
 def _dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """<a, b> over the last axis of A and B, broadcast, the axes' products
     added in axis order: elementwise, so its bits do not depend on BLAS.
-    Every <., .> over the grid axes is this, and a norm sqrt(_dots(v, v))."""
+    Every <., .> over the grid axes is this, and a norm is _norm."""
     if A.shape[-1] != B.shape[-1]:
         raise ValueError(f"inner product of vectors of {A.shape[-1]} and {B.shape[-1]} components")
     return functools.reduce(operator.add, (A[..., a] * B[..., a] for a in range(A.shape[-1])))
+
+
+@np.errstate(over="ignore")
+def _norm(V: np.ndarray) -> np.ndarray:
+    """sqrt(_dots(V, V)), or where the squares of a finite V overflow,
+    max |V| times the norm of V / max |V|: +inf only past the float limit."""
+    out = np.asarray(np.sqrt(_dots(V, V)))
+    big = np.isinf(out) & np.isfinite(V).all(axis=-1)
+    s = np.abs(V[big]).max(axis=-1, keepdims=True, initial=0.0)
+    out[big] = s[..., 0] * np.sqrt(_dots(V[big] / s, V[big] / s))
+    return out
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import GridMismatchError, NonconvexError, ParameterError, WidenGridError
 from .fenchel import (_TILE_ELEMS, _budget, _conjugate_lines, _kernel_overflows, conjugate,
                       default_dual_grid, inf_convolution)
-from .grids import Grid, GridFn, _dots, discrete_convexity_check, interp_gridfn, require_proper
+from .grids import Grid, GridFn, _norm, discrete_convexity_check, interp_gridfn, require_proper
 
 __all__ = [
     "ProxResult",
@@ -246,7 +246,7 @@ def moreau_decomposition_residual(f: GridFn, x, dual_grid: Optional[Grid] = None
             f"prox of f* landed on the dual grid boundary at axis {ax}; widen the dual grid"
         )
     with np.errstate(over="ignore"):
-        return float(np.sqrt(_dots(xv - a - b, xv - a - b)))
+        return float(_norm(xv - a - b))
 
 
 def _boundary_axis(grid: Grid, x) -> Optional[int]:
