@@ -218,14 +218,13 @@ def _line_blocks(nlines: int, width: int):
 
 
 def _place(ys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """np.searchsorted(ys, keys, side="right") for sorted ys (the nodes of
-    a grid axis, which Grid keeps strictly increasing, or those nodes over
-    an envelope's lam) uniform up to rounding: a key's count c is read off
-    its offset from ys[0] and kept
-    where ys[c - 1] <= key < ys[c], which fixes it; the keys that miss
-    (next to a node, or on far from uniform ys) take the binary search.
-    So do fewer than 2048 keys, for which the search costs less than the
-    estimate's fixed cost (some 15 us)."""
+    """np.searchsorted(ys, keys, side="right") for sorted ys (a grid axis,
+    which Grid keeps strictly increasing, or its nodes over an envelope's
+    lam), uniform up to rounding: a key's count c is read off its offset
+    from ys[0] and kept where ys[c - 1] <= key < ys[c], which fixes it; the
+    keys that miss (next to a node, or on far from uniform ys) take the
+    binary search.  So do fewer than 2048 keys, for which the search costs
+    less than the estimate's fixed cost (some 15 us)."""
     m = ys.size
     if keys.size < 2048:
         return np.searchsorted(ys, keys, side="right")
@@ -644,31 +643,38 @@ def _rectangles(fv: np.ndarray, gv: np.ndarray, zero: tuple[int, int]) -> np.nda
 def _tiles(fv: np.ndarray, gv: np.ndarray, zero: tuple[int, int]) -> np.ndarray:
     """The tiles of the direct inf-convolution, (7, tiles): x column c, x0
     rows [k, kb) and their y box [y0a, y0b) x [ya, yb), by c, then k.
-    Level l of the tables is rows [a_l, a_l + s_l): the s_l = N >> l tiles
-    of 2^l rows from x0 = 0 (N = 2^L >= n0; those past n0 empty), a box as
-    lo0, -hi0, lo1, -hi1, a level's rectangles from the one below."""
+    Level l of the tables is rows [a_l, a_l + s_l): the s_l = N / t_l
+    tiles of t_l = 2^l t0 rows from x0 = 0 (N = t_L >= n0; those past n0
+    empty), a box B as lo0, -hi0, lo1, -hi1: the union of their reaches,
+    cut in 2-D to that of their rectangles, a level's from the one below."""
     (n0, n1), (z0, z1) = fv.shape, zero
-    N = 1 << (n0 - 1).bit_length()
-    s = N >> np.arange(N.bit_length())
-    a, t = np.cumsum(s) - s, N // s
-    k = (np.arange(2 * N - 1) - np.repeat(a, s)) * np.repeat(t, s)
-    kb, x1 = np.minimum(k + np.repeat(t, s), n0), np.arange(n1)
-    box = [np.maximum(0, k + z0 - n0 + 1)[:, None], -np.minimum(n0, kb + z0)[:, None],
-           np.maximum(0, x1 + z1 - n1 + 1), -np.minimum(n1, x1 + z1 + 1)]
+    # tiles of _TILE_ELEMS // (n0 n1) rows fit whatever the rectangles; t0
+    # is a quarter of that, so that small rectangles may take smaller tiles
+    t0 = min(n0, max(1, _TILE_ELEMS // (4 * n0 * n1)))
+    t = t0 << np.arange((-(-n0 // t0) - 1).bit_length() + 1)
+    N, x1 = int(t[-1]), np.arange(n1)
+    s = N // t
+    a, tt = np.cumsum(s) - s, np.repeat(t, s)
+    k = (np.arange(tt.size) - np.repeat(a, s)) * tt
+    kb = np.minimum(k + tt, n0)
+    B = np.full((4, tt.size, n1), -n0 - n1, dtype=np.int32)
+    reach = [np.maximum(0, k + z0 - n0 + 1)[:, None], -np.minimum(n0, kb + z0)[:, None],
+             np.maximum(0, x1 + z1 - n1 + 1), -np.minimum(n1, x1 + z1 + 1)]
     if n1 > 1:
-        E = np.full((4, 2 * N - 1, n1), n0 + n1, dtype=np.int32)
-        E[:, :n0] = _rectangles(fv, gv, zero) * np.array([1, -1, 1, -1])[:, None, None]
+        R = np.full((4, N, n1), n0 + n1, dtype=np.int32)
+        R[:, :n0] = _rectangles(fv, gv, zero) * np.array([1, -1, 1, -1])[:, None, None]
+        B[:, : s[0]] = R.reshape(4, s[0], t0, n1).min(axis=2)
         for u, size in zip(a[:-1].tolist(), s[:-1].tolist()):
-            np.minimum(E[:, u : u + size : 2], E[:, u + 1 : u + size : 2], out=E[:, u + size : u + size + size // 2])
-        box = [np.maximum(e, v, out=e) for e, v in zip(E, box)]
-    pairs = np.maximum(kb - k, 0)[:, None] * ((box[0] + box[1]) * (box[2] + box[3]))
+            np.minimum(B[:, u : u + size : 2], B[:, u + 1 : u + size : 2], out=B[:, u + size : u + size + size // 2])
+    for b, v in zip(B, reach):
+        np.maximum(b, v, out=b)
+    pairs = np.maximum(kb - k, 0)[:, None] * ((B[0] + B[1]) * (B[2] + B[3]))
     cost = np.add.reduceat(pairs, a) + _TILE_WORK * -(-n0 // t)[:, None]
     cost[1:][np.maximum.reduceat(pairs, a)[1:] > _TILE_ELEMS] = np.iinfo(np.int64).max
     lv = cost.argmin(axis=0)  # per column, its level's n tiles that start before n0
     n = -(-n0 // t[lv])
     c, i = np.repeat(x1, n), np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - a[lv], n)
-    return np.stack([c, k[i], kb[i], *(sg * np.broadcast_to(v, pairs.shape)[i, c]
-                                       for sg, v in zip((1, -1, 1, -1), box))])
+    return np.vstack([c, k[i], kb[i], B[:, i, c] * np.array([[1], [-1], [1], [-1]])])
 
 
 @np.errstate(over="ignore")
@@ -695,18 +701,19 @@ def inf_convolution(f: GridFn, g: GridFn) -> InfConvResult:
 
     The x nodes go in tiles of consecutive x0 rows of one x column, each
     summing a box of y: the union of its x nodes' reaches, cut in 2-D to
-    the union of their rectangles.  A column's tiles have t rows, the power
-    of two that minimizes its work, the pairs its tiles sum plus _TILE_WORK
-    a tile, among the t whose tiles each sum at most _TILE_ELEMS pairs, and
-    1.  A tile copies the box's columns of the rows of f and of g (reversed,
+    the union of their rectangles.  A column's tiles have t rows, the t in
+    t0, 2 t0, 4 t0, ... (t0 = _TILE_ELEMS // (4 n0 n1), at least 1) that
+    minimizes its work, the pairs its tiles sum plus _TILE_WORK a tile,
+    among the t whose tiles each sum at most _TILE_ELEMS pairs, and t0.  A
+    tile copies the box's columns of the rows of f and of g (reversed,
     with n0 - 1 rows of +inf above and below) that it reads, all rows if
     the next tile reads the same columns, so that each x reads its y block
     as one contiguous run in flat y order.  The budget counts the (x, y)
     pairs with x - y a node, which MAX_DIRECT_PAIRS caps at about 51,600
     nodes in 1-D and 241² in 2-D, centred on 0.  Memory, in floats: the
-    tile's sums (at most _TILE_ELEMS, or one x's box), (5 n0 - 2) n1 for g
-    and the copies, about _TILE_ELEMS for the bound tables, and tables of
-    under 16 n0 n1 integers.
+    tile's sums (at most _TILE_ELEMS, or one x's box), (8 n0 - 4) n1 for
+    g, f and their copies, about _TILE_ELEMS for the bound tables, and
+    tables of under 24 n0 n1 integers.
     """
     if f.grid != g.grid:
         raise GridMismatchError("inf-convolution requires the same grid geometry")
@@ -723,8 +730,8 @@ def inf_convolution(f: GridFn, g: GridFn) -> InfConvResult:
     tiles = _tiles(fv, gv, (z0, z1))
     # g reversed on both axes, with n0 - 1 rows of +inf above and below:
     # r[2 n0 - 2 - x0 + y0 - z0, n1 - 1 - x1 + y1 - z1] = g[x - y + z]
-    r = np.pad(gv[::-1, ::-1], [(n0 - 1, n0 - 1), (0, 0)], constant_values=np.inf)
-    j = np.empty((n1, n0), dtype=np.int64)  # x column-major
+    r, j = np.full((3 * n0 - 2, n1), np.inf), np.empty((n1, n0), dtype=np.int64)  # j: x column-major
+    r[n0 - 1 : 2 * n0 - 1] = gv[::-1, ::-1]
     m, ws = tiles[2] - tiles[1], tiles[6] - tiles[5]
     buf = np.empty(int((m * (tiles[4] - tiles[3]) * ws).max()))
     rc, fc = np.empty(r.size + fv.size), np.empty(fv.size)  # a tile's copies

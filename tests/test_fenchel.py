@@ -966,16 +966,15 @@ def test_infconv_is_the_oracle_on_non_square_grids_in_every_tiling(axes):
     # one tile per x column; one-node tiles, since no tile of two nodes
     # fits; and tiles of several nodes, several in a column
     zero = tuple(grid.zero_index(ax) for ax in range(2))
-    for tile_elems in (fenchel._TILE_ELEMS, 1, 4 * grid.node_count):
+    tilings = {fenchel._TILE_ELEMS: lambda rows: (rows == grid.shape[0]).all(),
+               1: lambda rows: (rows == 1).all(),
+               4 * grid.node_count: lambda rows: rows.max() > 1 and rows.size > grid.shape[1]}
+    for tile_elems, tiling in tilings.items():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fenchel, "_TILE_ELEMS", tile_elems)
             tiles = fenchel._tiles(fns[0].values, fns[1].values, zero)
             res = inf_convolution(*fns)
-        rows = tiles[2] - tiles[1]
-        if tile_elems == fenchel._TILE_ELEMS:
-            assert (rows == grid.shape[0]).all()
-        else:
-            assert (rows == 1).all() if tile_elems == 1 else rows.max() > 1 and tiles.shape[1] > grid.shape[1]
+        assert tiling(tiles[2] - tiles[1])
         assert res.out.values.tobytes() == vals.tobytes()  # signs of zero included
         assert np.array_equal(np.signbit(res.out.values), np.signbit(vals))
         assert res.argmin.dtype == np.int64
