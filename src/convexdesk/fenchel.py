@@ -751,12 +751,11 @@ def inf_convolution(f: GridFn, g: GridFn) -> InfConvResult:
         win = runs[(a - ra) * w : (a - ra + kb - 1 - k) * w + 1 : w][::-1, : h * w]
         vals = np.add(fc[(y0a - fa) * w : (y0b - fa) * w], win, out=buf[: win.size].reshape(win.shape))
         vals.argmin(axis=1, out=j[c, k:kb])
-    # per x, column-major: its argmin's flat y, and the value, the sum again
-    y0a, ya, w = (np.repeat(v, m) for v in (tiles[3], tiles[5], ws))
-    y, x = (y0a + j.ravel() // w) * n1 + ya + j.ravel() % w, np.arange(n0 * n1).reshape(n0, n1).T.ravel()
-    out = fv.ravel()[y] + r.ravel()[y - x + (2 * n0 - 1 - z0) * n1 - 1 - z1]
-    arg = np.where(np.isfinite(out), y, -1)
-    return InfConvResult(GridFn(grid, out.reshape(n1, n0).T.reshape(shape)), arg.reshape(n1, n0).T.reshape(shape))
+    # per x, its argmin's flat y and the value there, the sum again
+    y0a, ya, w = (np.repeat(v, m).reshape(n1, n0).T for v in (tiles[3], tiles[5], ws))
+    y = (y0a + j.T // w) * n1 + ya + j.T % w
+    out = fv.ravel()[y] + r.ravel()[y - np.arange(n0 * n1).reshape(n0, n1) + (2 * n0 - 1 - z0) * n1 - 1 - z1]
+    return InfConvResult(GridFn(grid, out.reshape(shape)), np.where(np.isfinite(out), y, -1).reshape(shape))
 
 
 def _row_minkowski(F: np.ndarray, G: np.ndarray, rows):
