@@ -39,7 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridMismatchError, ImproperFunctionError, ParameterError, TruncationWarning
-from .grids import Grid, GridFn, _dots, _norm, interp_gridfn, require_proper
+from .grids import Grid, GridFn, _dots, _frozen, _Frozen, _norm, interp_gridfn, require_proper
 
 __all__ = [
     "ConjugateResult",
@@ -62,19 +62,14 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ConjugateResult:
+class ConjugateResult(_Frozen):
     """Values of f* on a dual grid plus the attaining primal node per dual node."""
 
     dual: GridFn
     argmax: np.ndarray  # flat primal index (row-major), -1 where no finite value
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.argmax, dtype=np.int64)
-        a.setflags(write=False)
-        object.__setattr__(self, "argmax", a)
-
-    def __reduce__(self):
-        return ConjugateResult, (self.dual, self.argmax)  # a read-only argmax again
+        object.__setattr__(self, "argmax", _frozen(self.argmax, np.int64))
 
 
 def _lower_hull(x: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -561,9 +556,15 @@ def biconjugate(f: GridFn, dual_grid: Grid) -> GridFn:
 
 
 @dataclass(frozen=True)
-class InfConvResult:
+class InfConvResult(_Frozen):
+    """(f box g)(x) = min_y f(y) + g(x - y) on the grid, and per x the flat
+    index of the attaining y node (-1 where +inf), _frozen."""
+
     out: GridFn
-    argmin: np.ndarray  # flat index of the attaining y node, -1 where +inf
+    argmin: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "argmin", _frozen(self.argmin, np.int64))
 
 
 # The work budget of every exhaustive pass.  A pass counts its work from
@@ -841,7 +842,7 @@ def infconv_dual_check(f: GridFn, g: GridFn, dual_grid: Grid) -> float:
 
 
 @dataclass(frozen=True)
-class SubdifferentialSet:
+class SubdifferentialSet(_Frozen):
     """Dual-grid slopes passing the Fenchel-Young equality test at x."""
 
     x: tuple[float, ...]
@@ -849,13 +850,8 @@ class SubdifferentialSet:
     epsilon: float
 
     def __post_init__(self) -> None:
-        s = np.atleast_2d(np.asarray(self.slopes, dtype=float))
-        s.setflags(write=False)
-        object.__setattr__(self, "slopes", s)
+        object.__setattr__(self, "slopes", _frozen(np.atleast_2d(self.slopes)))
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-
-    def __reduce__(self):
-        return SubdifferentialSet, (self.x, self.slopes, self.epsilon)  # read-only slopes again
 
 
 def _node_coords(grid: Grid, index: tuple[int, ...]) -> tuple[float, ...]:
@@ -921,13 +917,10 @@ def max_formula_check(
     if d.shape != (f.grid.dim,) or not np.isfinite(d).all() or not d.any():
         raise ParameterError(f"direction {d.tolist()} needs {f.grid.dim} finite components, not all zero")
     u = d / np.max(np.abs(d))  # |u|^2 lies in [1, dim]: it cannot underflow or overflow
-    step = np.rint(u).astype(int)
-    nxt = tuple(i + s for i, s in zip(index, step))
-    for ax, i in enumerate(nxt):
-        if not 0 < index[ax] < f.grid.shape[ax] - 1:
-            raise GridMismatchError("x must be an interior node")
-        if not 0 <= i < f.grid.shape[ax]:
-            raise GridMismatchError("x + h d leaves the grid")
+    step = np.rint(u).astype(int)  # each component -1, 0 or 1
+    if not all(0 < i < n - 1 for i, n in zip(index, f.grid.shape)):
+        raise GridMismatchError("x must be an interior node")
+    nxt = tuple(i + s for i, s in zip(index, step))  # so a node of the grid
     fx = float(f.values[tuple(index)])
     fn = float(f.values[nxt])
     if not (np.isfinite(fx) and np.isfinite(fn)):

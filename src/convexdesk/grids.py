@@ -3,7 +3,13 @@
 A GridFn holding values of f on a grid box represents the truncated
 function f + indicator(box): every transform in the toolkit operates on
 that finite object, and +inf marks points outside the effective domain.
-All types are immutable after construction; operations are pure.
+Operations are pure and values immutable.  Every array that a Grid,
+GridFn, ConjugateResult, InfConvResult, SubdifferentialSet or
+OperatorGraph holds is _frozen: setflags(write=True) and item assignment
+on it raise ValueError.  copy.copy, copy.deepcopy and pickle rebuild such
+a value through its constructor (_Frozen), so a copy's arrays are
+read-only too and it keeps no stored result, such as a GridFn's
+convexity verdict.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,6 +36,22 @@ __all__ = [
 ]
 
 MAX_NODES = 4_000_000  # desk-scale cap on total node count
+
+
+def _frozen(a, dtype=float) -> np.ndarray:
+    """A read-only view of a read-only copy of a, as dtype, which numpy
+    refuses to make writable: the one place in src/ that sets the flag."""
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
+    return a.view()
+
+
+class _Frozen:
+    """Base of the frozen dataclasses that hold arrays: a copy or an
+    unpickled instance is built again from its init fields."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 def _dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -53,7 +75,7 @@ def _norm(V: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Grid:
+class Grid(_Frozen):
     """Uniform 1-D or 2-D grid; each axis is (lo, hi, count)."""
 
     axes: tuple[tuple[float, float, int], ...]
@@ -79,15 +101,11 @@ class Grid:
             total *= n
         if total > MAX_NODES:
             raise ParameterError(f"grid has {total} nodes, cap is {MAX_NODES}")
-        coords = tuple(np.linspace(lo, hi, n) for lo, hi, n in axes)  # see coords
+        coords = tuple(_frozen(np.linspace(lo, hi, n)) for lo, hi, n in axes)  # see coords
         for k, c in enumerate(coords):
             if not (c[1:] > c[:-1]).all():  # a subnormal step rounds; a step may be below an ulp
                 raise ParameterError(f"axis {k} nodes np.linspace{axes[k]} are not strictly increasing")
-            c.setflags(write=False)
         object.__setattr__(self, "_coords", coords)
-
-    def __reduce__(self):
-        return Grid, (self.axes,)  # a copy or unpickled Grid builds its coords again, read-only
 
     @classmethod
     def line(cls, lo: float, hi: float, n: int) -> "Grid":
@@ -115,7 +133,8 @@ class Grid:
 
     def coords(self, axis: int = 0) -> np.ndarray:
         """np.linspace(lo, hi, n) of the axis, computed once per Grid and
-        read-only: copy it before writing."""
+        _frozen, like every array a value holds: numpy refuses to make it
+        writable, so copy it before writing."""
         return self._coords[axis]
 
     def nodes(self) -> np.ndarray:
@@ -149,12 +168,11 @@ class Grid:
 
 
 @dataclass(frozen=True)
-class GridFn:
+class GridFn(_Frozen):
     """Extended-real values sampled on a grid, +inf outside its box.
 
-    `values` is a view of a read-only copy of the input, so numpy refuses
-    `setflags(write=True)` on it: results computed from it, such as the
-    convexity verdict, are kept on the instance and reused.
+    `values` is _frozen, so it cannot change: results computed from it,
+    such as the convexity verdict, are kept on the instance and reused.
     """
 
     grid: Grid
@@ -163,18 +181,14 @@ class GridFn:
     _convexity: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=float)
+        v = _frozen(self.values)
         if v.shape != self.grid.shape:
             raise GridMismatchError(
                 f"values shape {v.shape} does not match grid shape {self.grid.shape}"
             )
         if math.isnan(v.min()):  # the min of values holding NaN is NaN
             raise ValueError("GridFn values cannot contain NaN")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v.view())
-
-    def __reduce__(self):
-        return GridFn, (self.grid, self.values)  # read-only again, and no stored verdict
+        object.__setattr__(self, "values", v)
 
     def __eq__(self, other: object) -> bool:
         """Same grid and equal values node for node (the memo is not compared)."""

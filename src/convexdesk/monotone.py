@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .fenchel import _TILE_ELEMS, _budget, _conjugate_scan
-from .grids import GridFn, _dots
+from .grids import GridFn, _dots, _frozen, _Frozen
 from .moreau import ProxResult, _boundary_axis, prox
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class OperatorGraph:
+class OperatorGraph(_Frozen):
     """Finite sampled graph {(x, x*)} of an operator on R^d, d in {1, 2}."""
 
     xs: np.ndarray  # (k, d)
@@ -52,15 +52,8 @@ class OperatorGraph:
             raise ParameterError("operator graph must be nonempty")
         if xs.shape[1] not in (1, 2):
             raise ParameterError("operator graphs live in R^1 or R^2")
-        xs = xs.copy()
-        xst = xst.copy()
-        xs.setflags(write=False)
-        xst.setflags(write=False)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "xstars", xst)
-
-    def __reduce__(self):
-        return OperatorGraph, (self.xs, self.xstars)  # read-only arrays again
+        object.__setattr__(self, "xs", _frozen(xs))
+        object.__setattr__(self, "xstars", _frozen(xst))
 
     @property
     def dim(self) -> int:

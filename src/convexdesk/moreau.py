@@ -27,7 +27,7 @@ import numpy as np
 from .errors import GridMismatchError, NonconvexError, ParameterError, WidenGridError
 from .fenchel import (_TILE_ELEMS, _budget, _conjugate_lines, _kernel_overflows, conjugate,
                       default_dual_grid, inf_convolution)
-from .grids import Grid, GridFn, _norm, discrete_convexity_check, interp_gridfn, require_proper
+from .grids import Grid, GridFn, _frozen, _norm, discrete_convexity_check, interp_gridfn, require_proper
 
 __all__ = [
     "ProxResult",
@@ -159,7 +159,7 @@ def _parabola_step(f: GridFn, coords, idx, x: np.ndarray, lam: float):
 
 
 # per dimension, shape (axis a, axis b, 3, 1): the index steps (-1, 0, 1) along each axis a
-_STEPS = {d: np.eye(d, dtype=np.int64)[:, :, None, None] * np.arange(-1, 2)[:, None] for d in (1, 2)}
+_STEPS = {d: _frozen(np.eye(d)[:, :, None, None] * np.arange(-1, 2)[:, None], np.int64) for d in (1, 2)}
 _ROUNDS_TO_INF = Fraction(2 ** 1024 - 2 ** 970)  # max_float + half an ulp, which rounds up
 
 

@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import AccuracyError, ParameterError
 from .fenchel import _budget
+from .grids import _frozen
 
 __all__ = [
     "lambert_w",
@@ -208,9 +209,7 @@ def coupon_pn_perm(x: Sequence):
 def _perm_table(n: int) -> np.ndarray:
     """The n! orderings of range(n) as rows (n!, n), in
     itertools.permutations order.  Read-only, since every caller shares it."""
-    table = np.array(list(permutations(range(n))), dtype=np.intp)
-    table.flags.writeable = False
-    return table
+    return _frozen(list(permutations(range(n))), np.intp)
 
 
 def coupon_pn_ie(x: Sequence):
@@ -246,10 +245,8 @@ def _subset_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Membership masks M (2^n, n) and signs (-1)^(|S|+1) of the subsets S
     of {0..n-1} in bitmask order: row c is the subset with bitmask c, row
     0 the empty set.  Read-only, since every caller shares them."""
-    masks = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
-    sign = 1.0 - 2.0 * (masks.sum(axis=1) % 2 == 0)
-    masks.flags.writeable = sign.flags.writeable = False
-    return masks, sign
+    masks = _frozen((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+    return masks, _frozen(1.0 - 2.0 * (masks.sum(axis=1) % 2 == 0))
 
 
 def _extract(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -413,9 +410,7 @@ def _de_nodes(kind: str) -> tuple[tuple[np.ndarray, ...], ...]:
             near_0 = near_1 - np.abs(v)
             arrays = (np.where(v >= 0, near_1, near_0), np.where(v >= 0, near_0, near_1),
                       math.pi * np.cosh(tau))
-        for a in arrays:
-            a.flags.writeable = False
-        levels.append(arrays)
+        levels.append(tuple(map(_frozen, arrays)))
     return tuple(levels)
 
 

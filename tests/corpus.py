@@ -1,5 +1,6 @@
 """A seeded replay corpus for the conjugate kernel, the direct
-inf-convolution and the point queries, and the digests of their outputs.
+inf-convolution, the point queries and the norm averaging, and the
+digests of their outputs.
 
     PYTHONPATH=src python tests/corpus.py          # compare with the file
     PYTHONPATH=src python tests/corpus.py --write  # regenerate the file
@@ -30,10 +31,18 @@ its refusal.  The coupon probe is not digested: its Hessians come from
 matrix products and LAPACK's `eigvalsh`, whose bits depend on the BLAS
 build and on the kernel it selects for the CPU.
 
+The norm averaging runs once: `init_pair` and three `asplund_step` calls
+from it for (l1norm, l2norm) and (l2norm, linfnorm) on 21^2 and 31^2
+grids over [-4, 4]^2, each entry holding the pair's p and q values, n, C
+and the swap flag; then the refusals of `init_pair`, `pair_from_gridfns`
+and `asplund_step` (a 1-D, even or asymmetric grid, a non-norm atom or
+input, an order that fails, a NaN slack).
+
 Each entry of `kernel_digests.json` is the SHA-256 of the bytes of one
 function's outputs over the corpus, in order: `conjugate` values and argmax
 in 1-D and 2-D, `biconjugate`, `moreau_envelope`, `inf_convolution` values
-and argmin in 1-D and 2-D, the type and message of
+and argmin in 1-D and 2-D, the point queries, the norm pairs, the type and
+message of
 every error raised, and the work count of every `_budget` call (the
 rounding windows' node counts).  The bytes are numpy's, so the file records
 the numpy version it was made with; on another version the comparison is
@@ -43,6 +52,7 @@ not made, and the tier-1 test that runs it fails and says so.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -52,12 +62,14 @@ import sys
 import numpy as np
 
 from convexdesk import fenchel
+from convexdesk.atoms import FnAtom, sample
 from convexdesk.errors import ConvexDeskError
 from convexdesk.fenchel import (biconjugate, conjugate, fenchel_duality_gap, inf_convolution,
                                 subdifferential)
 from convexdesk.grids import Grid, GridFn
 from convexdesk.monotone import OperatorGraph, fitzpatrick, resolvent, yosida
 from convexdesk.moreau import moreau_envelope, prox
+from convexdesk.renorm import NormPair, asplund_step, init_pair, pair_from_gridfns
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernel_digests.json")
 BLOCKS = (fenchel._BLOCK_ELEMS, 96)  # the default, and a few lines a block
@@ -325,6 +337,33 @@ def _infconv_calls():
                                                                 GridFn(Grid.line(-1, 2, 16), np.zeros(16)))
 
 
+def _renorm_calls():
+    """(digest key, call) of the norm averaging: per pair of norms and grid,
+    init_pair and the pairs after one, two and three asplund_steps from
+    it; then the refusals."""
+    l1, l2, linf = FnAtom("l1norm"), FnAtom("l2norm"), FnAtom("linfnorm")
+    for a, b in ((l1, l2), (l2, linf)):
+        for n in (21, 31):
+            start = functools.partial(init_pair, a, b, Grid.box((-4, 4, n), (-4, 4, n)))
+            yield "renorm_init", start
+            for k in (1, 2, 3):
+                yield "renorm_step", lambda start=start, k=k: functools.reduce(
+                    lambda pair, _: asplund_step(pair), range(k), start())
+    g = Grid.box((-4, 4, 21), (-4, 4, 21))
+    bad = [Grid.line(-4, 4, 21), Grid.box((-4, 4, 20), (-4, 4, 21)), Grid.box((-4, 4, 21), (-3, 5, 21))]
+    calls = [functools.partial(init_pair, l1, l2, grid) for grid in bad]
+    calls += [lambda grid=grid: pair_from_gridfns(*[GridFn(grid, np.zeros(grid.shape))] * 2, 1.0) for grid in bad]
+    calls += [
+        lambda: init_pair(FnAtom("sqnorm2"), l2, g),
+        lambda: pair_from_gridfns(GridFn(g, np.ones(g.shape)), sample(l2, g), 1.0),  # not 0 at 0
+        lambda: pair_from_gridfns(sample(l2, g), sample(l1, g), 1.0),  # q0 > p0 off the axes
+        lambda: pair_from_gridfns(sample(l1, g), sample(linf, g), 0.5),  # p0 > 1.5 q0 on the diagonal
+        lambda: asplund_step(init_pair(l1, l2, g), math.nan),
+    ]
+    for call in calls:
+        yield "renorm_refusals", call
+
+
 def _capped(cap, fn, *args):
     with _patched(MAX_DIRECT_PAIRS=cap):
         return fn(*args)
@@ -368,6 +407,8 @@ def _bytes(out) -> bytes:
         return out.values.tobytes()
     if isinstance(out, np.ndarray):  # yosida
         return out.tobytes()
+    if isinstance(out, NormPair):
+        return out.p.values.tobytes() + out.q.values.tobytes() + np.array([out.n, out.C, out.swapped]).tobytes()
     if isinstance(out, fenchel.SubdifferentialSet):
         return np.array([*out.x, out.epsilon]).tobytes() + out.slopes.tobytes()
     # ProxResult, ResolventResult, DualityGapResult, FitzpatrickEval: their floats in field order
@@ -386,7 +427,7 @@ def _record(hashes: dict, key: str, call, refusals: str) -> None:
 def digests() -> dict:
     """SHA-256 per entry over the corpus: the kernel's at every block size in
     BLOCKS, the inf-convolution's at every tile size in TILES, the point
-    queries' once."""
+    queries' and the norm averaging's once."""
     hashes = {}
     budget = fenchel._budget
 
@@ -405,6 +446,8 @@ def digests() -> dict:
                 _record(hashes, f"{key}@{tile}", call, f"inf_convolution_refusals@{tile}")
     for key, call in _queries(np.random.default_rng(20261021)):
         _record(hashes, key, call, key)
+    for key, call in _renorm_calls():
+        _record(hashes, key, call, "renorm_refusals")
     return {k: h.hexdigest() for k, h in sorted(hashes.items())}
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -1417,6 +1418,15 @@ def test_max_formula_boundary_error():
     f = sample(FnAtom("abs"), g)
     with pytest.raises(GridMismatchError):
         max_formula_check(f, 0, 1.0)
+
+
+def test_max_formula_steps_from_an_interior_node_to_a_node():
+    # each step component is rint(d_k / max |d|), -1, 0 or 1, so from the
+    # one interior node of a 3 x 3 grid every direction lands on a node
+    f = sample(FnAtom("l1norm"), Grid.box((-1, 1, 3), (-1, 1, 3)))
+    for d in itertools.product((-2.0, -0.3, 0.0, 0.7, 5.0), repeat=2):
+        if any(d):
+            assert np.isfinite(max_formula_check(f, (1, 1), d)).all()
 
 
 # ---- coercivity -------------------------------------------------------------

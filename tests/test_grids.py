@@ -197,32 +197,54 @@ def test_values_cannot_be_made_writable_so_the_stored_verdict_stays_fresh():
 
 
 def _read_only_objects():
-    from convexdesk.fenchel import conjugate, subdifferential
+    from convexdesk.fenchel import conjugate, inf_convolution, subdifferential
     from convexdesk.monotone import OperatorGraph
 
     f = GridFn(Grid.line(-1, 1, 5), [1.0, 0.5, 0.0, 0.5, 1.0])
     assert discrete_convexity_check(f)  # stored on f
-    # each object with its read-only arrays
-    return [(f, ["values"]), (f.grid, ["coords"]), (conjugate(f, f.grid), ["argmax"]),
-            (subdifferential(f, 2), ["slopes"]),
-            (OperatorGraph([[0.0], [1.0]], [[1.0], [2.0]]), ["xs", "xstars"])]
+    # each object with a function that returns its arrays
+    return [(f, lambda o: [o.values]),
+            (Grid.box((-1, 1, 3), (0, 2, 4)), lambda o: [o.coords(0), o.coords(1)]),
+            (conjugate(f, f.grid), lambda o: [o.argmax]),
+            (subdifferential(f, 2), lambda o: [o.slopes]),
+            (OperatorGraph([[0.0], [1.0]], [[1.0], [2.0]]), lambda o: [o.xs, o.xstars]),
+            (inf_convolution(f, f), lambda o: [o.argmin])]
 
 
-@pytest.mark.parametrize("clone", [lambda o: pickle.loads(pickle.dumps(o)), copy.deepcopy],
-                         ids=["pickle", "deepcopy"])
-@pytest.mark.parametrize("k", range(5), ids=["GridFn", "Grid", "ConjugateResult",
-                                             "SubdifferentialSet", "OperatorGraph"])
+OBJECT_IDS = ["GridFn", "Grid", "ConjugateResult", "SubdifferentialSet", "OperatorGraph",
+              "InfConvResult"]
+
+
+def _assert_read_only(a: np.ndarray) -> None:
+    assert not a.flags.writeable
+    with pytest.raises(ValueError, match="WRITEABLE"):  # a _frozen view: numpy refuses
+        a.setflags(write=True)
+    with pytest.raises(ValueError, match="read-only"):
+        a.flat[0] = -5.0
+
+
+@pytest.mark.parametrize("k", range(6), ids=OBJECT_IDS)
+def test_every_array_a_value_holds_refuses_to_become_writable(k):
+    # Grid.coords, ConjugateResult.argmax, SubdifferentialSet.slopes and
+    # OperatorGraph's arrays owned their data, so setflags(write=True)
+    # made them writable; InfConvResult.argmin was writable from the start
+    obj, arrays = _read_only_objects()[k]
+    for a in arrays(obj):
+        _assert_read_only(a)
+
+
+@pytest.mark.parametrize("clone", [lambda o: pickle.loads(pickle.dumps(o)), copy.deepcopy, copy.copy],
+                         ids=["pickle", "deepcopy", "copy"])
+@pytest.mark.parametrize("k", range(6), ids=OBJECT_IDS)
 def test_a_copied_or_unpickled_object_is_read_only_with_no_stored_verdict(clone, k):
     # they came back writable, and a GridFn kept its verdict: after
     # f2.values[2] = -5.0 the stored "convex" let prox accept a nonconvex f
-    obj, names = _read_only_objects()[k]
+    obj, arrays = _read_only_objects()[k]
     obj2 = clone(obj)
-    for name in names:
-        a = getattr(obj2, name)
-        a = a() if callable(a) else a  # Grid.coords(0)
-        assert not a.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            a.flat[0] = -5.0
+    assert type(obj2) is type(obj)
+    for a, a2 in zip(arrays(obj), arrays(obj2), strict=True):
+        assert a2.tobytes() == a.tobytes() and a2.dtype == a.dtype
+        _assert_read_only(a2)
     if isinstance(obj2, GridFn):
         assert obj2._convexity == {} and obj2 == obj
         assert discrete_convexity_check(obj2) == grids._convexity_scan(obj, 1e-9)

@@ -4,6 +4,7 @@ value it returns."""
 
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +35,18 @@ def _rename_onto_a_directory() -> list:
         return sorted(os.listdir(d))
 
 
+def _rename_raises_a_non_os_error() -> list:
+    """A write whose final rename raises RuntimeError: the same exception
+    propagates, not an OSError naming the path, and the temp file is
+    removed; returns what is left in the directory."""
+    err = RuntimeError("interrupted")
+    with tempfile.TemporaryDirectory() as d:
+        with mock.patch.object(fileio.os, "replace", side_effect=err), pytest.raises(RuntimeError) as exc:
+            fileio.write_json_report({}, os.path.join(d, "out.json"))
+        assert exc.value is err
+        return sorted(os.listdir(d))
+
+
 # (id: the module and the branch, the call, an exception type with its
 # message, or the value returned)
 REFUSALS = [
@@ -48,6 +61,9 @@ REFUSALS = [
      lambda: fenchel.infconv_dual_check(GridFn(HUGE, [-1.7e308] * 3), GridFn(HUGE, [0.0] * 3),
                                         Grid.line(1e8, 2e8, 3)),
      np.inf),
+    ("fenchel-minkowski-non-finite",
+     lambda: fenchel.minkowski_infconv_convex(np.array([0.0, np.inf]), np.zeros(3)),
+     (ImproperFunctionError, "minkowski fast path requires finite arrays")),
     ("fenchel-max-formula-at-an-edge-node", lambda: fenchel.max_formula_check(SQ, 0, [1.0]),
      (GridMismatchError, "x must be an interior node")),
     ("fenchel-max-formula-next-to-inf",
@@ -98,6 +114,7 @@ REFUSALS = [
                                            samples=2),
      renorm.StrictConvexityReport(0.0, ((2.0,), (3.0,)), 2, 2, 2)),
     ("fileio-failed-rename-removes-the-temp-file", _rename_onto_a_directory, ["sub"]),
+    ("fileio-non-os-error-propagates-unchanged", _rename_raises_a_non_os_error, []),
 ]
 
 
