@@ -370,6 +370,11 @@ def _brute_line_violation(vals: np.ndarray, tol: float):
     return None
 
 
+# quadratic forms (a11, a22, a12), convex along the axes and diagonals,
+# concave along one knight direction each: (1,2), (2,1), (1,-2), (2,-1)
+KNIGHT_FORMS = ((3.0, 1.0, -1.9), (1.0, 3.0, -1.9), (3.0, 1.0, 1.9), (1.0, 3.0, 1.9))
+
+
 def brute_convexity_check_2d(f: GridFn, tol: float = 1e-9) -> ConvexityReport:
     """The 2-D convexity check line by line: rows, columns, each diagonal
     offset (diagonal, then anti-diagonal), then knight-move midpoints."""

@@ -1,6 +1,6 @@
 """A seeded replay corpus for the conjugate kernel, the direct
-inf-convolution, the point queries and the norm averaging, and the
-digests of their outputs.
+inf-convolution, the point queries, the norm averaging and the convexity
+check, and the digests of their outputs.
 
     PYTHONPATH=src python tests/corpus.py          # compare with the file
     PYTHONPATH=src python tests/corpus.py --write  # regenerate the file
@@ -38,13 +38,22 @@ and the swap flag; then the refusals of `init_pair`, `pair_from_gridfns`
 and `asplund_step` (a 1-D, even or asymmetric grid, a non-norm atom or
 input, an order that fails, a NaN slack).
 
+The convexity check runs on each input at each tol in {0, 1e-9, 1e-3}:
+`discrete_convexity_check` on lines of 2 to 400 nodes and on 2-D grids
+from (2, k) and (k, 2) up to 61^2, over convex quadratics with +inf cells
+or an elliptic domain, saddles, one-node dents of 1e-9, forms concave
+along one knight direction, noise, and +inf grids with a few finite
+nodes, diagonal pairs and knight-move triples, each scaled by up to
+10^300, with +inf patches and -inf nodes; then values at the float limit,
+and the refusals of a NaN tol and of an all +inf function.  Each entry
+holds the reports' repr (verdict, index, kind and direction).
+
 Each entry of `kernel_digests.json` is the SHA-256 of the bytes of one
 function's outputs over the corpus, in order: `conjugate` values and argmax
 in 1-D and 2-D, `biconjugate`, `moreau_envelope`, `inf_convolution` values
-and argmin in 1-D and 2-D, the point queries, the norm pairs, the type and
-message of
-every error raised, and the work count of every `_budget` call (the
-rounding windows' node counts).  The bytes are numpy's, so the file records
+and argmin in 1-D and 2-D, the point queries, the norm pairs, the convexity
+reports, the type and message of every error raised, and the work count
+of every `_budget` call (the rounding windows' node counts).  The bytes are numpy's, so the file records
 the numpy version it was made with; on another version the comparison is
 not made, and the tier-1 test that runs it fails and says so.
 """
@@ -61,12 +70,13 @@ import sys
 
 import numpy as np
 
+from conftest import KNIGHT_FORMS
 from convexdesk import fenchel
 from convexdesk.atoms import FnAtom, sample
 from convexdesk.errors import ConvexDeskError
 from convexdesk.fenchel import (biconjugate, conjugate, fenchel_duality_gap, inf_convolution,
                                 subdifferential)
-from convexdesk.grids import Grid, GridFn
+from convexdesk.grids import ConvexityReport, Grid, GridFn, discrete_convexity_check
 from convexdesk.monotone import OperatorGraph, fitzpatrick, resolvent, yosida
 from convexdesk.moreau import moreau_envelope, prox
 from convexdesk.renorm import NormPair, asplund_step, init_pair, pair_from_gridfns
@@ -75,6 +85,8 @@ PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernel_digests.
 BLOCKS = (fenchel._BLOCK_ELEMS, 96)  # the default, and a few lines a block
 TILES = (fenchel._TILE_ELEMS, 300)  # the default, and a few x nodes a tile
 LAMS = (0.5, 1.0, 2.0)
+CONVEXITY_TOLS = (0.0, 1e-9, 1e-3)
+CONVEXITY_FAMILIES = ("mask", "saddle", "knight", "dent", "noise", "disk", "sparse")
 NEAR_LIMIT = [1e308, -1e308, 1.7e308, -1.7e308, 5e307, 0.0, -0.0, 1.0, -3.0, math.inf]
 
 
@@ -364,6 +376,88 @@ def _renorm_calls():
         yield "renorm_refusals", call
 
 
+def _convexity_values(rng, g, family):
+    """Values on the 1-D or 2-D grid g for the convexity check: a convex
+    quadratic ("mask" with +inf cells, "dent" with one node moved by
+    1e-9, "disk" finite on an ellipse), a saddle (in 1-D a concave
+    parabola), a form concave along one knight direction, noise, or
+    "sparse": +inf but for a few nodes, diagonal pairs and knight-move
+    triples.  Scaled
+    by up to 10^300, then maybe +inf cells or patches and a -inf node."""
+    x = np.meshgrid(*(g.coords(ax) for ax in range(g.dim)), indexing="ij")
+    if family == "saddle":
+        v = rng.choice([-1.0, 1.0]) * (x[0] * x[1] if g.dim == 2 else -x[0] ** 2)
+    elif family == "knight" and g.dim == 2:
+        a11, a22, a12 = KNIGHT_FORMS[int(rng.integers(0, 4))]
+        v = a11 * x[0] ** 2 + 2 * a12 * x[0] * x[1] + a22 * x[1] ** 2
+    elif family == "noise":
+        v = rng.normal(size=g.shape)
+    elif family == "sparse":
+        v = np.full(g.shape, np.inf)
+        for _ in range(int(rng.integers(1, 4))):
+            v[tuple(rng.integers(n) for n in g.shape)] = rng.normal()
+        if g.dim == 2:  # pairs 2 to 4 steps apart on a diagonal or anti-diagonal
+            for _ in range(int(rng.integers(0, 3))):
+                d = np.array([(1, 1), (1, -1)][int(rng.integers(0, 2))]) * int(rng.integers(2, 5))
+                lo, hi = np.maximum(0, -d), np.array(g.shape) - np.maximum(0, d)
+                if (hi > lo).all():
+                    a = rng.integers(lo, hi)
+                    v[tuple(a)], v[tuple(a + d)] = rng.normal(size=2)
+            for _ in range(int(rng.integers(0, 3))):
+                d = np.array([(1, 2), (2, 1), (1, -2), (2, -1)][int(rng.integers(0, 4))])
+                lo = np.maximum(0, -2 * d)
+                hi = np.array(g.shape) - np.maximum(0, 2 * d)
+                if (hi > lo).all():
+                    a = rng.integers(lo, hi)
+                    v[tuple(a)], v[tuple(a + d)], v[tuple(a + 2 * d)] = 0.0, rng.choice([-1.0, 1.0]), 0.0
+    else:
+        v = x[0] ** 2 + (2 * x[1] ** 2 + 0.5 * x[0] * x[1] if g.dim == 2 else 0.0)
+        if family == "dent":
+            v[tuple(rng.integers(n) for n in g.shape)] += rng.choice([-1e-9, 1e-9])
+        elif family == "disk":
+            c, r = rng.uniform(-1, 1, g.dim), rng.uniform(0.2, 2.0, g.dim)
+            v[sum(((xa - ca) / ra) ** 2 for xa, ca, ra in zip(x, c, r)) > 1] = np.inf
+    v = v * 10.0 ** int(rng.integers(0, 301))
+    if family == "mask" or rng.integers(0, 4) == 0:
+        v = np.where(rng.random(g.shape) < rng.uniform(0.0, 0.7 if g.node_count < 200 else 0.02), np.inf, v)
+    if g.dim == 1 and rng.integers(0, 2):  # +inf patches: runs of the line
+        for _ in range(int(rng.integers(1, 4))):
+            a = int(rng.integers(0, v.size))
+            v[a : a + int(rng.integers(1, v.size // 3 + 2))] = np.inf
+    if rng.integers(0, 4) == 0:
+        v[tuple(rng.integers(n) for n in g.shape)] = -np.inf
+    if not np.isfinite(v).any():
+        v.flat[0] = 0.0
+    return v
+
+
+def _convexity_calls(rng):
+    """(digest key, call) of discrete_convexity_check, each input at every
+    tol in CONVEXITY_TOLS, then its refusals."""
+    inputs = []
+    for _ in range(150):  # lines of 2 to 400 nodes
+        g = Grid.line(-1.0, 1.5, int(rng.integers(2, 401)))
+        inputs.append(GridFn(g, _convexity_values(rng, g, rng.choice(CONVEXITY_FAMILIES))))
+    shapes = [(2, k) for k in range(2, 8)] + [(k, 2) for k in range(2, 8)] + [(61, 61)] * 3
+    shapes += [tuple(int(n) for n in rng.integers(2, 62, size=2)) for _ in range(240)]
+    for shape in shapes:
+        g = Grid.box((-1.0, 1.0, shape[0]), (-1.5, 1.0, shape[1]))
+        inputs.append(GridFn(g, _convexity_values(rng, g, rng.choice(CONVEXITY_FAMILIES))))
+    for shape in [(int(rng.integers(2, 12)),) for _ in range(40)] + [
+            tuple(int(n) for n in rng.integers(2, 7, size=2)) for _ in range(40)]:
+        v = rng.choice(NEAR_LIMIT, size=shape)  # values at the float limit
+        if not np.isfinite(v).any():
+            v.flat[0] = -0.0
+        inputs.append(GridFn(Grid(tuple((-1, 1, n) for n in shape)), v))
+    for f in inputs:
+        for tol in CONVEXITY_TOLS:
+            yield f"convexity_{f.grid.dim}d", lambda f=f, tol=tol: discrete_convexity_check(f, tol)
+    for g in (Grid.line(-1, 1, 5), Grid.box((-1, 1, 3), (-1, 1, 4))):
+        key = f"convexity_{g.dim}d"
+        yield key, lambda g=g: discrete_convexity_check(GridFn(g, np.zeros(g.shape)), math.nan)
+        yield key, lambda g=g: discrete_convexity_check(GridFn(g, np.full(g.shape, math.inf)))
+
+
 def _capped(cap, fn, *args):
     with _patched(MAX_DIRECT_PAIRS=cap):
         return fn(*args)
@@ -409,6 +503,8 @@ def _bytes(out) -> bytes:
         return out.tobytes()
     if isinstance(out, NormPair):
         return out.p.values.tobytes() + out.q.values.tobytes() + np.array([out.n, out.C, out.swapped]).tobytes()
+    if isinstance(out, ConvexityReport):  # repr: Python ints print unlike numpy's
+        return f"{out!r}\n".encode()
     if isinstance(out, fenchel.SubdifferentialSet):
         return np.array([*out.x, out.epsilon]).tobytes() + out.slopes.tobytes()
     # ProxResult, ResolventResult, DualityGapResult, FitzpatrickEval: their floats in field order
@@ -427,7 +523,7 @@ def _record(hashes: dict, key: str, call, refusals: str) -> None:
 def digests() -> dict:
     """SHA-256 per entry over the corpus: the kernel's at every block size in
     BLOCKS, the inf-convolution's at every tile size in TILES, the point
-    queries' and the norm averaging's once."""
+    queries', the norm averaging's and the convexity check's once."""
     hashes = {}
     budget = fenchel._budget
 
@@ -448,6 +544,8 @@ def digests() -> dict:
         _record(hashes, key, call, key)
     for key, call in _renorm_calls():
         _record(hashes, key, call, "renorm_refusals")
+    for key, call in _convexity_calls(np.random.default_rng(20261023)):
+        _record(hashes, key, call, key)
     return {k: h.hexdigest() for k, h in sorted(hashes.items())}
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _brute_line_violation, brute_convexity_check_2d, brute_interp
+from conftest import KNIGHT_FORMS, _brute_line_violation, brute_convexity_check_2d, brute_interp
 from convexdesk import grids
 from convexdesk.atoms import FnAtom, sample
 from convexdesk.errors import EmptyDomainError, ParameterError
@@ -119,11 +119,6 @@ def test_convexity_2d_saddle_rejected():
     x0, x1 = np.meshgrid(g.coords(0), g.coords(1), indexing="ij")
     rep = discrete_convexity_check(GridFn(g, x0 * x1))  # saddle: convex on axes only
     assert not rep and rep.direction in ((1, 1), (1, -1))
-
-
-# quadratic forms (a11, a22, a12), convex along the axes and diagonals,
-# concave along one knight direction each: (1,2), (2,1), (1,-2), (2,-1)
-KNIGHT_FORMS = ((3.0, 1.0, -1.9), (1.0, 3.0, -1.9), (3.0, 1.0, 1.9), (1.0, 3.0, 1.9))
 
 
 @st.composite
