@@ -247,47 +247,35 @@ def _concave_midpoints(
     return out
 
 
-def _first_violation(bad: np.ndarray, fin: Optional[np.ndarray]):
-    """First violation over a stack of lines (L, n), scanned line by line.
-
-    bad marks second-difference violations at their midpoints; fin marks
-    finite nodes, or is None when all are.  Returns (line, index, kind) or
-    None.  On a line a domain gap (a non-finite node between finite ones)
-    wins over a second difference.
-    """
-    hit = bad.any(axis=1)
-    gappy = None
-    if fin is not None:
-        # a line has a gap iff its finite nodes form two or more runs
-        gappy = np.count_nonzero(fin[:, 1:] > fin[:, :-1], axis=1) + fin[:, 0] > 1
-        hit |= gappy
-    if not hit.any():
-        return None
-    line = int(np.argmax(hit))
-    if gappy is not None and gappy[line]:
-        lo = int(np.argmax(fin[line]))
-        return line, lo + int(np.argmin(fin[line, lo:])), "domain-gap"
-    return line, int(np.argmax(bad[line])), "second-difference"
+# rows, columns, diagonal, anti-diagonal, then the knight moves
+_DIRECTIONS = ((0, 1), (1, 0), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, -1))
 
 
-def _diagonals(m: np.ndarray, mf: np.ndarray) -> np.ndarray:
-    """The diagonals of m and of mf, both (n0, n1), interleaved as a stack
-    of 2 (n0 + n1 - 1) lines of n0: for each offset j - i in increasing
-    order, m's diagonal then mf's.  Entry i of a line is at row i; rows
-    that the diagonal misses are zero.
-    """
-    n0, n1 = m.shape
-    w = n0 + n1 - 1
-    buf = np.zeros((n0, w, 2), dtype=m.dtype)
-    # rows of buf.reshape(-1, 2) from n0 - 1 on, viewed with row length w - 1:
-    # node (i, j) lands at buf[i, j - i + n0 - 1], a shear by one per row
-    sheared = buf.reshape(-1, 2)[n0 - 1 : n0 - 1 + n0 * (w - 1)].reshape(n0, w - 1, 2)
-    sheared[:, :n1, 0] = m
-    sheared[:, :n1, 1] = mf
-    return buf.transpose(1, 2, 0).reshape(2 * w, n0)
+def _scan_lines(d: tuple[int, int], nodes: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The line along d through each flat node index, numbered in scan
+    order: rows, columns, then for each offset j - i the diagonal before
+    the anti-diagonal, then one line per knight direction."""
+    n0, n1 = shape
+    w = n0 + n1
+    lines = {(0, 1): (1, 0, 0), (1, 0): (0, 1, n0),
+             (1, 1): (-2, 2, w + 2 * n0 - 2), (1, -1): (-2, -2, 3 * w - 3)}
+    a, b, c = lines.get(d, (0, 0, 3 * w - 6 + _DIRECTIONS.index(d)))  # the line c + a i + b j
+    return c + (a - b * n1) * (nodes // n1) + b * nodes  # j = node - n1 i
 
 
-_KNIGHTS = ((1, 2), (2, 1), (1, -2), (2, -1))
+def _gap_nodes(fin: np.ndarray, d: tuple[int, int]) -> np.ndarray:
+    """Flat indices of the domain gaps along d: on a line whose finite
+    nodes form two runs or more, the non-finite node that ends each run."""
+    n0, n1 = fin.shape
+    edged = np.zeros((n0 + 2, n1 + 2), dtype=bool)  # fin with a border of False
+    edged[1:-1, 1:-1] = fin
+    prev = edged[1 - d[0] : n0 + 1 - d[0], 1 - d[1] : n1 + 1 - d[1]]  # fin at m - d
+    starts = np.flatnonzero(fin > prev)
+    runs = np.bincount(_scan_lines(d, starts, fin.shape), minlength=3 * (n0 + n1))
+    if runs.max() < 2:
+        return starts[:0]
+    ends = np.flatnonzero(prev > fin)
+    return ends[runs[_scan_lines(d, ends, fin.shape)] > 1]
 
 
 def discrete_convexity_check(f: GridFn, tol: float = 1e-9) -> ConvexityReport:
@@ -308,14 +296,18 @@ def discrete_convexity_check(f: GridFn, tol: float = 1e-9) -> ConvexityReport:
     repeated checks (every prox, envelope and resolvent call on f) return
     the stored report without scanning again.
 
-    Cost: O(N) time and memory for N nodes, a fixed number of whole-array
-    passes (one per direction, plus the domain-gap masks when some value
-    is non-finite).  The violation reported is the first in this scan
-    order: rows, then columns, then for each diagonal offset j - i in
-    increasing order the diagonal before the anti-diagonal, then the
-    directions (1,2), (2,1), (1,-2), (2,-1).  Lines go in index order and
-    nodes along each line; on a line a domain gap comes before any second
-    difference.
+    Cost: O(N) time and memory for N nodes, in one scan for 1-D (one
+    row) and 2-D: per direction a fixed number of whole-array passes for
+    its second differences and, on the four line directions when some
+    value is non-finite, for the runs of finite nodes, counted per line
+    with one bincount; then the flat indices of the violations found,
+    one integer key each.  The scan stops after the first direction with
+    a violation; the diagonal waits for the anti-diagonal, whose lines
+    interleave with its own.  The violation reported is the first in this scan order: rows, then
+    columns, then for each diagonal offset j - i in increasing order the
+    diagonal before the anti-diagonal, then the directions (1,2), (2,1),
+    (1,-2), (2,-1).  Lines go in index order and nodes along each line;
+    on a line a domain gap comes before any second difference.
     """
     tol = float(tol)
     if math.isnan(tol):
@@ -336,40 +328,30 @@ def _convexity_scan(f: GridFn, tol: float) -> ConvexityReport:
     fin, absv = (None if nfin == v.size else finite), np.abs(v)
     t = tol * max(1.0, float(absv.max() if fin is None else np.max(absv, where=fin, initial=0.0)))
 
-    hit = _first_violation(_concave_midpoints(v, fin, (0, 1), t), fin)
-    if f.grid.dim == 1:
-        if hit is not None:
-            return ConvexityReport(False, (hit[1],), hit[2], (1,))
+    # each violation's key (2 line + second) n + node orders it as the scan
+    # meets it: by line, then a domain gap before a second difference, then
+    # by place on the line, where the flat node index grows along d
+    (n0, n1), n, hits = v.shape, v.size, []  # hits: (least key, direction)
+    for q, d in enumerate(_DIRECTIONS):
+        if hits and d != (1, -1):  # the diagonal waits for the anti-diagonal
+            break
+        if n0 <= 2 * d[0] or n1 <= 2 * abs(d[1]):
+            continue  # lines along d have fewer than 3 nodes
+        found = [(np.flatnonzero(_concave_midpoints(v, fin, d, t, knight=q >= 4)), 1)]
+        if fin is not None and q < 4:
+            found.append((_gap_nodes(fin, d), 0))
+        for nodes, second in found:
+            if nodes.size:
+                key = ((2 * _scan_lines(d, nodes, (n0, n1)) + second) * n + nodes).min()
+                hits.append((int(key), d))
+    if not hits:
         return ConvexityReport(True)
-    if hit is not None:
-        return ConvexityReport(False, hit[:2], hit[2], (0, 1))
-
-    bad = _concave_midpoints(v, fin, (1, 0), t).T
-    hit = _first_violation(bad, None if fin is None else fin.T)
-    if hit is not None:
-        return ConvexityReport(False, (hit[1], hit[0]), hit[2], (1, 0))
-
-    # the anti-diagonals are the diagonals of v with its columns reversed
-    n0, n1 = v.shape
-    vf = v[:, ::-1]
-    finf = None if fin is None else fin[:, ::-1]
-    bad = _diagonals(
-        _concave_midpoints(v, fin, (1, 1), t), _concave_midpoints(vf, finf, (1, 1), t)
-    )
-    hit = _first_violation(bad, None if fin is None else _diagonals(fin, finf))
-    if hit is not None:
-        (c, anti), i = divmod(hit[0], 2), hit[1]
-        j = i + c - (n0 - 1)
-        if anti:
-            return ConvexityReport(False, (i, n1 - 1 - j), hit[2], (1, -1))
-        return ConvexityReport(False, (i, j), hit[2], (1, 1))
-
-    for d in _KNIGHTS:
-        bad = _concave_midpoints(v, fin, d, t, knight=True)
-        if bad.any():
-            i, j = divmod(int(np.argmax(bad)), n1)
-            return ConvexityReport(False, (i, j), "second-difference", d)
-    return ConvexityReport(True)
+    key, d = min(hits)
+    rank, node = divmod(key, n)
+    kind = "second-difference" if rank % 2 else "domain-gap"
+    if f.grid.dim == 1:
+        return ConvexityReport(False, (node,), kind, (1,))
+    return ConvexityReport(False, divmod(node, n1), kind, d)
 
 
 def interp_gridfn(f: GridFn, points: np.ndarray) -> np.ndarray:

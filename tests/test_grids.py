@@ -156,6 +156,45 @@ def test_convexity_2d_matches_line_by_line_oracle(case):
     assert discrete_convexity_check(f, tol) == brute_convexity_check_2d(f, tol)
 
 
+@st.composite
+def convexity_lines(draw):
+    """convexity_inputs' families on lines of 2 to 30 nodes: a saddle is
+    a concave or convex parabola, a knight form the kink |x - 0.3|."""
+    n = draw(st.integers(2, 30))
+    family = draw(st.sampled_from(["mask", "saddle", "knight", "dent", "noise"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = Grid.line(-1.0, 1.5, n)
+    x = g.coords(0)
+    if family == "saddle":
+        v = draw(st.sampled_from([-1.0, 1.0])) * x**2
+    elif family == "knight":
+        v = np.abs(x - 0.3)
+    elif family == "noise":
+        v = rng.normal(size=n)
+    else:
+        v = x**2 + 0.5 * x
+        if family == "dent":
+            v[rng.integers(n)] += draw(st.sampled_from([-1e-9, 1e-9]))
+    v = v * 10.0 ** draw(st.integers(0, 300))
+    if family == "mask" or draw(st.booleans()):
+        v = np.where(rng.random(n) < draw(st.floats(0.0, 0.7)), np.inf, v)
+    if draw(st.booleans()):
+        v[rng.integers(n)] = -np.inf
+    if not np.isfinite(v).any():
+        v[0] = 0.0
+    return GridFn(g, v), draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(convexity_lines())
+def test_convexity_1d_matches_the_line_oracle(case):
+    f, tol = case
+    fin = np.isfinite(f.values)
+    hit = _brute_line_violation(f.values, tol * max(1.0, float(np.max(np.abs(f.values[fin])))))
+    expected = ConvexityReport(True) if hit is None else ConvexityReport(False, (hit[0],), hit[1], (1,))
+    assert discrete_convexity_check(f, tol) == expected
+
+
 @settings(max_examples=200, deadline=None)
 @given(convexity_inputs())
 def test_stored_convexity_report_is_a_fresh_scan(case):
@@ -440,16 +479,20 @@ def test_convexity_near_the_float_limit_matches_exact_second_differences(shape, 
         assert discrete_convexity_check(f, tol) == expected
 
 
-@pytest.mark.parametrize("disk", [False, True])
-def test_convexity_2d_memory_is_linear(disk):
+@pytest.mark.parametrize("case", ["convex", "disk", "saddle"])
+def test_convexity_2d_memory_is_linear(case):
+    # the saddle violates at every diagonal node, so the scan holds the
+    # indices of all of them
     import tracemalloc
 
     n = 301
     g = Grid.box((-1, 1, n), (-1, 1, n))
     x0, x1 = np.meshgrid(g.coords(0), g.coords(1), indexing="ij")
     v = x0**2 + 2 * x1**2 + 0.3 * x0 * x1
-    if disk:
+    if case == "disk":
         v = np.where(x0**2 + x1**2 > 0.8, np.inf, v)
+    elif case == "saddle":
+        v = x0**2 + x1**2 - 3 * x0 * x1
     f = GridFn(g, v)
     tracemalloc.start()
     try:
@@ -457,7 +500,7 @@ def test_convexity_2d_memory_is_linear(disk):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep
+    assert bool(rep) == (case != "saddle")
     assert peak < 96 * n * n
 
 
