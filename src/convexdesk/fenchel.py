@@ -854,6 +854,19 @@ class SubdifferentialSet(_Frozen):
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
 
 
+def _node_index(grid: Grid, index) -> tuple[int, ...]:
+    """index as a tuple of grid.dim ints i with 0 <= i < n on each axis (a
+    bare int in 1-D); anything else raises GridMismatchError."""
+    idx = tuple(index) if isinstance(index, (tuple, list, np.ndarray)) else (index,)
+    if len(idx) != grid.dim or not all(
+        isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < n
+        for i, n in zip(idx, grid.shape)
+    ):
+        raise GridMismatchError(
+            f"node index {index!r} is not {grid.dim} integers within the grid shape {grid.shape}")
+    return tuple(int(i) for i in idx)
+
+
 def _node_coords(grid: Grid, index: tuple[int, ...]) -> tuple[float, ...]:
     return tuple(grid.coords(ax)[i] for ax, i in enumerate(index))
 
@@ -877,19 +890,19 @@ def subdifferential(
     f(x) + f*(y) - <y, x> <= epsilon.
 
     Default epsilon is 4 h (local slope scale), the Fenchel-Young
-    discretization error scale.
+    discretization error scale.  GridMismatchError, before any work, for
+    an index that is not one node of f's grid.
     """
+    index = _node_index(f.grid, index)
     require_proper(f, "subdifferential input")
-    if isinstance(index, int):
-        index = (index,)
-    fx = float(f.values[tuple(index)])
+    fx = float(f.values[index])
     if not np.isfinite(fx):
         raise ImproperFunctionError("f(x) must be finite")
     if dual_grid is None:
         dual_grid = default_dual_grid(f)
     if epsilon is None:
-        epsilon = 4.0 * max(f.grid.spacing) * max(1.0, _local_slope_scale(f, tuple(index)))
-    x = np.asarray(_node_coords(f.grid, tuple(index)))
+        epsilon = 4.0 * max(f.grid.spacing) * max(1.0, _local_slope_scale(f, index))
+    x = np.asarray(_node_coords(f.grid, index))
     fstar = conjugate(f, dual_grid).dual
     ys = dual_grid.nodes()
     resid = fx + fstar.values.ravel() - _dots(ys, x)
@@ -908,11 +921,11 @@ def max_formula_check(
 
     Returns (forward quotient at one grid step, max_y <y, d>); the two
     agree within O(h) plus the epsilon slack sqrt(2 eps) for smooth f.
-    ParameterError, before any work, for a direction of the wrong dimension,
-    zero or not finite.
+    GridMismatchError, before any work, for an index that is not one node
+    of f's grid, and ParameterError for a direction of the wrong
+    dimension, zero or not finite.
     """
-    if isinstance(index, int):
-        index = (index,)
+    index = _node_index(f.grid, index)
     d = np.atleast_1d(np.asarray(direction, dtype=float))
     if d.shape != (f.grid.dim,) or not np.isfinite(d).all() or not d.any():
         raise ParameterError(f"direction {d.tolist()} needs {f.grid.dim} finite components, not all zero")
@@ -921,7 +934,7 @@ def max_formula_check(
     if not all(0 < i < n - 1 for i, n in zip(index, f.grid.shape)):
         raise GridMismatchError("x must be an interior node")
     nxt = tuple(i + s for i, s in zip(index, step))  # so a node of the grid
-    fx = float(f.values[tuple(index)])
+    fx = float(f.values[index])
     fn = float(f.values[nxt])
     if not (np.isfinite(fx) and np.isfinite(fn)):
         raise ImproperFunctionError("requires finite values at x and x + h d")

@@ -187,7 +187,7 @@ class StrictConvexityReport:
     argpair: tuple[tuple[float, ...], tuple[float, ...]]
     flagged_flat: int  # pairs with gap below the flat threshold
     samples_used: int
-    excluded_collinear: int
+    excluded_collinear: int  # pairs skipped: collinear with the origin, or an infinite midpoint
 
 
 def strict_convexity_probe(
@@ -198,25 +198,28 @@ def strict_convexity_probe(
     Samples random node pairs with distinct directions (pairs collinear
     with the origin are excluded, where half-squared norms are exactly
     quadratic), interpolates f at midpoints, and reports the smallest gap
-    [f(a) + f(b)]/2 - f(midpoint).  A probe, not a proof.
+    [f(a) + f(b)]/2 - f(midpoint).  A probe, not a proof: it gives up
+    after 100 * samples skipped pairs, collinear with the origin or with
+    a midpoint outside dom f.  ParameterError for fewer than two finite
+    nodes.
     """
     rng = np.random.default_rng(seed)
     nodes = f.grid.nodes()
     vals = f.values.ravel()
     fin = np.flatnonzero(np.isfinite(vals))
+    if fin.size < 2:
+        raise ParameterError(f"strict convexity probe needs two finite nodes, f has {fin.size}")
     min_gap = math.inf
     argpair = ((), ())
     flagged = 0
     used = 0
     excluded = 0
-    while used < samples:
+    while used < samples and excluded <= 100 * samples:
         i, j = rng.choice(fin, size=2, replace=False)
         a, b = nodes[i], nodes[j]
         cross = a[0] * b[1] - a[1] * b[0] if f.grid.dim == 2 else np.inf
         if f.grid.dim == 2 and abs(cross) <= 1e-12:
             excluded += 1
-            if excluded > 100 * samples:
-                break
             continue
         mid = 0.5 * (a + b)
         fm = float(interp_gridfn(f, mid[None, :])[0])

@@ -21,6 +21,8 @@ SQ = GridFn(LINE, np.linspace(-1, 1, 5) ** 2)
 BOX = Grid.box((-1, 1, 3), (-1, 1, 3))
 # finite only on the x axis: every node pair is collinear with the origin
 X_AXIS = GridFn(BOX, np.where(np.arange(3) == 1, [[1.0], [0.0], [1.0]], np.inf))
+LINE3 = Grid.line(-1, 1, 3)
+L1 = sample(FnAtom("l1norm"), Grid.box((-2, 2, 5), (-2, 2, 5)))
 # -1.7e308 on a wide line: every conjugate on a positive dual grid overflows
 HUGE = Grid.line(-1e300, 1e300, 3)
 
@@ -69,6 +71,16 @@ REFUSALS = [
     ("fenchel-max-formula-next-to-inf",
      lambda: fenchel.max_formula_check(GridFn(LINE, [0, 0, 0, np.inf, 0]), 2, [1.0]),
      (ImproperFunctionError, "requires finite values at x and x + h d")),
+    ("fenchel-max-formula-index-too-short", lambda: fenchel.max_formula_check(L1, (1,), (1.0, 0.0)),
+     (GridMismatchError, "node index (1,) is not 2 integers within the grid shape (5, 5)")),
+    ("fenchel-max-formula-index-not-integer", lambda: fenchel.max_formula_check(L1, (1.5, 2), (1.0, 0.0)),
+     (GridMismatchError, "node index (1.5, 2) is not 2 integers within the grid shape (5, 5)")),
+    ("fenchel-max-formula-index-too-long", lambda: fenchel.max_formula_check(L1, (2, 2, 2), (1.0, 0.0)),
+     (GridMismatchError, "node index (2, 2, 2) is not 2 integers within the grid shape (5, 5)")),
+    ("fenchel-subdifferential-index-past-the-grid", lambda: fenchel.subdifferential(L1, (7, 0)),
+     (GridMismatchError, "node index (7, 0) is not 2 integers within the grid shape (5, 5)")),
+    ("fenchel-subdifferential-negative-index", lambda: fenchel.subdifferential(L1, (-1, 0)),
+     (GridMismatchError, "node index (-1, 0) is not 2 integers within the grid shape (5, 5)")),
     ("fenchel-max-formula-with-an-empty-subdifferential",
      lambda: fenchel.max_formula_check(SQ, 2, [1.0], epsilon=1e-3, dual_grid=Grid.line(10, 20, 3)),
      (0.5, -np.inf)),
@@ -113,6 +125,12 @@ REFUSALS = [
      lambda: renorm.strict_convexity_probe(GridFn(Grid.line(0, 3, 4), [0.0, np.inf, 0.0, 0.0]),
                                            samples=2),
      renorm.StrictConvexityReport(0.0, ((2.0,), (3.0,)), 2, 2, 2)),
+    ("renorm-probe-gives-up-on-infinite-midpoints",
+     lambda: renorm.strict_convexity_probe(GridFn(LINE3, [0.0, np.inf, 0.0]), samples=5),
+     renorm.StrictConvexityReport(np.inf, ((), ()), 0, 0, 501)),
+    ("renorm-probe-one-finite-node",
+     lambda: renorm.strict_convexity_probe(GridFn(LINE3, [0.0, np.inf, np.inf]), samples=5),
+     (ParameterError, "strict convexity probe needs two finite nodes, f has 1")),
     ("fileio-failed-rename-removes-the-temp-file", _rename_onto_a_directory, ["sub"]),
     ("fileio-non-os-error-propagates-unchanged", _rename_raises_a_non_os_error, []),
 ]
