@@ -251,31 +251,33 @@ def _concave_midpoints(
 _DIRECTIONS = ((0, 1), (1, 0), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, -1))
 
 
-def _scan_lines(d: tuple[int, int], nodes: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """The line along d through each flat node index, numbered in scan
-    order: rows, columns, then for each offset j - i the diagonal before
-    the anti-diagonal, then one line per knight direction."""
+def _scan_lines(d: tuple[int, int], shape: tuple[int, int]) -> tuple[int, int, int]:
+    """(a, b, c) such that the line along d through flat node index k is
+    c + a (k // n1) + b k, the lines numbered in scan order: rows,
+    columns, then for each offset j - i the diagonal before the
+    anti-diagonal, then one line per knight direction."""
     n0, n1 = shape
     w = n0 + n1
     lines = {(0, 1): (1, 0, 0), (1, 0): (0, 1, n0),
              (1, 1): (-2, 2, w + 2 * n0 - 2), (1, -1): (-2, -2, 3 * w - 3)}
     a, b, c = lines.get(d, (0, 0, 3 * w - 6 + _DIRECTIONS.index(d)))  # the line c + a i + b j
-    return c + (a - b * n1) * (nodes // n1) + b * nodes  # j = node - n1 i
+    return a - b * n1, b, c  # j = k - n1 i
 
 
 def _gap_nodes(fin: np.ndarray, d: tuple[int, int]) -> np.ndarray:
     """Flat indices of the domain gaps along d: on a line whose finite
     nodes form two runs or more, the non-finite node that ends each run."""
     n0, n1 = fin.shape
+    a, b, c = _scan_lines(d, fin.shape)
     edged = np.zeros((n0 + 2, n1 + 2), dtype=bool)  # fin with a border of False
     edged[1:-1, 1:-1] = fin
     prev = edged[1 - d[0] : n0 + 1 - d[0], 1 - d[1] : n1 + 1 - d[1]]  # fin at m - d
     starts = np.flatnonzero(fin > prev)
-    runs = np.bincount(_scan_lines(d, starts, fin.shape), minlength=3 * (n0 + n1))
+    runs = np.bincount(c + a * (starts // n1) + b * starts, minlength=3 * (n0 + n1))
     if runs.max() < 2:
         return starts[:0]
     ends = np.flatnonzero(prev > fin)
-    return ends[runs[_scan_lines(d, ends, fin.shape)] > 1]
+    return ends[runs[c + a * (ends // n1) + b * ends] > 1]
 
 
 def discrete_convexity_check(f: GridFn, tol: float = 1e-9) -> ConvexityReport:
@@ -340,10 +342,11 @@ def _convexity_scan(f: GridFn, tol: float) -> ConvexityReport:
         found = [(np.flatnonzero(_concave_midpoints(v, fin, d, t, knight=q >= 4)), 1)]
         if fin is not None and q < 4:
             found.append((_gap_nodes(fin, d), 0))
+        a, b, c = _scan_lines(d, (n0, n1))
         for nodes, second in found:
-            if nodes.size:
-                key = ((2 * _scan_lines(d, nodes, (n0, n1)) + second) * n + nodes).min()
-                hits.append((int(key), d))
+            if nodes.size:  # the keys less their constant (2 c + second) n
+                least = ((2 * a * n) * (nodes // n1) + (2 * b * n + 1) * nodes).min()
+                hits.append((int(least) + (2 * c + second) * n, d))
     if not hits:
         return ConvexityReport(True)
     key, d = min(hits)
