@@ -857,13 +857,12 @@ class SubdifferentialSet(_Frozen):
 def _node_index(grid: Grid, index) -> tuple[int, ...]:
     """index as a tuple of grid.dim ints i with 0 <= i < n on each axis (a
     bare int in 1-D); anything else raises GridMismatchError."""
-    idx = tuple(index) if isinstance(index, (tuple, list, np.ndarray)) else (index,)
+    idx = tuple(index) if isinstance(index, (tuple, list)) or np.ndim(index) else (index,)
     if len(idx) != grid.dim or not all(
         isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < n
         for i, n in zip(idx, grid.shape)
     ):
-        raise GridMismatchError(
-            f"node index {index!r} is not {grid.dim} integers within the grid shape {grid.shape}")
+        raise GridMismatchError(f"node index {index!r} does not name a node of a grid of shape {grid.shape}")
     return tuple(int(i) for i in idx)
 
 

@@ -72,15 +72,15 @@ REFUSALS = [
      lambda: fenchel.max_formula_check(GridFn(LINE, [0, 0, 0, np.inf, 0]), 2, [1.0]),
      (ImproperFunctionError, "requires finite values at x and x + h d")),
     ("fenchel-max-formula-index-too-short", lambda: fenchel.max_formula_check(L1, (1,), (1.0, 0.0)),
-     (GridMismatchError, "node index (1,) is not 2 integers within the grid shape (5, 5)")),
+     (GridMismatchError, "node index (1,) does not name a node of a grid of shape (5, 5)")),
     ("fenchel-max-formula-index-not-integer", lambda: fenchel.max_formula_check(L1, (1.5, 2), (1.0, 0.0)),
-     (GridMismatchError, "node index (1.5, 2) is not 2 integers within the grid shape (5, 5)")),
+     (GridMismatchError, "node index (1.5, 2) does not name a node of a grid of shape (5, 5)")),
     ("fenchel-max-formula-index-too-long", lambda: fenchel.max_formula_check(L1, (2, 2, 2), (1.0, 0.0)),
-     (GridMismatchError, "node index (2, 2, 2) is not 2 integers within the grid shape (5, 5)")),
+     (GridMismatchError, "node index (2, 2, 2) does not name a node of a grid of shape (5, 5)")),
     ("fenchel-subdifferential-index-past-the-grid", lambda: fenchel.subdifferential(L1, (7, 0)),
-     (GridMismatchError, "node index (7, 0) is not 2 integers within the grid shape (5, 5)")),
+     (GridMismatchError, "node index (7, 0) does not name a node of a grid of shape (5, 5)")),
     ("fenchel-subdifferential-negative-index", lambda: fenchel.subdifferential(L1, (-1, 0)),
-     (GridMismatchError, "node index (-1, 0) is not 2 integers within the grid shape (5, 5)")),
+     (GridMismatchError, "node index (-1, 0) does not name a node of a grid of shape (5, 5)")),
     ("fenchel-max-formula-with-an-empty-subdifferential",
      lambda: fenchel.max_formula_check(SQ, 2, [1.0], epsilon=1e-3, dual_grid=Grid.line(10, 20, 3)),
      (0.5, -np.inf)),
