@@ -342,9 +342,9 @@ def _convexity_scan(f: GridFn, tol: float) -> ConvexityReport:
         found = [(np.flatnonzero(_concave_midpoints(v, fin, d, t, knight=q >= 4)), 1)]
         if fin is not None and q < 4:
             found.append((_gap_nodes(fin, d), 0))
-        a, b, c = _scan_lines(d, (n0, n1))
         for nodes, second in found:
             if nodes.size:  # the keys less their constant (2 c + second) n
+                a, b, c = _scan_lines(d, (n0, n1))
                 least = ((2 * a * n) * (nodes // n1) + (2 * b * n + 1) * nodes).min()
                 hits.append((int(least) + (2 * c + second) * n, d))
     if not hits:
