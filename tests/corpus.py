@@ -27,7 +27,11 @@ and `yosida` on convex 1-D and 2-D grids (among them c + |x| with
 constant offsets c from 1e6 to 1e17, where the float objective loses the
 quadratic), and 2-D `fenchel_duality_gap`,
 `fitzpatrick` and `subdifferential`, each entry holding its outputs or
-its refusal.  The coupon probe is not digested: its Hessians come from
+its refusal.  The `prox_ties` entry holds 1-D and 2-D `prox` and
+`resolvent` and 1-D `moreau_envelope` calls whose node minimum ties
+between a boundary node and its neighbour: affine f on dyadic grids
+(2^k + 1 nodes on [-2^a, 2^a]), queries on the boundary node, a quarter
+node from it and on its neighbour, and the mirror image x -> -x of each.  The coupon probe is not digested: its Hessians come from
 matrix products and LAPACK's `eigvalsh`, whose bits depend on the BLAS
 build and on the kernel it selects for the CPU.
 
@@ -245,6 +249,35 @@ def _queries(rng):
         g = Grid.box((-2, 2, n1), (-2, 2, n2))
         f, i = GridFn(g, _convex(rng, g)), (int(rng.integers(1, n1 - 1)), int(rng.integers(1, n2 - 1)))
         yield "subdifferential_2d", lambda f=f, i=i: subdifferential(f, i)
+
+
+def _ties():
+    """(digest key, call) of the boundary ties, each problem then its mirror
+    image: f = c + <s, x> on a dyadic grid and a power-of-two lam, with the
+    slope per tied axis chosen so that the query's node minimum ties
+    between the first node and the second (q - lam s = lo + h/2, exact)."""
+    calls = []
+    for a, ks in ((0, (2,)), (1, (3, 9)), (2, (3, 5)), (1, (3, 4)), (0, (4, 2))):
+        g = Grid(tuple((-2.0 ** a, 2.0 ** a, 2 ** k + 1) for k in ks))
+        h, x = g.spacing, np.meshgrid(*(g.coords(ax) for ax in range(g.dim)), indexing="ij")
+        for t in (0.0, 0.25, 0.75, 1.0):  # the query at lo + t h on each tied axis
+            for tied in [(True,)] if g.dim == 1 else [(True, False), (False, True), (True, True)]:
+                for lam, c in ((h[0] / 4, 0.0), (h[0], 3.0)):
+                    s = [(t - 0.5) * hh / lam if tie else 0.0 for hh, tie in zip(h, tied)]
+                    q = [-(2.0 ** a) + t * hh if tie else 0.25 * hh for hh, tie in zip(h, tied)]
+                    for m in (1.0, -1.0):  # the problem, then its mirror image
+                        f = GridFn(g, c + sum(m * sa * xa for sa, xa in zip(s, x)))
+                        z = np.array([m * qa for qa in q])
+                        calls += [lambda f=f, z=z, lam=lam, fn=fn: fn(f, lam, z) for fn in (prox, resolvent)]
+        if g.dim == 1:  # every node's minimum ties with its right (left) neighbour
+            for lam in (h[0] / 4, h[0]):
+                for m in (1.0, -1.0):
+                    f = GridFn(g, 1.0 - m * h[0] / (2 * lam) * x[0])
+                    calls.append(lambda f=f, lam=lam: moreau_envelope(f, lam))
+    f = GridFn(Grid.line(-2, 2, 9), (Grid.line(-2, 2, 9).coords(0) + 2) / 2)  # nodes -2 and -1.5 tie
+    calls += [lambda: prox(f, 0.5, -1.5), lambda: prox(GridFn(f.grid, f.values[::-1]), 0.5, 1.5),
+              lambda: moreau_envelope(f, 0.5), lambda: moreau_envelope(GridFn(f.grid, f.values[::-1]), 0.5)]
+    return [("prox_ties", call) for call in calls]
 
 
 def _refusals():
@@ -541,6 +574,8 @@ def digests() -> dict:
             for key, call in _infconv_calls():
                 _record(hashes, f"{key}@{tile}", call, f"inf_convolution_refusals@{tile}")
     for key, call in _queries(np.random.default_rng(20261021)):
+        _record(hashes, key, call, key)
+    for key, call in _ties():
         _record(hashes, key, call, key)
     for key, call in _renorm_calls():
         _record(hashes, key, call, "renorm_refusals")
