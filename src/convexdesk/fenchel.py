@@ -510,20 +510,19 @@ def _conjugate_scan(f: GridFn, ys: np.ndarray):
     dim, n, k = f.grid.dim, f.values.size, ys.shape[0]
     # axis ax's primal coordinates, broadcast along the other axes
     xs = [f.grid.coords(ax).reshape([-1 if a == ax else 1 for a in range(dim)]) for ax in range(dim)]
-    step = max(1, _TILE_ELEMS // n)
-    buf, out = np.empty((min(step, k),) + f.values.shape), []
+    step, out = max(1, _TILE_ELEMS // n), []
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, k, step):
             y = ys[a : a + step].T[(...,) + (None,) * dim]  # y[ax]: (block, 1, ...)
-            v = np.subtract(y[-1] * xs[-1], f.values, out=buf[: y.shape[1]])
+            v = y[-1] * xs[-1] - f.values
             for ax in range(dim - 2, -1, -1):
-                np.add(y[ax] * xs[ax], v, out=v)
+                v += y[ax] * xs[ax]
             v = v.reshape(-1, n)
-            j = np.argmax(v, axis=1)
+            j = v.argmax(axis=1)
             b = v[np.arange(j.size), j]
-            if math.isnan(b.min()):  # inf - inf where f = +inf
+            if math.isnan(np.minimum.reduce(b)):  # inf - inf where f = +inf
                 v[:, np.isinf(f.values.ravel())] = -np.inf
-                j = np.argmax(v, axis=1)
+                j = v.argmax(axis=1)
                 b = v[np.arange(j.size), j]
             out.append((b, j))
     return out[0] if len(out) == 1 else tuple(np.concatenate(z) for z in zip(*out))

@@ -221,7 +221,8 @@ class ConvexityReport:
 def _concave_midpoints(
     v: np.ndarray, fin: Optional[np.ndarray], d: tuple[int, int], t: float, knight: bool = False
 ) -> np.ndarray:
-    """Nodes m of v (2-D) whose second difference along d is below -t.
+    """Flat indices, in increasing order, of the nodes m of v (2-D) whose
+    second difference along d is below -t.
 
     With a, b, c = v[m - d], v[m], v[m + d], all finite, the second
     difference is a - 2 b + c on lines and a + c - 2 b on the knight
@@ -229,22 +230,24 @@ def _concave_midpoints(
     Where 2 b or a + c leaves the float range, it is taken as
     (a - b) + (c - b), which is never inf - inf.
     """
-    out = np.zeros(v.shape, dtype=bool)
     mid = tuple(slice(abs(k), n - abs(k)) for k, n in zip(d, v.shape))
-    if any(s.stop <= s.start for s in mid):
-        return out
+    if any(s.stop <= s.start for s in mid):  # lines along d have fewer than 3 nodes
+        return np.zeros(0, dtype=np.intp)
     lo = tuple(slice(s.start - k, s.stop - k) for s, k in zip(mid, d))
     hi = tuple(slice(s.start + k, s.stop + k) for s, k in zip(mid, d))
     a, b, c = v[lo], v[mid], v[hi]
     with np.errstate(invalid="ignore", over="ignore"):
         s = a + c - 2.0 * b if knight else a - 2.0 * b + c
-        over = ~np.isfinite(s)  # also where a node is not finite, masked below
-        if over.any():
+        if not math.isfinite(np.add.reduce(s, axis=None)):  # some s is not finite, or their sum
+            over = ~np.isfinite(s)  # also where a node is not finite, masked below
             s[over] = (a[over] - b[over]) + (c[over] - b[over])
-        out[mid] = s < -t
+        bad = s < -t
     if fin is not None:
-        out[mid] &= fin[lo] & fin[mid] & fin[hi]
-    return out
+        bad &= fin[lo] & fin[mid] & fin[hi]
+    m = np.flatnonzero(bad)
+    if m.size:  # from the block of midpoints to v's flat indices
+        m = (m // bad.shape[1] + mid[0].start) * v.shape[1] + m % bad.shape[1] + mid[1].start
+    return m
 
 
 # rows, columns, diagonal, anti-diagonal, then the knight moves
@@ -339,7 +342,7 @@ def _convexity_scan(f: GridFn, tol: float) -> ConvexityReport:
             break
         if n0 <= 2 * d[0] or n1 <= 2 * abs(d[1]):
             continue  # lines along d have fewer than 3 nodes
-        found = [(np.flatnonzero(_concave_midpoints(v, fin, d, t, knight=q >= 4)), 1)]
+        found = [(_concave_midpoints(v, fin, d, t, knight=q >= 4), 1)]
         if fin is not None and q < 4:
             found.append((_gap_nodes(fin, d), 0))
         for nodes, second in found:
@@ -361,32 +364,47 @@ def interp_gridfn(f: GridFn, points: np.ndarray) -> np.ndarray:
     """Multilinear interpolation; +inf outside the box or next to +inf nodes.
 
     Chords of convex data lie above the graph, so interpolation never
-    underestimates a convex GridFn.
+    underestimates a convex GridFn.  Cost: a fixed number of array calls
+    per axis and per corner, whatever the number of points.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != f.grid.dim:
         raise GridMismatchError("points dimension does not match grid")
-    v = f.values
-    inside, cell = [], []  # per axis: the box test, the two corner indices and their weights
     # a far point is ±inf, outside the box; an infinite corner makes nan terms
     with np.errstate(invalid="ignore", over="ignore"):
-        for (lo, hi, n), h, x in zip(f.grid.axes, f.grid.spacing, pts.T):
-            inside.append((x >= lo - 1e-12 * max(1.0, abs(lo))) & (x <= hi + 1e-12 * max(1.0, abs(hi))))
-            t = np.minimum(n - 1, np.maximum(0.0, (x - lo) / h))  # np.clip's bits
-            i = np.minimum(t.astype(int), n - 2)
-            w = t - i
-            cell.append(((i, i + 1), (1 - w, w)))
-        # the 2^dim corners in row-major order; the terms are summed from the
-        # first one, since a start of 0.0 would turn a -0.0 sum into 0.0
-        corners, vals = [], None
-        for bits in itertools.product((0, 1), repeat=len(cell)):
-            c = v[tuple(ix[b] for (ix, _), b in zip(cell, bits))]
-            term = functools.reduce(operator.mul, (ws[b] for (_, ws), b in zip(cell, bits))) * c
-            vals = term if vals is None else vals + term
-            corners.append(c)
-    corner_inf = functools.reduce(operator.or_, map(np.isinf, corners))
-    # exact node hits next to an infinite neighbour are still finite; the sum
-    # is nan only next to one, since finite terms never add to inf - inf
-    on_node = functools.reduce(operator.and_, (ws[1] == 0.0 for _, ws in cell))
-    vals = np.where(corner_inf, np.where(on_node, corners[0], np.inf), vals)
-    return np.where(functools.reduce(operator.and_, inside), vals, np.inf)
+        inside = functools.reduce(operator.and_, (
+            (x >= lo - 1e-12 * max(1.0, abs(lo))) & (x <= hi + 1e-12 * max(1.0, abs(hi)))
+            for (lo, hi, _), x in zip(f.grid.axes, pts.T)))
+        return np.where(inside, _interp(f, pts.T), np.inf)
+
+
+def _interp(f: GridFn, xs) -> np.ndarray:
+    """interp_gridfn's values, without its box test, at the points whose
+    axis-a coordinates are xs[a] (arrays of one shape), under the caller's
+    errstate.  Each corner's value is one take of the flat values at the
+    cell's flat index plus the corner's offset; the terms are summed from
+    the first corner in row-major order, since a start of 0.0 would turn a
+    -0.0 sum into 0.0."""
+    v, axes, base, ws = f.values.ravel(), f.grid.axes, None, []
+    corners = [(None, 0)]  # per corner in row-major order: its weight and flat offset
+    for a, ((lo, hi, n), x) in enumerate(zip(axes, xs)):
+        t = np.minimum(n - 1.0, np.maximum(0.0, (x - lo) / ((hi - lo) / (n - 1))))  # np.clip's bits
+        i = np.minimum(t.astype(int), n - 2)
+        w = t - i
+        stride = math.prod(m for _, _, m in axes[a + 1 :])
+        k = i * stride if stride > 1 else i
+        base, pair = (k if base is None else base + k), ((1 - w, 0), (w, stride))
+        corners = [(u if wt is None else wt * u, off + o) for wt, off in corners for u, o in pair]
+        ws.append(w)
+    vals, cs = None, []
+    for wt, off in corners:
+        c = v.take(base + off if off else base)
+        vals = wt * c if vals is None else vals + wt * c
+        cs.append(c)
+    if not math.isfinite(np.add.reduce(vals, axis=None)):  # an infinite corner, or past the float range
+        # exact node hits next to an infinite neighbour are still finite; the
+        # sum is nan only next to one, since finite terms never add to inf - inf
+        corner_inf = functools.reduce(operator.or_, map(np.isinf, cs))
+        on_node = functools.reduce(operator.and_, (w == 0.0 for w in ws))
+        vals = np.where(corner_inf, np.where(on_node, cs[0], np.inf), vals)
+    return vals

@@ -27,7 +27,8 @@ import numpy as np
 from .errors import GridMismatchError, NonconvexError, ParameterError, WidenGridError
 from .fenchel import (_TILE_ELEMS, _budget, _conjugate_lines, _kernel_overflows, conjugate,
                       default_dual_grid, inf_convolution)
-from .grids import Grid, GridFn, _frozen, _norm, discrete_convexity_check, interp_gridfn, require_proper
+from .grids import (Grid, GridFn, _frozen, _interp, _norm, discrete_convexity_check,
+                    require_proper)
 
 __all__ = [
     "ProxResult",
@@ -75,26 +76,27 @@ def _node_minimum(coords, values: np.ndarray, lam: float, X: np.ndarray):
     in order, as ((x_j - x) ** 2).sum(-1).
     A query whose quotient overflows at some node, or whose objective
     overflows at every node, takes _exact_minimum."""
-    j = np.empty(X.shape[0], dtype=np.int64)
-    best = np.empty(X.shape[0])
-    sqmax = sum(float(c[-1] - c[0]) * float(c[-1] - c[0]) for c in coords)
+    spans = [float(c[-1] - c[0]) for c in coords]
+    sqmax = sum(d * d for d in spans)
     qmax = sqmax / (2.0 * float(lam))
-    step = max(1, _TILE_ELEMS // values.size)
+    step, out = max(1, _TILE_ELEMS // values.size), []
     with np.errstate(over="ignore", invalid="ignore"):  # near the float limit
         for a in range(0, X.shape[0], step):
-            b = slice(a, a + step)
+            Xb = X[a : a + step]
             sq = functools.reduce(lambda q, d: (q[:, :, None] + d[:, None, :]).reshape(len(d), -1),
-                                  ((c - x[:, None]) ** 2 for c, x in zip(coords, X[b].T)))
+                                  ((c - x[:, None]) ** 2 for c, x in zip(coords, Xb.T)))
             quot = sq / (2.0 * lam)  # at most qmax for a query in the box
             v = values + quot
-            j[b] = np.argmin(v, axis=1)
-            best[b] = v.min(axis=1)  # v[j]: no -0.0 in v (quot >= +0.0); a nan row is redone below
-            if not qmax < math.inf or best[b].max() == np.inf:  # qmax is nan where 2 lam is inf
-                if sqmax < math.inf and values.min() >= best[b].max() - sys.float_info.max / 2:
-                    continue  # no node can beat its row's minimum (see _exact_minimum)
-                r = np.flatnonzero(~(quot < np.inf).all(axis=1) | ~(best[b] < np.inf))
-                j[b][r], best[b][r] = _exact_minimum(coords, values, lam, X[b][r], sq[r], quot[r])
-    return j, best
+            # v[j]: no -0.0 in v (quot >= +0.0); a nan row is redone below
+            j, best = v.argmin(axis=1), np.minimum.reduce(v, axis=1)
+            if not qmax < math.inf or np.maximum.reduce(best) == np.inf:  # qmax is nan where 2 lam is inf
+                if sqmax < math.inf and values.min() >= best.max() - sys.float_info.max / 2:
+                    pass  # no node can beat its row's minimum (see _exact_minimum)
+                else:
+                    r = np.flatnonzero(~(quot < np.inf).all(axis=1) | ~(best < np.inf))
+                    j[r], best[r] = _exact_minimum(coords, values, lam, Xb[r], sq[r], quot[r])
+            out.append((j, best))
+    return out[0] if len(out) == 1 else tuple(np.concatenate(z) for z in zip(*out))
 
 
 def _exact_minimum(coords, values: np.ndarray, lam: float, X, sq, quot):
@@ -129,37 +131,46 @@ def _exact_minimum(coords, values: np.ndarray, lam: float, X, sq, quot):
     return j0, m
 
 
-def _parabola_step(f: GridFn, coords, idx, x: np.ndarray, lam: float):
+def _parabola_step(f: GridFn, coords, j: np.ndarray, x: np.ndarray, lam: float):
     """Guarded quadratic refinement along each axis a for K queries x (K, dim)
-    at their argmin nodes, indices `idx` (a (K,) array per axis) into `coords`:
-    the parabola through the objective there and at the two neighbours on
-    axis a.  Returns its vertices (dim, K, dim) and their values (dim, K),
-    +inf where not applied, with the node as vertex dim, and f interpolated
-    at all (dim + 1, K); a fixed number of array calls per axis."""
-    dim, K = len(coords), x.shape[0]
-    i = np.array(idx)  # (dim, K)
-    near = i[:, None, :] + _STEPS[dim]  # [a, b]: axis b's index of the step along a, unclipped
+    at their argmin nodes, flat indices j (K,) into f.values: the parabola
+    through the objective there and at the two neighbours on axis a, read
+    at flat offsets -s, 0, +s for the axis' stride s.  Each vertex moves
+    along one axis, from the node.  Returns the candidates' coordinates per
+    axis, (dim + 1, K) each, row a the vertex along axis a and row dim the
+    node; the vertices' objective values (dim, K), +inf where not applied;
+    and f interpolated at every candidate (dim + 1, K).  Cost: a fixed
+    number of array calls per axis, whatever K and N."""
+    dim, v, lam2, shape = len(coords), f.values.ravel(), 2.0 * lam, f.grid.shape
+    idx = np.unravel_index(j, shape)
     with np.errstate(all="ignore"):  # inf and nan where the step does not apply
-        sq = functools.reduce(operator.add, ((c.take(near[:, b], mode="clip") - xb) ** 2
-                                             for b, (c, xb) in enumerate(zip(coords, x.T))))
-        flat = np.ravel_multi_index(tuple(near.transpose(1, 0, 2, 3)), f.grid.shape, mode="clip")
-        pm, p0, pp = (f.values.take(flat) + sq / (2.0 * lam)).transpose(1, 0, 2)
-        denom = pm - 2.0 * p0 + pp
-        # a finite denom has pm, p0 and pp finite: none of them is -inf or nan
-        ok = (i > 0) & (i < np.array([[c.size - 1] for c in coords])) & (denom > 0) & (denom < np.inf)
-        h, neg_h = np.array([[[c[1] - c[0]], [c[0] - c[1]]] for c in coords]).transpose(1, 0, 2)
-        delta = np.minimum(h, np.maximum(neg_h, 0.5 * (pm - pp) / denom * h))  # np.clip's bits
-        cand, step = np.empty((dim + 1, K, dim)), np.where(ok, delta, 0.0)
-        for b, (c, ib) in enumerate(zip(coords, idx)):  # the node, moved along axis b in row b
-            cand[:, :, b] = c[ib]
-            cand[b, :, b] += step[b]
-        fc = interp_gridfn(f, cand.reshape(-1, dim)).reshape(dim + 1, K)
-        val = fc[:dim] + np.add.reduce((x - cand[:dim]) ** 2, axis=-1) / (2.0 * lam)
-    return cand, np.where(ok & np.isfinite(fc[:dim]), val, np.inf), fc
+        # the stencil's indices and coordinates per axis, (3, K): wrapped past
+        # an end node, so that only an interior node has increasing coordinates
+        ks = [i + _STENCIL for i in idx]
+        ck = [c.take(k, mode="wrap") for c, k in zip(coords, ks)]
+        sq = [(c - xa) ** 2 for c, xa in zip(ck, x.T)]
+        oks, moved = [], []
+        for a, (c, (cm, c0, cp)) in enumerate(zip(coords, ck)):
+            stride = math.prod(shape[a + 1 :])
+            q = functools.reduce(operator.add, (d if b == a else d[1] for b, d in enumerate(sq)))
+            # in 1-D the flat index is the axis index
+            flat = ks[a] if dim == 1 else j + _STENCIL * stride
+            pm, p0, pp = v.take(flat, mode="wrap") + q / lam2
+            denom = pm - 2.0 * p0 + pp
+            # a finite denom has pm, p0 and pp finite: none of them is -inf or nan
+            oks.append((denom > 0) & (denom < np.inf) & (cm < cp))
+            h = float(c[1] - c[0])
+            delta = np.minimum(h, np.maximum(-h, 0.5 * (pm - pp) / denom * h))  # np.clip's bits
+            moved.append(c0 + np.where(oks[-1], delta, 0.0))
+        cand = [np.array([moved[a] if a == b else c[1] for a in range(dim)] + [c[1]]) for b, c in enumerate(ck)]
+        fc = _interp(f, cand)  # never nan: an infinite corner gives +inf or the node's value
+        q = functools.reduce(operator.add, ((xa - c) ** 2 for xa, c in zip(x.T, cand))) / lam2
+        val = np.where(np.array(oks), (fc + q)[:dim], np.inf)
+    return cand, val, fc
 
 
-# per dimension, shape (axis a, axis b, 3, 1): the index steps (-1, 0, 1) along each axis a
-_STEPS = {d: _frozen(np.eye(d)[:, :, None, None] * np.arange(-1, 2)[:, None], np.int64) for d in (1, 2)}
+# the index steps of a parabola step along one axis, as rows
+_STENCIL = _frozen([[-1], [0], [1]], np.int64)
 _ROUNDS_TO_INF = Fraction(2 ** 1024 - 2 ** 970)  # max_float + half an ulp, which rounds up
 
 
@@ -178,12 +189,12 @@ def prox(
     xv = _check_inputs(f, lam, check_convexity, convexity_tol, "prox", x)[None, :]
     coords = [f.grid.coords(ax) for ax in range(f.grid.dim)]
     j, best = _node_minimum(coords, f.values.ravel(), lam, xv)
-    cand, val, fc = _parabola_step(f, coords, np.unravel_index(j, f.grid.shape), xv, lam)
-    a, best_val = f.grid.dim, float(best[0])  # vertex dim is the node
-    for ax in range(f.grid.dim):  # per axis from the node; the first strictly better wins
-        if val[ax, 0] < best_val:
-            a, best_val = ax, float(val[ax, 0])
-    return ProxResult(tuple(float(v) for v in cand[a, 0]), best_val, float(lam), float(fc[a, 0]))
+    cand, val, fc = _parabola_step(f, coords, j, xv, lam)
+    a, best_val = f.grid.dim, float(best[0])  # row dim is the node
+    for ax, v in enumerate(val[:, 0].tolist()):  # per axis from the node; the first strictly better wins
+        if v < best_val:
+            a, best_val = ax, v
+    return ProxResult(tuple(c[a, 0].item() for c in cand), best_val, float(lam), fc[a, 0].item())
 
 
 def _envelope_lines(xs: np.ndarray, F: np.ndarray, lam: float):
@@ -226,7 +237,7 @@ def moreau_envelope(
         return GridFn(f.grid, _envelope_lines(f.grid.coords(0), inner.T, lam)[1].T)
     xs = f.grid.coords(0)
     j, vals = _envelope_lines(xs, f.values[None, :], lam)
-    _, refined, _ = _parabola_step(f, [xs], (j[0],), xs[:, None], lam)
+    _, refined, _ = _parabola_step(f, [xs], j[0], xs[:, None], lam)
     return GridFn(f.grid, np.minimum(vals[0], refined[0]))
 
 

@@ -469,7 +469,7 @@ def test_convexity_near_the_float_limit_matches_exact_second_differences(shape, 
         for d in DIRECTIONS:
             got = grids._concave_midpoints(w, None if finite.all() else finite, d, t,
                                            knight=2 in map(abs, d))
-            assert np.array_equal(got, _exact_midpoints(w, d, t)), d
+            assert np.array_equal(got, np.flatnonzero(_exact_midpoints(w, d, t))), d
     f = GridFn(Grid(tuple((-1, 1, n) for n in shape)), v)
     if len(shape) == 2:
         assert discrete_convexity_check(f, tol) == brute_convexity_check_2d(f, tol)

@@ -81,7 +81,7 @@ def test_every_dataclass_holding_an_array_derives_from_frozen():
 
 def test_the_shared_tables_refuse_to_become_writable():
     masks, sign = special._subset_table(3)
-    tables = [special._perm_table(3), masks, sign, *moreau._STEPS.values(),
+    tables = [special._perm_table(3), masks, sign, moreau._STENCIL,
               *(a for level in special._de_nodes("exp-sinh") for a in level)]
     for a in tables:
         assert not a.flags.writeable
