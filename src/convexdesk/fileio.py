@@ -43,13 +43,19 @@ _SENTINELS = frozenset(("+inf", "-inf"))  # the only strings a number may be
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write text to path through a temp file beside it; an OSError names
-    path, not the temp file."""
+    """Write text to path through a temp file beside it, in raw writes of
+    its bytes on the temp file's descriptor (the text is ASCII JSON or
+    CSV, so the bytes are those of a text-mode write); an OSError names
+    path, not the temp file, and the temp file is removed on any failure."""
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        try:
+            data = memoryview(text.encode())
+            while data:  # a write may take fewer bytes than it is given
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
