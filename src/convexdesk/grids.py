@@ -186,7 +186,7 @@ class GridFn(_Frozen):
             raise GridMismatchError(
                 f"values shape {v.shape} does not match grid shape {self.grid.shape}"
             )
-        if math.isnan(v.min()):  # the min of values holding NaN is NaN
+        if math.isnan(np.minimum.reduce(v, axis=None)):  # the min of values holding NaN is NaN
             raise ValueError("GridFn values cannot contain NaN")
         object.__setattr__(self, "values", v)
 
@@ -199,7 +199,7 @@ class GridFn(_Frozen):
     @property
     def is_proper(self) -> bool:
         """Some value finite and none -inf: the least value is finite (no NaN)."""
-        return math.isfinite(self.values.min())
+        return math.isfinite(np.minimum.reduce(self.values, axis=None))
 
 
 def require_proper(f: GridFn, what: str = "input") -> None:
@@ -385,13 +385,13 @@ def _interp(f: GridFn, xs) -> np.ndarray:
     cell's flat index plus the corner's offset; the terms are summed from
     the first corner in row-major order, since a start of 0.0 would turn a
     -0.0 sum into 0.0."""
-    v, axes, base, ws = f.values.ravel(), f.grid.axes, None, []
+    v, base, ws, stride = f.values.ravel(), None, [], f.values.size
     corners = [(None, 0)]  # per corner in row-major order: its weight and flat offset
-    for a, ((lo, hi, n), x) in enumerate(zip(axes, xs)):
+    for (lo, hi, n), x in zip(f.grid.axes, xs):
         t = np.minimum(n - 1.0, np.maximum(0.0, (x - lo) / ((hi - lo) / (n - 1))))  # np.clip's bits
         i = np.minimum(t.astype(int), n - 2)
         w = t - i
-        stride = math.prod(m for _, _, m in axes[a + 1 :])
+        stride //= n  # of this axis, row-major
         k = i * stride if stride > 1 else i
         base, pair = (k if base is None else base + k), ((1 - w, 0), (w, stride))
         corners = [(u if wt is None else wt * u, off + o) for wt, off in corners for u, o in pair]

@@ -59,7 +59,7 @@ def _check_inputs(
     xv = None if x is None else np.array(x, dtype=float, ndmin=1)
     if xv is not None and xv.size != f.grid.dim:
         raise GridMismatchError("query dimension does not match the grid")
-    if xv is not None and not f.grid.contains(xv):
+    if xv is not None and not all(lo <= v <= hi for v, (lo, hi, _) in zip(xv.ravel().tolist(), f.grid.axes)):
         raise GridMismatchError(f"query {tuple(xv.tolist())} is outside the grid box")
     if check_convexity:
         rep = discrete_convexity_check(f, tol=convexity_tol)
@@ -142,18 +142,17 @@ def _parabola_step(f: GridFn, coords, j: np.ndarray, x: np.ndarray, lam: float):
     and f interpolated at every candidate (dim + 1, K).  Cost: a fixed
     number of array calls per axis, whatever K and N."""
     dim, v, lam2, shape = len(coords), f.values.ravel(), 2.0 * lam, f.grid.shape
-    idx = np.unravel_index(j, shape)
+    idx = (j,) if dim == 1 else np.unravel_index(j, shape)  # in 1-D the flat index is the axis index
     with np.errstate(all="ignore"):  # inf and nan where the step does not apply
         # the stencil's indices and coordinates per axis, (3, K): wrapped past
         # an end node, so that only an interior node has increasing coordinates
         ks = [i + _STENCIL for i in idx]
         ck = [c.take(k, mode="wrap") for c, k in zip(coords, ks)]
         sq = [(c - xa) ** 2 for c, xa in zip(ck, x.T)]
-        oks, moved = [], []
+        node, oks, moved, stride = [], [], [], v.size
         for a, (c, (cm, c0, cp)) in enumerate(zip(coords, ck)):
-            stride = math.prod(shape[a + 1 :])
+            stride //= c.size  # of axis a, row-major
             q = functools.reduce(operator.add, (d if b == a else d[1] for b, d in enumerate(sq)))
-            # in 1-D the flat index is the axis index
             flat = ks[a] if dim == 1 else j + _STENCIL * stride
             pm, p0, pp = v.take(flat, mode="wrap") + q / lam2
             denom = pm - 2.0 * p0 + pp
@@ -161,8 +160,9 @@ def _parabola_step(f: GridFn, coords, j: np.ndarray, x: np.ndarray, lam: float):
             oks.append((denom > 0) & (denom < np.inf) & (cm < cp))
             h = float(c[1] - c[0])
             delta = np.minimum(h, np.maximum(-h, 0.5 * (pm - pp) / denom * h))  # np.clip's bits
+            node.append(c0)
             moved.append(c0 + np.where(oks[-1], delta, 0.0))
-        cand = [np.array([moved[a] if a == b else c[1] for a in range(dim)] + [c[1]]) for b, c in enumerate(ck)]
+        cand = [np.array([moved[a] if a == b else c for a in range(dim)] + [c]) for b, c in enumerate(node)]
         fc = _interp(f, cand)  # never nan: an infinite corner gives +inf or the node's value
         q = functools.reduce(operator.add, ((xa - c) ** 2 for xa, c in zip(x.T, cand))) / lam2
         val = np.where(np.array(oks), (fc + q)[:dim], np.inf)
