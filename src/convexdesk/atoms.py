@@ -271,7 +271,7 @@ def _eval_array(atom: FnAtom, pts: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         v = np.asarray(_catalog_spec(atom.tag).evaluate(atom.params, x[:, 0] if atom.arity == 1 else x),
                        dtype=float)
-    if math.isnan(v.min()):  # the min of values holding NaN is NaN
+    if math.isnan(np.minimum.reduce(v, axis=None)):  # the min of values holding NaN is NaN
         raise ParameterError(f"atom {atom.tag!r} with parameters {atom.params} "
                              f"is NaN at {x[int(np.argmax(np.isnan(v)))].tolist()}")
     return v
@@ -293,7 +293,8 @@ def sample(atom: FnAtom, grid: Grid) -> GridFn:
         raise GridMismatchError(
             f"atom {atom.tag!r} has arity {atom.arity}, grid has dim {grid.dim}"
         )
-    vals = _eval_array(atom, grid.nodes()).reshape(grid.shape)
+    # a 1-D grid's nodes are its axis coordinates
+    vals = _eval_array(atom, grid.coords(0) if grid.dim == 1 else grid.nodes()).reshape(grid.shape)
     return GridFn(grid, vals)
 
 

@@ -74,6 +74,21 @@ def _norm(V: np.ndarray) -> np.ndarray:
     return out
 
 
+def _linspace(lo: float, hi: float, n: int) -> np.ndarray:
+    """np.linspace(lo, hi, n) for n >= 2, bit for bit: its arithmetic on
+    float lo and hi, without its dispatch on array-like arguments."""
+    step = (hi - lo) / (n - 1)
+    c = np.arange(n, dtype=float)
+    if step == 0:  # np.linspace's rule for a subnormal step
+        c /= n - 1
+        c *= hi - lo
+    else:
+        c *= step
+    c += lo
+    c[-1] = hi
+    return c
+
+
 @dataclass(frozen=True)
 class Grid(_Frozen):
     """Uniform 1-D or 2-D grid; each axis is (lo, hi, count)."""
@@ -101,7 +116,7 @@ class Grid(_Frozen):
             total *= n
         if total > MAX_NODES:
             raise ParameterError(f"grid has {total} nodes, cap is {MAX_NODES}")
-        coords = tuple(_frozen(np.linspace(lo, hi, n)) for lo, hi, n in axes)  # see coords
+        coords = tuple(_frozen(_linspace(lo, hi, n)) for lo, hi, n in axes)  # see coords
         for k, c in enumerate(coords):
             if not (c[1:] > c[:-1]).all():  # a subnormal step rounds; a step may be below an ulp
                 raise ParameterError(f"axis {k} nodes np.linspace{axes[k]} are not strictly increasing")

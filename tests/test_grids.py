@@ -55,6 +55,24 @@ def test_grid_refuses_an_axis_whose_nodes_are_not_strictly_increasing():
         assert (np.diff(c) > 0).all() and c[-1] == hi
 
 
+@settings(max_examples=500, deadline=None)
+@given(lo=st.one_of(st.floats(-1e300, 1e300), st.sampled_from([0.0, -0.0, -1.5e-323, 5e-324, 1.0])),
+       width=st.one_of(st.floats(5e-324, 1e300), st.sampled_from([5e-324, 2.5e-323, 4.5e-16])),
+       n=st.integers(2, 3000))
+def test_grid_coords_are_np_linspace_bit_for_bit(lo, width, n):
+    # Grid computes np.linspace's arithmetic itself; on a span whose nodes
+    # are not strictly increasing it refuses, as before
+    hi = lo + width
+    if not hi > lo:
+        return
+    expect = np.linspace(lo, hi, n)
+    if not (expect[1:] > expect[:-1]).all():
+        with pytest.raises(ParameterError, match="not strictly increasing"):
+            Grid.line(lo, hi, n)
+        return
+    assert Grid.line(lo, hi, n).coords(0).tobytes() == expect.tobytes()
+
+
 def test_gridfn_shape_and_proper():
     g = Grid.line(-1, 1, 3)
     f = GridFn(g, [1.0, 0.0, np.inf])
