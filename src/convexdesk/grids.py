@@ -396,11 +396,11 @@ def interp_gridfn(f: GridFn, points: np.ndarray) -> np.ndarray:
 def _interp(f: GridFn, xs) -> np.ndarray:
     """interp_gridfn's values, without its box test, at the points whose
     axis-a coordinates are xs[a] (arrays of one shape), under the caller's
-    errstate.  Each corner's value is one take of the flat values at the
-    cell's flat index plus the corner's offset; the terms are summed from
-    the first corner in row-major order, since a start of 0.0 would turn a
-    -0.0 sum into 0.0."""
-    v, base, ws, stride = f.values.ravel(), None, [], f.values.size
+    errstate.  The corners' values are one take of the flat values at the
+    cell's flat index plus each corner's offset, and their terms one
+    product, summed along the corners in row-major order from the first,
+    since a start of 0.0 would turn a -0.0 sum into 0.0."""
+    base, ws, stride = None, [], f.values.size
     corners = [(None, 0)]  # per corner in row-major order: its weight and flat offset
     for (lo, hi, n), x in zip(f.grid.axes, xs):
         t = np.minimum(n - 1.0, np.maximum(0.0, (x - lo) / ((hi - lo) / (n - 1))))  # np.clip's bits
@@ -411,15 +411,12 @@ def _interp(f: GridFn, xs) -> np.ndarray:
         base, pair = (k if base is None else base + k), ((1 - w, 0), (w, stride))
         corners = [(u if wt is None else wt * u, off + o) for wt, off in corners for u, o in pair]
         ws.append(w)
-    vals, cs = None, []
-    for wt, off in corners:
-        c = v.take(base + off if off else base)
-        vals = wt * c if vals is None else vals + wt * c
-        cs.append(c)
+    weights, offsets = zip(*corners)
+    c = f.values.ravel().take(np.add.outer(offsets, base))  # (corners, ...)
+    vals = functools.reduce(operator.add, np.array(weights) * c)
     if not math.isfinite(np.add.reduce(vals, axis=None)):  # an infinite corner, or past the float range
         # exact node hits next to an infinite neighbour are still finite; the
         # sum is nan only next to one, since finite terms never add to inf - inf
-        corner_inf = functools.reduce(operator.or_, map(np.isinf, cs))
         on_node = functools.reduce(operator.and_, (w == 0.0 for w in ws))
-        vals = np.where(corner_inf, np.where(on_node, cs[0], np.inf), vals)
+        vals = np.where(np.isinf(c).any(axis=0), np.where(on_node, c[0], np.inf), vals)
     return vals
