@@ -131,46 +131,90 @@ def _exact_minimum(coords, values: np.ndarray, lam: float, X, sq, quot):
     return j0, m
 
 
+def _vertex(pm, p0, pp, cm, c0, cp, h: float):
+    """The guarded parabola step through the objective pm, p0, pp at the
+    coordinates cm, c0, cp (arrays of one shape) on one axis of spacing h:
+    where the centre c0 is interior (cm < cp) and the curvature finite and
+    positive, the vertex c0 + delta, delta clipped to [-h, h]; elsewhere c0
+    (+ 0.0).  Returns that mask and the coordinates."""
+    denom = pm - 2.0 * p0 + pp
+    # a finite denom has pm, p0 and pp finite: none of them is -inf or nan
+    ok = (denom > 0) & (denom < np.inf) & (cm < cp)
+    delta = np.minimum(h, np.maximum(-h, 0.5 * (pm - pp) / denom * h))  # np.clip's bits
+    return ok, c0 + np.where(ok, delta, 0.0)
+
+
 def _parabola_step(f: GridFn, coords, j: np.ndarray, x: np.ndarray, lam: float):
     """Guarded quadratic refinement along each axis a for K queries x (K, dim)
     at their argmin nodes, flat indices j (K,) into f.values: the parabola
     through the objective there and at the two neighbours on axis a, read
-    at flat offsets -s, 0, +s for the axis' stride s.  Each vertex moves
-    along one axis, from the node.  Returns the candidates' coordinates per
-    axis, (dim + 1, K) each, row a the vertex along axis a and row dim the
-    node; the vertices' objective values (dim, K), +inf where not applied;
-    and f interpolated at every candidate (dim + 1, K).  Cost: a fixed
-    number of array calls per axis, whatever K and N."""
+    at flat offsets -s, 0, +s for the axis' stride s (_vertex).  Where the
+    +1 neighbour on axis a ties the node's objective, the parabola centred
+    on that neighbour too; the node minimum is the smallest index, so a
+    -1 neighbour never ties, and convexity makes ties adjacent.  Each
+    vertex moves along one axis and is valued through interpolation.
+
+    Returns the node's coordinates per axis and f interpolated there, then
+    the best vertex per query, the first strictly least value in the order
+    axis by axis from the node, then axis by axis from a tied neighbour:
+    its coordinates per axis, its objective value (+inf where no step
+    applies) and f interpolated there; each array is (K,).  Cost: a fixed
+    number of array calls per axis, and as many again for an axis with a
+    tie, whatever K and N."""
     dim, v, lam2, shape = len(coords), f.values.ravel(), 2.0 * lam, f.grid.shape
     idx = (j,) if dim == 1 else np.unravel_index(j, shape)  # in 1-D the flat index is the axis index
     with np.errstate(all="ignore"):  # inf and nan where the step does not apply
-        # the stencil's indices and coordinates per axis, (3, K): wrapped past
-        # an end node, so that only an interior node has increasing coordinates
+        # the stencil's indices and coordinates per axis, (4, K): wrapped past
+        # an end node, so that only an interior centre has increasing neighbours
         ks = [i + _STENCIL for i in idx]
         ck = [c.take(k, mode="wrap") for c, k in zip(coords, ks)]
         sq = [(c - xa) ** 2 for c, xa in zip(ck, x.T)]
-        node, oks, moved, stride = [], [], [], v.size
-        for a, (c, (cm, c0, cp)) in enumerate(zip(coords, ck)):
+        node, oks, moved, ties, stride = [c[1] for c in ck], [], [], [], v.size
+        for a, (c, (cm, c0, cp, _)) in enumerate(zip(coords, ck)):
             stride //= c.size  # of axis a, row-major
             q = functools.reduce(operator.add, (d if b == a else d[1] for b, d in enumerate(sq)))
             flat = ks[a] if dim == 1 else j + _STENCIL * stride
-            pm, p0, pp = v.take(flat, mode="wrap") + q / lam2
-            denom = pm - 2.0 * p0 + pp
-            # a finite denom has pm, p0 and pp finite: none of them is -inf or nan
-            oks.append((denom > 0) & (denom < np.inf) & (cm < cp))
+            p = v.take(flat, mode="wrap") + q / lam2
+            pm, p0, pp, _ = p
             h = float(c[1] - c[0])
-            delta = np.minimum(h, np.maximum(-h, 0.5 * (pm - pp) / denom * h))  # np.clip's bits
-            node.append(c0)
-            moved.append(c0 + np.where(oks[-1], delta, 0.0))
-        cand = [np.array([moved[a] if a == b else c for a in range(dim)] + [c]) for b, c in enumerate(node)]
+            ok, m = _vertex(pm, p0, pp, cm, c0, cp, h)
+            oks.append(ok)
+            moved.append(m)
+            if not ok.all():  # the queries whose own step does not apply and whose +1 neighbour ties
+                t = np.flatnonzero((pp == p0) > ok)
+                if t.size:
+                    _, p0, pp, p2 = (r.take(t) for r in p)
+                    ties.append((a, t, *_vertex(p0, pp, p2, c0.take(t), cp.take(t), ck[a][3].take(t), h)))
+        # the node, then the step along each axis, as rows
+        cand = [np.array([c] + [m if a == b else c for a, m in enumerate(moved)]) for b, c in enumerate(node)]
         fc = _interp(f, cand)  # never nan: an infinite corner gives +inf or the node's value
-        q = functools.reduce(operator.add, ((xa - c) ** 2 for xa, c in zip(x.T, cand))) / lam2
-        val = np.where(np.array(oks), (fc + q)[:dim], np.inf)
-    return cand, val, fc
+        val = np.where(np.array(oks), (fc + _sqdist(x.T, cand) / lam2)[1:], np.inf)
+        point, value, fv = [c[1] for c in cand], val[0], fc[1]
+        for r in range(1, dim):  # the first strictly better step wins
+            better = val[r] < value
+            point = [np.where(better, c[r + 1], p) for c, p in zip(cand, point)]
+            value, fv = np.where(better, val[r], value), np.where(better, fc[r + 1], fv)
+        for a, t, ok, m in ties:  # a step from a tied neighbour wins where strictly better
+            pt = [m if b == a else c.take(t) for b, c in enumerate(node)]
+            ft = _interp(f, pt)
+            vt = np.where(ok, ft + _sqdist([xa.take(t) for xa in x.T], pt) / lam2, np.inf)
+            w = vt < value[t]
+            tw = t[w]
+            for p, c in zip(point, pt):
+                p[tw] = c[w]
+            value[tw], fv[tw] = vt[w], ft[w]
+    return node, fc[0], point, value, fv
 
 
-# the index steps of a parabola step along one axis, as rows
-_STENCIL = _frozen([[-1], [0], [1]], np.int64)
+def _sqdist(xs, pts) -> np.ndarray:
+    """||x - p||^2 for the queries and the points whose axis-a coordinates
+    are xs[a] and pts[a], the squares added in axis order."""
+    return functools.reduce(operator.add, ((xa - c) ** 2 for xa, c in zip(xs, pts)))
+
+
+# the index steps of the stencil along one axis, as rows: the parabola
+# centred on the node takes the first three, that on its +1 neighbour the last three
+_STENCIL = _frozen([[-1], [0], [1], [2]], np.int64)
 _ROUNDS_TO_INF = Fraction(2 ** 1024 - 2 ** 970)  # max_float + half an ulp, which rounds up
 
 
@@ -189,12 +233,10 @@ def prox(
     xv = _check_inputs(f, lam, check_convexity, convexity_tol, "prox", x)[None, :]
     coords = [f.grid.coords(ax) for ax in range(f.grid.dim)]
     j, best = _node_minimum(coords, f.values.ravel(), lam, xv)
-    cand, val, fc = _parabola_step(f, coords, j, xv, lam)
-    a, best_val = f.grid.dim, float(best[0])  # row dim is the node
-    for ax, v in enumerate(val[:, 0].tolist()):  # per axis from the node; the first strictly better wins
-        if v < best_val:
-            a, best_val = ax, v
-    return ProxResult(tuple(c[a, 0].item() for c in cand), best_val, float(lam), fc[a, 0].item())
+    node, f_node, point, value, fv = _parabola_step(f, coords, j, xv, lam)
+    if value.item() < best.item():  # the step is strictly better than the node
+        return ProxResult(tuple(c.item() for c in point), value.item(), float(lam), fv.item())
+    return ProxResult(tuple(c.item() for c in node), best.item(), float(lam), f_node.item())
 
 
 def _envelope_lines(xs: np.ndarray, F: np.ndarray, lam: float):
@@ -237,8 +279,8 @@ def moreau_envelope(
         return GridFn(f.grid, _envelope_lines(f.grid.coords(0), inner.T, lam)[1].T)
     xs = f.grid.coords(0)
     j, vals = _envelope_lines(xs, f.values[None, :], lam)
-    _, refined, _ = _parabola_step(f, [xs], j[0], xs[:, None], lam)
-    return GridFn(f.grid, np.minimum(vals[0], refined[0]))
+    refined = _parabola_step(f, [xs], j[0], xs[:, None], lam)[3]
+    return GridFn(f.grid, np.minimum(vals[0], refined))
 
 
 def moreau_decomposition_residual(f: GridFn, x, dual_grid: Optional[Grid] = None) -> float:

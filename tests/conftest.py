@@ -201,9 +201,8 @@ def brute_coercivity(f: GridFn, levels: int = 9):
 
 
 def brute_envelope_1d(f: GridFn, lam: float) -> np.ndarray:
-    """Per-node brute-force inf of f(y) + (x-y)^2/(2 lam) over nodes, by
-    brute_node_minimum at each node."""
-    return np.array([brute_node_minimum(f, lam, [x])[1] for x in f.grid.coords(0).tolist()])
+    """The 1-D Moreau envelope node by node: brute_prox's value at each node."""
+    return np.array([brute_prox(f, lam, [x])[1] for x in f.grid.coords(0).tolist()])
 
 
 def brute_node_minimum(f: GridFn, lam: float, x) -> tuple[int, float]:
@@ -241,13 +240,16 @@ def brute_node_minimum(f: GridFn, lam: float, x) -> tuple[int, float]:
 
 
 def brute_prox(f: GridFn, lam: float, x) -> tuple[tuple[float, ...], float]:
-    """prox by brute_node_minimum; then, per axis from that node, the
-    parabola through the float objective f_j + ||x - x_j||^2 / (2 lam) at
-    the node and its two neighbours on the axis, python loop: where the
-    node is interior, the three values finite and the curvature finite and
-    positive, the vertex (its step clipped to one spacing, bound first) is
-    valued through brute_interp, and the first strictly better value wins.
-    Returns (point, envelope)."""
+    """prox by brute_node_minimum; then, python loop, the guarded parabola
+    steps through the float objective f_j + ||x - x_j||^2 / (2 lam): per
+    axis from the node, the parabola through it and its two neighbours on
+    the axis; then per axis where that step does not apply and the +1
+    neighbour's objective equals the node's, the parabola centred on that
+    neighbour.  A step applies where its centre is interior, the three
+    values finite and the curvature finite and positive; its vertex (the
+    step clipped to one spacing, bound first) is valued through
+    brute_interp, and the first strictly better value wins, the node
+    first.  Returns (point, envelope)."""
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     with np.errstate(over="ignore"):
         sq = ((f.grid.nodes() - xv) ** 2).sum(axis=1).reshape(f.grid.shape)
@@ -255,20 +257,33 @@ def brute_prox(f: GridFn, lam: float, x) -> tuple[tuple[float, ...], float]:
     j, best_val = brute_node_minimum(f, lam, xv)
     idx = np.unravel_index(j, obj.shape)
     node = [float(f.grid.coords(ax)[i]) for ax, i in enumerate(idx)]
-    best_pt = node
-    for ax, i in enumerate(idx):
+
+    def step(ax, i):
+        """The vertex of the parabola centred on index i of axis ax (the
+        other axes at the node), or None where the step does not apply."""
         coords = f.grid.coords(ax)
         if not 0 < i < coords.size - 1:
-            continue
+            return None
         h = float(coords[1] - coords[0])
         pm, p0, pp = (float(obj[idx[:ax] + (k,) + idx[ax + 1 :]]) for k in (i - 1, i, i + 1))
         if not all(math.isfinite(p) for p in (pm, p0, pp)):
-            continue
+            return None
         denom = pm - 2.0 * p0 + pp
         if not (math.isfinite(denom) and denom > 0):
-            continue
+            return None
         cand = list(node)
-        cand[ax] = node[ax] + min(h, max(-h, 0.5 * (pm - pp) / denom * h))
+        cand[ax] = float(coords[i]) + min(h, max(-h, 0.5 * (pm - pp) / denom * h))
+        return cand
+
+    steps = [step(ax, i) for ax, i in enumerate(idx)]
+    for ax, i in enumerate(idx):
+        tie = i + 1 < obj.shape[ax] and obj[idx[:ax] + (i + 1,) + idx[ax + 1 :]] == obj[idx]
+        if steps[ax] is None and tie:
+            steps.append(step(ax, i + 1))
+    best_pt = node
+    for cand in steps:
+        if cand is None:
+            continue
         fc = float(brute_interp(f, [cand])[0])
         if not math.isfinite(fc):
             continue

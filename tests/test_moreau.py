@@ -436,12 +436,10 @@ def _envelope_node_minima(f: GridFn, lam: float, kernel_calls: list):
         j, vals = moreau._envelope_lines(f.grid.coords(0), f.values[None, :], lam)
         env = moreau_envelope(f, lam, check_convexity=False)
     with np.errstate(over="ignore"):
-        brute = brute_envelope_1d(f, lam)
         xs = f.grid.coords(0)
-        assert j[0].tolist() == [
-            brute_node_minimum(f, lam, [x])[0] for x in xs
-        ]  # the smallest minimizing index
-    return vals[0], brute, env
+        nodes = [brute_node_minimum(f, lam, [x]) for x in xs.tolist()]
+        assert j[0].tolist() == [k for k, _ in nodes]  # the smallest minimizing index
+    return vals[0], np.array([m for _, m in nodes]), env
 
 
 def test_envelope_near_the_float_limit_takes_the_exhaustive_minimum():
