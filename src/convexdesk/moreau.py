@@ -76,8 +76,7 @@ def _node_minimum(coords, values: np.ndarray, lam: float, X: np.ndarray):
     in order, as ((x_j - x) ** 2).sum(-1).
     A query whose quotient overflows at some node, or whose objective
     overflows at every node, takes _exact_minimum."""
-    spans = [float(c[-1] - c[0]) for c in coords]
-    sqmax = sum(d * d for d in spans)
+    sqmax = sum(float(c[-1] - c[0]) * float(c[-1] - c[0]) for c in coords)
     qmax = sqmax / (2.0 * float(lam))
     step, out = max(1, _TILE_ELEMS // values.size), []
     with np.errstate(over="ignore", invalid="ignore"):  # near the float limit
@@ -89,13 +88,12 @@ def _node_minimum(coords, values: np.ndarray, lam: float, X: np.ndarray):
             v = values + quot
             # v[j]: no -0.0 in v (quot >= +0.0); a nan row is redone below
             j, best = v.argmin(axis=1), np.minimum.reduce(v, axis=1)
+            out.append((j, best))
             if not qmax < math.inf or np.maximum.reduce(best) == np.inf:  # qmax is nan where 2 lam is inf
                 if sqmax < math.inf and values.min() >= best.max() - sys.float_info.max / 2:
-                    pass  # no node can beat its row's minimum (see _exact_minimum)
-                else:
-                    r = np.flatnonzero(~(quot < np.inf).all(axis=1) | ~(best < np.inf))
-                    j[r], best[r] = _exact_minimum(coords, values, lam, Xb[r], sq[r], quot[r])
-            out.append((j, best))
+                    continue  # no node can beat its row's minimum (see _exact_minimum)
+                r = np.flatnonzero(~(quot < np.inf).all(axis=1) | ~(best < np.inf))
+                j[r], best[r] = _exact_minimum(coords, values, lam, Xb[r], sq[r], quot[r])
     return out[0] if len(out) == 1 else tuple(np.concatenate(z) for z in zip(*out))
 
 
@@ -132,11 +130,9 @@ def _exact_minimum(coords, values: np.ndarray, lam: float, X, sq, quot):
 
 
 def _vertex(pm, p0, pp, cm, c0, cp, h: float):
-    """The guarded parabola step through the objective pm, p0, pp at the
-    coordinates cm, c0, cp (arrays of one shape) on one axis of spacing h:
-    where the centre c0 is interior (cm < cp) and the curvature finite and
-    positive, the vertex c0 + delta, delta clipped to [-h, h]; elsewhere c0
-    (+ 0.0).  Returns that mask and the coordinates."""
+    """Where the step applies (centre c0 interior, cm < cp, and the curvature
+    of pm, p0, pp finite and positive), that mask, and the parabola's vertex
+    c0 + delta, delta clipped to [-h, h]; elsewhere c0 (+ 0.0)."""
     denom = pm - 2.0 * p0 + pp
     # a finite denom has pm, p0 and pp finite: none of them is -inf or nan
     ok = (denom > 0) & (denom < np.inf) & (cm < cp)
@@ -146,21 +142,16 @@ def _vertex(pm, p0, pp, cm, c0, cp, h: float):
 
 def _parabola_step(f: GridFn, coords, j: np.ndarray, x: np.ndarray, lam: float):
     """Guarded quadratic refinement along each axis a for K queries x (K, dim)
-    at their argmin nodes, flat indices j (K,) into f.values: the parabola
-    through the objective there and at the two neighbours on axis a, read
-    at flat offsets -s, 0, +s for the axis' stride s (_vertex).  Where the
-    +1 neighbour on axis a ties the node's objective, the parabola centred
-    on that neighbour too; the node minimum is the smallest index, so a
-    -1 neighbour never ties, and convexity makes ties adjacent.  Each
-    vertex moves along one axis and is valued through interpolation.
-
-    Returns the node's coordinates per axis and f interpolated there, then
-    the best vertex per query, the first strictly least value in the order
-    axis by axis from the node, then axis by axis from a tied neighbour:
-    its coordinates per axis, its objective value (+inf where no step
-    applies) and f interpolated there; each array is (K,).  Cost: a fixed
-    number of array calls per axis, and as many again for an axis with a
-    tie, whatever K and N."""
+    at their argmin nodes, flat indices j (K,): the parabola through the
+    objective there and at the nodes at flat offsets -s and +s, s the axis'
+    stride (_vertex).  Where that step does not apply and the +1 neighbour
+    ties the node (a -1 neighbour cannot: j is the smallest index), the
+    parabola centred on the neighbour.  Each vertex moves along one axis
+    and is valued through interpolation; the first strictly least wins,
+    the node's steps axis by axis, then the neighbours'.  Returns the node
+    per axis and f there, and the winning vertex per axis, its value (+inf
+    where no step applies) and f there, each (K,).  Cost: a fixed number
+    of array calls per axis, as many again for an axis with a tie."""
     dim, v, lam2, shape = len(coords), f.values.ravel(), 2.0 * lam, f.grid.shape
     idx = (j,) if dim == 1 else np.unravel_index(j, shape)  # in 1-D the flat index is the axis index
     with np.errstate(all="ignore"):  # inf and nan where the step does not apply
