@@ -160,10 +160,10 @@ class Grid(_Frozen):
         return out.reshape(-1, self.dim)
 
     def contains(self, point: Sequence[float]) -> bool:
-        p = np.array(point, dtype=float, ndmin=1)
-        if p.size != self.dim:
+        p = np.asarray(point, dtype=float).ravel()
+        if p.size != len(self.axes):
             raise GridMismatchError(f"point has dim {p.size}, grid has dim {self.dim}")
-        return all(lo <= v <= hi for v, (lo, hi, _) in zip(p.ravel().tolist(), self.axes))
+        return all(lo <= v <= hi for v, (lo, hi, _) in zip(p.tolist(), self.axes))
 
     def nearest_index(self, point: Sequence[float]) -> tuple[int, ...]:
         p = np.atleast_1d(np.asarray(point, dtype=float))
@@ -396,11 +396,11 @@ def interp_gridfn(f: GridFn, points: np.ndarray) -> np.ndarray:
 def _interp(f: GridFn, xs) -> np.ndarray:
     """interp_gridfn's values, without its box test, at the points whose
     axis-a coordinates are xs[a] (arrays of one shape), under the caller's
-    errstate.  The corners' values are one take of the flat values at the
-    cell's flat index plus each corner's offset, and their terms one
-    product, summed along the corners in row-major order from the first,
-    since a start of 0.0 would turn a -0.0 sum into 0.0."""
-    base, ws, stride = None, [], f.values.size
+    errstate.  Each corner's value is one take of the flat values at the
+    cell's flat index plus the corner's offset; the terms are summed from
+    the first corner in row-major order, since a start of 0.0 would turn a
+    -0.0 sum into 0.0."""
+    v, base, ws, stride = f.values.ravel(), None, [], f.values.size
     corners = [(None, 0)]  # per corner in row-major order: its weight and flat offset
     for (lo, hi, n), x in zip(f.grid.axes, xs):
         t = np.minimum(n - 1.0, np.maximum(0.0, (x - lo) / ((hi - lo) / (n - 1))))  # np.clip's bits
@@ -411,12 +411,15 @@ def _interp(f: GridFn, xs) -> np.ndarray:
         base, pair = (k if base is None else base + k), ((1 - w, 0), (w, stride))
         corners = [(u if wt is None else wt * u, off + o) for wt, off in corners for u, o in pair]
         ws.append(w)
-    weights, offsets = zip(*corners)
-    c = f.values.ravel().take(np.add.outer(offsets, base))  # (corners, ...)
-    vals = functools.reduce(operator.add, np.array(weights) * c)
+    vals, cs = None, []
+    for wt, off in corners:
+        c = v.take(base + off if off else base)
+        vals = wt * c if vals is None else vals + wt * c
+        cs.append(c)
     if not math.isfinite(np.add.reduce(vals, axis=None)):  # an infinite corner, or past the float range
         # exact node hits next to an infinite neighbour are still finite; the
         # sum is nan only next to one, since finite terms never add to inf - inf
+        corner_inf = functools.reduce(operator.or_, map(np.isinf, cs))
         on_node = functools.reduce(operator.and_, (w == 0.0 for w in ws))
-        vals = np.where(np.isinf(c).any(axis=0), np.where(on_node, c[0], np.inf), vals)
+        vals = np.where(corner_inf, np.where(on_node, cs[0], np.inf), vals)
     return vals

@@ -59,7 +59,7 @@ def _check_inputs(
     xv = None if x is None else np.array(x, dtype=float, ndmin=1)
     if xv is not None and xv.size != f.grid.dim:
         raise GridMismatchError("query dimension does not match the grid")
-    if xv is not None and not all(lo <= v <= hi for v, (lo, hi, _) in zip(xv.ravel().tolist(), f.grid.axes)):
+    if xv is not None and not f.grid.contains(xv):
         raise GridMismatchError(f"query {tuple(xv.tolist())} is outside the grid box")
     if check_convexity:
         rep = discrete_convexity_check(f, tol=convexity_tol)
@@ -76,7 +76,7 @@ def _node_minimum(coords, values: np.ndarray, lam: float, X: np.ndarray):
     in order, as ((x_j - x) ** 2).sum(-1).
     A query whose quotient overflows at some node, or whose objective
     overflows at every node, takes _exact_minimum."""
-    sqmax = sum(float(c[-1] - c[0]) * float(c[-1] - c[0]) for c in coords)
+    sqmax = sum(d * d for d in (float(c[-1] - c[0]) for c in coords))
     qmax = sqmax / (2.0 * float(lam))
     step, out = max(1, _TILE_ELEMS // values.size), []
     with np.errstate(over="ignore", invalid="ignore"):  # near the float limit
@@ -152,7 +152,7 @@ def _parabola_step(f: GridFn, coords, j: np.ndarray, x: np.ndarray, lam: float):
     per axis and f there, and the winning vertex per axis, its value (+inf
     where no step applies) and f there, each (K,).  Cost: a fixed number
     of array calls per axis, as many again for an axis with a tie."""
-    dim, v, lam2, shape = len(coords), f.values.ravel(), 2.0 * lam, f.grid.shape
+    dim, v, lam2, shape = len(coords), f.values.ravel(), 2.0 * lam, f.values.shape
     idx = (j,) if dim == 1 else np.unravel_index(j, shape)  # in 1-D the flat index is the axis index
     with np.errstate(all="ignore"):  # inf and nan where the step does not apply
         # the stencil's indices and coordinates per axis, (4, K): wrapped past
@@ -171,7 +171,7 @@ def _parabola_step(f: GridFn, coords, j: np.ndarray, x: np.ndarray, lam: float):
             ok, m = _vertex(pm, p0, pp, cm, c0, cp, h)
             oks.append(ok)
             moved.append(m)
-            if not ok.all():  # the queries whose own step does not apply and whose +1 neighbour ties
+            if not np.logical_and.reduce(ok):  # the queries whose own step does not apply and whose +1 neighbour ties
                 t = np.flatnonzero((pp == p0) > ok)
                 if t.size:
                     _, p0, pp, p2 = (r.take(t) for r in p)
