@@ -180,7 +180,9 @@ def resolvent(f: GridFn, lam: float, z, check_convexity: bool = True,
 
     Returns x = prox(f, lam, z) and y = (z - x) / lam, so z = x + lam y by
     construction; the certificate is the Fenchel-Young residual of
-    y in d_eps f(x).  Cost: prox's plus _certificate's.
+    y in d_eps f(x).  Cost: prox's (the O(N) node scan plus about 60 array
+    calls per axis in 1-D) plus _certificate's one O(N) scan and about 20
+    array calls.
     """
     zv = np.atleast_1d(np.asarray(z, dtype=float))
     x, y, eps = _certificate(f, lam, zv, prox(f, lam, zv, check_convexity, convexity_tol))

@@ -151,7 +151,8 @@ def _parabola_step(f: GridFn, coords, j: np.ndarray, x: np.ndarray, lam: float):
     the node's steps axis by axis, then the neighbours'.  Returns the node
     per axis and f there, and the winning vertex per axis, its value (+inf
     where no step applies) and f there, each (K,).  Cost: a fixed number
-    of array calls per axis, as many again for an axis with a tie."""
+    of array calls per axis whatever K and N, about 60 in 1-D and 135 in
+    2-D with the interpolation, and as many again for an axis with a tie."""
     dim, v, lam2, shape = len(coords), f.values.ravel(), 2.0 * lam, f.values.shape
     idx = (j,) if dim == 1 else np.unravel_index(j, shape)  # in 1-D the flat index is the axis index
     with np.errstate(all="ignore"):  # inf and nan where the step does not apply
@@ -218,8 +219,11 @@ def prox(
     makes them adjacent.  Where ||x - y||^2 / (2 lam) overflows at a node
     of dom f, or the objective at every node, the objective there is the
     exact rational value, and the envelope reported at such a node is that
-    value rounded, +inf only past the float range.  Cost: the O(N) node
-    scan plus a fixed number of array calls per axis, whatever N.
+    value rounded, +inf only past the float range.  The refinement is
+    _parabola_step's: where the node's own step does not apply and its +1
+    neighbour ties it, the step from that neighbour too.  Cost: the O(N)
+    node scan (about 10 array calls) plus the steps' fixed number of array
+    calls per axis (about 60 in 1-D, 135 in 2-D), whatever N.
     """
     xv = _check_inputs(f, lam, check_convexity, convexity_tol, "prox", x)[None, :]
     coords = [f.grid.coords(ax) for ax in range(f.grid.dim)]
