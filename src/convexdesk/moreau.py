@@ -274,7 +274,7 @@ def moreau_envelope(
         return GridFn(f.grid, _envelope_lines(f.grid.coords(0), inner.T, lam)[1].T)
     xs = f.grid.coords(0)
     j, vals = _envelope_lines(xs, f.values[None, :], lam)
-    refined = _parabola_step(f, [xs], j[0], xs[:, None], lam)[3]
+    _, _, _, refined, _ = _parabola_step(f, [xs], j[0], xs[:, None], lam)
     return GridFn(f.grid, np.minimum(vals[0], refined))
 
 
